@@ -359,7 +359,9 @@ class SAMNet:
             frames = frames[None]
         if frames.shape[0] < 1:
             raise ValueError("episode must contain at least one frame")
-        n = n_slots or self.config.mem_slots
+        n = self.config.mem_slots if n_slots is None else n_slots
+        if n < 1:
+            raise ValueError(f"n_slots must be >= 1, got {n}")
         overrides = dict(gate_overrides or {})
         if not self.config.memory_enabled:
             overrides.setdefault("g_m", 0.0)
@@ -371,7 +373,7 @@ class SAMNet:
         frame_logits = []
         for k in range(frames.shape[0]):
             rows = features[k]
-            keys, values = self.visual_projections(rows)
+            keys, values = self.cell.visual.project(rows)
             state = self.cell.initial_state()
             step_trace = [] if trace is not None else None
             for t in range(1, self.config.steps + 1):
@@ -383,9 +385,6 @@ class SAMNet:
                 trace.append(step_trace)
             frame_logits.append(self.answer_head.logits(state.so, enc.q))
         return T.stack(frame_logits)
-
-    def visual_projections(self, feature_rows):
-        return self.cell.visual.project(feature_rows)
 
     def episode_loss(self, token_ids, frames, answer_ids, **kw) -> Tensor:
         """Mean softmax cross-entropy over the per-frame answers."""

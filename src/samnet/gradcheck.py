@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import Parameter
+from .tensor import NonFiniteError
 
 
 def grad_check(f, params, eps: float = 1e-5) -> float:
@@ -42,7 +43,7 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
             lo = f().item()
             flat[i] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise ValueError(
+                raise NonFiniteError(
                     f"non-finite value while perturbing parameter {p.name!r}"
                 )
             num = (hi - lo) / (2.0 * eps)

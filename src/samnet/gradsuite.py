@@ -48,10 +48,6 @@ def _store(seed):
     return ParameterStore(np.random.default_rng(seed))
 
 
-def _readout(rng, vec):
-    return T.matmul(T.Tensor(rng.normal(size=vec.shape[0])), vec)
-
-
 def _check_softmax_and_ce(rng, eps):
     store = _store(1)
     logits = store.new("logits", (6,))

@@ -25,7 +25,6 @@ from .programs import (
     TASK_GROUPS,
     VOCABULARY,
     answer_set,
-    decode_tokens,
     encode_tokens,
     enumerate_programs,
     named_task_family,

@@ -21,6 +21,7 @@ from .oracle import oracle_answer
 from .programs import (
     ANSWER_INDEX,
     ANSWERS,
+    EXIST_OF_SCOPE,
     QuestionProgram,
     RELATIONS,
     TAGS,
@@ -169,8 +170,7 @@ class _Planner:
         pass
 
     # -- shared helpers -------------------------------------------------
-    def free_cell(self, taken, plan: _FramePlan | None = None,
-                  cells=None):
+    def free_cell(self, taken, cells=None):
         pool = [
             (r, c)
             for r in range(self.cfg.height)
@@ -181,13 +181,8 @@ class _Planner:
             pool = [rc for rc in pool if rc in cells]
         return _pick(self.rng, pool)
 
-    def legal_pair(self, exclude=(), colors=None, shapes=None):
-        pool = [
-            (c, s) for (c, s) in self.family.pairs()
-            if (colors is None or c in colors)
-            and (shapes is None or s in shapes)
-            and (c, s) not in exclude
-        ]
+    def legal_pair(self, exclude=()):
+        pool = [pair for pair in self.family.pairs() if pair not in exclude]
         return _pick(self.rng, pool)
 
     def place(self, objs, taken, color, shape, cells=None):
@@ -196,6 +191,19 @@ class _Planner:
         objs.append(obj)
         taken.add((row, col))
         return obj
+
+    # -- attribute classes: referents keyed by one attribute, read the other
+    def values_for(self, key):
+        """Values of the read attribute a legal object keyed `key` carries."""
+        if self.program.attribute == "color":
+            return list(self.family.colors_for(key))
+        return list(self.family.shapes_for(key))
+
+    def keys_for(self, value):
+        """Referent keys a legal object carrying `value` can have."""
+        if self.program.attribute == "color":
+            return list(self.family.shapes_for(value))
+        return list(self.family.colors_for(value))
 
 
 class _ExistPlanner(_Planner):
@@ -237,64 +245,34 @@ class _GetPlanner(_Planner):
     """GetColor(shape) / GetShape(color) with a temporal tag."""
 
     def plan(self, k):
-        cls = self.program.task_class
+        key = self.program.keys[0]
         objs, taken = [], set()
         if _coin(self.rng, _P_REF):
-            if cls == "GetColor":
-                shape = self.program.shapes[0]
-                color = _pick(self.rng, list(self.family.colors_for(shape)))
-                forbidden = [(None, shape)]
-            else:
-                color = self.program.colors[0]
-                shape = _pick(self.rng, list(self.family.shapes_for(color)))
-                forbidden = [(color, None)]
-            self.place(objs, taken, color, shape)
-        else:
-            forbidden = (
-                [(None, self.program.shapes[0])] if cls == "GetColor"
-                else [(self.program.colors[0], None)]
-            )
-        return _FramePlan(objs, forbidden)
+            value = _pick(self.rng, self.values_for(key))
+            self.place(objs, taken, *self.program.keyed(key, value))
+        return _FramePlan(objs, [self.program.keyed(key)])
 
 
 class _SimpleComparePlanner(_Planner):
     """Within-frame attribute comparison of referent pairs."""
 
-    def _pairs(self):
-        p = self.program
-        if p.task_class.endswith("Color"):
-            keys = p.shapes  # referents keyed by shape, compare colors
-        else:
-            keys = p.colors
-        return [(keys[i], keys[i + 1]) for i in range(0, len(keys), 2)]
-
     def plan(self, k):
-        by_shape = self.program.task_class.endswith("Color")
+        p = self.program
         objs, taken = [], set()
-        for key1, key2 in self._pairs():
+        for key1, key2 in p.key_pairs():
             have1 = _coin(self.rng, 0.9)
             have2 = _coin(self.rng, 0.9)
             values = self._choose_values(key1, key2)
             if have1:
-                c, s = (values[0], key1) if by_shape else (key1, values[0])
-                self.place(objs, taken, c, s)
+                self.place(objs, taken, *p.keyed(key1, values[0]))
             if have2:
-                c, s = (values[1], key2) if by_shape else (key2, values[1])
-                self.place(objs, taken, c, s)
-        forbidden = [
-            ((None, key) if by_shape else (key, None))
-            for pair in self._pairs() for key in pair
-        ]
+                self.place(objs, taken, *p.keyed(key2, values[1]))
+        forbidden = [p.keyed(key) for pair in p.key_pairs() for key in pair]
         return _FramePlan(objs, forbidden)
 
     def _choose_values(self, key1, key2):
-        by_shape = self.program.task_class.endswith("Color")
-        if by_shape:
-            pool1 = list(self.family.colors_for(key1))
-            pool2 = list(self.family.colors_for(key2))
-        else:
-            pool1 = list(self.family.shapes_for(key1))
-            pool2 = list(self.family.shapes_for(key2))
+        pool1 = self.values_for(key1)
+        pool2 = self.values_for(key2)
         shared = [v for v in pool1 if v in pool2]
         if _coin(self.rng, 0.5) and shared:
             v = _pick(self.rng, shared)
@@ -309,17 +287,9 @@ class _ComparePlanner(_Planner):
 
     def __init__(self, rng, cfg, program):
         super().__init__(rng, cfg, program)
-        self.by_shape = program.task_class.endswith("Color")
-        keys = program.shapes if self.by_shape else program.colors
-        self.pairs = [(keys[i], keys[i + 1]) for i in range(0, len(keys), 2)]
+        self.pairs = self.program.key_pairs()
         # most recent past value per pair, as (frame_index, value)
         self.past: list[tuple[int, str] | None] = [None] * len(self.pairs)
-
-    def _value_pool(self, key):
-        return list(
-            self.family.colors_for(key) if self.by_shape
-            else self.family.shapes_for(key)
-        )
 
     def plan(self, k):
         objs, taken = [], set()
@@ -328,22 +298,19 @@ class _ComparePlanner(_Planner):
             if visible is not None and visible[0] < k - self.cfg.history:
                 visible = None
             if _coin(self.rng, _P_REF):
-                pool = self._value_pool(key_now)
+                pool = self.values_for(key_now)
                 if visible is not None and _coin(self.rng, 0.5) and visible[1] in pool:
                     value = visible[1]
                 else:
                     rest = [v for v in pool if visible is None or v != visible[1]]
                     value = _pick(self.rng, rest or pool)
-                c, s = (value, key_now) if self.by_shape else (key_now, value)
-                self.place(objs, taken, c, s)
+                self.place(objs, taken, *self.program.keyed(key_now, value))
             if _coin(self.rng, _P_PAST):
-                value = _pick(self.rng, self._value_pool(key_last))
-                c, s = (value, key_last) if self.by_shape else (key_last, value)
-                self.place(objs, taken, c, s)
+                value = _pick(self.rng, self.values_for(key_last))
+                self.place(objs, taken, *self.program.keyed(key_last, value))
                 self.past[idx] = (k, value)
         forbidden = [
-            ((None, key) if self.by_shape else (key, None))
-            for pair in self.pairs for key in pair
+            self.program.keyed(key) for pair in self.pairs for key in pair
         ]
         return _FramePlan(objs, forbidden)
 
@@ -354,38 +321,23 @@ class _ExistOfPlanner(_Planner):
 
     def __init__(self, rng, cfg, program):
         super().__init__(rng, cfg, program)
-        cls = program.task_class
-        self.by_shape = cls in ("ExistColorOf", "ExistLastColorSameShape")
-        self.strict_past = cls.startswith("ExistLast")
-        self.key = program.shapes[0] if self.by_shape else program.colors[0]
+        self.strict_past = EXIST_OF_SCOPE[program.task_class] == "last"
+        self.key = program.keys[0]
         self.latest: tuple[int, str] | None = None  # (frame, attribute value)
-
-    def _ref_pool(self):
-        return list(
-            self.family.colors_for(self.key) if self.by_shape
-            else self.family.shapes_for(self.key)
-        )
 
     def _witness(self, objs, taken, value, avoid=False, frame_forbidden=None):
         # a non-referent object carrying (or avoiding) the referent's value
-        if self.by_shape:
-            shapes = [s for s in self.family.shapes_for(value) if s != self.key]
-            if not avoid and shapes:
-                self.place(objs, taken, value, _pick(self.rng, shapes))
-            elif avoid:
-                frame_forbidden.append((value, None))
-        else:
-            colors = [c for c in self.family.colors_for(value) if c != self.key]
-            if not avoid and colors:
-                self.place(objs, taken, _pick(self.rng, colors), value)
-            elif avoid:
-                frame_forbidden.append((None, value))
+        if avoid:
+            frame_forbidden.append(self.program.keyed(None, value))
+            return
+        keys = [key for key in self.keys_for(value) if key != self.key]
+        if keys:
+            key = _pick(self.rng, keys)
+            self.place(objs, taken, *self.program.keyed(key, value))
 
     def plan(self, k):
         objs, taken = [], set()
-        frame_forbidden = [
-            (None, self.key) if self.by_shape else (self.key, None)
-        ]
+        frame_forbidden = [self.program.keyed(self.key)]
         visible = self.latest
         if visible is not None and visible[0] < k - self.cfg.history:
             visible = None
@@ -395,12 +347,11 @@ class _ExistOfPlanner(_Planner):
         if self.strict_past:
             ref_value = visible[1] if visible is not None else None
         if place_ref:
-            pool = self._ref_pool()
+            pool = self.values_for(self.key)
             if self.strict_past and ref_value is not None and not want_true:
                 pool = [v for v in pool if v != ref_value] or pool
             new_value = _pick(self.rng, pool)
-            c, s = (new_value, self.key) if self.by_shape else (self.key, new_value)
-            self.place(objs, taken, c, s)
+            self.place(objs, taken, *self.program.keyed(self.key, new_value))
             self.latest = (k, new_value)
             if not self.strict_past:
                 ref_value = new_value
@@ -566,7 +517,7 @@ def _sample_program(rng, cfg: EpisodeConfig, task_family) -> QuestionProgram:
 
     tag = TAGS[int(rng.integers(len(TAGS)))]
     rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
-    n_colors, n_shapes, uses_rel, uses_tag = _SIGNATURES[cls]
+    sig = _SIGNATURES[cls]
     colors: tuple = ()
     shapes: tuple = ()
     if cls in ("ExistSpace", "ExistColorSpace", "ExistShapeSpace",
@@ -580,13 +531,13 @@ def _sample_program(rng, cfg: EpisodeConfig, task_family) -> QuestionProgram:
         else:
             colors, shapes = (ref_c,), (shape(), ref_s)
     else:
-        if n_shapes:
-            shapes = distinct(shape, n_shapes)
-        if n_colors:
-            colors = distinct(color, n_colors)
+        if sig.n_shapes:
+            shapes = distinct(shape, sig.n_shapes)
+        if sig.n_colors:
+            colors = distinct(color, sig.n_colors)
     return QuestionProgram(cls, colors=colors, shapes=shapes,
-                           relation=rel if uses_rel else None,
-                           tag=tag if uses_tag else None)
+                           relation=rel if sig.uses_relation else None,
+                           tag=tag if sig.uses_tag else None)
 
 
 def _fill_distractors(rng, cfg: EpisodeConfig, family, plan: _FramePlan):

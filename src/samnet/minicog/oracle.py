@@ -11,7 +11,7 @@ resolved the frame's answer is the explicit invalid marker.
 
 from __future__ import annotations
 
-from .programs import INVALID, QuestionProgram
+from .programs import COMPARE_SCOPE, EXIST_OF_SCOPE, INVALID, QuestionProgram
 from .scenes import SceneGraph, SceneObject
 
 
@@ -62,28 +62,6 @@ def _relation_holds(o: SceneObject, ref: SceneObject, relation: str) -> bool:
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def _same_color_pair(scenes, k, history, shape_now, shape_last):
-    now_ref = _find_referent(scenes, _scope("now", k, history), shape=shape_now)
-    last_ref = _find_referent(scenes, _scope("last", k, history), shape=shape_last)
-    if now_ref is None or last_ref is None:
-        return None
-    return now_ref[1].color == last_ref[1].color
-
-
-def _same_shape_pair(scenes, k, history, color_now, color_last):
-    now_ref = _find_referent(scenes, _scope("now", k, history), color=color_now)
-    last_ref = _find_referent(scenes, _scope("last", k, history), color=color_last)
-    if now_ref is None or last_ref is None:
-        return None
-    return now_ref[1].shape == last_ref[1].shape
-
-
-def _conj(a, b):
-    if a is None or b is None:
-        return None
-    return a and b
-
-
 def _spatial_candidates(scene: SceneGraph, ref: SceneObject, relation: str):
     hits = [
         o for o in scene.objects
@@ -95,7 +73,7 @@ def _spatial_candidates(scene: SceneGraph, ref: SceneObject, relation: str):
 
 
 def _frame_answer(p: QuestionProgram, scenes, k: int, history: int) -> str:
-    cls = p.task_class
+    cls, attr = p.task_class, p.attribute
     c, s = p.colors, p.shapes
 
     if cls in ("Exist", "ExistColor", "ExistShape"):
@@ -110,81 +88,33 @@ def _frame_answer(p: QuestionProgram, scenes, k: int, history: int) -> str:
         frames = _scope(p.tag, k, history)
         if len(frames) == 0:
             return INVALID
-        if cls == "GetColor":
-            ref = _find_referent(scenes, frames, shape=s[0])
-            return INVALID if ref is None else ref[1].color
-        ref = _find_referent(scenes, frames, color=c[0])
-        return INVALID if ref is None else ref[1].shape
+        ref = _find_referent(scenes, frames, *p.keyed(p.keys[0]))
+        return INVALID if ref is None else getattr(ref[1], attr)
 
-    if cls == "SimpleCompareColor" or cls == "AndSimpleCompareColor":
+    if cls in COMPARE_SCOPE:
         now = _scope("now", k, history)
-
-        def compare(s1, s2):
-            r1 = _find_referent(scenes, now, shape=s1)
-            r2 = _find_referent(scenes, now, shape=s2)
+        second = _scope(COMPARE_SCOPE[cls], k, history)
+        same = True
+        for key1, key2 in p.key_pairs():
+            r1 = _find_referent(scenes, now, *p.keyed(key1))
+            r2 = _find_referent(scenes, second, *p.keyed(key2))
             if r1 is None or r2 is None:
-                return None
-            return r1[1].color == r2[1].color
+                return INVALID
+            same = same and getattr(r1[1], attr) == getattr(r2[1], attr)
+        return _bool(same)
 
-        value = compare(s[0], s[1])
-        if cls == "AndSimpleCompareColor":
-            value = _conj(value, compare(s[2], s[3]))
-        return INVALID if value is None else _bool(value)
-
-    if cls == "SimpleCompareShape" or cls == "AndSimpleCompareShape":
-        now = _scope("now", k, history)
-
-        def compare(c1, c2):
-            r1 = _find_referent(scenes, now, color=c1)
-            r2 = _find_referent(scenes, now, color=c2)
-            if r1 is None or r2 is None:
-                return None
-            return r1[1].shape == r2[1].shape
-
-        value = compare(c[0], c[1])
-        if cls == "AndSimpleCompareShape":
-            value = _conj(value, compare(c[2], c[3]))
-        return INVALID if value is None else _bool(value)
-
-    if cls == "CompareColor":
-        value = _same_color_pair(scenes, k, history, s[0], s[1])
-        return INVALID if value is None else _bool(value)
-
-    if cls == "AndCompareColor":
-        value = _conj(
-            _same_color_pair(scenes, k, history, s[0], s[1]),
-            _same_color_pair(scenes, k, history, s[2], s[3]),
-        )
-        return INVALID if value is None else _bool(value)
-
-    if cls == "CompareShape":
-        value = _same_shape_pair(scenes, k, history, c[0], c[1])
-        return INVALID if value is None else _bool(value)
-
-    if cls == "AndCompareShape":
-        value = _conj(
-            _same_shape_pair(scenes, k, history, c[0], c[1]),
-            _same_shape_pair(scenes, k, history, c[2], c[3]),
-        )
-        return INVALID if value is None else _bool(value)
-
-    if cls in ("ExistColorOf", "ExistShapeOf"):
-        ref = _find_referent(
-            scenes, _scope("latest", k, history),
-            shape=s[0] if cls == "ExistColorOf" else None,
-            color=c[0] if cls == "ExistShapeOf" else None,
-        )
+    if cls in EXIST_OF_SCOPE:
+        ref = _find_referent(scenes, _scope(EXIST_OF_SCOPE[cls], k, history),
+                             *p.keyed(p.keys[0]))
         if ref is None:
             return INVALID
         ref_frame, ref_obj = ref
-        for o in scenes[k].objects:
-            if ref_frame == k and (o.row, o.col) == (ref_obj.row, ref_obj.col):
-                continue  # the referent itself is not "another object"
-            if cls == "ExistColorOf" and o.color == ref_obj.color:
-                return _bool(True)
-            if cls == "ExistShapeOf" and o.shape == ref_obj.shape:
-                return _bool(True)
-        return _bool(False)
+        value = getattr(ref_obj, attr)
+        # the referent itself is not "another object"
+        return _bool(any(
+            getattr(o, attr) == value for o in scenes[k].objects
+            if ref_frame != k or o != ref_obj
+        ))
 
     if cls in ("ExistSpace", "ExistColorSpace", "ExistShapeSpace",
                "GetColorSpace", "GetShapeSpace"):
@@ -195,27 +125,13 @@ def _frame_answer(p: QuestionProgram, scenes, k: int, history: int) -> str:
         if ref is None:
             return INVALID
         hits = _spatial_candidates(scenes[k], ref[1], p.relation)
-        if cls == "ExistSpace":
-            return _bool(bool(hits))
-        if cls == "ExistColorSpace":
-            return _bool(any(o.color == c[0] for o in hits))
-        if cls == "ExistShapeSpace":
-            return _bool(any(o.shape == s[0] for o in hits))
-        if not hits:
-            return INVALID
-        return hits[0].color if cls == "GetColorSpace" else hits[0].shape
-
-    if cls in ("ExistLastColorSameShape", "ExistLastShapeSameColor"):
-        ref = _find_referent(
-            scenes, _scope("last", k, history),
-            shape=s[0] if cls == "ExistLastColorSameShape" else None,
-            color=c[0] if cls == "ExistLastShapeSameColor" else None,
-        )
-        if ref is None:
-            return INVALID
-        if cls == "ExistLastColorSameShape":
-            return _bool(any(o.color == ref[1].color for o in scenes[k].objects))
-        return _bool(any(o.shape == ref[1].shape for o in scenes[k].objects))
+        if cls in ("GetColorSpace", "GetShapeSpace"):
+            if not hits:
+                return INVALID
+            return hits[0].color if cls == "GetColorSpace" else hits[0].shape
+        color = c[0] if cls == "ExistColorSpace" else None
+        shape = s[0] if cls == "ExistShapeSpace" else None
+        return _bool(any(_matches(o, color, shape) for o in hits))
 
     if cls == "ExistLastObjectSameObject":
         anchor = None

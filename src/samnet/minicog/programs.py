@@ -4,12 +4,22 @@ A program is a task class plus typed arguments (attribute constants, one
 spatial relation, a temporal tag). Each program realizes to a deterministic
 token sequence; the vocabulary and answer list are fixed module-wide so all
 generated corpora share one id space.
+
+The signature table gives each class its argument arity and, in its
+`attribute` column, the attribute ("color" or "shape") the class reads.
+Where it is set, the class's referents are keyed by the other attribute:
+GetColor(star) reads the color of the latest star, GetShape(red) the shape
+of the latest red object. The Get, compare and exist-of families each have
+one template here and one oracle rule that take the attribute as an
+argument, as in COG, where one operator reads either attribute; their
+generator planners read it from the table too.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scenes import COLORS, SHAPES
 
@@ -46,32 +56,61 @@ GROUP_OF = {
     cls: group for group, classes in TASK_GROUPS.items() for cls in classes
 }
 
-# (n_colors, n_shapes, uses_relation, uses_tag) per class; colors/shapes list
-# the argument arity, query argument first, reference descriptor last.
+class Signature(NamedTuple):
+    """Argument arity of a class and the attribute it reads.
+
+    colors/shapes list the argument arity, query argument first, reference
+    descriptor last. `attribute` ("color" or "shape") is set for the classes
+    that read one attribute of referents keyed by the other one: their
+    arguments are the referent keys. It is None for the Exist*, Spatial and
+    ExistLastObjectSameObject classes.
+    """
+
+    n_colors: int
+    n_shapes: int
+    uses_relation: bool
+    uses_tag: bool
+    attribute: str | None = None
+
+
 _SIGNATURES = {
-    "Exist": (0, 0, False, True),
-    "ExistColor": (1, 0, False, True),
-    "ExistShape": (0, 1, False, True),
-    "GetColor": (0, 1, False, True),
-    "GetShape": (1, 0, False, True),
-    "SimpleCompareColor": (0, 2, False, False),
-    "SimpleCompareShape": (2, 0, False, False),
-    "AndSimpleCompareColor": (0, 4, False, False),
-    "AndSimpleCompareShape": (4, 0, False, False),
-    "CompareColor": (0, 2, False, False),
-    "CompareShape": (2, 0, False, False),
-    "AndCompareColor": (0, 4, False, False),
-    "AndCompareShape": (4, 0, False, False),
-    "ExistColorOf": (0, 1, False, False),
-    "ExistShapeOf": (1, 0, False, False),
-    "ExistSpace": (1, 1, True, False),
-    "ExistColorSpace": (2, 1, True, False),
-    "ExistShapeSpace": (1, 2, True, False),
-    "GetColorSpace": (1, 1, True, False),
-    "GetShapeSpace": (1, 1, True, False),
-    "ExistLastColorSameShape": (0, 1, False, False),
-    "ExistLastShapeSameColor": (1, 0, False, False),
-    "ExistLastObjectSameObject": (0, 0, False, False),
+    "Exist": Signature(0, 0, False, True),
+    "ExistColor": Signature(1, 0, False, True),
+    "ExistShape": Signature(0, 1, False, True),
+    "GetColor": Signature(0, 1, False, True, "color"),
+    "GetShape": Signature(1, 0, False, True, "shape"),
+    "SimpleCompareColor": Signature(0, 2, False, False, "color"),
+    "SimpleCompareShape": Signature(2, 0, False, False, "shape"),
+    "AndSimpleCompareColor": Signature(0, 4, False, False, "color"),
+    "AndSimpleCompareShape": Signature(4, 0, False, False, "shape"),
+    "CompareColor": Signature(0, 2, False, False, "color"),
+    "CompareShape": Signature(2, 0, False, False, "shape"),
+    "AndCompareColor": Signature(0, 4, False, False, "color"),
+    "AndCompareShape": Signature(4, 0, False, False, "shape"),
+    "ExistColorOf": Signature(0, 1, False, False, "color"),
+    "ExistShapeOf": Signature(1, 0, False, False, "shape"),
+    "ExistSpace": Signature(1, 1, True, False),
+    "ExistColorSpace": Signature(2, 1, True, False),
+    "ExistShapeSpace": Signature(1, 2, True, False),
+    "GetColorSpace": Signature(1, 1, True, False),
+    "GetShapeSpace": Signature(1, 1, True, False),
+    "ExistLastColorSameShape": Signature(0, 1, False, False, "color"),
+    "ExistLastShapeSameColor": Signature(1, 0, False, False, "shape"),
+    "ExistLastObjectSameObject": Signature(0, 0, False, False),
+}
+
+# The two attribute families that relate referents, each mapped to the scope
+# of the referent compared against: the second referent of a pair for the
+# compares (the first is always "now"), the one referent for the exist-ofs.
+COMPARE_SCOPE = {
+    "SimpleCompareColor": "now", "SimpleCompareShape": "now",
+    "AndSimpleCompareColor": "now", "AndSimpleCompareShape": "now",
+    "CompareColor": "last", "CompareShape": "last",
+    "AndCompareColor": "last", "AndCompareShape": "last",
+}
+EXIST_OF_SCOPE = {
+    "ExistColorOf": "latest", "ExistShapeOf": "latest",
+    "ExistLastColorSameShape": "last", "ExistLastShapeSameColor": "last",
 }
 
 
@@ -86,21 +125,21 @@ class QuestionProgram:
     def __post_init__(self):
         if self.task_class not in _SIGNATURES:
             raise ValueError(f"unknown task class {self.task_class!r}")
-        n_colors, n_shapes, uses_rel, uses_tag = _SIGNATURES[self.task_class]
-        if len(self.colors) != n_colors or len(self.shapes) != n_shapes:
+        sig = _SIGNATURES[self.task_class]
+        if len(self.colors) != sig.n_colors or len(self.shapes) != sig.n_shapes:
             raise ValueError(
-                f"{self.task_class} expects {n_colors} colors / {n_shapes} shapes, "
-                f"got {self.colors} / {self.shapes}"
+                f"{self.task_class} expects {sig.n_colors} colors / "
+                f"{sig.n_shapes} shapes, got {self.colors} / {self.shapes}"
             )
         if any(c not in COLORS for c in self.colors):
             raise ValueError(f"unknown color in {self.colors}")
         if any(s not in SHAPES for s in self.shapes):
             raise ValueError(f"unknown shape in {self.shapes}")
-        if uses_rel != (self.relation is not None) or (
+        if sig.uses_relation != (self.relation is not None) or (
             self.relation is not None and self.relation not in RELATIONS
         ):
             raise ValueError(f"bad relation {self.relation!r} for {self.task_class}")
-        if uses_tag != (self.tag is not None) or (
+        if sig.uses_tag != (self.tag is not None) or (
             self.tag is not None and self.tag not in TAGS
         ):
             raise ValueError(f"bad tag {self.tag!r} for {self.task_class}")
@@ -108,6 +147,25 @@ class QuestionProgram:
     @property
     def group(self) -> str:
         return GROUP_OF[self.task_class]
+
+    @property
+    def attribute(self) -> str | None:
+        return _SIGNATURES[self.task_class].attribute
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """Referent keys of an attribute class: the values of the other one."""
+        return self.shapes if self.attribute == "color" else self.colors
+
+    def keyed(self, key: str, value: str | None = None) -> tuple:
+        """(color, shape) of an object with referent key `key` carrying
+        `value` of the read attribute; None leaves a descriptor slot open."""
+        return (value, key) if self.attribute == "color" else (key, value)
+
+    def key_pairs(self) -> list[tuple[str, str]]:
+        """Referent key pairs of a compare class, first referent first."""
+        keys = self.keys
+        return [(keys[i], keys[i + 1]) for i in range(0, len(keys), 2)]
 
     def tokens(self) -> list[str]:
         return _render_tokens(self)
@@ -132,63 +190,47 @@ class QuestionProgram:
         )
 
 
+def _referent(p: QuestionProgram, key: str) -> list[str]:
+    """A referent keyed by shape is named by it; one keyed by color is a
+    colored object."""
+    return [key] if p.attribute == "color" else [key, "object"]
+
+
 def _render_tokens(p: QuestionProgram) -> list[str]:
     c, s = p.colors, p.shapes
-    cls = p.task_class
+    cls, attr = p.task_class, p.attribute
     if cls == "Exist":
         return ["exist", "any", "object", p.tag]
     if cls == "ExistColor":
         return ["exist", c[0], "object", p.tag]
     if cls == "ExistShape":
         return ["exist", "any", s[0], p.tag]
-    if cls == "GetColor":
-        return ["query", "color", "of", s[0], p.tag]
-    if cls == "GetShape":
-        return ["query", "shape", "of", c[0], "object", p.tag]
-    if cls == "SimpleCompareColor":
-        return ["same", "color", "of", s[0], "and", s[1], "now"]
-    if cls == "SimpleCompareShape":
-        return ["same", "shape", "of", c[0], "object", "and", c[1], "object", "now"]
-    if cls == "AndSimpleCompareColor":
-        return ["same", "color", "of", s[0], "and", s[1],
-                "also", "of", s[2], "and", s[3], "now"]
-    if cls == "AndSimpleCompareShape":
-        return ["same", "shape", "of", c[0], "object", "and", c[1], "object",
-                "also", "of", c[2], "object", "and", c[3], "object", "now"]
-    if cls == "CompareColor":
-        return ["same", "color", "of", s[0], "now", "and", s[1], "last"]
-    if cls == "CompareShape":
-        return ["same", "shape", "of", c[0], "object", "now",
-                "and", c[1], "object", "last"]
-    if cls == "AndCompareColor":
-        return ["same", "color", "of", s[0], "now", "and", s[1], "last",
-                "also", "of", s[2], "now", "and", s[3], "last"]
-    if cls == "AndCompareShape":
-        return ["same", "shape", "of", c[0], "object", "now",
-                "and", c[1], "object", "last",
-                "also", "of", c[2], "object", "now", "and", c[3], "object", "last"]
-    if cls == "ExistColorOf":
-        return ["exist", "now", "object", "with", "color", "of", "latest", s[0]]
-    if cls == "ExistShapeOf":
-        return ["exist", "now", "object", "with", "shape", "of",
-                "latest", c[0], "object"]
+    if cls in ("GetColor", "GetShape"):
+        return ["query", attr, "of", *_referent(p, p.keys[0]), p.tag]
+    if cls in COMPARE_SCOPE:
+        # within-frame compares tag the question once; across-frame ones tag
+        # each referent of a pair
+        within = COMPARE_SCOPE[cls] == "now"
+        first, second = ([], []) if within else (["now"], ["last"])
+        words = ["same", attr]
+        for i, (key1, key2) in enumerate(p.key_pairs()):
+            if i:
+                words.append("also")
+            words += ["of", *_referent(p, key1), *first,
+                      "and", *_referent(p, key2), *second]
+        return words + (["now"] if within else [])
+    if cls in EXIST_OF_SCOPE:
+        return ["exist", "now", "object", "with", attr, "of",
+                EXIST_OF_SCOPE[cls], *_referent(p, p.keys[0])]
     if cls == "ExistSpace":
         return ["exist", "object", p.relation, "of", c[0], s[0], "now"]
     if cls == "ExistColorSpace":
         return ["exist", c[0], "object", p.relation, "of", c[1], s[0], "now"]
     if cls == "ExistShapeSpace":
         return ["exist", "any", s[0], p.relation, "of", c[0], s[1], "now"]
-    if cls == "GetColorSpace":
-        return ["query", "color", "of", "object", p.relation, "of",
-                c[0], s[0], "now"]
-    if cls == "GetShapeSpace":
-        return ["query", "shape", "of", "object", p.relation, "of",
-                c[0], s[0], "now"]
-    if cls == "ExistLastColorSameShape":
-        return ["exist", "now", "object", "with", "color", "of", "last", s[0]]
-    if cls == "ExistLastShapeSameColor":
-        return ["exist", "now", "object", "with", "shape", "of",
-                "last", c[0], "object"]
+    if cls in ("GetColorSpace", "GetShapeSpace"):
+        return ["query", "color" if cls == "GetColorSpace" else "shape", "of",
+                "object", p.relation, "of", c[0], s[0], "now"]
     if cls == "ExistLastObjectSameObject":
         return ["exist", "now", "object", "same", "as", "last", "object"]
     raise ValueError(f"no template for {cls!r}")
@@ -204,10 +246,6 @@ TOKEN_INDEX = {w: i for i, w in enumerate(VOCABULARY)}
 
 def encode_tokens(words) -> list[int]:
     return [TOKEN_INDEX[w] for w in words]
-
-
-def decode_tokens(ids) -> list[str]:
-    return [VOCABULARY[i] for i in ids]
 
 
 def answer_set(task_class: str) -> frozenset:
@@ -253,13 +291,13 @@ def parse_task_family(spec: str) -> dict[str, float]:
 def enumerate_programs(task_class: str, colors=COLORS, shapes=SHAPES,
                        relations=RELATIONS, tags=TAGS):
     """All argument combinations of one class over restricted attribute sets."""
-    n_colors, n_shapes, uses_rel, uses_tag = _SIGNATURES[task_class]
-    color_choices = itertools.product(colors, repeat=n_colors)
+    sig = _SIGNATURES[task_class]
+    color_choices = itertools.product(colors, repeat=sig.n_colors)
     out = []
     for cs in color_choices:
-        for ss in itertools.product(shapes, repeat=n_shapes):
-            rels = relations if uses_rel else (None,)
-            tgs = tags if uses_tag else (None,)
+        for ss in itertools.product(shapes, repeat=sig.n_shapes):
+            rels = relations if sig.uses_relation else (None,)
+            tgs = tags if sig.uses_tag else (None,)
             for rel in rels:
                 for tag in tgs:
                     out.append(QuestionProgram(

@@ -27,6 +27,10 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested op."""
 
 
+class NonFiniteError(ValueError):
+    """An op or a gradient check met a NaN or infinite value."""
+
+
 def set_default_dtype(dtype) -> None:
     """Set the scalar dtype used for new leaf tensors ('float32'/'float64')."""
     global _DEFAULT_DTYPE
@@ -279,13 +283,8 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         ad, bd = a.data, b.data
-        if a.ndim == 2 and b.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if a.ndim == 2 and b.ndim == 1:
-            return g[:, None] * bd[None, :], ad.T @ g
-        if a.ndim == 1 and b.ndim == 2:
-            return g @ bd.T, ad[:, None] * g[None, :]
-        return g * bd, g * ad  # (1,1): scalar g
+        return (g @ bd.T if b.ndim == 2 else np.multiply.outer(g, bd),
+                ad.T @ g if a.ndim == 2 else np.multiply.outer(ad, g))
 
     return Tensor._from_op(out, (a, b), backward)
 
@@ -381,7 +380,7 @@ def softmax(a) -> Tensor:
         raise ShapeError("softmax expects a non-empty rank-1 tensor")
     # cheap screen first; the exact check only runs when the sum overflows
     if not math.isfinite(float(a.data.sum())) and not np.all(np.isfinite(a.data)):
-        raise ValueError("non-finite input")
+        raise NonFiniteError("non-finite input")
     shifted = a.data - a.data.max()
     e = np.exp(shifted)
     out = e / e.sum()
@@ -398,7 +397,7 @@ def log_softmax(a) -> Tensor:
     if a.ndim != 1 or a.size < 1:
         raise ShapeError("log_softmax expects a non-empty rank-1 tensor")
     if not math.isfinite(float(a.data.sum())) and not np.all(np.isfinite(a.data)):
-        raise ValueError("non-finite input")
+        raise NonFiniteError("non-finite input")
     shifted = a.data - a.data.max()
     lse = np.log(np.exp(shifted).sum())
     out = shifted - lse

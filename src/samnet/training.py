@@ -385,9 +385,7 @@ def train(cfg: TrainConfig, log=None, deterministic: bool = False,
                                           ep.answer_ids)
                 batch_loss += loss.item()
                 loss.backward()
-        except ValueError as exc:
-            if "non-finite" not in str(exc):
-                raise
+        except T.NonFiniteError:
             batch_loss = float("nan")
         if not np.isfinite(batch_loss):
             raise NonFiniteLossError(
@@ -405,9 +403,7 @@ def train(cfg: TrainConfig, log=None, deterministic: bool = False,
         if cfg.eval_every and step % cfg.eval_every == 0:
             try:
                 run_eval(step)
-            except ValueError as exc:
-                if "non-finite" not in str(exc):
-                    raise
+            except T.NonFiniteError as exc:
                 raise NonFiniteLossError(
                     f"non-finite values after step {step}; batch episode "
                     f"seeds [{cfg.data_seed}, {batch_first}..{episode_index - 1}]; "

@@ -460,6 +460,14 @@ class TestEpisodeForward:
         assert out4.shape == out8.shape
         assert np.all(np.isfinite(out8.data))
 
+    @pytest.mark.parametrize("n_slots", [0, -1])
+    def test_non_positive_slot_count_rejected(self, n_slots):
+        # 0 must not fall back to the trained size
+        net = toy_net(23)
+        frames = np.zeros((1, 3, 3, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="n_slots must be >= 1"):
+            net.episode_forward([1, 2, 3], frames, n_slots=n_slots)
+
     def test_zero_frames_rejected(self):
         net = toy_net(24)
         with pytest.raises(ValueError):

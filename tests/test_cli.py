@@ -49,6 +49,10 @@ def test_train_eval_round_trip(tiny_conf, tmp_path, capsys):
     assert set(payload) >= {"loss", "accuracy", "per_class_accuracy"}
     assert payload["episodes"] == 10
 
+    # zero slots is an error, not the trained size
+    with pytest.raises(ValueError, match="n_slots must be >= 1"):
+        main(["eval", "--ckpt", ckpt, "--data", corpus, "--mem-slots", "0"])
+
     # ablating memory writes is a valid evaluation mode
     assert main(["eval", "--ckpt", ckpt, "--data", corpus,
                  "--ablate-writes"]) == 0

@@ -1,8 +1,8 @@
 """Oracle correctness: spec'd point cases, totality, and cross-checks against
-the independent reference answerer (the full exhaustive sweep runs in the
-acceptance suite)."""
+the independent reference answerer on seeded samples of small scenes."""
 
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -125,7 +125,8 @@ class TestAgainstReference:
     def test_matches_reference_on_sampled_scene_pairs(self, task_class):
         colors, shapes = COLORS[:2], SHAPES[:2]
         programs = enumerate_programs(task_class, colors, shapes)
-        rng = np.random.default_rng(hash(task_class) % 2**32)
+        # crc32, not hash(): string hashing is salted per process
+        rng = np.random.default_rng(zlib.crc32(task_class.encode()))
         for geometry in ((1, 3), (3, 1)):
             pool = list(_enumerate_scenes(*geometry, colors, shapes))
             for _ in range(120):

@@ -37,6 +37,11 @@ class TestSoftmax:
         with pytest.raises(ValueError, match="non-finite input"):
             T.softmax(T.Tensor([np.inf, 0.0]))
 
+    def test_non_finite_error_is_typed(self):
+        for op in (T.softmax, T.log_softmax):
+            with pytest.raises(T.NonFiniteError):
+                op(T.Tensor([np.nan, 0.0]))
+
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=16))
     @settings(max_examples=100, deadline=None)
     def test_output_is_distribution(self, logits):
@@ -137,8 +142,9 @@ class TestGradCheck:
                 return T.log(x[0])
 
             with np.errstate(divide="ignore", invalid="ignore"):
-                with pytest.raises(ValueError, match="weird"):
+                with pytest.raises(ValueError, match="weird") as info:
                     grad_check(f, store.parameters(), eps=1e-5)
+        assert isinstance(info.value, T.NonFiniteError)
 
 
 def _rand_params(store, rng, shapes, prefix="p"):
