@@ -1,6 +1,7 @@
 """Synthetic video-QA task suite: scenes, question programs, oracle, generator."""
 
 from .generator import (
+    CorpusError,
     Episode,
     EpisodeConfig,
     GenerationError,

@@ -29,6 +29,7 @@ from .programs import (
     VOCABULARY,
     _SIGNATURES,
     encode_tokens,
+    matches,
 )
 from .scenes import (
     COLOR_INDEX,
@@ -53,6 +54,10 @@ _P_PAST = 0.7
 
 class GenerationError(RuntimeError):
     pass
+
+
+class CorpusError(ValueError):
+    """A corpus file that is malformed, truncated or built on other tables."""
 
 
 class _PlanFailure(Exception):
@@ -134,24 +139,11 @@ def _coin(rng, p) -> bool:
     return rng.random() < p
 
 
-def _matches_desc(color, shape, desc) -> bool:
-    dc, ds = desc
-    return (dc is None or dc == color) and (ds is None or ds == shape)
-
-
 @dataclass
 class _FramePlan:
     planned: list  # SceneObject
     forbidden: list  # descriptors (color|None, shape|None); None,None matches all
     region_rules: list = field(default_factory=list)  # (cells, descriptor)
-
-    def allows(self, row, col, color, shape) -> bool:
-        if any(_matches_desc(color, shape, d) for d in self.forbidden):
-            return False
-        for cells, desc in self.region_rules:
-            if (row, col) in cells and _matches_desc(color, shape, desc):
-                return False
-        return True
 
 
 class _Planner:
@@ -181,8 +173,12 @@ class _Planner:
             pool = [rc for rc in pool if rc in cells]
         return _pick(self.rng, pool)
 
-    def legal_pair(self, exclude=()):
-        pool = [pair for pair in self.family.pairs() if pair not in exclude]
+    def legal_pair(self, desc=(None, None), exclude=()):
+        """A legal (color, shape) fitting `desc`, not in `exclude`."""
+        pool = [
+            pair for pair in self.family.pairs()
+            if matches(*pair, desc) and pair not in exclude
+        ]
         return _pick(self.rng, pool)
 
     def place(self, objs, taken, color, shape, cells=None):
@@ -220,25 +216,12 @@ class _ExistPlanner(_Planner):
         self.empty_episode = _coin(rng, empty_prob)
 
     def plan(self, k):
-        cls = self.program.task_class
+        query = self.program.query
         objs, taken = [], set()
         if not self.empty_episode and _coin(self.rng, _P_EXIST):
-            if cls == "ExistColor":
-                color = self.program.colors[0]
-                shape = _pick(self.rng, list(self.family.shapes_for(color)))
-            elif cls == "ExistShape":
-                shape = self.program.shapes[0]
-                color = _pick(self.rng, list(self.family.colors_for(shape)))
-            else:
-                color, shape = self.legal_pair()
-            self.place(objs, taken, color, shape)
-        if cls == "ExistColor":
-            forbidden = [(self.program.colors[0], None)]
-        elif cls == "ExistShape":
-            forbidden = [(None, self.program.shapes[0])]
-        else:
-            forbidden = [(None, None)]  # any object would satisfy the question
-        return _FramePlan(objs, forbidden)
+            self.place(objs, taken, *self.legal_pair(query))
+        # no distractor may satisfy the question
+        return _FramePlan(objs, [query])
 
 
 class _GetPlanner(_Planner):
@@ -394,14 +377,8 @@ class _SpatialPlanner(_Planner):
 
     def __init__(self, rng, cfg, program):
         super().__init__(rng, cfg, program)
-        self.ref_pair = (program.colors[-1], program.shapes[-1])
+        self.ref_pair = program.reference
         self.relation = program.relation
-        cls = program.task_class
-        self.kind = "exist" if cls == "ExistSpace" else (
-            "color" if cls == "ExistColorSpace" else
-            "shape" if cls == "ExistShapeSpace" else "get"
-        )
-        self.get_color = cls == "GetColorSpace"
 
     def _region(self, row, col):
         h, w, rel = self.cfg.height, self.cfg.width, self.relation
@@ -434,39 +411,15 @@ class _SpatialPlanner(_Planner):
         objs.append(ref)
         taken.add((row, col))
         region = self._region(row, col)
-        if self.kind == "exist":
-            if want_true:
-                color, shape = self.legal_pair(exclude=(self.ref_pair,))
-                self.place(objs, taken, color, shape, cells=region)
-            else:
-                rules.append((region, (None, None)))
-        elif self.kind in ("color", "shape"):
-            query = (
-                self.program.colors[0] if self.kind == "color"
-                else self.program.shapes[0]
-            )
-            if want_true:
-                if self.kind == "color":
-                    pool = [
-                        (query, s) for s in self.family.shapes_for(query)
-                        if (query, s) != self.ref_pair
-                    ]
-                else:
-                    pool = [
-                        (c, query) for c in self.family.colors_for(query)
-                        if (c, query) != self.ref_pair
-                    ]
-                color, shape = _pick(self.rng, pool)
-                self.place(objs, taken, color, shape, cells=region)
-            rules.append((
-                region,
-                (query, None) if self.kind == "color" else (None, query),
-            ))
-        else:  # Get*Space: at most one object inside the region
-            if want_true:
-                color, shape = self.legal_pair(exclude=(self.ref_pair,))
-                self.place(objs, taken, color, shape, cells=region)
-            rules.append((region, (None, None)))
+        query = self.program.query
+        if want_true:
+            pair = self.legal_pair(query, exclude=(self.ref_pair,))
+            self.place(objs, taken, *pair, cells=region)
+        # Distractors in the region must not match the query: for Get*Space
+        # that leaves at most one object there. Only a true ExistSpace
+        # answer holds whatever else the region contains.
+        if not want_true or self.program.task_class != "ExistSpace":
+            rules.append((region, query))
         return _FramePlan(objs, forbidden, rules)
 
 
@@ -499,7 +452,6 @@ def _sample_program(rng, cfg: EpisodeConfig, task_family) -> QuestionProgram:
     if weights.min() < 0 or weights.sum() <= 0:
         raise ValueError("task family weights must be non-negative, sum > 0")
     cls = classes[int(rng.choice(len(classes), p=weights / weights.sum()))]
-    fam = cfg.family
 
     def color():
         return COLORS[int(rng.integers(len(COLORS)))]
@@ -518,23 +470,15 @@ def _sample_program(rng, cfg: EpisodeConfig, task_family) -> QuestionProgram:
     tag = TAGS[int(rng.integers(len(TAGS)))]
     rel = RELATIONS[int(rng.integers(len(RELATIONS)))]
     sig = _SIGNATURES[cls]
-    colors: tuple = ()
-    shapes: tuple = ()
-    if cls in ("ExistSpace", "ExistColorSpace", "ExistShapeSpace",
-               "GetColorSpace", "GetShapeSpace"):
-        # reference descriptor must be realizable under the family constraint
-        ref_c, ref_s = fam.pairs()[int(rng.integers(len(fam.pairs())))]
-        if cls in ("ExistSpace", "GetColorSpace", "GetShapeSpace"):
-            colors, shapes = (ref_c,), (ref_s,)
-        elif cls == "ExistColorSpace":
-            colors, shapes = (color(), ref_c), (ref_s,)
-        else:
-            colors, shapes = (ref_c,), (shape(), ref_s)
+    if sig.uses_relation:
+        # reference descriptor must be realizable under the family constraint;
+        # query arguments come before it
+        ref_c, ref_s = _pick(rng, cfg.family.pairs())
+        colors = tuple(color() for _ in range(sig.n_colors - 1)) + (ref_c,)
+        shapes = tuple(shape() for _ in range(sig.n_shapes - 1)) + (ref_s,)
     else:
-        if sig.n_shapes:
-            shapes = distinct(shape, sig.n_shapes)
-        if sig.n_colors:
-            colors = distinct(color, sig.n_colors)
+        shapes = distinct(shape, sig.n_shapes)
+        colors = distinct(color, sig.n_colors)
     return QuestionProgram(cls, colors=colors, shapes=shapes,
                            relation=rel if sig.uses_relation else None,
                            tag=tag if sig.uses_tag else None)
@@ -548,7 +492,10 @@ def _fill_distractors(rng, cfg: EpisodeConfig, family, plan: _FramePlan):
         )
     taken = {(o.row, o.col) for o in objs}
     budget = min(cfg.distractors, cfg.max_objects - len(objs))
-    pairs = family.pairs()
+    legal = [
+        pair for pair in family.pairs()
+        if not any(matches(*pair, desc) for desc in plan.forbidden)
+    ]
     for _ in range(budget):
         cells = [
             (r, c) for r in range(cfg.height) for c in range(cfg.width)
@@ -557,9 +504,12 @@ def _fill_distractors(rng, cfg: EpisodeConfig, family, plan: _FramePlan):
         rng.shuffle(cells)
         placed = False
         for row, col in cells:
-            options = [
-                (c, s) for (c, s) in pairs if plan.allows(row, col, c, s)
-            ]
+            options = legal
+            for region, desc in plan.region_rules:
+                if (row, col) in region:
+                    options = [
+                        pair for pair in options if not matches(*pair, desc)
+                    ]
             if options:
                 color, shp = options[int(rng.integers(len(options)))]
                 objs.append(SceneObject(row, col, color, shp))
@@ -645,27 +595,47 @@ def write_corpus(path, episodes, cfg: EpisodeConfig, task_family, seed: int) -> 
 
 
 def read_corpus(path):
-    """Load a corpus; returns (episodes, header)."""
+    """Load a corpus; returns (episodes, header). Raises CorpusError on a
+    line that does not parse, a header vocabulary or answer table unlike
+    this module's, or a record count unlike the header's."""
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("format") != "episode-corpus":
-            raise ValueError(f"{path} is not an episode corpus")
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise CorpusError(f"{path}:1: unreadable header ({exc})") from exc
+        if not isinstance(header, dict) or header.get("format") != "episode-corpus":
+            raise CorpusError(f"{path} is not an episode corpus")
+        for key, table in (("vocabulary", VOCABULARY), ("answers", ANSWERS)):
+            if header.get(key) != list(table):
+                raise CorpusError(
+                    f"{path}: header {key} differs from this generator's"
+                )
         cfg = EpisodeConfig.from_dict(header["config"])
         episodes = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            scenes = tuple(
-                SceneGraph(cfg.height, cfg.width, tuple(
-                    SceneObject(r, c, COLORS[ci], SHAPES[si])
-                    for r, c, ci, si in scene
+            try:
+                rec = json.loads(line)
+                scenes = tuple(
+                    SceneGraph(cfg.height, cfg.width, tuple(
+                        SceneObject(r, c, COLORS[ci], SHAPES[si])
+                        for r, c, ci, si in scene
+                    ))
+                    for scene in rec["scenes"]
+                )
+                answers = tuple(ANSWERS[i] for i in rec["answer_ids"])
+                episodes.append(Episode(
+                    cfg, rec["seed"], QuestionProgram.from_dict(rec["program"]),
+                    scenes, answers,
                 ))
-                for scene in rec["scenes"]
-            )
-            answers = tuple(ANSWERS[i] for i in rec["answer_ids"])
-            episodes.append(Episode(
-                cfg, rec["seed"], QuestionProgram.from_dict(rec["program"]),
-                scenes, answers,
-            ))
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise CorpusError(
+                    f"{path}:{lineno}: unreadable record ({exc!r})"
+                ) from exc
+    if len(episodes) != header.get("count"):
+        raise CorpusError(
+            f"{path}: header counts {header.get('count')} episodes, "
+            f"found {len(episodes)}"
+        )
     return episodes, header

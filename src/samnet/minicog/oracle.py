@@ -11,7 +11,14 @@ resolved the frame's answer is the explicit invalid marker.
 
 from __future__ import annotations
 
-from .programs import COMPARE_SCOPE, EXIST_OF_SCOPE, INVALID, QuestionProgram
+from .programs import (
+    COMPARE_SCOPE,
+    EXIST_CLASSES,
+    EXIST_OF_SCOPE,
+    INVALID,
+    QuestionProgram,
+    matches,
+)
 from .scenes import SceneGraph, SceneObject
 
 
@@ -26,23 +33,20 @@ def _scope(tag: str, k: int, history: int) -> range:
     raise ValueError(f"unknown tag {tag!r}")
 
 
-def _matches(o: SceneObject, color=None, shape=None) -> bool:
-    return (color is None or o.color == color) and (shape is None or o.shape == shape)
-
-
-def _find_referent(scenes, frames: range, color=None, shape=None):
-    """Most recent match in the scope; ties broken by (row, col)."""
+def _find_referent(scenes, frames: range, desc):
+    """Most recent match of `desc` in the scope; ties broken by (row, col)."""
     for k in reversed(frames):
-        hits = [o for o in scenes[k].objects if _matches(o, color, shape)]
+        hits = [o for o in scenes[k].objects if matches(o.color, o.shape, desc)]
         if hits:
             hits.sort(key=lambda o: (o.row, o.col))
             return k, hits[0]
     return None
 
 
-def _any_match(scenes, frames: range, color=None, shape=None) -> bool:
+def _any_match(scenes, frames: range, desc) -> bool:
     return any(
-        _matches(o, color, shape) for k in frames for o in scenes[k].objects
+        matches(o.color, o.shape, desc)
+        for k in frames for o in scenes[k].objects
     )
 
 
@@ -74,21 +78,18 @@ def _spatial_candidates(scene: SceneGraph, ref: SceneObject, relation: str):
 
 def _frame_answer(p: QuestionProgram, scenes, k: int, history: int) -> str:
     cls, attr = p.task_class, p.attribute
-    c, s = p.colors, p.shapes
 
-    if cls in ("Exist", "ExistColor", "ExistShape"):
+    if cls in EXIST_CLASSES:
         frames = _scope(p.tag, k, history)
         if len(frames) == 0:
             return INVALID
-        color = c[0] if cls == "ExistColor" else None
-        shape = s[0] if cls == "ExistShape" else None
-        return _bool(_any_match(scenes, frames, color, shape))
+        return _bool(_any_match(scenes, frames, p.query))
 
     if cls in ("GetColor", "GetShape"):
         frames = _scope(p.tag, k, history)
         if len(frames) == 0:
             return INVALID
-        ref = _find_referent(scenes, frames, *p.keyed(p.keys[0]))
+        ref = _find_referent(scenes, frames, p.keyed(p.keys[0]))
         return INVALID if ref is None else getattr(ref[1], attr)
 
     if cls in COMPARE_SCOPE:
@@ -96,8 +97,8 @@ def _frame_answer(p: QuestionProgram, scenes, k: int, history: int) -> str:
         second = _scope(COMPARE_SCOPE[cls], k, history)
         same = True
         for key1, key2 in p.key_pairs():
-            r1 = _find_referent(scenes, now, *p.keyed(key1))
-            r2 = _find_referent(scenes, second, *p.keyed(key2))
+            r1 = _find_referent(scenes, now, p.keyed(key1))
+            r2 = _find_referent(scenes, second, p.keyed(key2))
             if r1 is None or r2 is None:
                 return INVALID
             same = same and getattr(r1[1], attr) == getattr(r2[1], attr)
@@ -105,7 +106,7 @@ def _frame_answer(p: QuestionProgram, scenes, k: int, history: int) -> str:
 
     if cls in EXIST_OF_SCOPE:
         ref = _find_referent(scenes, _scope(EXIST_OF_SCOPE[cls], k, history),
-                             *p.keyed(p.keys[0]))
+                             p.keyed(p.keys[0]))
         if ref is None:
             return INVALID
         ref_frame, ref_obj = ref
@@ -116,22 +117,14 @@ def _frame_answer(p: QuestionProgram, scenes, k: int, history: int) -> str:
             if ref_frame != k or o != ref_obj
         ))
 
-    if cls in ("ExistSpace", "ExistColorSpace", "ExistShapeSpace",
-               "GetColorSpace", "GetShapeSpace"):
-        ref_color, ref_shape = c[-1], s[-1]
-        ref = _find_referent(
-            scenes, _scope("now", k, history), color=ref_color, shape=ref_shape
-        )
+    if p.group == "Spatial":
+        ref = _find_referent(scenes, _scope("now", k, history), p.reference)
         if ref is None:
             return INVALID
         hits = _spatial_candidates(scenes[k], ref[1], p.relation)
-        if cls in ("GetColorSpace", "GetShapeSpace"):
-            if not hits:
-                return INVALID
-            return hits[0].color if cls == "GetColorSpace" else hits[0].shape
-        color = c[0] if cls == "ExistColorSpace" else None
-        shape = s[0] if cls == "ExistShapeSpace" else None
-        return _bool(any(_matches(o, color, shape) for o in hits))
+        if attr is not None:  # Get*Space reads the nearest related object
+            return getattr(hits[0], attr) if hits else INVALID
+        return _bool(any(matches(o.color, o.shape, p.query) for o in hits))
 
     if cls == "ExistLastObjectSameObject":
         anchor = None

@@ -7,12 +7,13 @@ generated corpora share one id space.
 
 The signature table gives each class its argument arity and, in its
 `attribute` column, the attribute ("color" or "shape") the class reads.
-Where it is set, the class's referents are keyed by the other attribute:
-GetColor(star) reads the color of the latest star, GetShape(red) the shape
-of the latest red object. The Get, compare and exist-of families each have
-one template here and one oracle rule that take the attribute as an
-argument, as in COG, where one operator reads either attribute; their
-generator planners read it from the table too.
+Get, compare and exist-of referents are keyed by the other attribute:
+GetColor(star) reads the color of the latest star. Exist and Spatial
+classes ask about a descriptor (color|None, shape|None), their `query`,
+and Spatial ones relate it to a `reference` object. As in COG, where one
+operator takes the attribute or descriptor as an argument, each family has
+one template here and one oracle rule, and the planners read the same
+facts; `matches` is the one descriptor test.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ INVALID = "invalid"
 ANSWERS = BOOLEAN_ANSWERS + (INVALID,) + COLORS + SHAPES
 ANSWER_INDEX = {a: i for i, a in enumerate(ANSWERS)}
 
+EXIST_CLASSES = ("Exist", "ExistColor", "ExistShape")
 TASK_GROUPS = {
-    "Basic": ("Exist", "ExistColor", "ExistShape", "GetColor", "GetShape"),
+    "Basic": EXIST_CLASSES + ("GetColor", "GetShape"),
     "Obj-Attr": (
         "SimpleCompareColor", "SimpleCompareShape",
         "AndSimpleCompareColor", "AndSimpleCompareShape",
@@ -60,10 +62,10 @@ class Signature(NamedTuple):
     """Argument arity of a class and the attribute it reads.
 
     colors/shapes list the argument arity, query argument first, reference
-    descriptor last. `attribute` ("color" or "shape") is set for the classes
-    that read one attribute of referents keyed by the other one: their
-    arguments are the referent keys. It is None for the Exist*, Spatial and
-    ExistLastObjectSameObject classes.
+    descriptor last. `attribute` ("color" or "shape") is the attribute a
+    class reads: of referents keyed by the other one, which are then its
+    arguments, or for Get*Space of the object related to the reference. It
+    is None for the Exist* and ExistLastObjectSameObject classes.
     """
 
     n_colors: int
@@ -92,8 +94,8 @@ _SIGNATURES = {
     "ExistSpace": Signature(1, 1, True, False),
     "ExistColorSpace": Signature(2, 1, True, False),
     "ExistShapeSpace": Signature(1, 2, True, False),
-    "GetColorSpace": Signature(1, 1, True, False),
-    "GetShapeSpace": Signature(1, 1, True, False),
+    "GetColorSpace": Signature(1, 1, True, False, "color"),
+    "GetShapeSpace": Signature(1, 1, True, False, "shape"),
     "ExistLastColorSameShape": Signature(0, 1, False, False, "color"),
     "ExistLastShapeSameColor": Signature(1, 0, False, False, "shape"),
     "ExistLastObjectSameObject": Signature(0, 0, False, False),
@@ -162,6 +164,20 @@ class QuestionProgram:
         `value` of the read attribute; None leaves a descriptor slot open."""
         return (value, key) if self.attribute == "color" else (key, value)
 
+    @property
+    def query(self) -> tuple:
+        """(color|None, shape|None) an Exist or Spatial class asks about: its
+        leading color and shape arguments beyond the reference, if any."""
+        n_ref = 1 if self.relation is not None else 0
+        colors = self.colors[:len(self.colors) - n_ref]
+        shapes = self.shapes[:len(self.shapes) - n_ref]
+        return (colors[0] if colors else None, shapes[0] if shapes else None)
+
+    @property
+    def reference(self) -> tuple[str, str]:
+        """(color, shape) of a Spatial class's reference object."""
+        return self.colors[-1], self.shapes[-1]
+
     def key_pairs(self) -> list[tuple[str, str]]:
         """Referent key pairs of a compare class, first referent first."""
         keys = self.keys
@@ -190,21 +206,30 @@ class QuestionProgram:
         )
 
 
+def matches(color: str, shape: str, desc) -> bool:
+    """Whether an object of this color and shape fits the descriptor
+    (color|None, shape|None); a None slot matches any value."""
+    want_color, want_shape = desc
+    return ((want_color is None or want_color == color)
+            and (want_shape is None or want_shape == shape))
+
+
 def _referent(p: QuestionProgram, key: str) -> list[str]:
     """A referent keyed by shape is named by it; one keyed by color is a
     colored object."""
     return [key] if p.attribute == "color" else [key, "object"]
 
 
+def _described(desc) -> list[str]:
+    """A query descriptor: "red object", "any star" or "any object"."""
+    color, shape = desc
+    return [color or "any", shape or "object"]
+
+
 def _render_tokens(p: QuestionProgram) -> list[str]:
-    c, s = p.colors, p.shapes
     cls, attr = p.task_class, p.attribute
-    if cls == "Exist":
-        return ["exist", "any", "object", p.tag]
-    if cls == "ExistColor":
-        return ["exist", c[0], "object", p.tag]
-    if cls == "ExistShape":
-        return ["exist", "any", s[0], p.tag]
+    if cls in EXIST_CLASSES:
+        return ["exist", *_described(p.query), p.tag]
     if cls in ("GetColor", "GetShape"):
         return ["query", attr, "of", *_referent(p, p.keys[0]), p.tag]
     if cls in COMPARE_SCOPE:
@@ -222,15 +247,15 @@ def _render_tokens(p: QuestionProgram) -> list[str]:
     if cls in EXIST_OF_SCOPE:
         return ["exist", "now", "object", "with", attr, "of",
                 EXIST_OF_SCOPE[cls], *_referent(p, p.keys[0])]
-    if cls == "ExistSpace":
-        return ["exist", "object", p.relation, "of", c[0], s[0], "now"]
-    if cls == "ExistColorSpace":
-        return ["exist", c[0], "object", p.relation, "of", c[1], s[0], "now"]
-    if cls == "ExistShapeSpace":
-        return ["exist", "any", s[0], p.relation, "of", c[0], s[1], "now"]
-    if cls in ("GetColorSpace", "GetShapeSpace"):
-        return ["query", "color" if cls == "GetColorSpace" else "shape", "of",
-                "object", p.relation, "of", c[0], s[0], "now"]
+    if p.group == "Spatial":
+        if attr is not None:
+            subject = ["query", attr, "of", "object"]
+        elif cls == "ExistSpace":
+            # worded without "any"; the pinned token digest fixes this
+            subject = ["exist", "object"]
+        else:
+            subject = ["exist", *_described(p.query)]
+        return subject + [p.relation, "of", *p.reference, "now"]
     if cls == "ExistLastObjectSameObject":
         return ["exist", "now", "object", "same", "as", "last", "object"]
     raise ValueError(f"no template for {cls!r}")

@@ -223,6 +223,8 @@ class EvalResult:
 def evaluate_episodes(model: SAMNet, episodes, n_slots=None,
                       gate_overrides=None) -> EvalResult:
     """Frame-level accuracy and mean loss over a fixed episode list."""
+    if not episodes:
+        raise ValueError("evaluation needs at least one episode")
     t0 = time.perf_counter()
     total_loss = 0.0
     correct = 0
@@ -251,8 +253,8 @@ def evaluate_episodes(model: SAMNet, episodes, n_slots=None,
         cls: per_class_hit[cls] / per_class_n[cls] for cls in per_class_n
     }
     return EvalResult(
-        loss=total_loss / max(1, len(episodes)),
-        accuracy=correct / max(1, frames),
+        loss=total_loss / len(episodes),
+        accuracy=correct / frames,
         per_class=per_class,
         seconds=time.perf_counter() - t0,
     )
@@ -334,6 +336,8 @@ def train(cfg: TrainConfig, log=None, deterministic: bool = False,
     produce byte-identical outputs. `init_from` warm-starts from an existing
     checkpoint with the same architecture (used for fine-tuning).
     """
+    if cfg.val_episodes < 1:
+        raise ValueError(f"val_episodes must be >= 1, got {cfg.val_episodes}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     episode_cfg = cfg.episode_config()
     family = cfg.task_family_weights()

@@ -1,4 +1,5 @@
 import collections
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from samnet.minicog import (
     ANSWERS,
     COLORS,
     CONSTRAINED_SHAPES,
+    CorpusError,
     EpisodeConfig,
     FeatureFamily,
     GROUP_OF,
@@ -167,6 +169,34 @@ class TestGeneration:
         for label in ("true", "false"):
             assert 0.35 <= counts[label] / total <= 0.65, counts
 
+    @pytest.mark.parametrize("task_class", ["GetColorSpace", "GetShapeSpace"])
+    def test_region_holds_at_most_one_related_object(self, task_class):
+        # the planner's region rule leaves the nearest-object query one
+        # candidate: in frames with the reference, at most one other object
+        # stands in the relation to it
+        holds = {
+            "left": lambda o, ref: o.col < ref.col,
+            "right": lambda o, ref: o.col > ref.col,
+            "above": lambda o, ref: o.row < ref.row,
+            "below": lambda o, ref: o.row > ref.row,
+        }
+        cfg = canonical_cfg(distractors=4, max_objects=8)
+        stream = episode_stream(cfg, {task_class: 1.0}, 41)
+        frames_with_ref = 0
+        for _ in range(300):
+            ep = next(stream)
+            rel = holds[ep.program.relation]
+            for scene in ep.scenes:
+                refs = [o for o in scene.objects
+                        if (o.color, o.shape) == ep.program.reference]
+                assert len(refs) <= 1
+                if refs:
+                    frames_with_ref += 1
+                    related = [o for o in scene.objects
+                               if o != refs[0] and rel(o, refs[0])]
+                    assert len(related) <= 1, (ep.program, scene)
+        assert frames_with_ref > 500
+
     def test_history_sufficiency_with_short_window(self):
         from samnet.minicog import oracle_answer
         cfg = canonical_cfg(frames=4, history=1)
@@ -228,3 +258,33 @@ class TestCorpusFile:
         write_corpus(p2, generate_corpus(cfg, ALL_CLASSES, 20, seed=8),
                      cfg, ALL_CLASSES, seed=8)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def _write(self, tmp_path, count=5):
+        cfg = canonical_cfg()
+        episodes = generate_corpus(cfg, ALL_CLASSES, count, seed=21)
+        path = tmp_path / "corpus.jsonl"
+        write_corpus(path, episodes, cfg, ALL_CLASSES, seed=21)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_truncated_corpus_rejected(self, tmp_path):
+        path, lines = self._write(tmp_path)
+        path.write_text("".join(lines[:3]))  # header and 2 of 5 records
+        with pytest.raises(CorpusError, match="counts 5 episodes, found 2"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("table", ["vocabulary", "answers"])
+    def test_foreign_header_table_rejected(self, tmp_path, table):
+        path, lines = self._write(tmp_path)
+        header = json.loads(lines[0])
+        header[table] = header[table][::-1]
+        path.write_text(json.dumps(header, sort_keys=True) + "\n"
+                        + "".join(lines[1:]))
+        with pytest.raises(CorpusError, match=f"header {table}"):
+            read_corpus(path)
+
+    def test_invalid_record_names_its_line(self, tmp_path):
+        path, lines = self._write(tmp_path)
+        lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(CorpusError, match=r"corpus\.jsonl:3: "):
+            read_corpus(path)

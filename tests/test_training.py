@@ -120,6 +120,18 @@ class TestTraining:
         model, _ = load_model(str(tmp_path / "run" / "final.ckpt"))
         assert model is not None
 
+    def test_zero_val_episodes_rejected_before_any_checkpoint(self, tmp_path):
+        cfg = tiny_cfg(tmp_path / "run", val_episodes=0)
+        with pytest.raises(ValueError, match="val_episodes"):
+            train(cfg)
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_evaluation_rejected(self):
+        from samnet.cell import SAMNet
+        model = SAMNet(tiny_cfg("x").model_config(), init_seed=0)
+        with pytest.raises(ValueError, match="at least one episode"):
+            evaluate_episodes(model, [])
+
     def test_checkpoint_round_trip_evaluation_bit_identical(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "run")
         result = train(cfg)
