@@ -103,17 +103,13 @@ def memory_update(m_prev: Tensor, wh_prev: Tensor, rh: Tensor, vo: Tensor,
         raise T.ShapeError(
             f"write vectors must have length {n}, got rh {rh.shape}, wh {wh_prev.shape}"
         )
-    w = T.add(T.mul(h_r, rh), T.mul(h_a, wh_prev))
-    w_col = T.reshape(w, (n, 1))
-    keep = T.mul(m_prev, T.sub(1.0, w_col))
-    write = T.matmul(w_col, T.reshape(vo, (1, vo.shape[0])))
-    return T.add(keep, write), w
+    w = T.weighted_sum(h_r, rh, h_a, wh_prev)
+    return T.memory_blend(m_prev, w, vo), w
 
 
 def write_head_update(wh_prev: Tensor, h_a: Tensor) -> Tensor:
     """Advance the write head by a soft circular right-shift when appending."""
-    shifted = T.roll1(wh_prev)
-    return T.add(T.mul(h_a, shifted), T.mul(T.sub(1.0, h_a), wh_prev))
+    return T.write_head_shift(wh_prev, h_a)
 
 
 class QuestionDrivenController:
@@ -137,11 +133,10 @@ class QuestionDrivenController:
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
         w, b = self.q_step[t - 1]
-        q_t = T.add(T.matmul(q, w), b)
-        cq = T.add(T.matmul(T.concat([q_t, c_prev]), self.merge_w), self.merge_b)
+        q_t = T.linear(q, w, b)
+        cq = T.linear(T.concat([q_t, c_prev]), self.merge_w, self.merge_b)
         # u . (cq * cw_i) == cw_i . (u * cq), so one matvec gives all logits
-        logits = T.matmul(cw, T.mul(self.attn_u, cq))
-        qa = T.softmax(logits)
+        qa = T.attention_weights(T.mul(self.attn_u, cq), cw)
         _check_distribution(qa, "question attention")
         c_t = T.matmul(qa, cw)
         return c_t, qa
@@ -157,8 +152,8 @@ class TemporalClassifier:
         self.b2 = store.new(f"{prefix}.b2", (len(TEMPORAL_CLASSES),), fan_in=0)
 
     def classify(self, c_t: Tensor) -> Tensor:
-        hidden = T.elu(T.add(T.matmul(c_t, self.w1), self.b1))
-        tau = T.softmax(T.add(T.matmul(hidden, self.w2), self.b2))
+        hidden = T.elu(T.linear(c_t, self.w1, self.b1))
+        tau = T.softmax(T.linear(hidden, self.w2, self.b2))
         _check_distribution(tau, "temporal class weights")
         return tau
 
@@ -176,12 +171,12 @@ class VisualRetrieval:
         self.query_b = store.new(f"{prefix}.query.b", (d,), fan_in=0)
 
     def project(self, feature_rows: Tensor):
-        keys = T.add(T.matmul(feature_rows, self.key_w), self.key_b)
-        values = T.add(T.matmul(feature_rows, self.value_w), self.value_b)
+        keys = T.linear(feature_rows, self.key_w, self.key_b)
+        values = T.linear(feature_rows, self.value_w, self.value_b)
         return keys, values
 
     def retrieve(self, keys: Tensor, values: Tensor, c_t: Tensor):
-        query = T.add(T.matmul(c_t, self.query_w), self.query_b)
+        query = T.linear(c_t, self.query_w, self.query_b)
         va, vo = T.dot_attention(query, keys, values, scale=1.0 / math.sqrt(self.d))
         _check_distribution(va, "visual attention")
         return vo, va
@@ -200,7 +195,7 @@ class MemoryRetrieval:
         self.query_b = store.new(f"{prefix}.query.b", (d,), fan_in=0)
 
     def retrieve(self, m: Tensor, c_t: Tensor):
-        query = T.add(T.matmul(c_t, self.query_w), self.query_b)
+        query = T.linear(c_t, self.query_w, self.query_b)
         rh, mo = T.dot_attention(query, m, m, scale=1.0 / math.sqrt(self.d))
         _check_distribution(rh, "read head")
         return mo, rh
@@ -228,19 +223,11 @@ class GateNetwork:
         self.write_b = store.new(f"{prefix}.write.b", (n_write,), fan_in=0)
 
     def gates(self, vs: Tensor, rs: Tensor, tau: Tensor) -> Gates:
-        x = T.concat([T.reshape(vs, (1,)), T.reshape(rs, (1,)), tau])
-        h = T.elu(T.add(T.matmul(x, self.w1), self.b1))
-        h = T.elu(T.add(T.matmul(h, self.w2), self.b2))
-        obj = T.sigmoid(T.add(T.matmul(h, self.obj_w), self.obj_b))
-        write_logits = T.add(T.matmul(h, self.write_w), self.write_b)
-        if self.mode == "softmax":
-            write = T.softmax(write_logits)
-            h_r, h_a, h_none = write[0], write[1], write[2]
-        else:
-            write = T.sigmoid(write_logits)
-            h_r, h_a = write[0], write[1]
-            h_none = T.sub(1.0, T.add(h_r, h_a))
-        return Gates(g_v=obj[0], g_m=obj[1], h_r=h_r, h_a=h_a, h_none=h_none)
+        out = T.gate_mlp(vs, rs, tau, self.w1, self.b1, self.w2, self.b2,
+                         self.obj_w, self.obj_b, self.write_w, self.write_b,
+                         mode=self.mode)
+        return Gates(g_v=out[0], g_m=out[1], h_r=out[2], h_a=out[3],
+                     h_none=out[4])
 
 
 class SummaryUpdate:
@@ -252,8 +239,8 @@ class SummaryUpdate:
 
     def update(self, vo: Tensor, mo: Tensor, g_v: Tensor, g_m: Tensor,
                so_prev: Tensor):
-        ro = T.add(T.mul(g_v, vo), T.mul(g_m, mo))
-        so = T.add(T.matmul(T.concat([ro, so_prev]), self.w), self.b)
+        ro = T.weighted_sum(g_v, vo, g_m, mo)
+        so = T.linear(T.concat([ro, so_prev]), self.w, self.b)
         return so, ro
 
 
@@ -268,8 +255,8 @@ class AnswerHead:
         self.b2 = store.new(f"{prefix}.b2", (num_answers,), fan_in=0)
 
     def logits(self, so: Tensor, q: Tensor) -> Tensor:
-        h = T.elu(T.add(T.matmul(T.concat([so, q]), self.w1), self.b1))
-        return T.add(T.matmul(h, self.w2), self.b2)
+        h = T.elu(T.linear(T.concat([so, q]), self.w1, self.b1))
+        return T.linear(h, self.w2, self.b2)
 
 
 def _override_gate(value: Tensor, forced) -> Tensor:

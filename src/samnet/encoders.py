@@ -88,7 +88,6 @@ class QuestionEncoder:
         self.vocab_size = vocab_size
         self.d = d
         hh = d // 2
-        self.hh = hh
         self.embed = store.new(f"{prefix}.embed", (vocab_size, d), fan_in=d)
         self.dir_params = {}
         for direction in ("fwd", "bwd"):
@@ -102,24 +101,6 @@ class QuestionEncoder:
         self.q_w = store.new(f"{prefix}.q.w", (d, d), fan_in=d)
         self.q_b = store.new(f"{prefix}.q.b", (d,), fan_in=0)
 
-    def _run_direction(self, xproj: Tensor, length: int, direction: str):
-        wx, wh, b = self.dir_params[direction]
-        hh = self.hh
-        h = T.zeros(hh)
-        c = T.zeros(hh)
-        states = [None] * length
-        order = range(length) if direction == "fwd" else range(length - 1, -1, -1)
-        for i in order:
-            z = T.add(T.add(xproj[i], T.matmul(h, wh)), b)
-            i_g = T.sigmoid(z[0:hh])
-            f_g = T.sigmoid(z[hh:2 * hh])
-            g = T.tanh(z[2 * hh:3 * hh])
-            o_g = T.sigmoid(z[3 * hh:4 * hh])
-            c = T.add(T.mul(f_g, c), T.mul(i_g, g))
-            h = T.mul(o_g, T.tanh(c))
-            states[i] = h
-        return states, h
-
     def encode(self, token_ids) -> QuestionEncoding:
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.ndim != 1 or ids.size < 1:
@@ -129,23 +110,12 @@ class QuestionEncoder:
             raise VocabularyError(
                 f"token id {int(bad)} outside vocabulary of size {self.vocab_size}"
             )
-        length = ids.size
         embeds = T.take_rows(self.embed, ids)
-        states = {}
-        finals = {}
-        for direction in ("fwd", "bwd"):
-            wx = self.dir_params[direction][0]
-            xproj = T.matmul(embeds, wx)
-            states[direction], finals[direction] = self._run_direction(
-                xproj, length, direction
-            )
-        both = [
-            T.concat([states["fwd"][i], states["bwd"][i]]) for i in range(length)
-        ]
-        cw = T.add(T.matmul(T.stack(both), self.cw_w), self.cw_b)
-        q = T.add(
-            T.matmul(T.concat([finals["fwd"], finals["bwd"]]), self.q_w), self.q_b
-        )
+        fwd = T.lstm_direction(embeds, *self.dir_params["fwd"])
+        bwd = T.lstm_direction(embeds, *self.dir_params["bwd"], reverse=True)
+        cw = T.linear(T.concat([fwd, bwd], axis=1), self.cw_w, self.cw_b)
+        # each direction's final state: the last position forward, the first backward
+        q = T.linear(T.concat([fwd[ids.size - 1], bwd[0]]), self.q_w, self.q_b)
         return QuestionEncoding(cw=cw, q=q)
 
 

@@ -103,6 +103,108 @@ def _check_conv(rng, eps):
     return grad_check(f, store.parameters(), eps=eps)
 
 
+def _random_params(store, rng, shapes):
+    out = []
+    for name, shape in shapes:
+        t = store.new(name, shape, fan_in=1)
+        t.data = np.asarray(rng.normal(size=shape), dtype=T.default_dtype())
+        out.append(t)
+    return out
+
+
+def _check_linear(rng, eps):
+    store = _store(16)
+    x, w, b, rows = _random_params(
+        store, rng, [("x", (3,)), ("w", (3, 4)), ("b", (4,)), ("rows", (2, 3))])
+    readout = rng.normal(size=(2, 4))
+
+    def f():
+        return T.add(_readout_from(readout[0], T.linear(x, w, b)),
+                     T.tsum(T.square(T.linear(rows, w, b))))
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+def _check_lstm_direction(rng, eps):
+    store = _store(17)
+    x, wx, wh, b = _random_params(
+        store, rng, [("x", (3, 2)), ("wx", (2, 8)), ("wh", (2, 8)), ("b", (8,))])
+    readout = rng.normal(size=(3, 2))
+
+    def f():
+        fwd = T.lstm_direction(x, wx, wh, b)
+        bwd = T.lstm_direction(x, wx, wh, b, reverse=True)
+        return T.add(T.tsum(T.mul(T.Tensor(readout), fwd)),
+                     T.tsum(T.square(bwd)))
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+def _check_attention_weights(rng, eps):
+    store = _store(18)
+    query, keys = _random_params(store, rng, [("query", (4,)), ("keys", (3, 4))])
+    readout = rng.normal(size=3)
+
+    def f():
+        return _readout_from(readout, T.attention_weights(query, keys, 0.7))
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+def _check_weighted_sum(rng, eps):
+    store = _store(19)
+    a, x, b, y = _random_params(
+        store, rng, [("a", ()), ("x", (3,)), ("b", ()), ("y", (3,))])
+    readout = rng.normal(size=3)
+
+    def f():
+        return _readout_from(readout, T.weighted_sum(a, x, b, y))
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+def _check_memory_blend(rng, eps):
+    store = _store(20)
+    m, w, v = _random_params(store, rng, [("m", (3, 4)), ("w", (3,)), ("v", (4,))])
+    readout = rng.normal(size=(3, 4))
+
+    def f():
+        return T.tsum(T.mul(T.Tensor(readout), T.memory_blend(m, w, v)))
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+def _check_write_head_shift(rng, eps):
+    store = _store(21)
+    wh, h_a = _random_params(store, rng, [("wh", (4,)), ("h_a", ())])
+    readout = rng.normal(size=4)
+
+    def f():
+        return _readout_from(readout, T.write_head_shift(wh, h_a))
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+def _gate_mlp_check(mode):
+    def check(rng, eps):
+        store = _store(22)
+        n_write = 3 if mode == "softmax" else 2
+        params = _random_params(store, rng, [
+            ("vs", ()), ("rs", ()), ("tau", (4,)),
+            ("w1", (6, 3)), ("b1", (3,)), ("w2", (3, 3)), ("b2", (3,)),
+            ("obj_w", (3, 2)), ("obj_b", (2,)),
+            ("write_w", (3, n_write)), ("write_b", (n_write,)),
+        ])
+        readout = rng.normal(size=5)
+
+        def f():
+            return _readout_from(readout, T.gate_mlp(*params, mode=mode))
+
+        return grad_check(f, store.parameters(), eps=eps)
+
+    return check
+
+
 def _check_question_encoder(rng, eps):
     store = _store(5)
     enc = QuestionEncoder(store, vocab_size=5, d=8)
@@ -287,6 +389,14 @@ _CHECKS = [
     ("dot_attention", _check_dot_attention),
     ("activations", _check_activations),
     ("conv2d_same3", _check_conv),
+    ("linear", _check_linear),
+    ("lstm_direction", _check_lstm_direction),
+    ("attention_weights", _check_attention_weights),
+    ("weighted_sum", _check_weighted_sum),
+    ("memory_blend", _check_memory_blend),
+    ("write_head_shift", _check_write_head_shift),
+    ("gate_mlp_softmax", _gate_mlp_check("softmax")),
+    ("gate_mlp_sigmoid", _gate_mlp_check("sigmoid")),
     ("question_encoder", _check_question_encoder),
     ("frame_encoder", _check_frame_encoder),
     ("controller_step", _check_controller),

@@ -594,10 +594,19 @@ def write_corpus(path, episodes, cfg: EpisodeConfig, task_family, seed: int) -> 
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _stored(table, index, what):
+    """table[index] for an id read from a corpus; rejects out-of-range ids."""
+    if not isinstance(index, int) or not 0 <= index < len(table):
+        raise ValueError(f"{what} id {index!r} outside [0, {len(table)})")
+    return table[index]
+
+
 def read_corpus(path):
     """Load a corpus; returns (episodes, header). Raises CorpusError on a
-    line that does not parse, a header vocabulary or answer table unlike
-    this module's, or a record count unlike the header's."""
+    line that does not parse, an out-of-range color, shape or answer id,
+    stored token ids unlike the program's tokens, a header vocabulary or
+    answer table unlike this module's, or a record count unlike the
+    header's."""
     with open(path, encoding="utf-8") as fh:
         try:
             header = json.loads(fh.readline())
@@ -619,16 +628,21 @@ def read_corpus(path):
                 rec = json.loads(line)
                 scenes = tuple(
                     SceneGraph(cfg.height, cfg.width, tuple(
-                        SceneObject(r, c, COLORS[ci], SHAPES[si])
+                        SceneObject(r, c, _stored(COLORS, ci, "color"),
+                                    _stored(SHAPES, si, "shape"))
                         for r, c, ci, si in scene
                     ))
                     for scene in rec["scenes"]
                 )
-                answers = tuple(ANSWERS[i] for i in rec["answer_ids"])
-                episodes.append(Episode(
+                answers = tuple(_stored(ANSWERS, i, "answer")
+                                for i in rec["answer_ids"])
+                episode = Episode(
                     cfg, rec["seed"], QuestionProgram.from_dict(rec["program"]),
                     scenes, answers,
-                ))
+                )
+                if rec["token_ids"] != episode.token_ids:
+                    raise ValueError("stored token_ids differ from the program's tokens")
+                episodes.append(episode)
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise CorpusError(
                     f"{path}:{lineno}: unreadable record ({exc!r})"

@@ -6,6 +6,15 @@ and a backward closure, and ``Tensor.backward()`` walks the recorded graph
 from an explicit scalar root. Default scalar precision is float32; switch
 to float64 (e.g. for tight gradient checks) with ``set_default_dtype`` or
 the ``precision`` context manager.
+
+Per-node bookkeeping, not arithmetic, dominates at the model's sizes, so
+each layer of the model is one fused op with a hand-written backward
+(``linear``, ``lstm_direction``, ``attention_weights``,
+``cross_entropy_logits``, ``weighted_sum``, ``memory_blend``,
+``write_head_shift``, ``gate_mlp``). A fused forward evaluates the same
+numpy expressions in the same order as the chain of primitive ops it
+replaces, so forward values are bit-identical to that chain. Fused ops
+keep their backward caches only while a graph is being recorded.
 """
 
 from __future__ import annotations
@@ -126,19 +135,19 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar root")
         topo = []
-        visited = set()
+        visited = set()  # Tensor defines no __eq__, so nodes hash by identity
         stack = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if p.requires_grad and p not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
@@ -189,6 +198,11 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _recording(parents) -> bool:
+    """True when an op on these parents will be put on the tape."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
 def as_tensor(x) -> Tensor:
@@ -283,10 +297,35 @@ def matmul(a, b) -> Tensor:
 
     def backward(g):
         ad, bd = a.data, b.data
-        return (g @ bd.T if b.ndim == 2 else np.multiply.outer(g, bd),
-                ad.T @ g if a.ndim == 2 else np.multiply.outer(ad, g))
+        ga = gb = None
+        if a.requires_grad:
+            ga = g @ bd.T if b.ndim == 2 else np.multiply.outer(g, bd)
+        if b.requires_grad:
+            gb = ad.T @ g if a.ndim == 2 else np.multiply.outer(ad, g)
+        return ga, gb
 
     return Tensor._from_op(out, (a, b), backward)
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for a rank-1 or rank-2 x, as one tape node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd = x.data, w.data
+    rank = xd.ndim
+    if (rank not in (1, 2) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
+            or b.data.shape != wd.shape[1:]):
+        raise ShapeError(f"linear got x {x.shape}, w {w.shape}, b {b.shape}")
+    out = xd @ wd + b.data
+
+    def backward(g):
+        gx = g @ wd.T if x.requires_grad else None
+        gw = None
+        if w.requires_grad:
+            gw = np.multiply.outer(xd, g) if rank == 1 else xd.T @ g
+        gb = (g if rank == 1 else g.sum(axis=0)) if b.requires_grad else None
+        return gx, gw, gb
+
+    return Tensor._from_op(out, (x, w, b), backward)
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -322,16 +361,6 @@ def square(a) -> Tensor:
     return Tensor._from_op(out, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return Tensor._from_op(out, (a,), backward)
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     out = np.log(a.data)
@@ -352,9 +381,13 @@ def tanh(a) -> Tensor:
     return Tensor._from_op(out, (a,), backward)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
+    out = _sigmoid(a.data)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -362,15 +395,40 @@ def sigmoid(a) -> Tensor:
     return Tensor._from_op(out, (a,), backward)
 
 
+def _elu(a: np.ndarray) -> np.ndarray:
+    return np.where(a > 0.0, a, np.expm1(np.minimum(a, 0.0))).astype(a.dtype, copy=False)
+
+
+def _elu_slope(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.where(a > 0.0, 1.0, out + 1.0)
+
+
 def elu(a) -> Tensor:
     a = as_tensor(a)
-    neg_part = np.expm1(np.minimum(a.data, 0.0))
-    out = np.where(a.data > 0.0, a.data, neg_part)
+    out = _elu(a.data)
 
     def backward(g):
-        return (g * np.where(a.data > 0.0, 1.0, neg_part + 1.0),)
+        return (g * _elu_slope(a.data, out),)
 
-    return Tensor._from_op(out.astype(a.data.dtype), (a,), backward)
+    return Tensor._from_op(out, (a,), backward)
+
+
+def _screen_finite(x: np.ndarray) -> None:
+    # cheap screen first; the exact check only runs when the sum overflows
+    if not math.isfinite(float(x.sum())) and not np.all(np.isfinite(x)):
+        raise NonFiniteError("non-finite input")
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax of a rank-1 array, screened for non-finite input."""
+    _screen_finite(x)
+    shifted = x - x.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def _softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return (g - np.dot(g, out)) * out
 
 
 def softmax(a) -> Tensor:
@@ -378,55 +436,45 @@ def softmax(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 1 or a.size < 1:
         raise ShapeError("softmax expects a non-empty rank-1 tensor")
-    # cheap screen first; the exact check only runs when the sum overflows
-    if not math.isfinite(float(a.data.sum())) and not np.all(np.isfinite(a.data)):
-        raise NonFiniteError("non-finite input")
-    shifted = a.data - a.data.max()
-    e = np.exp(shifted)
-    out = e / e.sum()
-
-    def backward(g):
-        dot = np.dot(g, out)
-        return ((g - dot) * out,)
-
-    return Tensor._from_op(out, (a,), backward)
-
-
-def log_softmax(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 1 or a.size < 1:
-        raise ShapeError("log_softmax expects a non-empty rank-1 tensor")
-    if not math.isfinite(float(a.data.sum())) and not np.all(np.isfinite(a.data)):
-        raise NonFiniteError("non-finite input")
-    shifted = a.data - a.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    out = shifted - lse
-
-    def backward(g):
-        return (g - np.exp(out) * g.sum(),)
-
-    return Tensor._from_op(out, (a,), backward)
+    out = _softmax(a.data)
+    return Tensor._from_op(out, (a,), lambda g: (_softmax_backward(g, out),))
 
 
 def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
     """Softmax cross-entropy of a rank-1 logit vector against a class index."""
     logits = as_tensor(logits)
+    if logits.ndim != 1 or logits.size < 1:
+        raise ShapeError("cross_entropy_logits expects a non-empty rank-1 tensor")
     if not 0 <= target < logits.size:
         raise ValueError(f"target {target} out of range for {logits.size} classes")
-    lsm = log_softmax(logits)
-    return neg(select(lsm, target))
-
-
-def concat(parts) -> Tensor:
-    """Concatenate rank-1 tensors."""
-    parts = [as_tensor(p) for p in parts]
-    if any(p.ndim != 1 for p in parts):
-        raise ShapeError("concat expects rank-1 tensors")
-    out = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + [p.size for p in parts])
+    x = logits.data
+    _screen_finite(x)
+    shifted = x - x.max()
+    log_probs = shifted - np.log(np.exp(shifted).sum())
+    out = np.asarray(-log_probs[target])
 
     def backward(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        grad = np.exp(log_probs) * g
+        grad[target] -= g
+        return (grad,)
+
+    return Tensor._from_op(out, (logits,), backward)
+
+
+def concat(parts, axis=0) -> Tensor:
+    """Concatenate tensors of equal rank along `axis`."""
+    parts = [as_tensor(p) for p in parts]
+    if any(p.ndim != parts[0].ndim for p in parts) or parts[0].ndim == 0:
+        raise ShapeError("concat expects tensors of equal, non-zero rank")
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    bounds = []
+    end = 0
+    for p in parts:
+        start, end = end, end + p.shape[axis]
+        bounds.append((slice(None),) * axis + (slice(start, end),))
+
+    def backward(g):
+        return tuple(g[b] for b in bounds)
 
     return Tensor._from_op(out, tuple(parts), backward)
 
@@ -479,19 +527,6 @@ def reshape(a, shape) -> Tensor:
     return Tensor._from_op(out, (a,), backward)
 
 
-def roll1(a) -> Tensor:
-    """Circular shift of a rank-1 tensor one position to the right."""
-    a = as_tensor(a)
-    if a.ndim != 1:
-        raise ShapeError("roll1 expects a rank-1 tensor")
-    out = np.roll(a.data, 1)
-
-    def backward(g):
-        return (np.roll(g, -1),)
-
-    return Tensor._from_op(out, (a,), backward)
-
-
 def conv2d_same3(x, w, b) -> Tensor:
     """3x3 same-padded convolution over a batch of feature grids.
 
@@ -521,6 +556,8 @@ def conv2d_same3(x, w, b) -> Tensor:
         gflat = g.reshape(-1, cout)
         gw = (cols.reshape(-1, 9 * cin).T @ gflat).reshape(w.data.shape)
         gb = gflat.sum(axis=0)
+        if not x.requires_grad:
+            return None, gw, gb
         gcols = (gflat @ wmat.T).reshape(k, h, wd, 9, cin)
         gxp = np.zeros_like(xp)
         for di in range(3):
@@ -548,12 +585,30 @@ def dot_attention(query, keys, values, scale=None):
         raise ShapeError(f"query width {query.shape[0]} vs keys {keys.shape}")
     if scale is None:
         scale = 1.0 / math.sqrt(query.shape[0])
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    logits = mul(matmul(keys, query), scale)
-    weights = softmax(logits)
+    weights = attention_weights(query, keys, scale)
     summary = matmul(weights, values)
     return weights, summary
+
+
+def attention_weights(query, keys, scale=1.0) -> Tensor:
+    """softmax(scale * keys @ query) for query (d,) and keys (L, d)."""
+    query, keys = as_tensor(query), as_tensor(keys)
+    if keys.ndim != 2 or query.ndim != 1 or keys.shape[1] != query.shape[0]:
+        raise ShapeError(f"attention over keys {keys.shape} with query {query.shape}")
+    if keys.shape[0] < 1:
+        raise ShapeError("attention needs at least one key")
+    if scale <= 0:
+        raise ValueError("scale must be positive")
+    scale = np.asarray(scale, dtype=_DEFAULT_DTYPE)
+    out = _softmax(np.asarray(keys.data @ query.data) * scale)
+
+    def backward(g):
+        gl = _softmax_backward(g, out) * scale
+        gq = keys.data.T @ gl if query.requires_grad else None
+        gk = np.multiply.outer(gl, query.data) if keys.requires_grad else None
+        return gq, gk
+
+    return Tensor._from_op(out, (query, keys), backward)
 
 
 def attention_aggregate(a) -> Tensor:
@@ -570,3 +625,197 @@ def attention_aggregate(a) -> Tensor:
         return (2.0 * g * a.data,)
 
     return Tensor._from_op(out, (a,), backward)
+
+
+def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
+    """One LSTM direction over a sequence, as one tape node.
+
+    x: (L, d_in), wx: (d_in, 4h), wh: (h, 4h), b: (4h,), gate blocks in
+    the order input, forget, cell, output. The state starts at zero; with
+    `reverse` the run goes from the last position to the first. Returns
+    the hidden state at every position, (L, h), in sequence order. The
+    backward pass is backpropagation through time over the cached gates.
+    """
+    x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
+    if x.ndim != 2 or x.shape[0] < 1 or wh.ndim != 2:
+        raise ShapeError(f"lstm_direction got x {x.shape}, wh {wh.shape}")
+    hh = wh.shape[0]
+    if wx.shape != (x.shape[1], 4 * hh) or wh.shape != (hh, 4 * hh) \
+            or b.shape != (4 * hh,):
+        raise ShapeError(
+            f"lstm_direction got wx {wx.shape}, wh {wh.shape}, b {b.shape} "
+            f"for input width {x.shape[1]}"
+        )
+    length = x.shape[0]
+    xproj = x.data @ wx.data
+    whd, bd = wh.data, b.data
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    record = _recording((x, wx, wh, b))
+    cache = []
+    h = np.zeros(hh, dtype=_DEFAULT_DTYPE)
+    c = np.zeros(hh, dtype=_DEFAULT_DTYPE)
+    states = [None] * length
+    for i in order:
+        z = xproj[i] + h @ whd + bd
+        i_g = _sigmoid(z[0:hh])
+        f_g = _sigmoid(z[hh:2 * hh])
+        g_g = np.tanh(z[2 * hh:3 * hh])
+        o_g = _sigmoid(z[3 * hh:4 * hh])
+        c_new = f_g * c + i_g * g_g
+        tc = np.tanh(c_new)
+        if record:
+            cache.append((i_g, f_g, g_g, o_g, c, tc, h))
+        c = c_new
+        h = o_g * tc
+        states[i] = h
+    out = np.stack(states)
+
+    def backward(g):
+        dz = np.empty_like(xproj)
+        h_prev = np.empty((length, hh), dtype=xproj.dtype)
+        dh_next = np.zeros(hh, dtype=xproj.dtype)
+        dc = np.zeros(hh, dtype=xproj.dtype)
+        for i, (i_g, f_g, g_g, o_g, c_prev, tc, hp) in zip(
+                reversed(order), reversed(cache)):
+            dh = g[i] + dh_next
+            dc = dc + dh * o_g * (1.0 - tc * tc)
+            dz[i, 0:hh] = dc * g_g * i_g * (1.0 - i_g)
+            dz[i, hh:2 * hh] = dc * c_prev * f_g * (1.0 - f_g)
+            dz[i, 2 * hh:3 * hh] = dc * i_g * (1.0 - g_g * g_g)
+            dz[i, 3 * hh:] = dh * tc * o_g * (1.0 - o_g)
+            h_prev[i] = hp
+            dc = dc * f_g
+            dh_next = dz[i] @ whd.T
+        return (
+            dz @ wx.data.T if x.requires_grad else None,
+            x.data.T @ dz if wx.requires_grad else None,
+            h_prev.T @ dz if wh.requires_grad else None,
+            dz.sum(axis=0) if b.requires_grad else None,
+        )
+
+    return Tensor._from_op(out, (x, wx, wh, b), backward)
+
+
+def weighted_sum(a, x, b, y) -> Tensor:
+    """a * x + b * y for scalar (0-d) weights a and b."""
+    a, x, b, y = (as_tensor(t) for t in (a, x, b, y))
+    if a.ndim != 0 or b.ndim != 0 or x.shape != y.shape:
+        raise ShapeError(
+            f"weighted_sum got weights {a.shape}, {b.shape} and terms "
+            f"{x.shape}, {y.shape}"
+        )
+    out = a.data * x.data + b.data * y.data
+
+    def backward(g):
+        return (
+            np.asarray((g * x.data).sum()) if a.requires_grad else None,
+            g * a.data if x.requires_grad else None,
+            np.asarray((g * y.data).sum()) if b.requires_grad else None,
+            g * b.data if y.requires_grad else None,
+        )
+
+    return Tensor._from_op(out, (a, x, b, y), backward)
+
+
+def memory_blend(m, w, v) -> Tensor:
+    """Row i of the result is (1 - w_i) * m_i + w_i * v, for m (N, d)."""
+    m, w, v = as_tensor(m), as_tensor(w), as_tensor(v)
+    if m.ndim != 2 or w.shape != m.shape[:1] or v.shape != m.shape[1:]:
+        raise ShapeError(f"memory_blend got m {m.shape}, w {w.shape}, v {v.shape}")
+    n = m.shape[0]
+    w_col = w.data.reshape(n, 1)
+    v_row = v.data.reshape(1, -1)
+    out = m.data * (1.0 - w_col) + w_col @ v_row
+
+    def backward(g):
+        gw = None
+        if w.requires_grad:
+            gw = g @ v.data - (g * m.data).sum(axis=1)
+        return (
+            g * (1.0 - w_col) if m.requires_grad else None,
+            gw,
+            w.data @ g if v.requires_grad else None,
+        )
+
+    return Tensor._from_op(out, (m, w, v), backward)
+
+
+def write_head_shift(wh, h_a) -> Tensor:
+    """h_a * roll(wh, 1) + (1 - h_a) * wh: a soft circular right-shift."""
+    wh, h_a = as_tensor(wh), as_tensor(h_a)
+    if wh.ndim != 1 or h_a.ndim != 0:
+        raise ShapeError(f"write_head_shift got wh {wh.shape}, h_a {h_a.shape}")
+    shifted = np.concatenate((wh.data[-1:], wh.data[:-1]))  # np.roll(wh, 1)
+    stay = 1.0 - h_a.data
+    out = h_a.data * shifted + stay * wh.data
+
+    def backward(g):
+        gwh = gh = None
+        if wh.requires_grad:
+            moved = g * h_a.data
+            gwh = np.concatenate((moved[1:], moved[:1])) + g * stay
+        if h_a.requires_grad:
+            gh = np.asarray((g * shifted).sum() - (g * wh.data).sum())
+        return gwh, gh
+
+    return Tensor._from_op(out, (wh, h_a), backward)
+
+
+def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b,
+             mode="softmax") -> Tensor:
+    """The gate network as one tape node; returns (g_v, g_m, h_r, h_a, h_none).
+
+    x = [vs, rs, tau] goes through two ELU layers to the hidden h; g_v and
+    g_m are sigmoids of h @ obj_w + obj_b. In "softmax" mode (h_r, h_a,
+    h_none) is the softmax of h @ write_w + write_b; in "sigmoid" mode h_r
+    and h_a are sigmoids and h_none = 1 - (h_r + h_a).
+    """
+    if mode not in ("softmax", "sigmoid"):
+        raise ValueError(f"unknown gate mode {mode!r}")
+    parents = tuple(as_tensor(t) for t in (
+        vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b))
+    vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b = parents
+    n_write = 3 if mode == "softmax" else 2
+    if (vs.ndim != 0 or rs.ndim != 0 or tau.ndim != 1
+            or w1.shape[0] != 2 + tau.shape[0] or obj_w.shape[1] != 2
+            or write_w.shape[1] != n_write):
+        raise ShapeError(
+            f"gate_mlp got tau {tau.shape}, w1 {w1.shape}, obj_w {obj_w.shape}, "
+            f"write_w {write_w.shape} in {mode} mode"
+        )
+    x = np.concatenate([vs.data.reshape(1), rs.data.reshape(1), tau.data])
+    a1 = x @ w1.data + b1.data
+    h1 = _elu(a1)
+    a2 = h1 @ w2.data + b2.data
+    h2 = _elu(a2)
+    obj = _sigmoid(h2 @ obj_w.data + obj_b.data)
+    write_logits = h2 @ write_w.data + write_b.data
+    if mode == "softmax":
+        write = _softmax(write_logits)
+        out = np.concatenate([obj, write])
+    else:
+        write = _sigmoid(write_logits)
+        h_none = 1.0 - (write[0] + write[1])
+        out = np.concatenate([obj, write, h_none.reshape(1)])
+    if not _recording(parents):
+        return Tensor._from_op(out, (), None)
+    d1, d2 = _elu_slope(a1, h1), _elu_slope(a2, h2)
+
+    def backward(g):
+        d_obj = g[0:2] * obj * (1.0 - obj)
+        if mode == "softmax":
+            d_write = _softmax_backward(g[2:5], write)
+        else:
+            d_write = (g[2:4] - g[4]) * write * (1.0 - write)
+        d_a2 = (d_obj @ obj_w.data.T + d_write @ write_w.data.T) * d2
+        d_a1 = (d_a2 @ w2.data.T) * d1
+        dx = d_a1 @ w1.data.T
+        return (
+            np.asarray(dx[0]), np.asarray(dx[1]), dx[2:],
+            np.multiply.outer(x, d_a1), d_a1,
+            np.multiply.outer(h1, d_a2), d_a2,
+            np.multiply.outer(h2, d_obj), d_obj,
+            np.multiply.outer(h2, d_write), d_write,
+        )
+
+    return Tensor._from_op(out, parents, backward)

@@ -490,3 +490,30 @@ class TestEpisodeForward:
         shapes = {n: base.store[n].data.shape for n in base.store.names()}
         shapes2 = {n: more_slots.store[n].data.shape for n in more_slots.store.names()}
         assert shapes == shapes2
+
+
+def backward_walk_size(root) -> int:
+    """Nodes that `Tensor.backward` visits from `root` (the same DFS)."""
+    visited = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.extend(p for p in node._parents
+                     if p.requires_grad and id(p) not in visited)
+    return len(visited)
+
+
+def test_canonical_episode_tape_stays_fused():
+    # one fused node per layer keeps a toy-canonical episode near 600 nodes;
+    # the unfused primitive chains recorded about 1,450
+    from samnet.minicog import episode_stream
+    from samnet.training import config_from_preset
+
+    cfg = config_from_preset("toy-canonical")
+    model = SAMNet(cfg.model_config(), init_seed=0)
+    ep = next(episode_stream(cfg.episode_config(), cfg.task_family_weights(), 0))
+    loss = model.episode_loss(ep.token_ids, ep.frames_symbolic(), ep.answer_ids)
+    assert backward_walk_size(loss) <= 650

@@ -18,6 +18,7 @@ from samnet.minicog import (
     SceneObject,
     TASK_CLASSES,
     TASK_GROUPS,
+    VOCABULARY,
     episode_stream,
     gen_episode,
     generate_corpus,
@@ -287,4 +288,39 @@ class TestCorpusFile:
         lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
         path.write_text("".join(lines))
         with pytest.raises(CorpusError, match=r"corpus\.jsonl:3: "):
+            read_corpus(path)
+
+    def _edit_record(self, path, lines, index, edit):
+        rec = json.loads(lines[index])
+        edit(rec)
+        lines[index] = json.dumps(rec, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+
+    def test_out_of_range_answer_id_names_its_line(self, tmp_path):
+        # a negative id must not load as another answer (-1 is the last one)
+        path, lines = self._write(tmp_path)
+        self._edit_record(path, lines, 2,
+                          lambda rec: rec["answer_ids"].__setitem__(0, -1))
+        with pytest.raises(CorpusError, match=r"corpus\.jsonl:3: .*answer id -1"):
+            read_corpus(path)
+
+    def test_out_of_range_shape_id_names_its_line(self, tmp_path):
+        path, lines = self._write(tmp_path)
+
+        def edit(rec):
+            scene = next(s for s in rec["scenes"] if s)
+            scene[0][3] = 99
+
+        self._edit_record(path, lines, 3, edit)
+        with pytest.raises(CorpusError, match=r"corpus\.jsonl:4: .*shape id 99"):
+            read_corpus(path)
+
+    def test_edited_token_ids_name_their_line(self, tmp_path):
+        path, lines = self._write(tmp_path)
+
+        def edit(rec):
+            rec["token_ids"][0] = (rec["token_ids"][0] + 1) % len(VOCABULARY)
+
+        self._edit_record(path, lines, 1, edit)
+        with pytest.raises(CorpusError, match=r"corpus\.jsonl:2: .*token_ids"):
             read_corpus(path)

@@ -38,7 +38,12 @@ class TestSoftmax:
             T.softmax(T.Tensor([np.inf, 0.0]))
 
     def test_non_finite_error_is_typed(self):
-        for op in (T.softmax, T.log_softmax):
+        ops = (
+            T.softmax,
+            lambda x: T.cross_entropy_logits(x, 0),
+            lambda x: T.attention_weights(T.Tensor([1.0]), T.reshape(x, (2, 1))),
+        )
+        for op in ops:
             with pytest.raises(T.NonFiniteError):
                 op(T.Tensor([np.nan, 0.0]))
 
@@ -174,6 +179,15 @@ def test_ops_grad_check_random_shapes(seed):
         bias.data = rng.standard_normal(2)
 
         readout = rng.standard_normal(m)
+        hh = int(rng.integers(1, 3))
+        wx, wh, lstm_b = _rand_params(
+            store, rng, [(n, 4 * hh), (hh, 4 * hh), (4 * hh,)], prefix="lstm")
+        (lin_b,) = _rand_params(store, rng, [(m,)], prefix="lin")
+        mode = "softmax" if seed % 2 else "sigmoid"
+        n_write = 3 if mode == "softmax" else 2
+        tau, *gate_params = _rand_params(
+            store, rng, [(4,), (6, 2), (2,), (2, 2), (2,), (2, 2), (2,),
+                         (2, n_write), (n_write,)], prefix="gate")
 
         def f():
             a = T.softmax(v)
@@ -186,9 +200,25 @@ def test_ops_grad_check_random_shapes(seed):
             cs = T.tsum(T.square(T.reshape(conv, (-1,))))
             agg = T.attention_aggregate(T.softmax(w))
             cat = T.concat([e, T.stack([v, w])[0][:1]])
-            rolled = T.roll1(v)
+            rolled = T.write_head_shift(T.softmax(v), T.sigmoid(w[0]))
+            lin = T.linear(v, mat2, lin_b)
+            lin2 = T.linear(mat, mat2, lin_b)
+            states = T.lstm_direction(mat, wx, wh, lstm_b, reverse=seed % 3 == 0)
+            att = T.attention_weights(w, mat, 0.5)
+            ce = T.cross_entropy_logits(lin, seed % m)
+            mix = T.weighted_sum(v[0], e, w[0], lin)
+            blend = T.memory_blend(mat, att, v)
+            gates = T.gate_mlp(T.sigmoid(v[0]), T.sigmoid(w[0]), T.softmax(tau),
+                               *gate_params, mode=mode)
+            fused = T.add(
+                T.add(T.tsum(T.square(lin2)), T.tsum(T.square(states))),
+                T.add(T.add(T.matmul(att, T.Tensor(np.arange(m))), ce),
+                      T.add(T.matmul(T.Tensor(readout), mix),
+                            T.add(T.tsum(T.square(blend)),
+                                  T.matmul(T.Tensor(np.arange(5.0)), gates)))),
+            )
             return T.add(
-                T.add(T.matmul(T.Tensor(readout), e), cs),
+                T.add(T.add(T.matmul(T.Tensor(readout), e), cs), fused),
                 T.add(T.add(agg, T.mean(cat)), T.tsum(T.mul(rolled, rolled))),
             )
 
