@@ -181,10 +181,6 @@ class VisualRetrieval:
         _check_distribution(va, "visual attention")
         return vo, va
 
-    def retrieve_from_features(self, feature_rows: Tensor, c_t: Tensor):
-        keys, values = self.project(feature_rows)
-        return self.retrieve(keys, values, c_t)
-
 
 class MemoryRetrieval:
     """Content-based addressing: the read head over raw memory rows."""
@@ -313,13 +309,6 @@ class SAMCell:
             ))
         return CellState(c=c_t, so=so_t), MemoryState(m=m_t, wh=wh_t)
 
-    def step_from_features(self, q, cw, feature_rows, state, mem, t,
-                           gate_overrides=None, trace=None):
-        """Contract form of step(): takes the raw frame feature map."""
-        keys, values = self.visual.project(feature_rows)
-        return self.step(q, cw, keys, values, state, mem, t,
-                         gate_overrides=gate_overrides, trace=trace)
-
 
 class SAMNet:
     """Full model: encoders, the recurrent cell, and the per-frame answer head."""
@@ -389,13 +378,6 @@ class SAMNet:
         for term in terms[1:]:
             total = T.add(total, term)
         return T.div(total, float(len(terms)))
-
-    def predict(self, token_ids, frames, n_slots=None, gate_overrides=None):
-        with T.no_grad():
-            logits = self.episode_forward(
-                token_ids, frames, n_slots=n_slots, gate_overrides=gate_overrides
-            )
-        return logits.data.argmax(axis=1)
 
     def hyper_manifest(self) -> dict[str, str]:
         c = self.config

@@ -11,6 +11,7 @@ so a crash mid-write never leaves a corrupt checkpoint behind.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 
@@ -28,8 +29,15 @@ def _shape_str(shape) -> str:
     return "x".join(str(int(e)) for e in shape) if shape else "1"
 
 
+def _count(text: str) -> int:
+    """A header integer: plain ASCII decimal digits, no sign or spacing."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _parse_shape(s: str):
-    return tuple(int(e) for e in s.split("x"))
+    return tuple(_count(e) for e in s.split("x"))
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], hypers: dict[str, str]) -> None:
@@ -68,7 +76,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], hypers: dict[str, str])
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (arrays, hypers, manifest_text)."""
+    """Read a checkpoint; returns (arrays, hypers, manifest_text). Raises
+    CheckpointError, naming the path, on any malformed header line and on a
+    data section that does not hold every parameter."""
     with open(path, "rb") as fh:
         raw = fh.read()
     nl = raw.find(b"\n")
@@ -77,26 +87,29 @@ def load_checkpoint(path):
     hypers: dict[str, str] = {}
     entries = []
     pos = nl + 1
-    data_start = None
     data_bytes = None
-    while True:
+    while data_bytes is None:
         nl = raw.find(b"\n", pos)
         if nl < 0:
             raise CheckpointError(f"{path}: truncated header")
-        line = raw[pos:nl].decode("utf-8")
+        try:
+            kind, _, rest = raw[pos:nl].decode("utf-8").partition(" ")
+            if kind == "hyper":
+                key, value = rest.split(" ", 1)
+                hypers[key] = value
+            elif kind == "param":
+                name, shape_s, off_s = rest.split(" ")
+                entries.append((name, _parse_shape(shape_s), _count(off_s)))
+            elif kind == "data":
+                data_bytes = _count(rest)
+            else:
+                raise ValueError("unknown line kind")
+        except ValueError as exc:  # UnicodeDecodeError is a ValueError too
+            raise CheckpointError(
+                f"{path}: bad manifest line {raw[pos:nl]!r} ({exc})"
+            ) from exc
         pos = nl + 1
-        if line.startswith("hyper "):
-            _, key, value = line.split(" ", 2)
-            hypers[key] = value
-        elif line.startswith("param "):
-            _, name, shape_s, off_s = line.split(" ")
-            entries.append((name, _parse_shape(shape_s), int(off_s)))
-        elif line.startswith("data "):
-            data_bytes = int(line.split(" ")[1])
-            data_start = pos
-            break
-        else:
-            raise CheckpointError(f"{path}: bad manifest line {line!r}")
+    data_start = pos
     if len(raw) - data_start != data_bytes:
         raise CheckpointError(
             f"{path}: data section is {len(raw) - data_start} bytes, "
@@ -104,9 +117,13 @@ def load_checkpoint(path):
         )
     arrays: dict[str, np.ndarray] = {}
     for name, shape, off in entries:
-        count = int(np.prod(shape)) if shape else 1
-        start = data_start + off
-        a = np.frombuffer(raw, dtype=_F32, count=count, offset=start)
+        count = math.prod(shape)
+        if off + count * _F32.itemsize > data_bytes:
+            raise CheckpointError(
+                f"{path}: parameter {name} {shape} at offset {off} runs past "
+                f"the {data_bytes}-byte data section"
+            )
+        a = np.frombuffer(raw, dtype=_F32, count=count, offset=data_start + off)
         arrays[name] = a.reshape(shape).copy()
     manifest_text = raw[:data_start].decode("utf-8")
     return arrays, hypers, manifest_text

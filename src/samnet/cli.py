@@ -7,8 +7,7 @@ import argparse
 import json
 import sys
 
-from .encoders import save_vocabulary
-from .minicog import VOCABULARY, generate_corpus, write_corpus
+from .minicog import generate_corpus, write_corpus
 from .training import (
     config_from_kv,
     evaluate_checkpoint,
@@ -33,7 +32,6 @@ def _cmd_gen(args) -> int:
     family = cfg.task_family_weights()
     episodes = generate_corpus(episode_cfg, family, args.count, seed=args.seed)
     write_corpus(args.out, episodes, episode_cfg, family, seed=args.seed)
-    save_vocabulary(list(VOCABULARY), args.out + ".vocab")
     print(f"wrote {len(episodes)} episodes to {args.out}")
     return 0
 

@@ -22,63 +22,10 @@ class VocabularyError(ValueError):
     pass
 
 
-def save_vocabulary(tokens: list[str], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok in tokens:
-            fh.write(tok + "\n")
-
-
-def load_vocabulary(path) -> list[str]:
-    """Read a vocabulary file: one token per line, line number = id."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-
-
 @dataclass
 class QuestionEncoding:
     cw: Tensor  # (L, d) contextual words
     q: Tensor  # (d,) question embedding
-
-
-class FrameGrid:
-    """One-hot attribute grid: occupancy + color channels + shape channels.
-
-    Validated on construction so malformed grids cannot reach the encoders:
-    an empty cell has all attribute channels zero, an occupied cell has
-    exactly one color and one shape set.
-    """
-
-    def __init__(self, data: np.ndarray, n_colors: int, n_shapes: int):
-        data = np.asarray(data)
-        if data.ndim != 3 or data.shape[2] != 1 + n_colors + n_shapes:
-            raise ValueError(
-                f"expected (H, W, {1 + n_colors + n_shapes}) grid, got {data.shape}"
-            )
-        if not np.isin(data, (0, 1)).all():
-            raise ValueError("grid entries must be 0 or 1")
-        occ = data[:, :, 0]
-        colors = data[:, :, 1:1 + n_colors]
-        shapes = data[:, :, 1 + n_colors:]
-        attr_any = colors.sum(axis=2) + shapes.sum(axis=2)
-        if np.any((occ == 0) & (attr_any != 0)):
-            raise ValueError("empty cell has attribute channels set")
-        if np.any((occ == 1) & ((colors.sum(axis=2) != 1) | (shapes.sum(axis=2) != 1))):
-            raise ValueError("occupied cell must have exactly one color and one shape")
-        self.data = data.astype(np.float64)
-        self.n_colors = n_colors
-        self.n_shapes = n_shapes
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
 
 class QuestionEncoder:

@@ -268,7 +268,8 @@ def _check_visual(rng, eps):
     readout = rng.normal(size=8)
 
     def f():
-        vo, va = vis.retrieve_from_features(rows, c_t)
+        keys, values = vis.project(rows)
+        vo, va = vis.retrieve(keys, values, c_t)
         return T.add(_readout_from(readout, vo), T.attention_aggregate(va))
 
     return grad_check(f, store.parameters(), eps=eps)
@@ -360,10 +361,9 @@ def _check_cell_step(rng, eps):
         enc = net.question_encoder.encode(tokens)
         state = net.cell.initial_state()
         mem = MemoryState.initial(3, 8)
+        keys, values = net.cell.visual.project(T.Tensor(rows))
         for t in (1, 2):
-            state, mem = net.cell.step_from_features(
-                enc.q, enc.cw, T.Tensor(rows), state, mem, t
-            )
+            state, mem = net.cell.step(enc.q, enc.cw, keys, values, state, mem, t)
         return _readout_from(readout, state.so)
 
     return grad_check(f, net.store.subset("question.", "cell."), eps=eps)

@@ -37,12 +37,10 @@ from .scenes import (
     COLORS,
     CONSTRAINED_SHAPES,
     FeatureFamily,
+    GRID_CHANNELS,
     SHAPES,
     SceneGraph,
     SceneObject,
-    parse_frame,
-    render_frame,
-    render_rgb,
     render_symbolic,
 )
 

@@ -605,11 +605,12 @@ def read_corpus(path):
     """Load a corpus; returns (episodes, header). Raises CorpusError on a
     line that does not parse, an out-of-range color, shape or answer id,
     stored token ids unlike the program's tokens, a header vocabulary or
-    answer table unlike this module's, or a record count unlike the
-    header's."""
-    with open(path, encoding="utf-8") as fh:
+    answer table unlike this module's, a header config EpisodeConfig
+    rejects, or a record count unlike the header's."""
+    # binary lines, decoded one by one, so a bad byte names its own line
+    with open(path, "rb") as fh:
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(fh.readline().decode("utf-8"))
         except ValueError as exc:
             raise CorpusError(f"{path}:1: unreadable header ({exc})") from exc
         if not isinstance(header, dict) or header.get("format") != "episode-corpus":
@@ -619,13 +620,16 @@ def read_corpus(path):
                 raise CorpusError(
                     f"{path}: header {key} differs from this generator's"
                 )
-        cfg = EpisodeConfig.from_dict(header["config"])
+        try:
+            cfg = EpisodeConfig.from_dict(header["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusError(f"{path}:1: bad header config ({exc!r})") from exc
         episodes = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 scenes = tuple(
                     SceneGraph(cfg.height, cfg.width, tuple(
                         SceneObject(r, c, _stored(COLORS, ci, "color"),

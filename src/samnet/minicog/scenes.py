@@ -1,4 +1,4 @@
-"""Scene graphs, attribute inventory, and frame rendering.
+"""Scene graphs, attribute inventory, and the frame grid format.
 
 Objects live on a small grid, at most one per cell, each carrying a color
 and a shape. The 8 colors split into two 4-color families so that
@@ -14,8 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..encoders import FrameGrid
-
 COLORS = ("gray", "blue", "brown", "yellow", "red", "green", "purple", "cyan")
 COLOR_FAMILY_A = COLORS[:4]
 COLOR_FAMILY_B = COLORS[4:]
@@ -27,17 +25,6 @@ COLOR_INDEX = {c: i for i, c in enumerate(COLORS)}
 SHAPE_INDEX = {s: i for i, s in enumerate(SHAPES)}
 
 GRID_CHANNELS = 1 + len(COLORS) + len(SHAPES)
-
-_RGB = {
-    "gray": (0.5, 0.5, 0.5),
-    "blue": (0.1, 0.3, 0.9),
-    "brown": (0.55, 0.3, 0.1),
-    "yellow": (0.9, 0.85, 0.1),
-    "red": (0.9, 0.1, 0.1),
-    "green": (0.1, 0.7, 0.2),
-    "purple": (0.6, 0.2, 0.8),
-    "cyan": (0.1, 0.8, 0.8),
-}
 
 
 class SceneObject(NamedTuple):
@@ -118,63 +105,14 @@ class SceneGraph:
 
 
 def render_symbolic(scene: SceneGraph) -> np.ndarray:
-    """One-hot occupancy/color/shape grid of shape (H, W, 15)."""
+    """The model's frame input: a one-hot (H, W, GRID_CHANNELS) float32 grid.
+
+    Channel 0 marks an occupied cell, the next len(COLORS) channels its
+    color and the last len(SHAPES) its shape; empty cells are all zero.
+    """
     grid = np.zeros((scene.height, scene.width, GRID_CHANNELS), dtype=np.float32)
     for o in scene.objects:
         grid[o.row, o.col, 0] = 1.0
         grid[o.row, o.col, 1 + COLOR_INDEX[o.color]] = 1.0
         grid[o.row, o.col, 1 + len(COLORS) + SHAPE_INDEX[o.shape]] = 1.0
     return grid
-
-
-def _glyph(shape: str, p: int) -> np.ndarray:
-    y, x = np.mgrid[0:p, 0:p]
-    cy = cx = (p - 1) / 2
-    r = p * 0.38
-    if shape == "circle":
-        return (y - cy) ** 2 + (x - cx) ** 2 <= r * r
-    if shape == "square":
-        return (abs(y - cy) <= r) & (abs(x - cx) <= r)
-    if shape == "triangle":
-        return (y - cy >= -r) & (abs(x - cx) <= (y - cy + r) * 0.5)
-    if shape == "cross":
-        return (abs(y - cy) <= p * 0.14) | (abs(x - cx) <= p * 0.14)
-    if shape == "star":
-        return (abs(y - cy) + abs(x - cx)) <= r
-    if shape == "ring":
-        d2 = (y - cy) ** 2 + (x - cx) ** 2
-        return (d2 <= r * r) & (d2 >= (r * 0.5) ** 2)
-    raise ValueError(f"unknown shape {shape!r}")
-
-
-def render_rgb(scene: SceneGraph, cell_pixels: int = 8) -> np.ndarray:
-    """Colored glyph image of shape (H*p, W*p, 3), values in [0, 1]."""
-    p = cell_pixels
-    img = np.zeros((scene.height * p, scene.width * p, 3), dtype=np.float32)
-    for o in scene.objects:
-        mask = _glyph(o.shape, p)
-        tile = img[o.row * p:(o.row + 1) * p, o.col * p:(o.col + 1) * p]
-        tile[mask] = _RGB[o.color]
-    return img
-
-
-def render_frame(scene: SceneGraph, mode: str = "symbolic"):
-    """Render a scene; `symbolic` yields the validated one-hot FrameGrid."""
-    if mode == "symbolic":
-        return FrameGrid(render_symbolic(scene), len(COLORS), len(SHAPES))
-    if mode == "rgb":
-        return render_rgb(scene)
-    raise ValueError(f"unknown render mode {mode!r}")
-
-
-def parse_frame(grid: FrameGrid) -> SceneGraph:
-    """Invert symbolic rendering back to the scene graph."""
-    data = grid.data
-    objects = []
-    occupied = np.argwhere(data[:, :, 0] == 1)
-    for row, col in occupied:
-        color = COLORS[int(np.argmax(data[row, col, 1:1 + len(COLORS)]))]
-        shape = SHAPES[int(np.argmax(data[row, col, 1 + len(COLORS):]))]
-        objects.append(SceneObject(int(row), int(col), color, shape))
-    objects.sort(key=lambda o: (o.row, o.col))
-    return SceneGraph(data.shape[0], data.shape[1], tuple(objects))

@@ -124,12 +124,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode sweep from this scalar to every reachable leaf."""
         if self.data.size != 1:

@@ -21,6 +21,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .minicog import (
     ANSWERS,
     EpisodeConfig,
+    GRID_CHANNELS,
     VOCABULARY,
     episode_stream,
     generate_corpus,
@@ -78,7 +79,7 @@ class TrainConfig:
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             vocab_size=len(VOCABULARY), num_answers=len(ANSWERS),
-            in_channels=1 + 8 + 6, d=self.d, steps=self.reasoning_steps,
+            in_channels=GRID_CHANNELS, d=self.d, steps=self.reasoning_steps,
             mem_slots=self.mem_slots, gate_mode=self.gate_mode,
             gate_hidden=self.gate_hidden, memory_enabled=self.memory_enabled,
         )

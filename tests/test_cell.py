@@ -130,7 +130,7 @@ class TestVisualRetrieval:
         rng = np.random.default_rng(4)
         row = rng.normal(size=8)
         rows = T.Tensor(np.tile(row, (6, 1)))
-        vo, va = vis.retrieve_from_features(rows, T.Tensor(rng.normal(size=8)))
+        vo, va = vis.retrieve(*vis.project(rows), T.Tensor(rng.normal(size=8)))
         npt.assert_allclose(va.data, np.full(6, 1 / 6), atol=1e-6)
         expected = row.astype(np.float32) @ vis.value_w.data + vis.value_b.data
         npt.assert_allclose(vo.data, expected, atol=1e-5)
@@ -139,9 +139,8 @@ class TestVisualRetrieval:
         store = store_with_seed(5)
         vis = VisualRetrieval(store, d=8)
         rng = np.random.default_rng(5)
-        _, va = vis.retrieve_from_features(
-            T.Tensor(rng.normal(size=(9, 8))), T.Tensor(rng.normal(size=8))
-        )
+        keys, values = vis.project(T.Tensor(rng.normal(size=(9, 8))))
+        _, va = vis.retrieve(keys, values, T.Tensor(rng.normal(size=8)))
         assert abs(va.data.sum() - 1.0) < 1e-6
 
     def test_saturated_logits_select_single_row(self):
@@ -156,7 +155,7 @@ class TestVisualRetrieval:
         rows = np.zeros((3, 4), dtype=np.float32)
         rows[1, 0] = 80.0
         query = np.array([1.0, 0, 0, 0], dtype=np.float32)
-        vo, va = vis.retrieve_from_features(T.Tensor(rows), T.Tensor(query))
+        vo, va = vis.retrieve(*vis.project(T.Tensor(rows)), T.Tensor(query))
         npt.assert_allclose(va.data, [0, 1, 0], atol=1e-6)
         expected = rows[1] @ vis.value_w.data + vis.value_b.data
         npt.assert_allclose(vo.data, expected, atol=1e-4)
@@ -383,8 +382,9 @@ class TestCellStep:
         frames = [rng.normal(size=(9, 8)) for _ in range(2)]
         outcomes = []
         for rows in frames:
-            new_state, new_mem = net.cell.step_from_features(
-                enc.q, enc.cw, T.Tensor(rows), state, mem, 1, gate_overrides=forced
+            keys, values = net.cell.visual.project(T.Tensor(rows))
+            new_state, new_mem = net.cell.step(
+                enc.q, enc.cw, keys, values, state, mem, 1, gate_overrides=forced
             )
             assert np.array_equal(new_mem.m.data, mem.m.data)
             npt.assert_allclose(new_mem.wh.data, mem.wh.data, atol=1e-7)
@@ -396,11 +396,11 @@ class TestCellStep:
         net = toy_net(19)
         rng = np.random.default_rng(19)
         enc = net.question_encoder.encode([5, 6])
-        rows = T.Tensor(rng.normal(size=(9, 8)))
+        keys, values = net.cell.visual.project(T.Tensor(rng.normal(size=(9, 8))))
         state = net.cell.initial_state()
         mem = MemoryState.initial(3, 8)
         for t in (1, 2):
-            state, mem = net.cell.step_from_features(enc.q, enc.cw, rows, state, mem, t)
+            state, mem = net.cell.step(enc.q, enc.cw, keys, values, state, mem, t)
             assert state.c.shape == (8,)
             assert state.so.shape == (8,)
             assert mem.m.shape == (3, 8)
@@ -418,10 +418,10 @@ class TestCellStep:
                 enc = net.question_encoder.encode(tokens)
                 state = net.cell.initial_state()
                 mem = MemoryState.initial(3, 8)
+                keys, values = net.cell.visual.project(T.Tensor(rows))
                 for t in (1, 2):
-                    state, mem = net.cell.step_from_features(
-                        enc.q, enc.cw, T.Tensor(rows), state, mem, t
-                    )
+                    state, mem = net.cell.step(enc.q, enc.cw, keys, values,
+                                               state, mem, t)
                 return T.matmul(T.Tensor(readout), state.so)
 
             err = grad_check(f, net.store.subset("question.", "cell."), eps=1e-6)

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from samnet.cli import main
-from samnet.minicog import read_corpus
+from samnet.minicog import ANSWERS, VOCABULARY, read_corpus
 
 
 @pytest.fixture
@@ -28,8 +28,10 @@ def test_gen_writes_corpus_and_vocab(tiny_conf, tmp_path, capsys):
     episodes, header = read_corpus(out)
     assert len(episodes) == 12
     assert header["seed"] == 5
-    vocab_lines = open(out + ".vocab").read().splitlines()
-    assert "exist" in vocab_lines
+    # the header carries the token and answer tables; no side file is written
+    assert header["vocabulary"] == list(VOCABULARY)
+    assert header["answers"] == list(ANSWERS)
+    assert not os.path.exists(out + ".vocab")
 
 
 def test_train_eval_round_trip(tiny_conf, tmp_path, capsys):

@@ -3,14 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from samnet import tensor as T
-from samnet.encoders import (
-    FrameEncoder,
-    FrameGrid,
-    QuestionEncoder,
-    VocabularyError,
-    load_vocabulary,
-    save_vocabulary,
-)
+from samnet.encoders import FrameEncoder, QuestionEncoder, VocabularyError
 from samnet.gradcheck import grad_check
 from samnet.params import ParameterStore
 
@@ -121,47 +114,3 @@ class TestFrameEncoder:
 
             err = grad_check(f, store.parameters(), eps=1e-6)
         assert err < 1e-7
-
-
-class TestFrameGrid:
-    def _blank(self):
-        return np.zeros((2, 2, 1 + 3 + 2))
-
-    def test_valid_grid(self):
-        data = self._blank()
-        data[0, 1, 0] = 1
-        data[0, 1, 2] = 1  # color 1
-        data[0, 1, 4] = 1  # shape 0
-        grid = FrameGrid(data, n_colors=3, n_shapes=2)
-        assert grid.height == 2 and grid.width == 2 and grid.channels == 6
-
-    def test_empty_cell_with_attributes_rejected(self):
-        data = self._blank()
-        data[1, 1, 2] = 1
-        with pytest.raises(ValueError):
-            FrameGrid(data, n_colors=3, n_shapes=2)
-
-    def test_occupied_cell_needs_exactly_one_color_and_shape(self):
-        data = self._blank()
-        data[0, 0, 0] = 1
-        with pytest.raises(ValueError):
-            FrameGrid(data, n_colors=3, n_shapes=2)
-        data[0, 0, 1] = 1
-        data[0, 0, 2] = 1
-        data[0, 0, 4] = 1
-        with pytest.raises(ValueError):
-            FrameGrid(data, n_colors=3, n_shapes=2)
-
-    def test_non_binary_rejected(self):
-        data = self._blank()
-        data[0, 0, 0] = 0.5
-        with pytest.raises(ValueError):
-            FrameGrid(data, n_colors=3, n_shapes=2)
-
-
-def test_vocabulary_round_trip(tmp_path):
-    tokens = ["exist", "red", "circle", "now"]
-    path = tmp_path / "vocab.txt"
-    save_vocabulary(tokens, path)
-    assert load_vocabulary(path) == tokens
-    assert path.read_text().splitlines()[2] == "circle"

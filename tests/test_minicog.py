@@ -1,9 +1,13 @@
+import ast
 import collections
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import samnet.minicog
 from samnet.minicog import (
     ANSWERS,
     COLORS,
@@ -11,6 +15,7 @@ from samnet.minicog import (
     CorpusError,
     EpisodeConfig,
     FeatureFamily,
+    GRID_CHANNELS,
     GROUP_OF,
     GenerationError,
     SHAPES,
@@ -22,10 +27,7 @@ from samnet.minicog import (
     episode_stream,
     gen_episode,
     generate_corpus,
-    parse_frame,
     read_corpus,
-    render_frame,
-    render_rgb,
     render_symbolic,
     write_corpus,
 )
@@ -35,6 +37,32 @@ ALL_CLASSES = {c: 1.0 for c in TASK_CLASSES}
 
 def canonical_cfg(**kw):
     return EpisodeConfig(**kw)
+
+
+def _within_data_layer(name: str) -> bool:
+    """True for an import a minicog module may make: a sibling module,
+    samnet.minicog itself, numpy or the standard library."""
+    if name.startswith("."):
+        return not name.startswith("..")
+    if name == "samnet.minicog" or name.startswith("samnet.minicog."):
+        return True
+    return name.split(".")[0] in sys.stdlib_module_names | {"numpy"}
+
+
+def test_minicog_imports_nothing_from_the_model_layer():
+    package = Path(samnet.minicog.__file__).parent
+    foreign = []
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            foreign += [f"{module.name}:{node.lineno}: {name}"
+                        for name in names if not _within_data_layer(name)]
+    assert not foreign, foreign
 
 
 class TestSceneGraph:
@@ -50,17 +78,39 @@ class TestSceneGraph:
             SceneGraph(2, 2, (SceneObject(2, 0, "red", "circle"),))
 
 
+def decode_grid(grid):
+    """Read a scene back from a render_symbolic grid, asserting on the way
+    that it is one-hot: binary entries, no attribute on an empty cell, and
+    exactly one color and one shape on an occupied cell."""
+    h, w, _ = grid.shape
+    assert grid.shape == (h, w, GRID_CHANNELS) and grid.dtype == np.float32
+    assert np.isin(grid, (0, 1)).all()
+    occupied = grid[:, :, 0] == 1
+    colors = grid[:, :, 1:1 + len(COLORS)]
+    shapes = grid[:, :, 1 + len(COLORS):]
+    assert not colors[~occupied].any() and not shapes[~occupied].any()
+    assert (colors[occupied].sum(axis=1) == 1).all()
+    assert (shapes[occupied].sum(axis=1) == 1).all()
+    objects = tuple(
+        SceneObject(int(r), int(c), COLORS[int(np.argmax(colors[r, c]))],
+                    SHAPES[int(np.argmax(shapes[r, c]))])
+        for r, c in np.argwhere(occupied)
+    )
+    return SceneGraph(h, w, objects)
+
+
 class TestRendering:
     def test_empty_scene_is_all_zero(self):
-        grid = render_frame(SceneGraph(4, 4, ()))
-        assert np.count_nonzero(grid.data) == 0
+        grid = render_symbolic(SceneGraph(4, 4, ()))
+        assert grid.shape == (4, 4, GRID_CHANNELS)
+        assert np.count_nonzero(grid) == 0
 
     def test_single_object_occupies_one_cell(self):
         scene = SceneGraph(4, 4, (SceneObject(2, 1, "red", "star"),))
-        grid = render_frame(scene)
-        assert grid.data[2, 1, 0] == 1
-        assert grid.data[:, :, 0].sum() == 1
-        assert grid.data[2, 1].sum() == 3  # occupancy + one color + one shape
+        grid = render_symbolic(scene)
+        assert grid[2, 1, 0] == 1
+        assert grid[:, :, 0].sum() == 1
+        assert grid[2, 1].sum() == 3  # occupancy + one color + one shape
 
     def test_round_trip_over_random_scenes(self):
         rng = np.random.default_rng(0)
@@ -75,21 +125,7 @@ class TestRendering:
                 for r, c in cells[:n]
             )
             scene = SceneGraph(h, w, tuple(sorted(objs)))
-            assert parse_frame(render_frame(scene)) == scene
-
-    def test_rgb_mode_shapes_and_range(self):
-        scene = SceneGraph(3, 4, (SceneObject(0, 0, "cyan", "ring"),))
-        img = render_rgb(scene, cell_pixels=8)
-        assert img.shape == (24, 32, 3)
-        assert img.min() >= 0 and img.max() <= 1
-        assert img[:8, :8].sum() > 0  # the glyph landed in its cell
-        glyphs = {s: render_rgb(SceneGraph(1, 1, (SceneObject(0, 0, "red", s),)))
-                  for s in SHAPES}
-        masks = {s: (g.sum(axis=2) > 0) for s, g in glyphs.items()}
-        shapes = list(SHAPES)
-        for i, a in enumerate(shapes):
-            for b in shapes[i + 1:]:
-                assert not np.array_equal(masks[a], masks[b]), (a, b)
+            assert decode_grid(render_symbolic(scene)) == scene
 
 
 class TestFeatureFamily:
@@ -323,4 +359,27 @@ class TestCorpusFile:
 
         self._edit_record(path, lines, 1, edit)
         with pytest.raises(CorpusError, match=r"corpus\.jsonl:2: .*token_ids"):
+            read_corpus(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("config"),
+        lambda h: h.__setitem__("config", [5, 5, 4]),
+        lambda h: h["config"].__setitem__("colour_count", 8),
+        lambda h: h["config"].__setitem__("frames", 0),
+    ], ids=["missing", "not-a-mapping", "unknown-key", "zero-frames"])
+    def test_bad_header_config_rejected(self, tmp_path, edit):
+        path, lines = self._write(tmp_path)
+        header = json.loads(lines[0])
+        edit(header)
+        path.write_text(json.dumps(header, sort_keys=True) + "\n"
+                        + "".join(lines[1:]))
+        with pytest.raises(CorpusError, match=r"corpus\.jsonl:1: bad header config"):
+            read_corpus(path)
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path, lines = self._write(tmp_path)
+        raw = [line.encode("utf-8") for line in lines]
+        raw[1] = raw[1][:10] + b"\xff" + raw[1][10:]
+        path.write_bytes(b"".join(raw))
+        with pytest.raises(CorpusError, match=r"corpus\.jsonl:2: unreadable record"):
             read_corpus(path)

@@ -228,6 +228,47 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="data section"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old, new", [
+        (b"hyper d 16", b"hyper d \xff16"),
+        (b"param w 4 0", b"param w 4 0 0"),
+        (b"hyper d 16", b"hyper d"),
+        (b"param w 4 0", b"param w 4.0 0"),
+        (b"param w 4 0", b"param w 4 z"),
+        (b"data 16", b"data 16.0"),
+        (b"param w 4 0", b"param w 4 4"),
+    ], ids=["bad-utf8", "param-fields", "hyper-fields", "shape", "offset",
+            "byte-count", "offset-past-data"])
+    def test_malformed_header_line_is_typed(self, tmp_path, old, new):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"w": np.zeros(4, dtype=np.float32)}, {"d": "16"})
+        raw = path.read_bytes()
+        assert raw.count(old) == 1
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(CheckpointError, match="m.ckpt: "):
+            load_checkpoint(path)
+
+    def test_header_bit_flips_load_or_raise_typed(self, tmp_path):
+        rng = np.random.default_rng(0)
+        arrays = {
+            "a.w": rng.normal(size=(3, 4)).astype(np.float32),
+            "b.v": rng.normal(size=(7,)).astype(np.float32),
+            "c": np.zeros((2, 2, 3), dtype=np.float32),
+        }
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, arrays, {"d": "16", "gate_mode": "softmax"})
+        raw = path.read_bytes()
+        header_len = raw.index(b"\n", raw.index(b"\ndata ") + 1) + 1
+        raised = 0
+        for _ in range(1000):
+            flipped = bytearray(raw)
+            flipped[int(rng.integers(header_len))] ^= 1 << int(rng.integers(8))
+            path.write_bytes(bytes(flipped))
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                raised += 1
+        assert raised > 500  # most flips break the header; the rest must load
+
     def test_manifest_mismatch_lists_names(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "run", max_steps=0)
         result = train(cfg)
