@@ -6,6 +6,12 @@ retrieves candidate objects from the frame and from the external slot
 memory, turns the attention localization scores into gating decisions, and
 then applies gated memory writes and a summary-object update. Information
 crosses frame boundaries only through the slot memory and its write head.
+
+Every component also runs a batch of episodes forward: each per-episode
+tensor then has a leading batch axis, which a component reads from the
+rank of its inputs (a control state (B, d) rather than (d,)). The batched
+values of each episode are bit-identical to its unbatched forward; see
+the batch-axis note in `tensor`.
 """
 
 from __future__ import annotations
@@ -50,8 +56,14 @@ class MemoryState:
     wh: Tensor  # (N,) distribution
 
     @classmethod
-    def initial(cls, n_slots: int, d: int) -> "MemoryState":
-        return cls(m=T.zeros((n_slots, d)), wh=T.one_hot(0, n_slots))
+    def initial(cls, n_slots: int, d: int, batch: int | None = None) -> "MemoryState":
+        """Empty memory with the head on slot 0; one copy per episode when
+        `batch` is given."""
+        if batch is None:
+            return cls(m=T.zeros((n_slots, d)), wh=T.one_hot(0, n_slots))
+        wh = np.zeros((batch, n_slots), dtype=T.default_dtype())
+        wh[:, 0] = 1.0
+        return cls(m=T.zeros((batch, n_slots, d)), wh=Tensor(wh))
 
 
 @dataclass
@@ -86,7 +98,7 @@ def _check_distribution(vec: Tensor, name: str) -> None:
     if not T.DEBUG_CHECKS:
         return
     data = vec.data
-    if data.min() < -1e-6 or abs(float(data.sum()) - 1.0) > 1e-6:
+    if data.min() < -1e-6 or np.abs(data.sum(axis=-1) - 1.0).max() > 1e-6:
         raise AssertionError(f"{name} is not a distribution: {data}")
 
 
@@ -98,8 +110,8 @@ def memory_update(m_prev: Tensor, wh_prev: Tensor, rh: Tensor, vo: Tensor,
     of the result is a convex blend (1 - w_i) * old_row + w_i * vo. A zero w
     leaves memory untouched.
     """
-    n = m_prev.shape[0]
-    if wh_prev.shape != (n,) or rh.shape != (n,):
+    n = m_prev.shape[-2]
+    if wh_prev.shape != m_prev.shape[:-1] or rh.shape != m_prev.shape[:-1]:
         raise T.ShapeError(
             f"write vectors must have length {n}, got rh {rh.shape}, wh {wh_prev.shape}"
         )
@@ -133,12 +145,14 @@ class QuestionDrivenController:
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
         w, b = self.q_step[t - 1]
-        q_t = T.linear(q, w, b)
-        cq = T.linear(T.concat([q_t, c_prev]), self.merge_w, self.merge_b)
+        batched = q.ndim == 2
+        q_t = T.linear(q, w, b, batched=batched)
+        cq = T.linear(T.concat([q_t, c_prev], axis=-1), self.merge_w,
+                      self.merge_b, batched=batched)
         # u . (cq * cw_i) == cw_i . (u * cq), so one matvec gives all logits
         qa = T.attention_weights(T.mul(self.attn_u, cq), cw)
         _check_distribution(qa, "question attention")
-        c_t = T.matmul(qa, cw)
+        c_t = T.matmul(qa, cw, batched=batched)
         return c_t, qa
 
 
@@ -152,8 +166,9 @@ class TemporalClassifier:
         self.b2 = store.new(f"{prefix}.b2", (len(TEMPORAL_CLASSES),), fan_in=0)
 
     def classify(self, c_t: Tensor) -> Tensor:
-        hidden = T.elu(T.linear(c_t, self.w1, self.b1))
-        tau = T.softmax(T.linear(hidden, self.w2, self.b2))
+        batched = c_t.ndim == 2
+        hidden = T.elu(T.linear(c_t, self.w1, self.b1, batched=batched))
+        tau = T.softmax(T.linear(hidden, self.w2, self.b2, batched=batched))
         _check_distribution(tau, "temporal class weights")
         return tau
 
@@ -171,12 +186,14 @@ class VisualRetrieval:
         self.query_b = store.new(f"{prefix}.query.b", (d,), fan_in=0)
 
     def project(self, feature_rows: Tensor):
-        keys = T.linear(feature_rows, self.key_w, self.key_b)
-        values = T.linear(feature_rows, self.value_w, self.value_b)
+        batched = feature_rows.ndim == 3
+        keys = T.linear(feature_rows, self.key_w, self.key_b, batched=batched)
+        values = T.linear(feature_rows, self.value_w, self.value_b,
+                          batched=batched)
         return keys, values
 
     def retrieve(self, keys: Tensor, values: Tensor, c_t: Tensor):
-        query = T.linear(c_t, self.query_w, self.query_b)
+        query = T.linear(c_t, self.query_w, self.query_b, batched=c_t.ndim == 2)
         va, vo = T.dot_attention(query, keys, values, scale=1.0 / math.sqrt(self.d))
         _check_distribution(va, "visual attention")
         return vo, va
@@ -191,7 +208,7 @@ class MemoryRetrieval:
         self.query_b = store.new(f"{prefix}.query.b", (d,), fan_in=0)
 
     def retrieve(self, m: Tensor, c_t: Tensor):
-        query = T.linear(c_t, self.query_w, self.query_b)
+        query = T.linear(c_t, self.query_w, self.query_b, batched=c_t.ndim == 2)
         rh, mo = T.dot_attention(query, m, m, scale=1.0 / math.sqrt(self.d))
         _check_distribution(rh, "read head")
         return mo, rh
@@ -222,8 +239,8 @@ class GateNetwork:
         out = T.gate_mlp(vs, rs, tau, self.w1, self.b1, self.w2, self.b2,
                          self.obj_w, self.obj_b, self.write_w, self.write_b,
                          mode=self.mode)
-        return Gates(g_v=out[0], g_m=out[1], h_r=out[2], h_a=out[3],
-                     h_none=out[4])
+        return Gates(g_v=out[..., 0], g_m=out[..., 1], h_r=out[..., 2],
+                     h_a=out[..., 3], h_none=out[..., 4])
 
 
 class SummaryUpdate:
@@ -236,7 +253,8 @@ class SummaryUpdate:
     def update(self, vo: Tensor, mo: Tensor, g_v: Tensor, g_m: Tensor,
                so_prev: Tensor):
         ro = T.weighted_sum(g_v, vo, g_m, mo)
-        so = T.linear(T.concat([ro, so_prev]), self.w, self.b)
+        so = T.linear(T.concat([ro, so_prev], axis=-1), self.w, self.b,
+                      batched=ro.ndim == 2)
         return so, ro
 
 
@@ -251,14 +269,16 @@ class AnswerHead:
         self.b2 = store.new(f"{prefix}.b2", (num_answers,), fan_in=0)
 
     def logits(self, so: Tensor, q: Tensor) -> Tensor:
-        h = T.elu(T.linear(T.concat([so, q]), self.w1, self.b1))
-        return T.linear(h, self.w2, self.b2)
+        batched = so.ndim == 2
+        h = T.elu(T.linear(T.concat([so, q], axis=-1), self.w1, self.b1,
+                           batched=batched))
+        return T.linear(h, self.w2, self.b2, batched=batched)
 
 
 def _override_gate(value: Tensor, forced) -> Tensor:
     if forced is None:
         return value
-    return T.Tensor(float(forced))
+    return T.Tensor(np.full(value.shape, float(forced)))  # one per episode
 
 
 class SAMCell:
@@ -274,8 +294,14 @@ class SAMCell:
         self.c0 = store.new("cell.c0", (d,), fan_in=d)
         self.so0 = store.new("cell.so0", (d,), fan_in=d)
 
-    def initial_state(self) -> CellState:
-        return CellState(c=self.c0, so=self.so0)
+    def initial_state(self, batch: int | None = None) -> CellState:
+        """The learned initial vectors; one row per episode when `batch`
+        is given."""
+        if batch is None:
+            return CellState(c=self.c0, so=self.so0)
+        shape = (batch, self.config.d)
+        return CellState(c=Tensor(np.broadcast_to(self.c0.data, shape)),
+                         so=Tensor(np.broadcast_to(self.so0.data, shape)))
 
     def step(self, q, cw, keys, values, state: CellState, mem: MemoryState,
              t: int, gate_overrides=None, trace=None):
@@ -329,11 +355,25 @@ class SAMNet:
         frames; the per-frame reasoning state resets to the learned initial
         vectors. n_slots may differ from the training-time setting: no
         parameter shape depends on it.
+
+        A batch of B episodes with equal question length L and equal frame
+        shape is token_ids (B, L) with frames (B, K, H, W, C), and returns
+        (B, K, num_answers), each episode bit-identical to its own forward.
+        A batch runs forward only (under `no_grad`) and takes no trace.
         """
+        ids = np.asarray(token_ids)
+        batch = ids.shape[0] if ids.ndim == 2 else None
         frames = np.asarray(frames, dtype=T.default_dtype())
-        if frames.ndim == 3:
+        if batch is None and frames.ndim == 3:
             frames = frames[None]
-        if frames.shape[0] < 1:
+        if batch is not None and (frames.ndim != 5 or frames.shape[0] != batch
+                                  or trace is not None):
+            raise ValueError(
+                f"a batch of {batch} questions needs frames (B, K, H, W, C) "
+                f"and no trace, got frames {frames.shape}"
+            )
+        n_frames = frames.shape[0 if batch is None else 1]
+        if n_frames < 1:
             raise ValueError("episode must contain at least one frame")
         n = self.config.mem_slots if n_slots is None else n_slots
         if n < 1:
@@ -343,14 +383,22 @@ class SAMNet:
             overrides.setdefault("g_m", 0.0)
             overrides.setdefault("h_r", 0.0)
             overrides.setdefault("h_a", 0.0)
-        enc = self.question_encoder.encode(token_ids)
-        features = self.frame_encoder.encode(frames)  # (K, H*W, d)
-        mem = MemoryState.initial(n, self.config.d)
+        enc = self.question_encoder.encode(ids)
+        if batch is None:
+            features = self.frame_encoder.encode(frames)  # (K, H*W, d)
+        else:
+            # The CNN runs one episode at a time, which bounds its im2col
+            # buffers, and frame k's rows are stacked only when needed.
+            features = [self.frame_encoder.encode(f) for f in frames]
+        mem = MemoryState.initial(n, self.config.d, batch)
         frame_logits = []
-        for k in range(frames.shape[0]):
-            rows = features[k]
+        for k in range(n_frames):
+            if batch is None:
+                rows = features[k]
+            else:
+                rows = T.stack([f[k] for f in features])
             keys, values = self.cell.visual.project(rows)
-            state = self.cell.initial_state()
+            state = self.cell.initial_state(batch)
             step_trace = [] if trace is not None else None
             for t in range(1, self.config.steps + 1):
                 state, mem = self.cell.step(
@@ -360,7 +408,7 @@ class SAMNet:
             if trace is not None:
                 trace.append(step_trace)
             frame_logits.append(self.answer_head.logits(state.so, enc.q))
-        return T.stack(frame_logits)
+        return T.stack(frame_logits, axis=0 if batch is None else 1)
 
     def episode_loss(self, token_ids, frames, answer_ids, **kw) -> Tensor:
         """Mean softmax cross-entropy over the per-frame answers."""

@@ -77,7 +77,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], hypers: dict[str, str])
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (arrays, hypers, manifest_text). Raises
-    CheckpointError, naming the path, on any malformed header line and on a
+    CheckpointError, naming the path, on any malformed header line, on a
+    parameter listed twice or sharing data bytes with another, and on a
     data section that does not hold every parameter."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -116,15 +117,28 @@ def load_checkpoint(path):
             f"manifest says {data_bytes}"
         )
     arrays: dict[str, np.ndarray] = {}
+    spans = []
     for name, shape, off in entries:
+        if name in arrays:
+            raise CheckpointError(f"{path}: parameter {name} listed twice")
         count = math.prod(shape)
-        if off + count * _F32.itemsize > data_bytes:
+        end = off + count * _F32.itemsize
+        if end > data_bytes:
             raise CheckpointError(
                 f"{path}: parameter {name} {shape} at offset {off} runs past "
                 f"the {data_bytes}-byte data section"
             )
+        if count:
+            spans.append((off, end, name))
         a = np.frombuffer(raw, dtype=_F32, count=count, offset=data_start + off)
         arrays[name] = a.reshape(shape).copy()
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        if start < end:
+            raise CheckpointError(
+                f"{path}: parameters {first} and {second} share data bytes "
+                f"{start}..{end - 1}"
+            )
     manifest_text = raw[:data_start].decode("utf-8")
     return arrays, hypers, manifest_text
 

@@ -49,20 +49,26 @@ class QuestionEncoder:
         self.q_b = store.new(f"{prefix}.q.b", (d,), fan_in=0)
 
     def encode(self, token_ids) -> QuestionEncoding:
+        """Encode one sequence (L,), or a batch of equal-length ones (B, L)
+        forward only, to cw (L, d) and q (d,) with a leading batch axis."""
         ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size < 1:
+        if ids.ndim not in (1, 2) or ids.size < 1:
             raise VocabularyError("expected a non-empty token id sequence")
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             bad = ids[(ids < 0) | (ids >= self.vocab_size)][0]
             raise VocabularyError(
                 f"token id {int(bad)} outside vocabulary of size {self.vocab_size}"
             )
+        batched = ids.ndim == 2
         embeds = T.take_rows(self.embed, ids)
         fwd = T.lstm_direction(embeds, *self.dir_params["fwd"])
         bwd = T.lstm_direction(embeds, *self.dir_params["bwd"], reverse=True)
-        cw = T.linear(T.concat([fwd, bwd], axis=1), self.cw_w, self.cw_b)
+        cw = T.linear(T.concat([fwd, bwd], axis=-1), self.cw_w, self.cw_b,
+                      batched=batched)
         # each direction's final state: the last position forward, the first backward
-        q = T.linear(T.concat([fwd[ids.size - 1], bwd[0]]), self.q_w, self.q_b)
+        last = ids.shape[-1] - 1
+        q = T.linear(T.concat([fwd[..., last, :], bwd[..., 0, :]], axis=-1),
+                     self.q_w, self.q_b, batched=batched)
         return QuestionEncoding(cw=cw, q=q)
 
 

@@ -75,6 +75,11 @@ class EpisodeConfig:
     family_name: str = "any"
 
     def __post_init__(self):
+        for name in ("height", "width", "frames", "history", "distractors",
+                     "max_objects"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is an int subclass; refuse it too
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.frames < 1:
             raise ValueError("episode needs at least one frame")
         if not 0 <= self.history <= self.frames - 1:

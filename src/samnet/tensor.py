@@ -15,6 +15,19 @@ each layer of the model is one fused op with a hand-written backward
 numpy expressions in the same order as the chain of primitive ops it
 replaces, so forward values are bit-identical to that chain. Fused ops
 keep their backward caches only while a graph is being recorded.
+
+Batch axis. For forward-only evaluation the fused ops, ``matmul`` and
+``softmax`` also take a leading batch axis, one entry per episode. Ops
+whose per-episode operands have a fixed rank read the batch from one
+extra leading axis; ``linear`` and ``matmul``, whose per-episode operand
+may be a vector or a matrix, take ``batched=True``. A batched op runs
+every episode through the same numpy kernel as the unbatched op:
+``np.matmul`` over the leading axis with each episode's operand rank kept
+(``x[:, None, :] @ w`` for a vector per episode, never one folded 2-D
+gemm), reductions over the last axis, elementwise maths. Each episode's
+values are therefore bit-identical to an unbatched forward. Batched ops
+have no backward: a batched op raises ``ShapeError`` while the tape is
+recording.
 """
 
 from __future__ import annotations
@@ -199,6 +212,26 @@ def _recording(parents) -> bool:
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
+def _forward_only(name, parents) -> None:
+    """Refuse to put a batched op on the tape: it has no backward."""
+    if _recording(parents):
+        raise ShapeError(
+            f"{name}: a batched forward has no backward; run it under no_grad()"
+        )
+
+
+def _vecmat(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for one vector x (d,) or a batch of vectors (B, d).
+
+    A batch keeps one (1, d) row per episode, so every episode runs the
+    same vector-matrix kernel as the unbatched product; w is (d, h) or one
+    (d, h) matrix per episode.
+    """
+    if x.ndim == 1:
+        return x @ w
+    return np.matmul(x[:, None, :], w)[:, 0]
+
+
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -280,9 +313,18 @@ def neg(a) -> Tensor:
     return Tensor._from_op(-a.data, (a,), lambda g: (-g,))
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix/vector product for ranks (2,2), (2,1), (1,2) and (1,1)."""
+def matmul(a, b, batched=False) -> Tensor:
+    """Matrix/vector product for ranks (2,2), (2,1), (1,2) and (1,1).
+
+    With `batched`, a is one vector per episode (B, L) and b one matrix per
+    episode (B, L, d); returns (B, d). Forward only.
+    """
     a, b = as_tensor(a), as_tensor(b)
+    if batched:
+        if a.ndim != 2 or b.ndim != 3 or b.shape[:2] != a.shape:
+            raise ShapeError(f"batched matmul got {a.shape} @ {b.shape}")
+        _forward_only("matmul", (a, b))
+        return Tensor._from_op(_vecmat(a.data, b.data), (), None)
     if a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
         raise ShapeError(f"matmul undefined for shapes {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
@@ -301,14 +343,22 @@ def matmul(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), backward)
 
 
-def linear(x, w, b) -> Tensor:
-    """x @ w + b for a rank-1 or rank-2 x, as one tape node."""
+def linear(x, w, b, batched=False) -> Tensor:
+    """x @ w + b for a rank-1 or rank-2 x, as one tape node.
+
+    With `batched`, x has a leading episode axis: (B, d) is one vector per
+    episode and (B, L, d) one matrix per episode. Forward only.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    rank = xd.ndim
+    rank = xd.ndim - batched
     if (rank not in (1, 2) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
             or b.data.shape != wd.shape[1:]):
         raise ShapeError(f"linear got x {x.shape}, w {w.shape}, b {b.shape}")
+    if batched:
+        _forward_only("linear", (x, w, b))
+        out = (_vecmat(xd, wd) if rank == 1 else xd @ wd) + b.data
+        return Tensor._from_op(out, (), None)
     out = xd @ wd + b.data
 
     def backward(g):
@@ -414,11 +464,16 @@ def _screen_finite(x: np.ndarray) -> None:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax of a rank-1 array, screened for non-finite input."""
+    """Max-shifted softmax of a rank-1 array, or of each row of a batch,
+    screened for non-finite input."""
     _screen_finite(x)
-    shifted = x - x.max()
+    if x.ndim == 1:
+        shifted = x - x.max()
+        e = np.exp(shifted)
+        return e / e.sum()
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -426,11 +481,15 @@ def _softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def softmax(a) -> Tensor:
-    """Numerically stable softmax of a rank-1 tensor."""
+    """Numerically stable softmax of a rank-1 tensor; a rank-2 tensor is a
+    batch of rows, forward only."""
     a = as_tensor(a)
-    if a.ndim != 1 or a.size < 1:
-        raise ShapeError("softmax expects a non-empty rank-1 tensor")
+    if a.ndim not in (1, 2) or a.size < 1:
+        raise ShapeError("softmax expects a non-empty rank-1 tensor or a batch")
     out = _softmax(a.data)
+    if a.ndim == 2:
+        _forward_only("softmax", (a,))
+        return Tensor._from_op(out, (), None)
     return Tensor._from_op(out, (a,), lambda g: (_softmax_backward(g, out),))
 
 
@@ -456,10 +515,12 @@ def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
 
 
 def concat(parts, axis=0) -> Tensor:
-    """Concatenate tensors of equal rank along `axis`."""
+    """Concatenate tensors of equal rank along `axis` (negative counts
+    from the last axis)."""
     parts = [as_tensor(p) for p in parts]
     if any(p.ndim != parts[0].ndim for p in parts) or parts[0].ndim == 0:
         raise ShapeError("concat expects tensors of equal, non-zero rank")
+    axis %= parts[0].ndim
     out = np.concatenate([p.data for p in parts], axis=axis)
     bounds = []
     end = 0
@@ -473,13 +534,13 @@ def concat(parts, axis=0) -> Tensor:
     return Tensor._from_op(out, tuple(parts), backward)
 
 
-def stack(rows) -> Tensor:
-    """Stack rank-1 tensors of equal length into a matrix."""
+def stack(rows, axis=0) -> Tensor:
+    """Stack tensors of equal shape along a new `axis`."""
     rows = [as_tensor(r) for r in rows]
-    out = np.stack([r.data for r in rows])
+    out = np.stack([r.data for r in rows], axis=axis)
 
     def backward(g):
-        return tuple(g[i] for i in range(len(rows)))
+        return tuple(np.moveaxis(g, axis, 0))
 
     return Tensor._from_op(out, tuple(rows), backward)
 
@@ -566,34 +627,47 @@ def dot_attention(query, keys, values, scale=None):
     """Dot-product attention of one query against key/value rows.
 
     Returns (weights, summary): weights = softmax(scale * keys @ query),
-    summary = weights @ values. Default scale is 1/sqrt(d).
+    summary = weights @ values. Default scale is 1/sqrt(d). A batch is one
+    query (B, d) and key/value rows (B, L, d) per episode.
     """
     query, keys, values = as_tensor(query), as_tensor(keys), as_tensor(values)
-    if keys.ndim != 2 or values.ndim != 2 or query.ndim != 1:
+    batched = query.ndim == 2
+    if keys.ndim != 2 + batched or values.ndim != 2 + batched \
+            or query.ndim not in (1, 2) or keys.shape[:-2] != query.shape[:-1]:
         raise ShapeError("dot_attention expects query (d,), keys/values (L, d)")
-    if keys.shape[0] != values.shape[0]:
+    if keys.shape[:-1] != values.shape[:-1]:
         raise ShapeError(
-            f"key/value row mismatch: {keys.shape[0]} vs {values.shape[0]}"
+            f"key/value row mismatch: {keys.shape[-2]} vs {values.shape[-2]}"
         )
-    if keys.shape[1] != query.shape[0]:
-        raise ShapeError(f"query width {query.shape[0]} vs keys {keys.shape}")
+    if keys.shape[-1] != query.shape[-1]:
+        raise ShapeError(f"query width {query.shape[-1]} vs keys {keys.shape}")
     if scale is None:
-        scale = 1.0 / math.sqrt(query.shape[0])
+        scale = 1.0 / math.sqrt(query.shape[-1])
     weights = attention_weights(query, keys, scale)
-    summary = matmul(weights, values)
+    summary = matmul(weights, values, batched=batched)
     return weights, summary
 
 
 def attention_weights(query, keys, scale=1.0) -> Tensor:
-    """softmax(scale * keys @ query) for query (d,) and keys (L, d)."""
+    """softmax(scale * keys @ query) for query (d,) and keys (L, d).
+
+    A batch is one query (B, d) and keys (B, L, d) per episode, forward only.
+    """
     query, keys = as_tensor(query), as_tensor(keys)
-    if keys.ndim != 2 or query.ndim != 1 or keys.shape[1] != query.shape[0]:
+    batched = query.ndim == 2
+    if (query.ndim not in (1, 2) or keys.ndim != 2 + batched
+            or keys.shape[:-2] != query.shape[:-1]
+            or keys.shape[-1] != query.shape[-1]):
         raise ShapeError(f"attention over keys {keys.shape} with query {query.shape}")
-    if keys.shape[0] < 1:
+    if keys.shape[-2] < 1:
         raise ShapeError("attention needs at least one key")
     if scale <= 0:
         raise ValueError("scale must be positive")
     scale = np.asarray(scale, dtype=_DEFAULT_DTYPE)
+    if batched:
+        _forward_only("attention_weights", (query, keys))
+        logits = np.matmul(keys.data, query.data[:, :, None])[:, :, 0]
+        return Tensor._from_op(_softmax(logits * scale), (), None)
     out = _softmax(np.asarray(keys.data @ query.data) * scale)
 
     def backward(g):
@@ -609,10 +683,15 @@ def attention_aggregate(a) -> Tensor:
     """Localization score of an attention distribution: sum of squares.
 
     Lies in [1/L, 1]; 1/L at the uniform distribution, 1 at a one-hot.
+    A rank-2 tensor is a batch of distributions, forward only.
     """
     a = as_tensor(a)
-    if a.ndim != 1:
-        raise ShapeError("attention_aggregate expects a rank-1 tensor")
+    if a.ndim not in (1, 2):
+        raise ShapeError("attention_aggregate expects a rank-1 tensor or a batch")
+    if a.ndim == 2:
+        _forward_only("attention_aggregate", (a,))
+        out = np.matmul(a.data[:, None, :], a.data[:, :, None])[:, 0, 0]
+        return Tensor._from_op(out, (), None)
     out = np.asarray(a.data @ a.data)
 
     def backward(g):
@@ -629,32 +708,36 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
     `reverse` the run goes from the last position to the first. Returns
     the hidden state at every position, (L, h), in sequence order. The
     backward pass is backpropagation through time over the cached gates.
+    A batch of equal-length sequences x (B, L, d_in) gives (B, L, h),
+    forward only.
     """
     x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
-    if x.ndim != 2 or x.shape[0] < 1 or wh.ndim != 2:
+    if x.ndim not in (2, 3) or x.shape[-2] < 1 or wh.ndim != 2:
         raise ShapeError(f"lstm_direction got x {x.shape}, wh {wh.shape}")
     hh = wh.shape[0]
-    if wx.shape != (x.shape[1], 4 * hh) or wh.shape != (hh, 4 * hh) \
+    if wx.shape != (x.shape[-1], 4 * hh) or wh.shape != (hh, 4 * hh) \
             or b.shape != (4 * hh,):
         raise ShapeError(
             f"lstm_direction got wx {wx.shape}, wh {wh.shape}, b {b.shape} "
-            f"for input width {x.shape[1]}"
+            f"for input width {x.shape[-1]}"
         )
-    length = x.shape[0]
-    xproj = x.data @ wx.data
+    if x.ndim == 3:
+        _forward_only("lstm_direction", (x, wx, wh, b))
+    length = x.shape[-2]
+    xproj = x.data @ wx.data  # a batch runs one (L, d_in) gemm per episode
     whd, bd = wh.data, b.data
     order = range(length - 1, -1, -1) if reverse else range(length)
     record = _recording((x, wx, wh, b))
     cache = []
-    h = np.zeros(hh, dtype=_DEFAULT_DTYPE)
-    c = np.zeros(hh, dtype=_DEFAULT_DTYPE)
+    h = np.zeros(x.shape[:-2] + (hh,), dtype=_DEFAULT_DTYPE)
+    c = np.zeros(x.shape[:-2] + (hh,), dtype=_DEFAULT_DTYPE)
     states = [None] * length
     for i in order:
-        z = xproj[i] + h @ whd + bd
-        i_g = _sigmoid(z[0:hh])
-        f_g = _sigmoid(z[hh:2 * hh])
-        g_g = np.tanh(z[2 * hh:3 * hh])
-        o_g = _sigmoid(z[3 * hh:4 * hh])
+        z = xproj[..., i, :] + _vecmat(h, whd) + bd
+        i_g = _sigmoid(z[..., 0:hh])
+        f_g = _sigmoid(z[..., hh:2 * hh])
+        g_g = np.tanh(z[..., 2 * hh:3 * hh])
+        o_g = _sigmoid(z[..., 3 * hh:4 * hh])
         c_new = f_g * c + i_g * g_g
         tc = np.tanh(c_new)
         if record:
@@ -662,7 +745,7 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
         c = c_new
         h = o_g * tc
         states[i] = h
-    out = np.stack(states)
+    out = np.stack(states, axis=-2)
 
     def backward(g):
         dz = np.empty_like(xproj)
@@ -691,13 +774,22 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
 
 
 def weighted_sum(a, x, b, y) -> Tensor:
-    """a * x + b * y for scalar (0-d) weights a and b."""
+    """a * x + b * y for scalar (0-d) weights a and b.
+
+    A batch is one weight pair (B,) and vector terms (B, d), forward only.
+    """
     a, x, b, y = (as_tensor(t) for t in (a, x, b, y))
-    if a.ndim != 0 or b.ndim != 0 or x.shape != y.shape:
+    batched = a.ndim == 1
+    if (a.ndim > 1 or b.shape != a.shape or x.shape != y.shape
+            or (batched and (x.ndim != 2 or x.shape[0] != a.shape[0]))):
         raise ShapeError(
             f"weighted_sum got weights {a.shape}, {b.shape} and terms "
             f"{x.shape}, {y.shape}"
         )
+    if batched:
+        _forward_only("weighted_sum", (a, x, b, y))
+        out = a.data[:, None] * x.data + b.data[:, None] * y.data
+        return Tensor._from_op(out, (), None)
     out = a.data * x.data + b.data * y.data
 
     def backward(g):
@@ -712,13 +804,18 @@ def weighted_sum(a, x, b, y) -> Tensor:
 
 
 def memory_blend(m, w, v) -> Tensor:
-    """Row i of the result is (1 - w_i) * m_i + w_i * v, for m (N, d)."""
+    """Row i of the result is (1 - w_i) * m_i + w_i * v, for m (N, d).
+
+    A batch is m (B, N, d), w (B, N) and v (B, d), forward only.
+    """
     m, w, v = as_tensor(m), as_tensor(w), as_tensor(v)
-    if m.ndim != 2 or w.shape != m.shape[:1] or v.shape != m.shape[1:]:
+    if (m.ndim not in (2, 3) or w.shape != m.shape[:-1]
+            or v.shape != m.shape[:-2] + m.shape[-1:]):
         raise ShapeError(f"memory_blend got m {m.shape}, w {w.shape}, v {v.shape}")
-    n = m.shape[0]
-    w_col = w.data.reshape(n, 1)
-    v_row = v.data.reshape(1, -1)
+    if m.ndim == 3:
+        _forward_only("memory_blend", (m, w, v))
+    w_col = w.data[..., None]  # (N, 1) per episode
+    v_row = v.data[..., None, :]  # (1, d) per episode
     out = m.data * (1.0 - w_col) + w_col @ v_row
 
     def backward(g):
@@ -735,10 +832,19 @@ def memory_blend(m, w, v) -> Tensor:
 
 
 def write_head_shift(wh, h_a) -> Tensor:
-    """h_a * roll(wh, 1) + (1 - h_a) * wh: a soft circular right-shift."""
+    """h_a * roll(wh, 1) + (1 - h_a) * wh: a soft circular right-shift.
+
+    A batch is wh (B, N) and h_a (B,), forward only.
+    """
     wh, h_a = as_tensor(wh), as_tensor(h_a)
-    if wh.ndim != 1 or h_a.ndim != 0:
+    if wh.ndim != 1 + h_a.ndim or wh.shape[:-1] != h_a.shape or h_a.ndim > 1:
         raise ShapeError(f"write_head_shift got wh {wh.shape}, h_a {h_a.shape}")
+    if h_a.ndim == 1:
+        _forward_only("write_head_shift", (wh, h_a))
+        ha = h_a.data[:, None]
+        shifted = np.concatenate((wh.data[:, -1:], wh.data[:, :-1]), axis=1)
+        out = ha * shifted + (1.0 - ha) * wh.data
+        return Tensor._from_op(out, (), None)
     shifted = np.concatenate((wh.data[-1:], wh.data[:-1]))  # np.roll(wh, 1)
     stay = 1.0 - h_a.data
     out = h_a.data * shifted + stay * wh.data
@@ -762,7 +868,8 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b,
     x = [vs, rs, tau] goes through two ELU layers to the hidden h; g_v and
     g_m are sigmoids of h @ obj_w + obj_b. In "softmax" mode (h_r, h_a,
     h_none) is the softmax of h @ write_w + write_b; in "sigmoid" mode h_r
-    and h_a are sigmoids and h_none = 1 - (h_r + h_a).
+    and h_a are sigmoids and h_none = 1 - (h_r + h_a). A batch is vs and
+    rs (B,) and tau (B, 4) and gives (B, 5), forward only.
     """
     if mode not in ("softmax", "sigmoid"):
         raise ValueError(f"unknown gate mode {mode!r}")
@@ -770,27 +877,30 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b,
         vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b))
     vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b = parents
     n_write = 3 if mode == "softmax" else 2
-    if (vs.ndim != 0 or rs.ndim != 0 or tau.ndim != 1
-            or w1.shape[0] != 2 + tau.shape[0] or obj_w.shape[1] != 2
+    if (vs.ndim > 1 or rs.shape != vs.shape or tau.ndim != vs.ndim + 1
+            or tau.shape[:-1] != vs.shape
+            or w1.shape[0] != 2 + tau.shape[-1] or obj_w.shape[1] != 2
             or write_w.shape[1] != n_write):
         raise ShapeError(
             f"gate_mlp got tau {tau.shape}, w1 {w1.shape}, obj_w {obj_w.shape}, "
             f"write_w {write_w.shape} in {mode} mode"
         )
-    x = np.concatenate([vs.data.reshape(1), rs.data.reshape(1), tau.data])
-    a1 = x @ w1.data + b1.data
+    if vs.ndim == 1:
+        _forward_only("gate_mlp", parents)
+    x = np.concatenate([vs.data[..., None], rs.data[..., None], tau.data], axis=-1)
+    a1 = _vecmat(x, w1.data) + b1.data
     h1 = _elu(a1)
-    a2 = h1 @ w2.data + b2.data
+    a2 = _vecmat(h1, w2.data) + b2.data
     h2 = _elu(a2)
-    obj = _sigmoid(h2 @ obj_w.data + obj_b.data)
-    write_logits = h2 @ write_w.data + write_b.data
+    obj = _sigmoid(_vecmat(h2, obj_w.data) + obj_b.data)
+    write_logits = _vecmat(h2, write_w.data) + write_b.data
     if mode == "softmax":
         write = _softmax(write_logits)
-        out = np.concatenate([obj, write])
+        out = np.concatenate([obj, write], axis=-1)
     else:
         write = _sigmoid(write_logits)
-        h_none = 1.0 - (write[0] + write[1])
-        out = np.concatenate([obj, write, h_none.reshape(1)])
+        h_none = 1.0 - (write[..., 0] + write[..., 1])
+        out = np.concatenate([obj, write, h_none[..., None]], axis=-1)
     if not _recording(parents):
         return Tensor._from_op(out, (), None)
     d1, d2 = _elu_slope(a1, h1), _elu_slope(a2, h2)

@@ -1,0 +1,153 @@
+"""Batched evaluation against the per-episode evaluation it replaced.
+
+`training.evaluate_episodes` forwards episodes in batches of equal question
+length and frame shape. `reference_evaluate` is the former loop, one
+`episode_forward` per episode; every per-episode logit must match it bit
+for bit and every `EvalResult` field but `seconds` must be equal.
+"""
+
+import time
+
+import numpy as np
+import pytest
+
+from samnet import tensor as T
+from samnet import training
+from samnet.cell import SAMNet
+from samnet.minicog import generate_corpus
+from samnet.training import EvalResult, config_from_preset, evaluate_episodes
+
+
+def reference_logits(model, episodes, n_slots=None, gate_overrides=None):
+    out = []
+    with T.no_grad():
+        for ep in episodes:
+            out.append(model.episode_forward(
+                ep.token_ids, ep.frames_symbolic(), n_slots=n_slots,
+                gate_overrides=gate_overrides,
+            ).data)
+    return out
+
+
+def reference_evaluate(model, episodes, n_slots=None,
+                       gate_overrides=None) -> EvalResult:
+    """The per-episode `evaluate_episodes` loop."""
+    t0 = time.perf_counter()
+    total_loss = 0.0
+    correct = 0
+    frames = 0
+    per_class_hit: dict[str, int] = {}
+    per_class_n: dict[str, int] = {}
+    for ep in episodes:
+        grids = ep.frames_symbolic()
+        answers = np.asarray(ep.answer_ids)
+        with T.no_grad():
+            logits = model.episode_forward(
+                ep.token_ids, grids, n_slots=n_slots,
+                gate_overrides=gate_overrides,
+            ).data
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        total_loss += float(-logp[np.arange(len(answers)), answers].mean())
+        pred = logits.argmax(axis=1)
+        hits = int((pred == answers).sum())
+        correct += hits
+        frames += len(answers)
+        cls = ep.program.task_class
+        per_class_hit[cls] = per_class_hit.get(cls, 0) + hits
+        per_class_n[cls] = per_class_n.get(cls, 0) + len(answers)
+    per_class = {
+        cls: per_class_hit[cls] / per_class_n[cls] for cls in per_class_n
+    }
+    return EvalResult(
+        loss=total_loss / len(episodes),
+        accuracy=correct / frames,
+        per_class=per_class,
+        seconds=time.perf_counter() - t0,
+    )
+
+
+def model_and_episodes(preset, count, seed=3, **model_kw):
+    cfg = config_from_preset(preset, task_family="all", **model_kw)
+    model = SAMNet(cfg.model_config(), init_seed=seed)
+    episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                               count, seed=seed + 100)
+    return model, episodes
+
+
+def assert_matches_reference(model, episodes, n_slots=None, gate_overrides=None):
+    expected = reference_logits(model, episodes, n_slots, gate_overrides)
+    got = training._eval_logits(model, episodes, n_slots, gate_overrides)
+    assert len(got) == len(expected)
+    for i, (a, b) in enumerate(zip(got, expected)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b), f"episode {i} logits differ"
+    batched = evaluate_episodes(model, episodes, n_slots=n_slots,
+                                gate_overrides=gate_overrides)
+    reference = reference_evaluate(model, episodes, n_slots=n_slots,
+                                   gate_overrides=gate_overrides)
+    assert batched.loss == reference.loss
+    assert batched.accuracy == reference.accuracy
+    assert list(batched.per_class.items()) == list(reference.per_class.items())
+
+
+@pytest.mark.parametrize("preset", ["toy-canonical", "toy-hard"])
+@pytest.mark.parametrize("cap", [32, 3])
+def test_mixed_question_lengths(preset, cap, monkeypatch):
+    monkeypatch.setattr(training, "_EVAL_BATCH", cap)
+    model, episodes = model_and_episodes(preset, 24)
+    lengths = [len(ep.tokens) for ep in episodes]
+    assert len(set(lengths)) > 2
+    assert max(lengths.count(n) for n in lengths) > 3  # cap 3 splits a group
+    assert_matches_reference(model, episodes)
+
+
+@pytest.mark.parametrize("n_slots", [2, 16])
+def test_slot_count_other_than_trained(n_slots):
+    model, episodes = model_and_episodes("toy-hard", 12)
+    assert model.config.mem_slots != n_slots
+    assert_matches_reference(model, episodes, n_slots=n_slots)
+
+
+def test_write_ablation_overrides():
+    model, episodes = model_and_episodes("toy-canonical", 16)
+    assert_matches_reference(model, episodes, n_slots=6,
+                             gate_overrides={"h_r": 0.0, "h_a": 0.0})
+    assert_matches_reference(model, episodes, gate_overrides={"g_v": 1.0})
+
+
+def test_memory_disabled():
+    model, episodes = model_and_episodes("toy-canonical", 16,
+                                         memory_enabled=False)
+    assert not model.config.memory_enabled
+    assert_matches_reference(model, episodes)
+
+
+def test_two_frame_counts_in_one_list():
+    model, short = model_and_episodes("toy-canonical", 10)
+    cfg = config_from_preset("toy-canonical", task_family="all",
+                             frames=6, history=5)
+    long = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                           10, seed=7)
+    mixed = [ep for pair in zip(short, long) for ep in pair]
+    assert {len(ep.scenes) for ep in mixed} == {4, 6}
+    assert_matches_reference(model, mixed)
+
+
+def test_one_episode():
+    model, episodes = model_and_episodes("toy-hard", 1)
+    assert_matches_reference(model, episodes)
+
+
+def test_batched_forward_refuses_the_tape():
+    model, episodes = model_and_episodes("toy-canonical", 12)
+    n = len(episodes[0].tokens)
+    same = [ep for ep in episodes if len(ep.tokens) == n][:2]
+    assert len(same) == 2
+    ids = np.array([ep.token_ids for ep in same])
+    frames = np.stack([ep.frames_symbolic() for ep in same])
+    with pytest.raises(T.ShapeError, match="no_grad"):
+        model.episode_forward(ids, frames)
+    with T.no_grad():
+        out = model.episode_forward(ids, frames)
+    assert out.shape == (len(same), 4, model.config.num_answers)

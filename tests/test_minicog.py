@@ -257,6 +257,13 @@ class TestGeneration:
         with pytest.raises(ValueError):
             EpisodeConfig(family_name="Z")
 
+    @pytest.mark.parametrize("field", ["height", "width", "frames", "history",
+                                       "distractors", "max_objects"])
+    @pytest.mark.parametrize("value", [1.0, True], ids=["float", "bool"])
+    def test_non_int_extent_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            EpisodeConfig(**{field: value})
+
     def test_answers_always_in_answer_set(self):
         cfg = canonical_cfg()
         stream = episode_stream(cfg, ALL_CLASSES, 77)
@@ -366,7 +373,10 @@ class TestCorpusFile:
         lambda h: h.__setitem__("config", [5, 5, 4]),
         lambda h: h["config"].__setitem__("colour_count", 8),
         lambda h: h["config"].__setitem__("frames", 0),
-    ], ids=["missing", "not-a-mapping", "unknown-key", "zero-frames"])
+        lambda h: h["config"].__setitem__("height", 5.0),
+        lambda h: h["config"].__setitem__("height", True),
+    ], ids=["missing", "not-a-mapping", "unknown-key", "zero-frames",
+            "float-height", "bool-height"])
     def test_bad_header_config_rejected(self, tmp_path, edit):
         path, lines = self._write(tmp_path)
         header = json.loads(lines[0])

@@ -247,6 +247,28 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="m.ckpt: "):
             load_checkpoint(path)
 
+    def _two_params(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, {"a": np.arange(2, dtype=np.float32),
+                               "b": np.arange(7, 9, dtype=np.float32)}, {})
+        raw = path.read_bytes()
+        assert raw.count(b"param b 2 8\n") == 1
+        return path, raw
+
+    def test_duplicate_param_name_rejected(self, tmp_path):
+        # loaded `a` with b's values and dropped `b`
+        path, raw = self._two_params(tmp_path)
+        path.write_bytes(raw.replace(b"param b 2 8\n", b"param a 2 8\n"))
+        with pytest.raises(CheckpointError, match="m.ckpt: parameter a listed twice"):
+            load_checkpoint(path)
+
+    def test_overlapping_params_rejected(self, tmp_path):
+        # loaded b as [1.0, 7.0]: a's second value and b's first
+        path, raw = self._two_params(tmp_path)
+        path.write_bytes(raw.replace(b"param b 2 8\n", b"param b 2 4\n"))
+        with pytest.raises(CheckpointError, match="m.ckpt: parameters a and b share"):
+            load_checkpoint(path)
+
     def test_header_bit_flips_load_or_raise_typed(self, tmp_path):
         rng = np.random.default_rng(0)
         arrays = {
