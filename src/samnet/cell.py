@@ -152,7 +152,7 @@ class QuestionDrivenController:
         # u . (cq * cw_i) == cw_i . (u * cq), so one matvec gives all logits
         qa = T.attention_weights(T.mul(self.attn_u, cq), cw)
         _check_distribution(qa, "question attention")
-        c_t = T.matmul(qa, cw, batched=batched)
+        c_t = T.matmul(qa, cw)
         return c_t, qa
 
 

@@ -19,8 +19,9 @@ keep their backward caches only while a graph is being recorded.
 Batch axis. For forward-only evaluation the fused ops, ``matmul`` and
 ``softmax`` also take a leading batch axis, one entry per episode. Ops
 whose per-episode operands have a fixed rank read the batch from one
-extra leading axis; ``linear`` and ``matmul``, whose per-episode operand
-may be a vector or a matrix, take ``batched=True``. A batched op runs
+extra leading axis; ``matmul`` reads it from a rank-3 right operand, and
+``linear``, whose per-episode input may be a vector or a matrix, takes
+``batched=True``. A batched op runs
 every episode through the same numpy kernel as the unbatched op:
 ``np.matmul`` over the leading axis with each episode's operand rank kept
 (``x[:, None, :] @ w`` for a vector per episode, never one folded 2-D
@@ -313,15 +314,15 @@ def neg(a) -> Tensor:
     return Tensor._from_op(-a.data, (a,), lambda g: (-g,))
 
 
-def matmul(a, b, batched=False) -> Tensor:
+def matmul(a, b) -> Tensor:
     """Matrix/vector product for ranks (2,2), (2,1), (1,2) and (1,1).
 
-    With `batched`, a is one vector per episode (B, L) and b one matrix per
-    episode (B, L, d); returns (B, d). Forward only.
+    A rank-3 b is a batch: a is one vector per episode (B, L) and b one
+    matrix per episode (B, L, d); returns (B, d). Forward only.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if batched:
-        if a.ndim != 2 or b.ndim != 3 or b.shape[:2] != a.shape:
+    if b.ndim == 3:
+        if a.ndim != 2 or b.shape[:2] != a.shape:
             raise ShapeError(f"batched matmul got {a.shape} @ {b.shape}")
         _forward_only("matmul", (a, b))
         return Tensor._from_op(_vecmat(a.data, b.data), (), None)
@@ -357,9 +358,7 @@ def linear(x, w, b, batched=False) -> Tensor:
         raise ShapeError(f"linear got x {x.shape}, w {w.shape}, b {b.shape}")
     if batched:
         _forward_only("linear", (x, w, b))
-        out = (_vecmat(xd, wd) if rank == 1 else xd @ wd) + b.data
-        return Tensor._from_op(out, (), None)
-    out = xd @ wd + b.data
+    out = (_vecmat(xd, wd) if rank == 1 else xd @ wd) + b.data
 
     def backward(g):
         gx = g @ wd.T if x.requires_grad else None
@@ -467,10 +466,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     """Max-shifted softmax of a rank-1 array, or of each row of a batch,
     screened for non-finite input."""
     _screen_finite(x)
-    if x.ndim == 1:
-        shifted = x - x.max()
-        e = np.exp(shifted)
-        return e / e.sum()
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -486,10 +481,9 @@ def softmax(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim not in (1, 2) or a.size < 1:
         raise ShapeError("softmax expects a non-empty rank-1 tensor or a batch")
-    out = _softmax(a.data)
     if a.ndim == 2:
         _forward_only("softmax", (a,))
-        return Tensor._from_op(out, (), None)
+    out = _softmax(a.data)
     return Tensor._from_op(out, (a,), lambda g: (_softmax_backward(g, out),))
 
 
@@ -644,7 +638,7 @@ def dot_attention(query, keys, values, scale=None):
     if scale is None:
         scale = 1.0 / math.sqrt(query.shape[-1])
     weights = attention_weights(query, keys, scale)
-    summary = matmul(weights, values, batched=batched)
+    summary = matmul(weights, values)
     return weights, summary
 
 
@@ -666,9 +660,7 @@ def attention_weights(query, keys, scale=1.0) -> Tensor:
     scale = np.asarray(scale, dtype=_DEFAULT_DTYPE)
     if batched:
         _forward_only("attention_weights", (query, keys))
-        logits = np.matmul(keys.data, query.data[:, :, None])[:, :, 0]
-        return Tensor._from_op(_softmax(logits * scale), (), None)
-    out = _softmax(np.asarray(keys.data @ query.data) * scale)
+    out = _softmax(np.matmul(keys.data, query.data[..., None])[..., 0] * scale)
 
     def backward(g):
         gl = _softmax_backward(g, out) * scale
@@ -690,9 +682,8 @@ def attention_aggregate(a) -> Tensor:
         raise ShapeError("attention_aggregate expects a rank-1 tensor or a batch")
     if a.ndim == 2:
         _forward_only("attention_aggregate", (a,))
-        out = np.matmul(a.data[:, None, :], a.data[:, :, None])[:, 0, 0]
-        return Tensor._from_op(out, (), None)
-    out = np.asarray(a.data @ a.data)
+    ad = a.data
+    out = np.asarray(np.matmul(ad[..., None, :], ad[..., :, None])[..., 0, 0])
 
     def backward(g):
         return (2.0 * g * a.data,)
@@ -788,9 +779,7 @@ def weighted_sum(a, x, b, y) -> Tensor:
         )
     if batched:
         _forward_only("weighted_sum", (a, x, b, y))
-        out = a.data[:, None] * x.data + b.data[:, None] * y.data
-        return Tensor._from_op(out, (), None)
-    out = a.data * x.data + b.data * y.data
+    out = a.data[..., None] * x.data + b.data[..., None] * y.data
 
     def backward(g):
         return (
@@ -841,13 +830,11 @@ def write_head_shift(wh, h_a) -> Tensor:
         raise ShapeError(f"write_head_shift got wh {wh.shape}, h_a {h_a.shape}")
     if h_a.ndim == 1:
         _forward_only("write_head_shift", (wh, h_a))
-        ha = h_a.data[:, None]
-        shifted = np.concatenate((wh.data[:, -1:], wh.data[:, :-1]), axis=1)
-        out = ha * shifted + (1.0 - ha) * wh.data
-        return Tensor._from_op(out, (), None)
-    shifted = np.concatenate((wh.data[-1:], wh.data[:-1]))  # np.roll(wh, 1)
-    stay = 1.0 - h_a.data
-    out = h_a.data * shifted + stay * wh.data
+    ha = h_a.data[..., None]
+    # np.roll(wh, 1) over the last axis
+    shifted = np.concatenate((wh.data[..., -1:], wh.data[..., :-1]), axis=-1)
+    stay = 1.0 - ha
+    out = ha * shifted + stay * wh.data
 
     def backward(g):
         gwh = gh = None
