@@ -21,10 +21,10 @@ Batch axis. For forward-only evaluation the fused ops, ``matmul`` and
 whose per-episode operands have a fixed rank read the batch from one
 extra leading axis; ``matmul`` reads it from a rank-3 right operand, and
 ``linear``, whose per-episode input may be a vector or a matrix, takes
-``batched=True``. A batched op runs
-every episode through the same numpy kernel as the unbatched op:
+``batched=True``. Each op writes its forward once, for one episode and
+for a batch, so every episode runs through the same numpy kernel:
 ``np.matmul`` over the leading axis with each episode's operand rank kept
-(``x[:, None, :] @ w`` for a vector per episode, never one folded 2-D
+(``x[..., None, :] @ w`` for a vector per episode, never one folded 2-D
 gemm), reductions over the last axis, elementwise maths. Each episode's
 values are therefore bit-identical to an unbatched forward. Batched ops
 have no backward: a batched op raises ``ShapeError`` while the tape is
