@@ -9,9 +9,12 @@ crosses frame boundaries only through the slot memory and its write head.
 
 Every component also runs a batch of episodes forward: each per-episode
 tensor then has a leading batch axis, which a component reads from the
-rank of its inputs (a control state (B, d) rather than (d,)). The batched
-values of each episode are bit-identical to its unbatched forward; see
-the batch-axis note in `tensor`.
+rank of its inputs (a control state (B, d) rather than (d,)). Questions in
+a batch may differ in length, so the contextual words come in one group per
+length, and only the controller's attention over them runs per group; every
+other op of the cell sees the whole batch. The batched values of each
+episode are bit-identical to its unbatched forward; see the batch-axis note
+in `tensor`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoders import FrameEncoder, QuestionEncoder
+from .encoders import FrameEncoder, QuestionEncoder, question_batch
 from .params import ParameterStore
 from .tensor import Tensor
 
@@ -141,7 +144,13 @@ class QuestionDrivenController:
         self.merge_b = store.new(f"{prefix}.merge.b", (d,), fan_in=0)
         self.attn_u = store.new(f"{prefix}.attn.u", (d,), fan_in=d)
 
-    def step(self, q: Tensor, cw: Tensor, c_prev: Tensor, t: int):
+    def step(self, q: Tensor, cw, c_prev: Tensor, t: int):
+        """Control state c_t and the attention qa over the question words.
+
+        For a batch (q (B, d), cw per length group as in `QuestionEncoding`)
+        only the attention and its read run per group, each group's rows
+        written into one (B, d) c_t; qa is then one tensor per group.
+        """
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
         w, b = self.q_step[t - 1]
@@ -150,10 +159,19 @@ class QuestionDrivenController:
         cq = T.linear(T.concat([q_t, c_prev], axis=-1), self.merge_w,
                       self.merge_b, batched=batched)
         # u . (cq * cw_i) == cw_i . (u * cq), so one matvec gives all logits
-        qa = T.attention_weights(T.mul(self.attn_u, cq), cw)
-        _check_distribution(qa, "question attention")
-        c_t = T.matmul(qa, cw)
-        return c_t, qa
+        uq = T.mul(self.attn_u, cq)
+        if not batched:
+            qa = T.attention_weights(uq, cw)
+            _check_distribution(qa, "question attention")
+            return T.matmul(qa, cw), qa
+        c_t = np.empty_like(uq.data)
+        qa = []
+        for rows, words in cw:
+            qa_g = T.attention_weights(T.select(uq, rows), words)
+            _check_distribution(qa_g, "question attention")
+            c_t[rows] = T.matmul(qa_g, words).data
+            qa.append(qa_g)
+        return Tensor(c_t), qa
 
 
 class TemporalClassifier:
@@ -356,13 +374,13 @@ class SAMNet:
         vectors. n_slots may differ from the training-time setting: no
         parameter shape depends on it.
 
-        A batch of B episodes with equal question length L and equal frame
-        shape is token_ids (B, L) with frames (B, K, H, W, C), and returns
-        (B, K, num_answers), each episode bit-identical to its own forward.
-        A batch runs forward only (under `no_grad`) and takes no trace.
+        A batch of B episodes with equal frame shape is B token sequences
+        of any lengths (see `QuestionEncoder.encode`) with frames
+        (B, K, H, W, C), and returns (B, K, num_answers), each episode
+        bit-identical to its own forward. A batch runs forward only (under
+        `no_grad`) and takes no trace.
         """
-        ids = np.asarray(token_ids)
-        batch = ids.shape[0] if ids.ndim == 2 else None
+        batch = question_batch(token_ids)
         frames = np.asarray(frames, dtype=T.default_dtype())
         if batch is None and frames.ndim == 3:
             frames = frames[None]
@@ -383,7 +401,7 @@ class SAMNet:
             overrides.setdefault("g_m", 0.0)
             overrides.setdefault("h_r", 0.0)
             overrides.setdefault("h_a", 0.0)
-        enc = self.question_encoder.encode(ids)
+        enc = self.question_encoder.encode(token_ids)
         if batch is None:
             features = self.frame_encoder.encode(frames)  # (K, H*W, d)
         else:

@@ -26,6 +26,16 @@ TRANSFER_KEYS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
+    return value
+
+
 def _cmd_gen(args) -> int:
     cfg = parse_config_file(args.config)
     episode_cfg = cfg.episode_config()
@@ -152,7 +162,7 @@ def main(argv=None) -> int:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True,
                    help="corpus file or data config file")
-    p.add_argument("--mem-slots", type=int, default=None,
+    p.add_argument("--mem-slots", type=_positive_int, default=None,
                    help="override the number of memory slots at test time")
     p.add_argument("--ablate-writes", action="store_true",
                    help="force the memory write gates to zero")

@@ -24,8 +24,22 @@ class VocabularyError(ValueError):
 
 @dataclass
 class QuestionEncoding:
-    cw: Tensor  # (L, d) contextual words
-    q: Tensor  # (d,) question embedding
+    """One question: q (d,) and its contextual words cw (L, d).
+
+    A batch of B questions of any lengths: q (B, d) in batch order, and cw
+    one (rows, words) pair per question length, where rows are the batch
+    indices of that length in ascending order and words is (B_g, L, d).
+    """
+
+    cw: Tensor | list[tuple[np.ndarray, Tensor]]
+    q: Tensor
+
+
+def question_batch(token_ids) -> int | None:
+    """B for a batch of B token sequences, None for one sequence."""
+    if len(token_ids) and np.ndim(token_ids[0]) == 1:
+        return len(token_ids)
+    return None
 
 
 class QuestionEncoder:
@@ -48,28 +62,53 @@ class QuestionEncoder:
         self.q_w = store.new(f"{prefix}.q.w", (d, d), fan_in=d)
         self.q_b = store.new(f"{prefix}.q.b", (d,), fan_in=0)
 
-    def encode(self, token_ids) -> QuestionEncoding:
-        """Encode one sequence (L,), or a batch of equal-length ones (B, L)
-        forward only, to cw (L, d) and q (d,) with a leading batch axis."""
+    def _checked_ids(self, token_ids) -> np.ndarray:
         ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.ndim not in (1, 2) or ids.size < 1:
+        if ids.ndim != 1 or ids.size < 1:
             raise VocabularyError("expected a non-empty token id sequence")
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             bad = ids[(ids < 0) | (ids >= self.vocab_size)][0]
             raise VocabularyError(
                 f"token id {int(bad)} outside vocabulary of size {self.vocab_size}"
             )
+        return ids
+
+    def _contextual(self, ids: np.ndarray):
+        """cw and the final states [fwd last, bwd first] of one sequence (L,)
+        or of an equal-length batch (B, L)."""
         batched = ids.ndim == 2
         embeds = T.take_rows(self.embed, ids)
         fwd = T.lstm_direction(embeds, *self.dir_params["fwd"])
         bwd = T.lstm_direction(embeds, *self.dir_params["bwd"], reverse=True)
         cw = T.linear(T.concat([fwd, bwd], axis=-1), self.cw_w, self.cw_b,
                       batched=batched)
-        # each direction's final state: the last position forward, the first backward
         last = ids.shape[-1] - 1
-        q = T.linear(T.concat([fwd[..., last, :], bwd[..., 0, :]], axis=-1),
-                     self.q_w, self.q_b, batched=batched)
-        return QuestionEncoding(cw=cw, q=q)
+        return cw, T.concat([fwd[..., last, :], bwd[..., 0, :]], axis=-1)
+
+    def encode(self, token_ids) -> QuestionEncoding:
+        """Encode one token sequence (L,) to cw (L, d) and q (d,).
+
+        A batch is B sequences of any lengths (a list, or a (B, L) array),
+        forward only. The LSTM and the cw linear run once per length group
+        as on one equal-length batch, and the q linear once on all B final
+        states; see `QuestionEncoding` for the batch layout.
+        """
+        if question_batch(token_ids) is None:
+            cw, final = self._contextual(self._checked_ids(token_ids))
+            return QuestionEncoding(cw=cw, q=T.linear(final, self.q_w, self.q_b))
+        seqs = [self._checked_ids(s) for s in token_ids]
+        by_length: dict[int, list[int]] = {}
+        for i, ids in enumerate(seqs):
+            by_length.setdefault(ids.size, []).append(i)
+        finals = np.empty((len(seqs), self.d), dtype=T.default_dtype())
+        groups = []
+        for members in by_length.values():
+            rows = np.array(members)
+            cw, final = self._contextual(np.stack([seqs[i] for i in members]))
+            finals[rows] = final.data
+            groups.append((rows, cw))
+        q = T.linear(Tensor(finals), self.q_w, self.q_b, batched=True)
+        return QuestionEncoding(cw=groups, q=q)
 
 
 class FrameEncoder:

@@ -26,9 +26,11 @@ for a batch, so every episode runs through the same numpy kernel:
 ``np.matmul`` over the leading axis with each episode's operand rank kept
 (``x[..., None, :] @ w`` for a vector per episode, never one folded 2-D
 gemm), reductions over the last axis, elementwise maths. Each episode's
-values are therefore bit-identical to an unbatched forward. Batched ops
-have no backward: a batched op raises ``ShapeError`` while the tape is
-recording.
+values are therefore bit-identical to an unbatched forward. Nothing is
+padded: an op's batch has one shape, so a batch of questions of several
+lengths runs the ops over its words once per length group (see
+``encoders.QuestionEncoding``). Batched ops have no backward: a batched op
+raises ``ShapeError`` while the tape is recording.
 """
 
 from __future__ import annotations

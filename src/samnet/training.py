@@ -222,27 +222,31 @@ class EvalResult:
 
 
 # Episodes per batched evaluation forward. Per episode a batch holds its
-# frame features, rendered frames, one frame's rows, keys and values, and its
-# memory: about 0.15 MB at toy-hard with 16 slots, so 4.7 MB at the cap. The
+# frame features, rendered frames, one frame's rows, keys and values, its
+# memory and its contextual words: about 0.15 MB at toy-hard with 16 slots.
+# Measured on 256 toy-hard episodes at 16 slots (one thread), peak RSS was
+# 39.7 MB at a cap of 1 and 43.9 MB at 32, so about 0.13 MB per episode. The
 # frame CNN runs one episode at a time, so its im2col buffers do not grow.
 _EVAL_BATCH = 32
 
 
 def _eval_logits(model: SAMNet, episodes, n_slots, gate_overrides) -> list:
     """Per-episode logits (K, num_answers), forwarded in batches of episodes
-    with equal question length and frame shape; no padding, so each is
-    bit-identical to the episode's own forward."""
+    with equal frame shape; no padding, so each is bit-identical to the
+    episode's own forward."""
     groups: dict[tuple, list[int]] = {}
     for i, ep in enumerate(episodes):
-        key = (len(ep.tokens), len(ep.scenes), ep.config.height, ep.config.width)
+        key = (len(ep.scenes), ep.config.height, ep.config.width)
         groups.setdefault(key, []).append(i)
     logits = [None] * len(episodes)
     with T.no_grad():
         for members in groups.values():
+            # by question length, so that each batch spans few length groups
+            members.sort(key=lambda i: len(episodes[i].token_ids))
             for start in range(0, len(members), _EVAL_BATCH):
                 chunk = members[start:start + _EVAL_BATCH]
                 out = model.episode_forward(
-                    np.array([episodes[i].token_ids for i in chunk]),
+                    [episodes[i].token_ids for i in chunk],
                     np.stack([episodes[i].frames_symbolic() for i in chunk]),
                     n_slots=n_slots, gate_overrides=gate_overrides,
                 ).data

@@ -326,6 +326,10 @@ def run_protocol(split: TransferSplit, base: TrainConfig, out_dir: str,
     fine-tuning continues training on the target and then evaluates both
     target and source (measuring degradation on the source domain).
     """
+    if eval_episodes < 1:
+        raise ValueError(f"eval_episodes must be >= 1, got {eval_episodes}")
+    if target_mem_slots is not None and target_mem_slots < 1:
+        raise ValueError(f"target_mem_slots must be >= 1, got {target_mem_slots}")
     os.makedirs(out_dir, exist_ok=True)
     source_cfg = replace(
         base,

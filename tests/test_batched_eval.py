@@ -1,9 +1,9 @@
 """Batched evaluation against the per-episode evaluation it replaced.
 
-`training.evaluate_episodes` forwards episodes in batches of equal question
-length and frame shape. `reference_evaluate` is the former loop, one
-`episode_forward` per episode; every per-episode logit must match it bit
-for bit and every `EvalResult` field but `seconds` must be equal.
+`training.evaluate_episodes` forwards episodes in batches of equal frame
+shape, whatever their question lengths. `reference_evaluate` is the former
+loop, one `episode_forward` per episode; every per-episode logit must match
+it bit for bit and every `EvalResult` field but `seconds` must be equal.
 """
 
 import time
@@ -91,6 +91,20 @@ def assert_matches_reference(model, episodes, n_slots=None, gate_overrides=None)
     assert list(batched.per_class.items()) == list(reference.per_class.items())
 
 
+def record_batches(model, monkeypatch) -> list:
+    """Question lengths of each batched `episode_forward` call, in order."""
+    calls = []
+    forward = model.episode_forward
+
+    def spy(token_ids, frames, **kw):
+        if np.ndim(token_ids[0]) == 1:
+            calls.append([len(ids) for ids in token_ids])
+        return forward(token_ids, frames, **kw)
+
+    monkeypatch.setattr(model, "episode_forward", spy)
+    return calls
+
+
 @pytest.mark.parametrize("preset", ["toy-canonical", "toy-hard"])
 @pytest.mark.parametrize("cap", [32, 3])
 def test_mixed_question_lengths(preset, cap, monkeypatch):
@@ -99,14 +113,34 @@ def test_mixed_question_lengths(preset, cap, monkeypatch):
     lengths = [len(ep.tokens) for ep in episodes]
     assert len(set(lengths)) > 2
     assert max(lengths.count(n) for n in lengths) > 3  # cap 3 splits a group
+    calls = record_batches(model, monkeypatch)
+    training._eval_logits(model, episodes, None, None)
+    # shortest questions first, then cut into batches of at most `cap`
+    ordered = sorted(lengths)
+    assert calls == [ordered[i:i + cap] for i in range(0, len(ordered), cap)]
+    assert any(len(set(batch)) > 1 for batch in calls)
     assert_matches_reference(model, episodes)
+
+
+@pytest.mark.parametrize("preset", ["toy-canonical", "toy-hard"])
+def test_every_length_distinct(preset, monkeypatch):
+    model, pool = model_and_episodes(preset, 48)
+    by_length = {}
+    for ep in pool:
+        by_length.setdefault(len(ep.tokens), ep)
+    episodes = list(by_length.values())
+    assert len(episodes) > 5
+    calls = record_batches(model, monkeypatch)
+    assert_matches_reference(model, episodes)
+    assert calls[0] == sorted(len(ep.tokens) for ep in episodes)
 
 
 @pytest.mark.parametrize("n_slots", [2, 16])
 def test_slot_count_other_than_trained(n_slots):
-    model, episodes = model_and_episodes("toy-hard", 12)
-    assert model.config.mem_slots != n_slots
-    assert_matches_reference(model, episodes, n_slots=n_slots)
+    for preset in ("toy-canonical", "toy-hard"):
+        model, episodes = model_and_episodes(preset, 12)
+        assert model.config.mem_slots != n_slots
+        assert_matches_reference(model, episodes, n_slots=n_slots)
 
 
 def test_write_ablation_overrides():
@@ -114,13 +148,17 @@ def test_write_ablation_overrides():
     assert_matches_reference(model, episodes, n_slots=6,
                              gate_overrides={"h_r": 0.0, "h_a": 0.0})
     assert_matches_reference(model, episodes, gate_overrides={"g_v": 1.0})
+    for preset in ("toy-canonical", "toy-hard"):
+        model, episodes = model_and_episodes(preset, 16)
+        assert_matches_reference(model, episodes, n_slots=16,
+                                 gate_overrides={"h_r": 0.0, "h_a": 0.0})
 
 
 def test_memory_disabled():
-    model, episodes = model_and_episodes("toy-canonical", 16,
-                                         memory_enabled=False)
-    assert not model.config.memory_enabled
-    assert_matches_reference(model, episodes)
+    for preset in ("toy-canonical", "toy-hard"):
+        model, episodes = model_and_episodes(preset, 16, memory_enabled=False)
+        assert not model.config.memory_enabled
+        assert_matches_reference(model, episodes)
 
 
 def test_two_frame_counts_in_one_list():
@@ -134,20 +172,25 @@ def test_two_frame_counts_in_one_list():
     assert_matches_reference(model, mixed)
 
 
-def test_one_episode():
-    model, episodes = model_and_episodes("toy-hard", 1)
-    assert_matches_reference(model, episodes)
+def test_one_episode(monkeypatch):
+    for preset in ("toy-canonical", "toy-hard"):
+        model, episodes = model_and_episodes(preset, 1)
+        calls = record_batches(model, monkeypatch)
+        assert_matches_reference(model, episodes)
+        assert calls[0] == [len(episodes[0].tokens)]
 
 
 def test_batched_forward_refuses_the_tape():
     model, episodes = model_and_episodes("toy-canonical", 12)
     n = len(episodes[0].tokens)
     same = [ep for ep in episodes if len(ep.tokens) == n][:2]
-    assert len(same) == 2
-    ids = np.array([ep.token_ids for ep in same])
-    frames = np.stack([ep.frames_symbolic() for ep in same])
-    with pytest.raises(T.ShapeError, match="no_grad"):
-        model.episode_forward(ids, frames)
-    with T.no_grad():
-        out = model.episode_forward(ids, frames)
-    assert out.shape == (len(same), 4, model.config.num_answers)
+    mixed = [episodes[0]] + [ep for ep in episodes if len(ep.tokens) != n][:2]
+    assert len(same) == 2 and len({len(ep.tokens) for ep in mixed}) > 1
+    for batch, ids in ((same, np.array([ep.token_ids for ep in same])),
+                       (mixed, [ep.token_ids for ep in mixed])):
+        frames = np.stack([ep.frames_symbolic() for ep in batch])
+        with pytest.raises(T.ShapeError, match="no_grad"):
+            model.episode_forward(ids, frames)
+        with T.no_grad():
+            out = model.episode_forward(ids, frames)
+        assert out.shape == (len(batch), 4, model.config.num_answers)

@@ -51,15 +51,28 @@ def test_train_eval_round_trip(tiny_conf, tmp_path, capsys):
     assert set(payload) >= {"loss", "accuracy", "per_class_accuracy"}
     assert payload["episodes"] == 10
 
-    # zero slots is an error, not the trained size
-    with pytest.raises(ValueError, match="n_slots must be >= 1"):
+    # zero slots is a usage error, not the trained size
+    with pytest.raises(SystemExit) as exc:
         main(["eval", "--ckpt", ckpt, "--data", corpus, "--mem-slots", "0"])
+    assert exc.value.code == 2
 
     # ablating memory writes is a valid evaluation mode
     assert main(["eval", "--ckpt", ckpt, "--data", corpus,
                  "--ablate-writes"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert 0.0 <= payload["accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("slots", ["0", "-1", "two"])
+def test_eval_slot_count_below_one_is_a_usage_error(slots, capsys):
+    # rejected while parsing, before the checkpoint or the data is read
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", "missing.ckpt", "--data", "missing.jsonl",
+              "--mem-slots", slots])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: samnet eval" in err
+    assert f"--mem-slots: expected an int >= 1, got '{slots}'" in err
 
 
 def test_transfer_emits_report(tmp_path, capsys):

@@ -45,6 +45,45 @@ class TestQuestionEncoder:
                 changed += 1
         assert changed >= 95
 
+    def test_ragged_batch_equals_each_sequence(self):
+        enc = QuestionEncoder(store_with_seed(11), vocab_size=12, d=16)
+        rng = np.random.default_rng(11)
+        seqs = [rng.integers(0, 12, size=n).tolist()
+                for n in (5, 3, 5, 1, 7, 3, 5)]
+        with T.no_grad():
+            out = enc.encode(seqs)
+            single = [enc.encode(s) for s in seqs]
+        assert out.q.shape == (len(seqs), 16)
+        for i, one in enumerate(single):
+            assert np.array_equal(out.q.data[i], one.q.data)
+        # one group per length, in order of first appearance
+        assert [words.shape for _, words in out.cw] == [
+            (3, 5, 16), (2, 3, 16), (1, 1, 16), (1, 7, 16)]
+        covered = []
+        for rows, words in out.cw:
+            assert list(rows) == sorted(rows)
+            for row, w in zip(rows, words.data):
+                assert np.array_equal(w, single[row].cw.data)
+            covered.extend(rows)
+        assert sorted(covered) == list(range(len(seqs)))
+
+    def test_equal_length_batch_is_one_group(self):
+        enc = QuestionEncoder(store_with_seed(12), vocab_size=6, d=8)
+        ids = np.array([[1, 2, 3], [3, 2, 1]])
+        with T.no_grad():
+            out = enc.encode(ids)
+            expected = enc.encode(ids.tolist())
+        [(rows, words)] = out.cw
+        assert list(rows) == [0, 1] and words.shape == (2, 3, 8)
+        assert np.array_equal(out.q.data, expected.q.data)
+
+    def test_ragged_batch_refuses_the_tape(self):
+        enc = QuestionEncoder(store_with_seed(13), vocab_size=6, d=8)
+        with pytest.raises(T.ShapeError, match="no_grad"):
+            enc.encode([[1, 2], [3, 4, 5]])
+        with pytest.raises(VocabularyError):
+            enc.encode([[1, 2], []])
+
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             QuestionEncoder(store_with_seed(3), vocab_size=4, d=7)

@@ -183,6 +183,23 @@ class TestReasoningSplit:
 
 
 class TestRunProtocol:
+    @pytest.mark.parametrize("kw", [{"target_mem_slots": 0},
+                                    {"target_mem_slots": -1},
+                                    {"eval_episodes": 0}])
+    def test_bad_evaluation_settings_rejected_before_training(
+            self, tmp_path, monkeypatch, kw):
+        from samnet import transfer
+
+        def train(*args, **kwargs):
+            raise AssertionError("run_protocol trained before rejecting")
+
+        monkeypatch.setattr(transfer, "train", train)
+        split = build_reasoning_split("only_t", "Basic")
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            run_protocol(split, small_base_cfg(tmp_path / "w"),
+                         out_dir=str(tmp_path / "w"), **kw)
+        assert not (tmp_path / "w").exists()
+
     def test_zero_shot_report_structure(self, tmp_path):
         split = build_reasoning_split(
             "all_but_t", "Cognitive",
