@@ -27,13 +27,19 @@ print("weights:", np.round(weights.data, 3), "sum:", round(float(weights.data.su
 print("summary shape:", summary.shape)
 
 print("\n=== reverse mode from a scalar root ===")
+# every layer is one fused op: one tape node with a hand-written backward
 store = ParameterStore(np.random.default_rng(1))
 x = store.new("x", (3,))
 x.data = np.array([1.0, -2.0, 0.5], dtype=np.float32)
-loss = T.tsum(T.square(T.elu(x)))
+w = store.new("w", (3, 4))
+b = store.new("b", (4,), fan_in=0)
+logits = T.linear(T.elu(x), w, b)
+loss = T.cross_entropy_logits(logits, 2)
 loss.backward()
+print("logits:", np.round(logits.data, 4))
 print("loss:", round(loss.item(), 4))
 print("dloss/dx:", np.round(store["x"].grad, 4))
+print("dloss/db:", np.round(store["b"].grad, 4), " (softmax - one-hot)")
 
 print("\n=== central-difference verification ===")
 with T.precision("float64"):

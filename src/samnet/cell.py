@@ -40,13 +40,13 @@ class ModelConfig:
     d: int = 128
     steps: int = 8
     mem_slots: int = 8
-    gate_mode: str = "softmax"  # "softmax" | "sigmoid"
     gate_hidden: int = 0  # 0 means use d
     memory_enabled: bool = True
 
     def __post_init__(self):
-        if self.gate_mode not in ("softmax", "sigmoid"):
-            raise ValueError(f"unknown gate_mode {self.gate_mode!r}")
+        for name in ("d", "steps", "mem_slots"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.gate_hidden == 0:
             self.gate_hidden = self.d
 
@@ -235,28 +235,23 @@ class MemoryRetrieval:
 class GateNetwork:
     """3-layer ELU classifier from (vs, rs, tau) to the gating values.
 
-    g_v and g_m are independent sigmoids. The write gates default to a
-    3-way softmax (h_r, h_a, h_none) so that h_r + h_a <= 1 holds by
-    construction; "sigmoid" mode drops that guarantee for ablations.
+    g_v and g_m are independent sigmoids. The write gates are a 3-way
+    softmax (h_r, h_a, h_none), so h_r + h_a <= 1 holds by construction.
     """
 
-    def __init__(self, store: ParameterStore, hidden: int, mode: str = "softmax",
-                 prefix="cell.gates"):
-        self.mode = mode
+    def __init__(self, store: ParameterStore, hidden: int, prefix="cell.gates"):
         self.w1 = store.new(f"{prefix}.w1", (6, hidden), fan_in=6)
         self.b1 = store.new(f"{prefix}.b1", (hidden,), fan_in=0)
         self.w2 = store.new(f"{prefix}.w2", (hidden, hidden), fan_in=hidden)
         self.b2 = store.new(f"{prefix}.b2", (hidden,), fan_in=0)
         self.obj_w = store.new(f"{prefix}.obj.w", (hidden, 2), fan_in=hidden)
         self.obj_b = store.new(f"{prefix}.obj.b", (2,), fan_in=0)
-        n_write = 3 if mode == "softmax" else 2
-        self.write_w = store.new(f"{prefix}.write.w", (hidden, n_write), fan_in=hidden)
-        self.write_b = store.new(f"{prefix}.write.b", (n_write,), fan_in=0)
+        self.write_w = store.new(f"{prefix}.write.w", (hidden, 3), fan_in=hidden)
+        self.write_b = store.new(f"{prefix}.write.b", (3,), fan_in=0)
 
     def gates(self, vs: Tensor, rs: Tensor, tau: Tensor) -> Gates:
         out = T.gate_mlp(vs, rs, tau, self.w1, self.b1, self.w2, self.b2,
-                         self.obj_w, self.obj_b, self.write_w, self.write_b,
-                         mode=self.mode)
+                         self.obj_w, self.obj_b, self.write_w, self.write_b)
         return Gates(g_v=out[..., 0], g_m=out[..., 1], h_r=out[..., 2],
                      h_a=out[..., 3], h_none=out[..., 4])
 
@@ -307,7 +302,7 @@ class SAMCell:
         self.temporal = TemporalClassifier(store, d)
         self.visual = VisualRetrieval(store, d)
         self.memread = MemoryRetrieval(store, d)
-        self.gate_net = GateNetwork(store, config.gate_hidden, config.gate_mode)
+        self.gate_net = GateNetwork(store, config.gate_hidden)
         self.summary = SummaryUpdate(store, d)
         self.c0 = store.new("cell.c0", (d,), fan_in=d)
         self.so0 = store.new("cell.so0", (d,), fan_in=d)
@@ -454,13 +449,21 @@ class SAMNet:
             "vocab_size": str(c.vocab_size),
             "num_answers": str(c.num_answers),
             "in_channels": str(c.in_channels),
-            "gate_mode": c.gate_mode,
             "gate_hidden": str(c.gate_hidden),
             "memory_enabled": str(int(c.memory_enabled)),
         }
 
     @classmethod
     def config_from_hypers(cls, hypers: dict[str, str]) -> ModelConfig:
+        """The config a checkpoint header describes; KeyError for a missing
+        key, ValueError for a bad value. The `gate_mode softmax` line of
+        older checkpoints is accepted; the write gates have no other form."""
+        if hypers.get("gate_mode", "softmax") != "softmax":
+            raise ValueError(f"unknown gate_mode {hypers['gate_mode']!r}")
+        if hypers["memory_enabled"] not in ("0", "1"):
+            raise ValueError(
+                f"memory_enabled must be 0 or 1, got {hypers['memory_enabled']!r}"
+            )
         return ModelConfig(
             vocab_size=int(hypers["vocab_size"]),
             num_answers=int(hypers["num_answers"]),
@@ -468,7 +471,6 @@ class SAMNet:
             d=int(hypers["d"]),
             steps=int(hypers["steps"]),
             mem_slots=int(hypers["mem_slots"]),
-            gate_mode=hypers["gate_mode"],
             gate_hidden=int(hypers["gate_hidden"]),
-            memory_enabled=bool(int(hypers["memory_enabled"])),
+            memory_enabled=hypers["memory_enabled"] == "1",
         )

@@ -111,19 +111,27 @@ def _build_split(kind: str, mode: str, extras: dict, episode_cfg):
     )
 
 
+def _config_count(args, extras: dict, key: str, default):
+    """A config count with the `_positive_int` rule; a usage error if bad."""
+    if key not in extras:
+        return default
+    try:
+        return _positive_int(extras[key])
+    except argparse.ArgumentTypeError as exc:
+        args.parser.error(f"{args.config}: {key}: {exc}")
+
+
 def _cmd_transfer(args) -> int:
     from .transfer import run_protocol
 
     cfg, extras = config_from_kv(read_kv_file(args.config),
                                  extra_keys=TRANSFER_KEYS)
+    eval_episodes = _config_count(args, extras, "eval_episodes", 2000)
+    target_mem_slots = _config_count(args, extras, "target_mem_slots", None)
     split = _build_split(args.split, args.mode, extras, cfg.episode_config())
     report = run_protocol(
-        split, cfg, out_dir=cfg.out_dir,
-        eval_episodes=int(extras.get("eval_episodes", 2000)),
-        target_mem_slots=(
-            int(extras["target_mem_slots"])
-            if "target_mem_slots" in extras else None
-        ),
+        split, cfg, out_dir=cfg.out_dir, eval_episodes=eval_episodes,
+        target_mem_slots=target_mem_slots,
         log=print, deterministic=args.deterministic,
     )
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -174,7 +182,7 @@ def main(argv=None) -> int:
     p.add_argument("--mode", required=True, choices=("zero_shot", "finetune"))
     p.add_argument("--config", required=True)
     p.add_argument("--deterministic", action="store_true")
-    p.set_defaults(fn=_cmd_transfer)
+    p.set_defaults(fn=_cmd_transfer, parser=p)
 
     p = sub.add_parser("gradcheck", help="run the gradient-check suite")
     p.add_argument("--f64", action="store_true",

@@ -1,10 +1,11 @@
 """The full gradient-verification suite: every sub-unit plus a whole episode.
 
 Each check builds a small seeded instance of one component, reduces its
-output to a scalar through a fixed random readout, and compares tape
-gradients against central differences. Thresholds depend on scalar
-precision: float64 runs must stay below 1e-5, float32 runs below 1e-3
-(finite differences themselves carry ~1e-4 noise at that precision).
+output to a scalar through one fixed random readout ``<out, R>``
+(`_readout_from`), and compares tape gradients against central
+differences. Thresholds depend on scalar precision: float64 runs must stay
+below 1e-5, float32 runs below 1e-3 (finite differences themselves carry
+~1e-4 noise at that precision).
 """
 
 from __future__ import annotations
@@ -48,6 +49,16 @@ def _store(seed):
     return ParameterStore(np.random.default_rng(seed))
 
 
+def _readout_from(weights, out):
+    """<out, R> for an output of any rank, R = weights / sqrt(weights.size).
+
+    The scaling keeps the scalar O(1) however large the output, so float32
+    finite differences stay well inside their threshold.
+    """
+    r = np.reshape(weights, -1) / np.sqrt(np.size(weights))
+    return T.matmul(T.Tensor(r), T.reshape(out, (-1,)))
+
+
 def _check_softmax_and_ce(rng, eps):
     store = _store(1)
     logits = store.new("logits", (6,))
@@ -72,19 +83,20 @@ def _check_dot_attention(rng, eps):
 
     def f():
         weights, summary = T.dot_attention(query, keys, values)
-        return T.add(T.matmul(T.Tensor(readout), summary),
+        return T.add(_readout_from(readout, summary),
                      T.attention_aggregate(weights))
 
     return grad_check(f, store.parameters(), eps=eps)
 
 
-def _check_activations(rng, eps):
+def _check_elu(rng, eps):
     store = _store(3)
     x = store.new("x", (5,))
     x.data = rng.normal(size=5)
+    readout = rng.normal(size=5)
 
     def f():
-        return T.tsum(T.mul(T.elu(x), T.mul(T.sigmoid(x), T.tanh(x))))
+        return _readout_from(readout, T.elu(x))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -96,9 +108,10 @@ def _check_conv(rng, eps):
     kern = store.new("kern", (3, 3, 2, 3))
     kern.data = rng.normal(size=(3, 3, 2, 3)) * 0.5
     bias = store.new("bias", (3,))
+    readout = rng.normal(size=(1, 3, 3, 3))
 
     def f():
-        return T.mean(T.square(T.conv2d_same3(img, kern, bias)))
+        return _readout_from(readout, T.conv2d_same3(img, kern, bias))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -116,11 +129,11 @@ def _check_linear(rng, eps):
     store = _store(16)
     x, w, b, rows = _random_params(
         store, rng, [("x", (3,)), ("w", (3, 4)), ("b", (4,)), ("rows", (2, 3))])
-    readout = rng.normal(size=(2, 4))
+    readout = rng.normal(size=(3, 4))
 
     def f():
         return T.add(_readout_from(readout[0], T.linear(x, w, b)),
-                     T.tsum(T.square(T.linear(rows, w, b))))
+                     _readout_from(readout[1:], T.linear(rows, w, b)))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -129,13 +142,12 @@ def _check_lstm_direction(rng, eps):
     store = _store(17)
     x, wx, wh, b = _random_params(
         store, rng, [("x", (3, 2)), ("wx", (2, 8)), ("wh", (2, 8)), ("b", (8,))])
-    readout = rng.normal(size=(3, 2))
+    readout = rng.normal(size=(2, 3, 2))
 
     def f():
         fwd = T.lstm_direction(x, wx, wh, b)
         bwd = T.lstm_direction(x, wx, wh, b, reverse=True)
-        return T.add(T.tsum(T.mul(T.Tensor(readout), fwd)),
-                     T.tsum(T.square(bwd)))
+        return T.add(_readout_from(readout[0], fwd), _readout_from(readout[1], bwd))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -169,7 +181,7 @@ def _check_memory_blend(rng, eps):
     readout = rng.normal(size=(3, 4))
 
     def f():
-        return T.tsum(T.mul(T.Tensor(readout), T.memory_blend(m, w, v)))
+        return _readout_from(readout, T.memory_blend(m, w, v))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -185,35 +197,30 @@ def _check_write_head_shift(rng, eps):
     return grad_check(f, store.parameters(), eps=eps)
 
 
-def _gate_mlp_check(mode):
-    def check(rng, eps):
-        store = _store(22)
-        n_write = 3 if mode == "softmax" else 2
-        params = _random_params(store, rng, [
-            ("vs", ()), ("rs", ()), ("tau", (4,)),
-            ("w1", (6, 3)), ("b1", (3,)), ("w2", (3, 3)), ("b2", (3,)),
-            ("obj_w", (3, 2)), ("obj_b", (2,)),
-            ("write_w", (3, n_write)), ("write_b", (n_write,)),
-        ])
-        readout = rng.normal(size=5)
+def _check_gate_mlp(rng, eps):
+    store = _store(22)
+    params = _random_params(store, rng, [
+        ("vs", ()), ("rs", ()), ("tau", (4,)),
+        ("w1", (6, 3)), ("b1", (3,)), ("w2", (3, 3)), ("b2", (3,)),
+        ("obj_w", (3, 2)), ("obj_b", (2,)), ("write_w", (3, 3)), ("write_b", (3,)),
+    ])
+    readout = rng.normal(size=5)
 
-        def f():
-            return _readout_from(readout, T.gate_mlp(*params, mode=mode))
+    def f():
+        return _readout_from(readout, T.gate_mlp(*params))
 
-        return grad_check(f, store.parameters(), eps=eps)
-
-    return check
+    return grad_check(f, store.parameters(), eps=eps)
 
 
 def _check_question_encoder(rng, eps):
     store = _store(5)
     enc = QuestionEncoder(store, vocab_size=5, d=8)
-    readout = rng.normal(size=8)
+    readout = rng.normal(size=(5, 8))
 
     def f():
         out = enc.encode([0, 3, 1, 4])
-        return T.add(T.matmul(T.Tensor(readout), out.q),
-                     T.mean(T.square(out.cw)))
+        return T.add(_readout_from(readout[0], out.q),
+                     _readout_from(readout[1:], out.cw))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -222,9 +229,10 @@ def _check_frame_encoder(rng, eps):
     store = _store(6)
     enc = FrameEncoder(store, in_channels=3, d=8)
     frame = rng.normal(size=(2, 3, 3, 3))
+    readout = rng.normal(size=(2, 9, 8))
 
     def f():
-        return T.mean(T.square(enc.encode(frame)))
+        return _readout_from(readout, enc.encode(frame))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -242,10 +250,6 @@ def _check_controller(rng, eps):
         return T.add(_readout_from(readout, c_t), T.attention_aggregate(qa))
 
     return grad_check(f, store.parameters(), eps=eps)
-
-
-def _readout_from(weights, vec):
-    return T.matmul(T.Tensor(weights), vec)
 
 
 def _check_temporal(rng, eps):
@@ -298,12 +302,7 @@ def _check_gates(rng, eps):
 
     def f():
         g = net.gates(T.Tensor(0.4), T.Tensor(0.6), tau)
-        stackd = T.concat([
-            T.reshape(g.g_v, (1,)), T.reshape(g.g_m, (1,)),
-            T.reshape(g.h_r, (1,)), T.reshape(g.h_a, (1,)),
-            T.reshape(g.h_none, (1,)),
-        ])
-        return _readout_from(readout, stackd)
+        return _readout_from(readout, T.stack([g.g_v, g.g_m, g.h_r, g.h_a, g.h_none]))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -314,22 +313,19 @@ def _check_memory_write(rng, eps):
     m.data = rng.normal(size=(3, 4))
     vo = store.new("vo", (4,))
     vo.data = rng.normal(size=4)
-    raw = store.new("raw", (2,))
-    raw.data = rng.normal(size=2)
+    raw = store.new("raw", (3,))
+    raw.data = rng.normal(size=3)
     wh_prev = T.Tensor(np.random.default_rng(1).dirichlet(np.ones(3)))
     rh = T.Tensor(np.random.default_rng(2).dirichlet(np.ones(3)))
     readout = rng.normal(size=(3, 4))
+    head_readout = rng.normal(size=(2, 3))
 
     def f():
-        h_r = T.sigmoid(raw[0])
-        h_a = T.mul(T.sigmoid(raw[1]), T.sub(1.0, h_r))
-        m_t, w = memory_update(m, wh_prev, rh, vo, h_r, h_a)
-        wh_t = write_head_update(wh_prev, h_a)
-        flat = T.reshape(m_t, (12,))
-        return T.add(
-            T.matmul(T.Tensor(readout.reshape(-1)), flat),
-            T.add(T.tsum(T.square(w)), T.tsum(T.square(wh_t))),
-        )
+        write = T.softmax(raw)  # (h_r, h_a, h_none), as the gate network gives
+        m_t, w = memory_update(m, wh_prev, rh, vo, write[0], write[1])
+        wh_t = write_head_update(wh_prev, write[1])
+        return T.add(_readout_from(readout, m_t),
+                     _readout_from(head_readout, T.stack([w, wh_t])))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -387,7 +383,7 @@ def _check_full_episode(rng, eps):
 _CHECKS = [
     ("softmax_cross_entropy", _check_softmax_and_ce),
     ("dot_attention", _check_dot_attention),
-    ("activations", _check_activations),
+    ("elu", _check_elu),
     ("conv2d_same3", _check_conv),
     ("linear", _check_linear),
     ("lstm_direction", _check_lstm_direction),
@@ -395,8 +391,7 @@ _CHECKS = [
     ("weighted_sum", _check_weighted_sum),
     ("memory_blend", _check_memory_blend),
     ("write_head_shift", _check_write_head_shift),
-    ("gate_mlp_softmax", _gate_mlp_check("softmax")),
-    ("gate_mlp_sigmoid", _gate_mlp_check("sigmoid")),
+    ("gate_mlp", _check_gate_mlp),
     ("question_encoder", _check_question_encoder),
     ("frame_encoder", _check_frame_encoder),
     ("controller_step", _check_controller),

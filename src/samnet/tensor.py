@@ -3,9 +3,10 @@
 Every tensor op used by the model lives here. Forward values are numpy
 arrays; each op that participates in differentiation records its parents
 and a backward closure, and ``Tensor.backward()`` walks the recorded graph
-from an explicit scalar root. Default scalar precision is float32; switch
-to float64 (e.g. for tight gradient checks) with ``set_default_dtype`` or
-the ``precision`` context manager.
+from an explicit scalar root. Ops are functions; ``Tensor`` has no
+arithmetic operators, only indexing (``select``). Default scalar precision
+is float32; switch to float64 (e.g. for tight gradient checks) with
+``set_default_dtype`` or the ``precision`` context manager.
 
 Per-node bookkeeping, not arithmetic, dominates at the model's sizes, so
 each layer of the model is one fused op with a hand-written backward
@@ -13,8 +14,9 @@ each layer of the model is one fused op with a hand-written backward
 ``cross_entropy_logits``, ``weighted_sum``, ``memory_blend``,
 ``write_head_shift``, ``gate_mlp``). A fused forward evaluates the same
 numpy expressions in the same order as the chain of primitive ops it
-replaces, so forward values are bit-identical to that chain. Fused ops
-keep their backward caches only while a graph is being recorded.
+replaces (kept as references in ``tests/test_fused.py``), so forward
+values are bit-identical to that chain. Fused ops keep their backward
+caches only while a graph is being recorded.
 
 Batch axis. For forward-only evaluation the fused ops, ``matmul`` and
 ``softmax`` also take a leading batch axis, one entry per episode. Ops
@@ -172,37 +174,6 @@ class Tensor:
                 else:
                     parent.grad = parent.grad + g
 
-    # Operator sugar; scalars and arrays are promoted to constant tensors.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return select(self, idx)
 
@@ -273,16 +244,6 @@ def add(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return Tensor._from_op(out, (a, b), backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -309,11 +270,6 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return Tensor._from_op(out, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return Tensor._from_op(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -373,71 +329,8 @@ def linear(x, w, b, batched=False) -> Tensor:
     return Tensor._from_op(out, (x, w, b), backward)
 
 
-def tsum(a, axis=None) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.sum(axis=axis)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape),)
-
-    return Tensor._from_op(np.asarray(out), (a,), backward)
-
-
-def mean(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size
-    out = np.asarray(a.data.mean())
-
-    def backward(g):
-        return (np.broadcast_to(g / n, a.data.shape),)
-
-    return Tensor._from_op(out, (a,), backward)
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-    out = a.data * a.data
-
-    def backward(g):
-        return (2.0 * g * a.data,)
-
-    return Tensor._from_op(out, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.data)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return Tensor._from_op(out, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return Tensor._from_op(out, (a,), backward)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid(a.data)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return Tensor._from_op(out, (a,), backward)
 
 
 def _elu(a: np.ndarray) -> np.ndarray:
@@ -850,29 +743,24 @@ def write_head_shift(wh, h_a) -> Tensor:
     return Tensor._from_op(out, (wh, h_a), backward)
 
 
-def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b,
-             mode="softmax") -> Tensor:
+def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Tensor:
     """The gate network as one tape node; returns (g_v, g_m, h_r, h_a, h_none).
 
     x = [vs, rs, tau] goes through two ELU layers to the hidden h; g_v and
-    g_m are sigmoids of h @ obj_w + obj_b. In "softmax" mode (h_r, h_a,
-    h_none) is the softmax of h @ write_w + write_b; in "sigmoid" mode h_r
-    and h_a are sigmoids and h_none = 1 - (h_r + h_a). A batch is vs and
-    rs (B,) and tau (B, 4) and gives (B, 5), forward only.
+    g_m are sigmoids of h @ obj_w + obj_b, and (h_r, h_a, h_none) is the
+    softmax of h @ write_w + write_b. A batch is vs and rs (B,) and tau
+    (B, 4) and gives (B, 5), forward only.
     """
-    if mode not in ("softmax", "sigmoid"):
-        raise ValueError(f"unknown gate mode {mode!r}")
     parents = tuple(as_tensor(t) for t in (
         vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b))
     vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b = parents
-    n_write = 3 if mode == "softmax" else 2
     if (vs.ndim > 1 or rs.shape != vs.shape or tau.ndim != vs.ndim + 1
             or tau.shape[:-1] != vs.shape
             or w1.shape[0] != 2 + tau.shape[-1] or obj_w.shape[1] != 2
-            or write_w.shape[1] != n_write):
+            or write_w.shape[1] != 3):
         raise ShapeError(
             f"gate_mlp got tau {tau.shape}, w1 {w1.shape}, obj_w {obj_w.shape}, "
-            f"write_w {write_w.shape} in {mode} mode"
+            f"write_w {write_w.shape}"
         )
     if vs.ndim == 1:
         _forward_only("gate_mlp", parents)
@@ -882,24 +770,15 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b,
     a2 = _vecmat(h1, w2.data) + b2.data
     h2 = _elu(a2)
     obj = _sigmoid(_vecmat(h2, obj_w.data) + obj_b.data)
-    write_logits = _vecmat(h2, write_w.data) + write_b.data
-    if mode == "softmax":
-        write = _softmax(write_logits)
-        out = np.concatenate([obj, write], axis=-1)
-    else:
-        write = _sigmoid(write_logits)
-        h_none = 1.0 - (write[..., 0] + write[..., 1])
-        out = np.concatenate([obj, write, h_none[..., None]], axis=-1)
+    write = _softmax(_vecmat(h2, write_w.data) + write_b.data)
+    out = np.concatenate([obj, write], axis=-1)
     if not _recording(parents):
         return Tensor._from_op(out, (), None)
     d1, d2 = _elu_slope(a1, h1), _elu_slope(a2, h2)
 
     def backward(g):
         d_obj = g[0:2] * obj * (1.0 - obj)
-        if mode == "softmax":
-            d_write = _softmax_backward(g[2:5], write)
-        else:
-            d_write = (g[2:4] - g[4]) * write * (1.0 - write)
+        d_write = _softmax_backward(g[2:5], write)
         d_a2 = (d_obj @ obj_w.data.T + d_write @ write_w.data.T) * d2
         d_a1 = (d_a2 @ w2.data.T) * d1
         dx = d_a1 @ w1.data.T

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .cell import ModelConfig, SAMNet
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .minicog import (
     ANSWERS,
     EpisodeConfig,
@@ -36,13 +36,16 @@ class NonFiniteLossError(RuntimeError):
     pass
 
 
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
 @dataclass
 class TrainConfig:
     # model
     d: int = 128
     reasoning_steps: int = 8
     mem_slots: int = 8
-    gate_mode: str = "softmax"
     gate_hidden: int = 0
     memory_enabled: bool = True
     # optimizer
@@ -80,8 +83,8 @@ class TrainConfig:
         return ModelConfig(
             vocab_size=len(VOCABULARY), num_answers=len(ANSWERS),
             in_channels=GRID_CHANNELS, d=self.d, steps=self.reasoning_steps,
-            mem_slots=self.mem_slots, gate_mode=self.gate_mode,
-            gate_hidden=self.gate_hidden, memory_enabled=self.memory_enabled,
+            mem_slots=self.mem_slots, gate_hidden=self.gate_hidden,
+            memory_enabled=self.memory_enabled,
         )
 
     def task_family_weights(self) -> dict[str, float]:
@@ -99,7 +102,10 @@ class TrainConfig:
                 continue
             raw = kv[f.name]
             if f.type == "bool":
-                out[f.name] = raw.strip().lower() in ("1", "true", "yes")
+                if raw.strip().lower() not in _BOOLS:
+                    raise ValueError(f"{f.name}: expected one of "
+                                     f"1/0/true/false/yes/no, got {raw!r}")
+                out[f.name] = _BOOLS[raw.strip().lower()]
             elif f.type == "int":
                 out[f.name] = int(raw)
             elif f.type == "float":
@@ -340,10 +346,15 @@ def save_model(path, model: SAMNet, cfg: TrainConfig, step: int) -> None:
 
 
 def load_model(path):
-    """Rebuild a model from a checkpoint; returns (model, hypers)."""
+    """Rebuild a model from a checkpoint; returns (model, hypers). Raises
+    CheckpointError, naming the path, when the header's architecture is
+    malformed or does not fit the stored parameters."""
     arrays, hypers, _ = load_checkpoint(path)
-    model = SAMNet(SAMNet.config_from_hypers(hypers), init_seed=0)
-    model.store.load_arrays(arrays)
+    try:
+        model = SAMNet(SAMNet.config_from_hypers(hypers), init_seed=0)
+        model.store.load_arrays(arrays)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model header: {exc!r}") from exc
     return model, hypers
 
 

@@ -205,10 +205,9 @@ class TestGateNetwork:
         for g in (gates.h_r, gates.h_a, gates.h_none):
             assert g.item() == pytest.approx(1 / 3)
 
-    @pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
-    def test_ranges(self, mode):
+    def test_ranges(self):
         store = store_with_seed(11)
-        net = GateNetwork(store, hidden=8, mode=mode)
+        net = GateNetwork(store, hidden=8)
         rng = np.random.default_rng(11)
         for _ in range(25):
             tau = rand_distribution(rng, 4)
@@ -217,10 +216,9 @@ class TestGateNetwork:
             )
             for g in (gates.g_v, gates.g_m, gates.h_r, gates.h_a):
                 assert 0.0 <= g.item() <= 1.0
-            if mode == "softmax":
-                total = gates.h_r.item() + gates.h_a.item() + gates.h_none.item()
-                assert total == pytest.approx(1.0, abs=1e-6)
-                assert gates.h_r.item() + gates.h_a.item() <= 1.0 + 1e-6
+            total = gates.h_r.item() + gates.h_a.item() + gates.h_none.item()
+            assert total == pytest.approx(1.0, abs=1e-6)
+            assert gates.h_r.item() + gates.h_a.item() <= 1.0 + 1e-6
 
     def test_grad_check_hidden_16(self):
         with T.precision("float64"):

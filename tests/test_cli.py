@@ -95,6 +95,21 @@ def test_transfer_emits_report(tmp_path, capsys):
     assert "aggregate_accuracy" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+@pytest.mark.parametrize("key", ["eval_episodes", "target_mem_slots"])
+def test_transfer_count_below_one_is_a_usage_error(tmp_path, capsys, key, value):
+    conf = tmp_path / "transfer.conf"
+    conf.write_text(f"d = 16\nout_dir = {tmp_path / 'tr'}\n{key} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["transfer", "--split", "reasoning", "--mode", "zero_shot",
+              "--config", str(conf)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: samnet transfer" in err
+    assert f"{key}: expected an int >= 1, got '{value}'" in err
+    assert not (tmp_path / "tr").exists()  # rejected before any training
+
+
 def test_gradcheck_exit_code(capsys):
     # float32 mode keeps the CLI contract fast enough for the unit suite
     assert main(["gradcheck"]) == 0

@@ -5,6 +5,7 @@ import pytest
 from samnet import tensor as T
 from samnet.encoders import FrameEncoder, QuestionEncoder, VocabularyError
 from samnet.gradcheck import grad_check
+from samnet.gradsuite import _readout_from
 from samnet.params import ParameterStore
 
 
@@ -92,14 +93,12 @@ class TestQuestionEncoder:
         with T.precision("float64"):
             store = store_with_seed(4)
             enc = QuestionEncoder(store, vocab_size=5, d=8)
-            readout = np.random.default_rng(4).normal(size=8)
+            readout = np.random.default_rng(4).normal(size=(4, 8))
 
             def f():
                 out = enc.encode([0, 2, 4])
-                return T.add(
-                    T.matmul(T.Tensor(readout), out.q),
-                    T.mean(T.square(out.cw)),
-                )
+                return T.add(_readout_from(readout[0], out.q),
+                             _readout_from(readout[1:], out.cw))
 
             err = grad_check(f, store.parameters(), eps=1e-6)
         assert err < 1e-7
@@ -147,9 +146,10 @@ class TestFrameEncoder:
             enc = FrameEncoder(store, in_channels=2, d=8)
             rng = np.random.default_rng(10)
             frame = rng.normal(size=(1, 3, 3, 2))
+            readout = rng.normal(size=(1, 9, 8))
 
             def f():
-                return T.mean(T.square(enc.encode(frame)))
+                return _readout_from(readout, enc.encode(frame))
 
             err = grad_check(f, store.parameters(), eps=1e-6)
         assert err < 1e-7

@@ -4,16 +4,19 @@ Each fused op in `samnet.tensor` must give the same forward values, bit for
 bit in float32, as the primitive chain that the model used before it was
 fused, and the same gradients up to float64 rounding. The chains here are
 those reference graphs; the per-token LSTM loop is the question encoder's
-former `_run_direction`.
+former `_run_direction`. The elementwise ops that only these chains use
+come from `reference_ops`.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from reference_ops import sigmoid, sub, tanh
 from samnet import tensor as T
 from samnet.cell import GateNetwork, SAMNet
 from samnet.encoders import QuestionEncoder
+from samnet.gradsuite import _readout_from
 from samnet.params import ParameterStore
 from samnet.training import config_from_preset
 
@@ -33,12 +36,12 @@ def chain_lstm_direction(x, wx, wh, b, reverse=False):
     order = range(length - 1, -1, -1) if reverse else range(length)
     for i in order:
         z = T.add(T.add(xproj[i], T.matmul(h, wh)), b)
-        i_g = T.sigmoid(z[0:hh])
-        f_g = T.sigmoid(z[hh:2 * hh])
-        g = T.tanh(z[2 * hh:3 * hh])
-        o_g = T.sigmoid(z[3 * hh:4 * hh])
+        i_g = sigmoid(z[0:hh])
+        f_g = sigmoid(z[hh:2 * hh])
+        g = tanh(z[2 * hh:3 * hh])
+        o_g = sigmoid(z[3 * hh:4 * hh])
         c = T.add(T.mul(f_g, c), T.mul(i_g, g))
-        h = T.mul(o_g, T.tanh(c))
+        h = T.mul(o_g, tanh(c))
         states[i] = h
     return T.stack(states)
 
@@ -61,30 +64,24 @@ def chain_weighted_sum(a, x, b, y):
 def chain_memory_blend(m, w, v):
     n = m.shape[0]
     w_col = T.reshape(w, (n, 1))
-    keep = T.mul(m, T.sub(1.0, w_col))
+    keep = T.mul(m, sub(1.0, w_col))
     return T.add(keep, T.matmul(w_col, T.reshape(v, (1, v.shape[0]))))
 
 
 def chain_write_head_shift(wh, h_a):
     # a gather by the rotated index is the former one-step roll op
     shifted = T.select(wh, np.roll(np.arange(wh.shape[0]), 1))
-    return T.add(T.mul(h_a, shifted), T.mul(T.sub(1.0, h_a), wh))
+    return T.add(T.mul(h_a, shifted), T.mul(sub(1.0, h_a), wh))
 
 
 def chain_gate_mlp(net: GateNetwork, vs, rs, tau):
     x = T.concat([T.reshape(vs, (1,)), T.reshape(rs, (1,)), tau])
     h = T.elu(chain_linear(x, net.w1, net.b1))
     h = T.elu(chain_linear(h, net.w2, net.b2))
-    obj = T.sigmoid(chain_linear(h, net.obj_w, net.obj_b))
-    write_logits = chain_linear(h, net.write_w, net.write_b)
-    if net.mode == "softmax":
-        write = T.softmax(write_logits)
-        h_none = write[2]
-    else:
-        write = T.sigmoid(write_logits)
-        h_none = T.sub(1.0, T.add(write[0], write[1]))
+    obj = sigmoid(chain_linear(h, net.obj_w, net.obj_b))
+    write = T.softmax(chain_linear(h, net.write_w, net.write_b))
     return T.concat([T.reshape(g, (1,)) for g in (
-        obj[0], obj[1], write[0], write[1], h_none)])
+        obj[0], obj[1], write[0], write[1], write[2])])
 
 
 def leaves(rng, *shapes):
@@ -137,7 +134,7 @@ def gradients(build, inputs, readout):
     for t in inputs:
         t.grad = None
     out = build()
-    T.tsum(T.mul(T.Tensor(readout), out)).backward()
+    _readout_from(readout, out).backward()
     return [np.zeros_like(t.data) if t.grad is None else t.grad for t in inputs]
 
 
@@ -179,13 +176,11 @@ def test_cross_entropy_gradient_is_softmax_minus_one_hot():
         npt.assert_allclose(logits.grad, expected, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
-def test_gate_mlp_equals_primitive_chain(mode):
+def test_gate_mlp_equals_primitive_chain():
     rng = np.random.default_rng(5)
     for dtype in ("float32", "float64"):
         with T.precision(dtype):
-            net = GateNetwork(ParameterStore(np.random.default_rng(6)), hidden=8,
-                              mode=mode)
+            net = GateNetwork(ParameterStore(np.random.default_rng(6)), hidden=8)
             for p in (net.obj_w, net.write_w):
                 p.data = rng.normal(size=p.shape).astype(dtype)
             vs, rs = scalar(rng), scalar(rng)
@@ -194,7 +189,7 @@ def test_gate_mlp_equals_primitive_chain(mode):
                       net.obj_b, net.write_w, net.write_b]
 
             def fused():
-                return T.gate_mlp(*inputs, mode=mode)
+                return T.gate_mlp(*inputs)
 
             def chain():
                 return chain_gate_mlp(net, vs, rs, tau)

@@ -1,8 +1,10 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from samnet import tensor as T
 from samnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from samnet.minicog import generate_corpus
 from samnet.training import (
@@ -11,6 +13,7 @@ from samnet.training import (
     TrainConfig,
     clip_global_norm,
     config_from_kv,
+    config_from_preset,
     evaluate_checkpoint,
     evaluate_episodes,
     load_eval_data,
@@ -19,6 +22,14 @@ from samnet.training import (
     parse_config_file,
     train,
 )
+
+
+DATA = Path(__file__).resolve().parent / "data"
+# A toy-canonical model (d=8, steps=2, mem_slots=3, one Adam step) saved
+# while checkpoints still carried `hyper gate_mode softmax` and
+# `hyper cfg.gate_mode softmax`, with its logits on four seeded episodes.
+GATE_MODE_CKPT = DATA / "gate_mode_header.ckpt"
+GATE_MODE_LOGITS = DATA / "gate_mode_header_logits.npy"
 
 
 def tiny_cfg(out_dir, **kw):
@@ -54,6 +65,22 @@ class TestConfig:
         p = tmp_path / "c.conf"
         p.write_text("bogus = 1\n")
         with pytest.raises(ValueError, match="bogus"):
+            parse_config_file(p)
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("false", False), (" NO ", False),
+    ])
+    def test_booleans_read_strictly(self, tmp_path, raw, value):
+        p = tmp_path / "c.conf"
+        p.write_text(f"memory_enabled = {raw}\n")
+        assert parse_config_file(p).memory_enabled is value
+
+    @pytest.mark.parametrize("raw", ["ture", "2", "on", ""])
+    def test_bad_boolean_names_the_key(self, tmp_path, raw):
+        p = tmp_path / "c.conf"
+        p.write_text(f"memory_enabled = {raw}\n")
+        with pytest.raises(ValueError, match="memory_enabled"):
             parse_config_file(p)
 
     def test_unknown_preset_rejected(self, tmp_path):
@@ -299,5 +326,37 @@ class TestCheckpointFormat:
         arrays["rogue.extra"] = np.zeros(2, dtype=np.float32)
         path = tmp_path / "patched.ckpt"
         save_checkpoint(path, arrays, hypers)
-        with pytest.raises(KeyError, match="answer.w1"):
+        with pytest.raises(CheckpointError, match="patched.ckpt: .*answer.w1"):
             load_model(path)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"\nhyper d 8\n", b"\nhyper d 32\n"),
+        (b"\nhyper d 8\n", b"\nhyper d abc\n"),
+        (b"\nhyper d 8\n", b"\n"),
+        (b"\nhyper steps 2\n", b"\nhyper steps 0\n"),
+        (b"\nhyper mem_slots 3\n", b"\nhyper mem_slots 0\n"),
+        (b"\nhyper gate_mode softmax\n", b"\nhyper gate_mode sigmoid\n"),
+        (b"\nhyper memory_enabled 1\n", b"\nhyper memory_enabled 7\n"),
+    ], ids=["d-32", "d-abc", "d-missing", "steps-0", "mem_slots-0",
+            "gate_mode-sigmoid", "memory_enabled-7"])
+    def test_bad_architecture_header_is_typed(self, tmp_path, old, new):
+        raw = GATE_MODE_CKPT.read_bytes()
+        assert raw.count(old) == 1
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(CheckpointError, match="m.ckpt: bad model header"):
+            load_model(path)
+
+    def test_gate_mode_header_loads_to_the_same_logits(self):
+        raw = GATE_MODE_CKPT.read_bytes()
+        assert b"\nhyper gate_mode softmax\n" in raw
+        assert b"\nhyper cfg.gate_mode softmax\n" in raw
+        model, _ = load_model(GATE_MODE_CKPT)
+        cfg = config_from_preset("toy-canonical")
+        episodes = generate_corpus(cfg.episode_config(),
+                                   cfg.task_family_weights(), 4, seed=5)
+        with T.no_grad():
+            logits = np.concatenate([
+                model.episode_forward(ep.token_ids, ep.frames_symbolic()).data
+                for ep in episodes])
+        assert np.array_equal(logits, np.load(GATE_MODE_LOGITS))
