@@ -39,6 +39,15 @@ CORPUS_DIGESTS = {
     ("toy-hard", "B"):
         "b847e41c33b8df50be9dd07669f8d8240b1e87bc77e90da1006b4bedac938ae1",
 }
+# Windows shorter than the episode, where the generator's widened-window
+# check can reject a construction (it rejected 29 and 6 of these 200
+# episodes' attempts when the digests were recorded).
+SHORT_WINDOW_DIGESTS = {
+    ("toy-canonical", 1):
+        "0ede6931637a3bce8c3ba850ecf566f87ada29ab869061dc53f244f89a95ff81",
+    ("toy-hard", 3):
+        "aaf14f08c5bbe0f3eb0d28f98bb02fec3ba04f5625b08fb8f2bb65be28e74b85",
+}
 TOKENS_DIGEST = (
     "282014b3c42f74ca9dde660e73374e7bcedb745256c2d50b6a7688e7b7b3d542"
 )
@@ -57,6 +66,17 @@ def test_corpus_bytes_are_pinned(tmp_path, preset, family):
     write_corpus(path, episodes, cfg, ALL_CLASSES, SEED)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == CORPUS_DIGESTS[preset, family]
+
+
+@pytest.mark.parametrize("preset,history", sorted(SHORT_WINDOW_DIGESTS))
+def test_short_window_corpus_bytes_are_pinned(tmp_path, preset, history):
+    cfg = config_from_preset(preset, family="any",
+                             history=history).episode_config()
+    episodes = generate_corpus(cfg, ALL_CLASSES, EPISODES, SEED)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, episodes, cfg, ALL_CLASSES, SEED)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SHORT_WINDOW_DIGESTS[preset, history]
 
 
 def test_program_tokens_are_pinned():
