@@ -17,23 +17,29 @@ from .training import (
     train,
 )
 
+TEMPORAL_KEYS = ("source_objects", "source_frames",
+                 "target_objects", "target_frames")
 TRANSFER_KEYS = (
-    "family_a", "family_b",
-    "source_objects", "source_frames", "target_objects", "target_frames",
+    "family_a", "family_b", *TEMPORAL_KEYS,
     "reasoning_mode", "reasoning_t", "group_target",
     "finetune_episodes", "finetune_epochs", "eval_episodes",
     "target_mem_slots",
 )
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an int >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"expected an int >= {low}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def _cmd_gen(args) -> int:
@@ -74,7 +80,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _build_split(kind: str, mode: str, extras: dict, episode_cfg):
+def _build_split(args, extras: dict, episode_cfg):
     from .minicog import FeatureFamily
     from .transfer import (
         Complexity,
@@ -83,11 +89,12 @@ def _build_split(kind: str, mode: str, extras: dict, episode_cfg):
         build_temporal_split,
     )
 
-    protocol_kw = {"protocol": mode}
-    if "finetune_episodes" in extras:
-        protocol_kw["finetune_episodes"] = int(extras["finetune_episodes"])
-    if "finetune_epochs" in extras:
-        protocol_kw["finetune_epochs"] = int(extras["finetune_epochs"])
+    kind = args.split
+    protocol_kw = {"protocol": args.mode}
+    # zero finetune episodes is the zero-shot protocol run as a finetune
+    for key, low in (("finetune_episodes", 0), ("finetune_epochs", 1)):
+        if key in extras:
+            protocol_kw[key] = _config_count(args, extras, key, None, low)
 
     if kind == "feature":
         fam_a = FeatureFamily.by_name(extras.get("family_a", "A"))
@@ -95,10 +102,14 @@ def _build_split(kind: str, mode: str, extras: dict, episode_cfg):
         return build_feature_split(fam_a, fam_b, base_config=episode_cfg,
                                    **protocol_kw)
     if kind == "temporal":
-        source = Complexity(int(extras["source_objects"]),
-                            int(extras["source_frames"]))
-        target = Complexity(int(extras["target_objects"]),
-                            int(extras["target_frames"]))
+        missing = [key for key in TEMPORAL_KEYS if key not in extras]
+        if missing:
+            args.parser.error(f"{args.config}: the temporal split needs "
+                              f"{', '.join(missing)}")
+        source_objects, source_frames, target_objects, target_frames = (
+            _config_count(args, extras, key, None) for key in TEMPORAL_KEYS)
+        source = Complexity(source_objects, source_frames)
+        target = Complexity(target_objects, target_frames)
         return build_temporal_split(source, target, base_config=episode_cfg,
                                     **protocol_kw)
     reasoning_t = extras.get("reasoning_t", "Basic")
@@ -111,12 +122,12 @@ def _build_split(kind: str, mode: str, extras: dict, episode_cfg):
     )
 
 
-def _config_count(args, extras: dict, key: str, default):
-    """A config count with the `_positive_int` rule; a usage error if bad."""
+def _config_count(args, extras: dict, key: str, default, low: int = 1):
+    """A config count, an int >= `low`; a usage error naming the key if bad."""
     if key not in extras:
         return default
     try:
-        return _positive_int(extras[key])
+        return _int_at_least(extras[key], low)
     except argparse.ArgumentTypeError as exc:
         args.parser.error(f"{args.config}: {key}: {exc}")
 
@@ -128,7 +139,7 @@ def _cmd_transfer(args) -> int:
                                  extra_keys=TRANSFER_KEYS)
     eval_episodes = _config_count(args, extras, "eval_episodes", 2000)
     target_mem_slots = _config_count(args, extras, "target_mem_slots", None)
-    split = _build_split(args.split, args.mode, extras, cfg.episode_config())
+    split = _build_split(args, extras, cfg.episode_config())
     report = run_protocol(
         split, cfg, out_dir=cfg.out_dir, eval_episodes=eval_episodes,
         target_mem_slots=target_mem_slots,
@@ -155,7 +166,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("gen", help="generate an episode corpus")
     p.add_argument("--config", required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen)

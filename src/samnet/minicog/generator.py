@@ -12,12 +12,13 @@ cannot be met, then reported as a generation error.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracle import oracle_answer
+from .oracle import _frame_answer, oracle_answer
 from .programs import (
     ANSWER_INDEX,
     ANSWERS,
@@ -34,6 +35,7 @@ from .programs import (
 from .scenes import (
     COLOR_INDEX,
     COLORS,
+    FAMILIES,
     FeatureFamily,
     SHAPE_INDEX,
     SHAPES,
@@ -134,6 +136,40 @@ class Episode:
         return np.stack([render_symbolic(s) for s in self.scenes])
 
 
+class _PairTable:
+    """A family's legal (color, shape) pairs in `pairs()` order and, for each
+    descriptor (color|None, shape|None), the bitmask of the pairs it
+    matches: bit i is set when `matches(*pairs[i], desc)`."""
+
+    def __init__(self, family: FeatureFamily):
+        self.pairs = tuple(family.pairs())
+        self.masks = {
+            desc: sum(1 << i for i, pair in enumerate(self.pairs)
+                      if matches(*pair, desc))
+            for desc in itertools.product((None,) + COLORS, (None,) + SHAPES)
+        }
+
+    def mask_of(self, descs) -> int:
+        """The pairs matching any of `descs`."""
+        mask = 0
+        for desc in descs:
+            mask |= self.masks[desc]
+        return mask
+
+    def pick(self, rng, mask: int) -> tuple[str, str]:
+        """The pair `_pick` draws from the pairs `mask` selects, listed in
+        `pairs()` order, found without listing them."""
+        if not mask:
+            raise _PlanFailure("empty choice pool")
+        for _ in range(int(rng.integers(mask.bit_count()))):
+            mask &= mask - 1  # drop the lowest selected pair
+        return self.pairs[(mask & -mask).bit_length() - 1]
+
+
+# fixed size: one table per family, one mask per descriptor
+_PAIR_TABLES = {name: _PairTable(family) for name, family in FAMILIES.items()}
+
+
 def _pick(rng, items):
     if not items:
         raise _PlanFailure("empty choice pool")
@@ -158,6 +194,7 @@ class _Planner:
         self.rng = rng
         self.cfg = cfg
         self.family = cfg.family
+        self.table = _PAIR_TABLES[cfg.family_name]
         self.program = program
 
     def plan(self, k: int) -> _FramePlan:
@@ -180,11 +217,9 @@ class _Planner:
 
     def legal_pair(self, desc=(None, None), exclude=()):
         """A legal (color, shape) fitting `desc`, not in `exclude`."""
-        pool = [
-            pair for pair in self.family.pairs()
-            if matches(*pair, desc) and pair not in exclude
-        ]
-        return _pick(self.rng, pool)
+        table = self.table
+        return table.pick(self.rng,
+                          table.masks[desc] & ~table.mask_of(exclude))
 
     def place(self, objs, taken, color, shape, cells=None):
         row, col = self.free_cell(taken, cells=cells)
@@ -448,7 +483,8 @@ _PLANNERS = {
 }
 
 
-def _sample_program(rng, cfg: EpisodeConfig, task_family) -> QuestionProgram:
+def _class_draw(task_family) -> tuple[list[str], np.ndarray]:
+    """The sorted classes of a task family and their normalised weights."""
     classes = sorted(task_family)
     unknown = [c for c in classes if c not in TASK_CLASSES]
     if unknown:
@@ -456,7 +492,12 @@ def _sample_program(rng, cfg: EpisodeConfig, task_family) -> QuestionProgram:
     weights = np.array([task_family[c] for c in classes], dtype=np.float64)
     if weights.min() < 0 or weights.sum() <= 0:
         raise ValueError("task family weights must be non-negative, sum > 0")
-    cls = classes[int(rng.choice(len(classes), p=weights / weights.sum()))]
+    return classes, weights / weights.sum()
+
+
+def _sample_program(rng, cfg: EpisodeConfig, draw) -> QuestionProgram:
+    classes, p = draw
+    cls = classes[int(rng.choice(len(classes), p=p))]
 
     def color():
         return COLORS[int(rng.integers(len(COLORS)))]
@@ -478,7 +519,7 @@ def _sample_program(rng, cfg: EpisodeConfig, task_family) -> QuestionProgram:
     if sig.uses_relation:
         # reference descriptor must be realizable under the family constraint;
         # query arguments come before it
-        ref_c, ref_s = _pick(rng, cfg.family.pairs())
+        ref_c, ref_s = _pick(rng, _PAIR_TABLES[cfg.family_name].pairs)
         colors = tuple(color() for _ in range(sig.n_colors - 1)) + (ref_c,)
         shapes = tuple(shape() for _ in range(sig.n_shapes - 1)) + (ref_s,)
     else:
@@ -489,7 +530,8 @@ def _sample_program(rng, cfg: EpisodeConfig, task_family) -> QuestionProgram:
                            tag=tag if sig.uses_tag else None)
 
 
-def _fill_distractors(rng, cfg: EpisodeConfig, family, plan: _FramePlan):
+def _fill_distractors(rng, cfg: EpisodeConfig, table: _PairTable,
+                      plan: _FramePlan):
     objs = list(plan.planned)
     if len(objs) > cfg.max_objects:
         raise _PlanFailure(
@@ -497,31 +539,26 @@ def _fill_distractors(rng, cfg: EpisodeConfig, family, plan: _FramePlan):
         )
     taken = {(o.row, o.col) for o in objs}
     budget = min(cfg.distractors, cfg.max_objects - len(objs))
-    legal = [
-        pair for pair in family.pairs()
-        if not any(matches(*pair, desc) for desc in plan.forbidden)
+    legal = table.masks[None, None] & ~table.mask_of(plan.forbidden)
+    # row-major: each distractor shuffles a copy, so the draws see the
+    # same list as a fresh row-major scan of the free cells would give
+    free = [
+        (r, c) for r in range(cfg.height) for c in range(cfg.width)
+        if (r, c) not in taken
     ]
     for _ in range(budget):
-        cells = [
-            (r, c) for r in range(cfg.height) for c in range(cfg.width)
-            if (r, c) not in taken
-        ]
+        cells = free.copy()
         rng.shuffle(cells)
-        placed = False
-        for row, col in cells:
+        for cell in cells:
             options = legal
             for region, desc in plan.region_rules:
-                if (row, col) in region:
-                    options = [
-                        pair for pair in options if not matches(*pair, desc)
-                    ]
+                if cell in region:
+                    options &= ~table.masks[desc]
             if options:
-                color, shp = options[int(rng.integers(len(options)))]
-                objs.append(SceneObject(row, col, color, shp))
-                taken.add((row, col))
-                placed = True
+                objs.append(SceneObject(*cell, *table.pick(rng, options)))
+                free.remove(cell)
                 break
-        if not placed:
+        else:
             break  # constraints leave no room; fewer distractors, not an error
     objs.sort(key=lambda o: (o.row, o.col))
     return SceneGraph(cfg.height, cfg.width, tuple(objs))
@@ -529,21 +566,27 @@ def _fill_distractors(rng, cfg: EpisodeConfig, family, plan: _FramePlan):
 
 def gen_episode(cfg: EpisodeConfig, task_family, seed) -> Episode:
     """Generate one episode, deterministic in (cfg, task_family, seed)."""
+    return _gen_episode(cfg, _class_draw(task_family), seed)
+
+
+def _gen_episode(cfg: EpisodeConfig, draw, seed) -> Episode:
     rng = np.random.default_rng(seed)
+    table = _PAIR_TABLES[cfg.family_name]
     last_failure = "construction failed"
     for _ in range(_MAX_ATTEMPTS):
         try:
-            program = _sample_program(rng, cfg, task_family)
+            program = _sample_program(rng, cfg, draw)
             planner = _PLANNERS[program.task_class](rng, cfg, program)
             scenes = []
             for k in range(cfg.frames):
                 plan = planner.plan(k)
-                scene = _fill_distractors(rng, cfg, cfg.family, plan)
+                scene = _fill_distractors(rng, cfg, table, plan)
                 planner.observe(k, scene)
                 scenes.append(scene)
             answers = oracle_answer(program, scenes, cfg.history)
-            full = oracle_answer(program, scenes, cfg.frames - 1)
-            if answers != full:
+            # a frame k <= history already looks back to frame 0
+            if any(_frame_answer(program, scenes, k, cfg.frames - 1) != answers[k]
+                   for k in range(cfg.history + 1, cfg.frames)):
                 last_failure = "answers depend on frames beyond the history window"
                 continue
         except _PlanFailure as exc:
@@ -559,13 +602,16 @@ def gen_episode(cfg: EpisodeConfig, task_family, seed) -> Episode:
 
 def episode_stream(cfg: EpisodeConfig, task_family, seed: int, start: int = 0):
     """Infinite deterministic stream; episode i uses sub-seed (seed, i)."""
+    draw = _class_draw(task_family)
     i = start
     while True:
-        yield gen_episode(cfg, task_family, [seed, i])
+        yield _gen_episode(cfg, draw, [seed, i])
         i += 1
 
 
 def generate_corpus(cfg: EpisodeConfig, task_family, count: int, seed: int):
+    if count < 0:
+        raise ValueError(f"episode count must be >= 0, got {count}")
     stream = episode_stream(cfg, task_family, seed)
     return [next(stream) for _ in range(count)]
 

@@ -73,14 +73,18 @@ class FeatureFamily:
 
     @staticmethod
     def by_name(name: str) -> "FeatureFamily":
-        table = {
-            "any": FeatureFamily.unrestricted,
-            "A": FeatureFamily.variant_a,
-            "B": FeatureFamily.variant_b,
-        }
-        if name not in table:
+        """The one shared instance of a named family."""
+        if name not in FAMILIES:
             raise ValueError(f"unknown feature family {name!r}")
-        return table[name]()
+        return FAMILIES[name]
+
+
+FAMILIES = {
+    family.name: family for family in (
+        FeatureFamily.unrestricted(), FeatureFamily.variant_a(),
+        FeatureFamily.variant_b(),
+    )
+}
 
 
 @dataclass(frozen=True)

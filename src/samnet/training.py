@@ -106,10 +106,12 @@ class TrainConfig:
                     raise ValueError(f"{f.name}: expected one of "
                                      f"1/0/true/false/yes/no, got {raw!r}")
                 out[f.name] = _BOOLS[raw.strip().lower()]
-            elif f.type == "int":
-                out[f.name] = int(raw)
-            elif f.type == "float":
-                out[f.name] = float(raw)
+            elif f.type in ("int", "float"):
+                try:
+                    out[f.name] = int(raw) if f.type == "int" else float(raw)
+                except ValueError:
+                    raise ValueError(
+                        f"{f.name}: expected {f.type}, got {raw!r}") from None
             else:
                 out[f.name] = raw
         return replace(cfg, **out)

@@ -34,6 +34,28 @@ def test_gen_writes_corpus_and_vocab(tiny_conf, tmp_path, capsys):
     assert not os.path.exists(out + ".vocab")
 
 
+@pytest.mark.parametrize("count", ["0", "-3", "two"])
+def test_gen_count_below_one_is_a_usage_error(tiny_conf, tmp_path, capsys,
+                                              count):
+    out = tmp_path / "corpus.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--config", str(tiny_conf), "--count", count,
+              "--seed", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: samnet gen" in err
+    assert f"--count: expected an int >= 1, got '{count}'" in err
+    assert not out.exists()
+
+
+def test_generate_corpus_rejects_a_negative_count():
+    from samnet.minicog import EpisodeConfig, generate_corpus
+
+    assert generate_corpus(EpisodeConfig(), {"Exist": 1.0}, 0, seed=1) == []
+    with pytest.raises(ValueError, match="-3"):
+        generate_corpus(EpisodeConfig(), {"Exist": 1.0}, -3, seed=1)
+
+
 def test_train_eval_round_trip(tiny_conf, tmp_path, capsys):
     assert main(["train", "--config", str(tiny_conf), "--deterministic"]) == 0
     out = capsys.readouterr().out
@@ -107,6 +129,38 @@ def test_transfer_count_below_one_is_a_usage_error(tmp_path, capsys, key, value)
     err = capsys.readouterr().err
     assert "usage: samnet transfer" in err
     assert f"{key}: expected an int >= 1, got '{value}'" in err
+    assert not (tmp_path / "tr").exists()  # rejected before any training
+
+
+TEMPORAL_COUNTS = ("source_objects = 3\nsource_frames = 2\n"
+                   "target_objects = 4\ntarget_frames = 3\n")
+
+
+@pytest.mark.parametrize("line,message", [
+    ("finetune_episodes = two", "finetune_episodes: expected an int >= 0, got 'two'"),
+    ("finetune_episodes = -1", "finetune_episodes: expected an int >= 0, got '-1'"),
+    ("finetune_epochs = 0", "finetune_epochs: expected an int >= 1, got '0'"),
+    ("finetune_epochs = 1.5", "finetune_epochs: expected an int >= 1, got '1.5'"),
+    ("source_objects = two", "source_objects: expected an int >= 1, got 'two'"),
+    ("source_frames = 0", "source_frames: expected an int >= 1, got '0'"),
+    ("target_objects = -2", "target_objects: expected an int >= 1, got '-2'"),
+    ("target_frames = three", "target_frames: expected an int >= 1, got 'three'"),
+    ("target_frames =", "the temporal split needs target_frames"),
+])
+def test_transfer_split_count_is_a_usage_error(tmp_path, capsys, line, message):
+    key = line.partition(" =")[0]
+    counts = "".join(f"{kv}\n" for kv in TEMPORAL_COUNTS.splitlines()
+                     if not kv.startswith(key + " ="))
+    conf = tmp_path / "transfer.conf"
+    conf.write_text(f"d = 16\nout_dir = {tmp_path / 'tr'}\n{counts}"
+                    + ("" if line.endswith("=") else line + "\n"))
+    with pytest.raises(SystemExit) as exc:
+        main(["transfer", "--split", "temporal", "--mode", "finetune",
+              "--config", str(conf)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: samnet transfer" in err
+    assert message in err
     assert not (tmp_path / "tr").exists()  # rejected before any training
 
 

@@ -83,6 +83,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="memory_enabled"):
             parse_config_file(p)
 
+    @pytest.mark.parametrize("line", [
+        "max_steps = two", "batch_size = 3.5", "d = ",
+        "learning_rate = fast", "learning_rate = 1e-3x",
+    ])
+    def test_bad_number_names_the_key(self, tmp_path, line):
+        key, _, raw = line.partition(" = ")
+        p = tmp_path / "c.conf"
+        p.write_text(line + "\n")
+        with pytest.raises(ValueError, match=f"^{key}: expected .*{raw!r}"):
+            parse_config_file(p)
+
     def test_unknown_preset_rejected(self, tmp_path):
         p = tmp_path / "c.conf"
         p.write_text("preset = nope\n")
