@@ -1,0 +1,112 @@
+"""Pinned trained-model output: metrics, checkpoint payloads and eval JSON.
+
+The determinism tests elsewhere compare two runs of the same tree; these
+digests compare against a fixed record, so a change to the forward, the
+backward, the loss or the optimizer that moves any trained bit fails here.
+
+The digests depend on the float arithmetic of numpy and its BLAS. They were
+recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas64, Haswell
+kernels) on x86-64. Change a digest only together with a `CHANGES.md` line
+that says why the trained bits moved.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from samnet.checkpoint import load_checkpoint
+from samnet.cli import main
+from samnet.minicog import generate_corpus, write_corpus
+from samnet.training import config_from_preset, train
+
+# (preset, batch size, steps, validate every, validation episodes). Batch 6
+# is not a multiple of four episodes.
+RUNS = {
+    "toy-canonical": (8, 12, 4, 60),
+    "toy-hard": (6, 6, 3, 40),
+}
+EVAL_EPISODES = 120
+EVAL_SEED = 20191126
+
+RUN_DIGESTS = {
+    "toy-canonical": {
+        "metrics.csv":
+            "e3640a7881ea2839ec3a0f49a8ae8357bda736c454d4ac81e2d2ea1b0cfab702",
+        "final.ckpt":
+            "94367afd2dc269ad0db3e484948ea37dd62df2c5272eda69cf0cd31acb5beb21",
+        "best.ckpt":
+            "d66499fbe7121e6a16aa35b0688aa0d732625d213d58bdb9dcc14306075717a5",
+    },
+    "toy-hard": {
+        "metrics.csv":
+            "b8f20a9b0396837ace45af949ac92a48f194804b740505a77237059286784f1e",
+        "final.ckpt":
+            "01c79720e124baf909f00f6f6f58213235b110862fb2db6325c13316b2898e01",
+        "best.ckpt":
+            "b869506f95a2369cbadb9fca1c9ed39ad1a62154d818eb9876fb1366e89ccddd",
+    },
+}
+EVAL_DIGESTS = {
+    ():
+        "4a35d50850ff5dcbedc9ba2ff5d2f18ccd0f2d1f907736c0937a2ed40783120a",
+    ("--mem-slots", "16"):
+        "c3e726893391ca027420a62a96875a1fdae111f9bd17bb9cd3911d9d9507d844",
+    ("--ablate-writes",):
+        "1606918baca351c514d8c2bfe5da6518e7d32041067c99105eddae379abf5173",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def payload_digest(path) -> str:
+    """Digest of a checkpoint's parameters in stored order. The header is
+    left out: it names the output directory."""
+    arrays, _, _ = load_checkpoint(path)
+    h = hashlib.sha256()
+    for name, array in arrays.items():
+        h.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    out = {}
+    for preset, (batch, steps, every, val) in RUNS.items():
+        cfg = config_from_preset(
+            preset, task_family="all", batch_size=batch, max_steps=steps,
+            eval_every=every, val_episodes=val,
+            out_dir=str(tmp_path_factory.mktemp(preset)))
+        out[preset] = (cfg, train(cfg, deterministic=True))
+    return out
+
+
+@pytest.mark.parametrize("preset", sorted(RUNS))
+def test_trained_run_is_pinned(runs, preset):
+    _, result = runs[preset]
+    with open(result.metrics_path, "rb") as fh:
+        got = {"metrics.csv": sha256(fh.read()),
+               "final.ckpt": payload_digest(result.final_checkpoint),
+               "best.ckpt": payload_digest(result.best_checkpoint)}
+    assert got == RUN_DIGESTS[preset]
+
+
+def test_eval_json_is_pinned(runs, tmp_path, capsys):
+    cfg, result = runs["toy-hard"]
+    corpus = str(tmp_path / "eval.jsonl")
+    episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                               EVAL_EPISODES, seed=EVAL_SEED)
+    write_corpus(corpus, episodes, cfg.episode_config(),
+                 cfg.task_family_weights(), seed=EVAL_SEED)
+    got = {}
+    for flags in EVAL_DIGESTS:
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", result.final_checkpoint,
+                     "--data", corpus, *flags]) == 0
+        text = capsys.readouterr().out
+        assert json.loads(text)["episodes"] == EVAL_EPISODES
+        got[flags] = sha256(text.encode())
+    assert got == EVAL_DIGESTS
