@@ -7,19 +7,22 @@ memory, turns the attention localization scores into gating decisions, and
 then applies gated memory writes and a summary-object update. Information
 crosses frame boundaries only through the slot memory and its write head.
 
-Every component also runs a batch of episodes forward: each per-episode
-tensor then has a leading batch axis, which a component reads from the
-rank of its inputs (a control state (B, d) rather than (d,)). Questions in
-a batch may differ in length, so the contextual words come in one group per
-length, and only the controller's attention over them runs per group; every
-other op of the cell sees the whole batch. The batched values of each
-episode are bit-identical to its unbatched forward; see the batch-axis note
-in `tensor`.
+Every component also runs a batch of episodes, forward and backward: each
+per-episode tensor then has a leading batch axis, which a component reads
+from the rank of its inputs (a control state (B, d) rather than (d,)).
+Parameters, and the learned initial state, are shared by the episodes.
+Questions in a batch may differ in length, so the contextual words come in
+one group per length, and only the controller's attention over them runs
+per group; every other op of the cell sees the whole batch. Each batched
+node keeps the parents, in order, of the node it stands for in one
+episode's graph, so each episode's values and gradients are bit-identical
+to its own pass; see the batch-axis note in `tensor`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +151,9 @@ class QuestionDrivenController:
         """Control state c_t and the attention qa over the question words.
 
         For a batch (q (B, d), cw per length group as in `QuestionEncoding`)
-        only the attention and its read run per group, each group's rows
-        written into one (B, d) c_t; qa is then one tensor per group.
+        only the attention and its read run per group, and `T.merge_rows`
+        joins the groups' rows into one (B, d) c_t; qa is then one tensor
+        per group.
         """
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
@@ -164,14 +168,16 @@ class QuestionDrivenController:
             qa = T.attention_weights(uq, cw)
             _check_distribution(qa, "question attention")
             return T.matmul(qa, cw), qa
-        c_t = np.empty_like(uq.data)
-        qa = []
+        reads, qa = [], []
         for rows, words in cw:
-            qa_g = T.attention_weights(T.select(uq, rows), words)
+            qa_g = T.attention_weights(uq if len(cw) == 1 else T.select(uq, rows),
+                                       words)
             _check_distribution(qa_g, "question attention")
-            c_t[rows] = T.matmul(qa_g, words).data
+            reads.append(T.matmul(qa_g, words))
             qa.append(qa_g)
-        return Tensor(c_t), qa
+        if len(cw) == 1:  # one group holds every row, in order
+            return reads[0], qa
+        return T.merge_rows(reads, [rows for rows, _ in cw], uq.shape[0]), qa
 
 
 class TemporalClassifier:
@@ -307,14 +313,9 @@ class SAMCell:
         self.c0 = store.new("cell.c0", (d,), fan_in=d)
         self.so0 = store.new("cell.so0", (d,), fan_in=d)
 
-    def initial_state(self, batch: int | None = None) -> CellState:
-        """The learned initial vectors; one row per episode when `batch`
-        is given."""
-        if batch is None:
-            return CellState(c=self.c0, so=self.so0)
-        shape = (batch, self.config.d)
-        return CellState(c=Tensor(np.broadcast_to(self.c0.data, shape)),
-                         so=Tensor(np.broadcast_to(self.so0.data, shape)))
+    def initial_state(self) -> CellState:
+        """The learned initial vectors, which a batch's episodes share."""
+        return CellState(c=self.c0, so=self.so0)
 
     def step(self, q, cw, keys, values, state: CellState, mem: MemoryState,
              t: int, gate_overrides=None, trace=None):
@@ -372,8 +373,8 @@ class SAMNet:
         A batch of B episodes with equal frame shape is B token sequences
         of any lengths (see `QuestionEncoder.encode`) with frames
         (B, K, H, W, C), and returns (B, K, num_answers), each episode
-        bit-identical to its own forward. A batch runs forward only (under
-        `no_grad`) and takes no trace.
+        bit-identical to its own forward. Its ops run inside
+        `T.episode_batch`, and a batch takes no trace.
         """
         batch = question_batch(token_ids)
         frames = np.asarray(frames, dtype=T.default_dtype())
@@ -396,44 +397,41 @@ class SAMNet:
             overrides.setdefault("g_m", 0.0)
             overrides.setdefault("h_r", 0.0)
             overrides.setdefault("h_a", 0.0)
-        enc = self.question_encoder.encode(token_ids)
-        if batch is None:
-            features = self.frame_encoder.encode(frames)  # (K, H*W, d)
-        else:
-            # The CNN runs one episode at a time, which bounds its im2col
-            # buffers, and frame k's rows are stacked only when needed.
-            features = [self.frame_encoder.encode(f) for f in frames]
-        mem = MemoryState.initial(n, self.config.d, batch)
-        frame_logits = []
-        for k in range(n_frames):
-            if batch is None:
-                rows = features[k]
-            else:
-                rows = T.stack([f[k] for f in features])
-            keys, values = self.cell.visual.project(rows)
-            state = self.cell.initial_state(batch)
-            step_trace = [] if trace is not None else None
-            for t in range(1, self.config.steps + 1):
-                state, mem = self.cell.step(
-                    enc.q, enc.cw, keys, values, state, mem, t,
-                    gate_overrides=overrides, trace=step_trace,
-                )
-            if trace is not None:
-                trace.append(step_trace)
-            frame_logits.append(self.answer_head.logits(state.so, enc.q))
-        return T.stack(frame_logits, axis=0 if batch is None else 1)
+        with nullcontext() if batch is None else T.episode_batch():
+            enc = self.question_encoder.encode(token_ids)
+            # (K, H*W, d), or (B, K, H*W, d) for a batch
+            features = self.frame_encoder.encode(frames)
+            mem = MemoryState.initial(n, self.config.d, batch)
+            frame_logits = []
+            for k in range(n_frames):
+                keys, values = self.cell.visual.project(features[..., k, :, :])
+                state = self.cell.initial_state()
+                step_trace = [] if trace is not None else None
+                for t in range(1, self.config.steps + 1):
+                    state, mem = self.cell.step(
+                        enc.q, enc.cw, keys, values, state, mem, t,
+                        gate_overrides=overrides, trace=step_trace,
+                    )
+                if trace is not None:
+                    trace.append(step_trace)
+                frame_logits.append(self.answer_head.logits(state.so, enc.q))
+            return T.stack(frame_logits, axis=0 if batch is None else 1)
 
     def episode_loss(self, token_ids, frames, answer_ids, **kw) -> Tensor:
-        """Mean softmax cross-entropy over the per-frame answers."""
+        """Mean softmax cross-entropy over the per-frame answers.
+
+        A batch (see `episode_forward`) with answers (B, K) gives one loss
+        per episode, (B,).
+        """
         logits = self.episode_forward(token_ids, frames, **kw)
         answer_ids = np.asarray(answer_ids, dtype=np.int64)
-        if answer_ids.size != logits.shape[0]:
+        if answer_ids.shape != logits.shape[:-1]:
             raise ValueError(
-                f"{answer_ids.size} answers for {logits.shape[0]} frames"
+                f"answers {answer_ids.shape} for logits {logits.shape[:-1]}"
             )
         terms = [
-            T.cross_entropy_logits(logits[k], int(answer_ids[k]))
-            for k in range(answer_ids.size)
+            T.cross_entropy_logits(logits[..., k, :], answer_ids[..., k])
+            for k in range(answer_ids.shape[-1])
         ]
         total = terms[0]
         for term in terms[1:]:

@@ -42,8 +42,17 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _parsed_config(args):
+    """The TrainConfig of `--config`; a bad value is a usage error naming
+    its key (exit 2), as `samnet transfer` reports bad counts."""
+    try:
+        return parse_config_file(args.config)
+    except ValueError as exc:
+        args.parser.error(f"{args.config}: {exc}")
+
+
 def _cmd_gen(args) -> int:
-    cfg = parse_config_file(args.config)
+    cfg = _parsed_config(args)
     episode_cfg = cfg.episode_config()
     family = cfg.task_family_weights()
     episodes = generate_corpus(episode_cfg, family, args.count, seed=args.seed)
@@ -53,7 +62,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = parse_config_file(args.config)
+    cfg = _parsed_config(args)
     result = train(cfg, log=print, deterministic=args.deterministic)
     print(f"final checkpoint: {result.final_checkpoint}")
     print(f"best checkpoint:  {result.best_checkpoint} "
@@ -169,13 +178,13 @@ def main(argv=None) -> int:
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_gen)
+    p.set_defaults(fn=_cmd_gen, parser=p)
 
     p = sub.add_parser("train", help="train a model from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--deterministic", action="store_true",
                    help="byte-identical reruns (zeroes wall-clock metrics)")
-    p.set_defaults(fn=_cmd_train)
+    p.set_defaults(fn=_cmd_train, parser=p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus/config")
     p.add_argument("--ckpt", required=True)

@@ -27,8 +27,9 @@ class QuestionEncoding:
     """One question: q (d,) and its contextual words cw (L, d).
 
     A batch of B questions of any lengths: q (B, d) in batch order, and cw
-    one (rows, words) pair per question length, where rows are the batch
-    indices of that length in ascending order and words is (B_g, L, d).
+    one (rows, words) pair per question length, in order of first
+    appearance, where rows are the batch indices of that length in
+    ascending order and words is (B_g, L, d).
     """
 
     cw: Tensor | list[tuple[np.ndarray, Tensor]]
@@ -88,10 +89,11 @@ class QuestionEncoder:
     def encode(self, token_ids) -> QuestionEncoding:
         """Encode one token sequence (L,) to cw (L, d) and q (d,).
 
-        A batch is B sequences of any lengths (a list, or a (B, L) array),
-        forward only. The LSTM and the cw linear run once per length group
-        as on one equal-length batch, and the q linear once on all B final
-        states; see `QuestionEncoding` for the batch layout.
+        A batch is B sequences of any lengths (a list, or a (B, L) array).
+        The LSTM and the cw linear run once per length group as on one
+        equal-length batch, inside `T.episode_batch(rows)`; `T.merge_rows`
+        joins the groups' final states and the q linear runs once on all B.
+        See `QuestionEncoding` for the batch layout.
         """
         if question_batch(token_ids) is None:
             cw, final = self._contextual(self._checked_ids(token_ids))
@@ -100,14 +102,16 @@ class QuestionEncoder:
         by_length: dict[int, list[int]] = {}
         for i, ids in enumerate(seqs):
             by_length.setdefault(ids.size, []).append(i)
-        finals = np.empty((len(seqs), self.d), dtype=T.default_dtype())
-        groups = []
+        groups, finals = [], []
         for members in by_length.values():
             rows = np.array(members)
-            cw, final = self._contextual(np.stack([seqs[i] for i in members]))
-            finals[rows] = final.data
+            with T.episode_batch(rows):
+                cw, final = self._contextual(np.stack([seqs[i] for i in members]))
             groups.append((rows, cw))
-        q = T.linear(Tensor(finals), self.q_w, self.q_b, batched=True)
+            finals.append(final)
+        if len(groups) > 1:
+            finals = [T.merge_rows(finals, [rows for rows, _ in groups], len(seqs))]
+        q = T.linear(finals[0], self.q_w, self.q_b, batched=True)
         return QuestionEncoding(cw=groups, q=q)
 
 
@@ -123,11 +127,12 @@ class FrameEncoder:
         self.conv2_b = store.new(f"{prefix}.conv2.b", (d,), fan_in=0)
 
     def encode(self, frames: np.ndarray) -> Tensor:
-        """Map (K, H, W, C) grids to a (K, H*W, d) feature map batch."""
+        """Map (K, H, W, C) grids to a (K, H*W, d) feature map batch; a batch
+        of episodes (B, K, H, W, C) gives (B, K, H*W, d)."""
         frames = np.asarray(frames, dtype=T.default_dtype())
         if frames.ndim == 3:
             frames = frames[None]
-        k, h, w, c = frames.shape
+        h, w, c = frames.shape[-3:]
         if h * w == 0:
             raise T.ShapeError("frame grid has no cells")
         if c != self.in_channels:
@@ -136,4 +141,4 @@ class FrameEncoder:
             )
         x = T.elu(T.conv2d_same3(Tensor(frames), self.conv1_w, self.conv1_b))
         x = T.elu(T.conv2d_same3(x, self.conv2_w, self.conv2_b))
-        return T.reshape(x, (k, h * w, self.d))
+        return T.reshape(x, frames.shape[:-3] + (h * w, self.d))

@@ -1,4 +1,5 @@
-"""The full gradient-verification suite: every sub-unit plus a whole episode.
+"""The full gradient-verification suite: every sub-unit, a whole episode,
+and a ragged batch of episodes on one tape.
 
 Each check builds a small seeded instance of one component, reduces its
 output to a scalar through one fixed random readout ``<out, R>``
@@ -380,6 +381,23 @@ def _check_full_episode(rng, eps):
     return grad_check(f, net.store.parameters(), eps=eps)
 
 
+def _check_full_episode_batch(rng, eps):
+    # the batched training tape: 3 episodes on one tape, question lengths
+    # 4, 2 and 4 (two length groups), each episode's loss read out
+    cfg = ModelConfig(vocab_size=8, num_answers=5, in_channels=6, d=8,
+                      steps=2, mem_slots=3)
+    net = SAMNet(cfg, init_seed=16)
+    frames = (rng.random((3, 2, 3, 3, 6)) < 0.25).astype(np.float64)
+    tokens = [[1, 4, 2, 7], [3, 5], [6, 0, 2, 1]]
+    answers = [[0, 3], [2, 2], [4, 1]]
+    readout = rng.normal(size=3)
+
+    def f():
+        return _readout_from(readout, net.episode_loss(tokens, frames, answers))
+
+    return grad_check(f, net.store.parameters(), eps=eps)
+
+
 _CHECKS = [
     ("softmax_cross_entropy", _check_softmax_and_ce),
     ("dot_attention", _check_dot_attention),
@@ -403,6 +421,7 @@ _CHECKS = [
     ("summary_update", _check_summary),
     ("cell_two_steps", _check_cell_step),
     ("full_episode_2frames", _check_full_episode),
+    ("full_episode_batch3", _check_full_episode_batch),
 ]
 
 def run_gradient_suite(use_float64: bool = True, log=None) -> list[CheckResult]:

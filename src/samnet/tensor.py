@@ -3,9 +3,9 @@
 Every tensor op used by the model lives here. Forward values are numpy
 arrays; each op that participates in differentiation records its parents
 and a backward closure, and ``Tensor.backward()`` walks the recorded graph
-from an explicit scalar root. Ops are functions; ``Tensor`` has no
-arithmetic operators, only indexing (``select``). Default scalar precision
-is float32; switch to float64 (e.g. for tight gradient checks) with
+from an explicit root. Ops are functions; ``Tensor`` has no arithmetic
+operators, only indexing (``select``). Default scalar precision is float32;
+switch to float64 (e.g. for tight gradient checks) with
 ``set_default_dtype`` or the ``precision`` context manager.
 
 Per-node bookkeeping, not arithmetic, dominates at the model's sizes, so
@@ -18,21 +18,26 @@ replaces (kept as references in ``tests/test_fused.py``), so forward
 values are bit-identical to that chain. Fused ops keep their backward
 caches only while a graph is being recorded.
 
-Batch axis. For forward-only evaluation the fused ops, ``matmul`` and
-``softmax`` also take a leading batch axis, one entry per episode. Ops
-whose per-episode operands have a fixed rank read the batch from one
-extra leading axis; ``matmul`` reads it from a rank-3 right operand, and
-``linear``, whose per-episode input may be a vector or a matrix, takes
-``batched=True``. Each op writes its forward once, for one episode and
-for a batch, so every episode runs through the same numpy kernel:
-``np.matmul`` over the leading axis with each episode's operand rank kept
-(``x[..., None, :] @ w`` for a vector per episode, never one folded 2-D
-gemm), reductions over the last axis, elementwise maths. Each episode's
-values are therefore bit-identical to an unbatched forward. Nothing is
-padded: an op's batch has one shape, so a batch of questions of several
-lengths runs the ops over its words once per length group (see
-``encoders.QuestionEncoding``). Batched ops have no backward: a batched op
-raises ``ShapeError`` while the tape is recording.
+Batch axis. The model's ops also take a leading batch axis, one entry per
+episode, forward and backward. Ops whose per-episode operands have a fixed
+rank read the batch from one extra leading axis; ``matmul`` reads it from a
+rank-3 right operand, and ``linear``, whose per-episode input may be a
+vector or a matrix, takes ``batched=True``. Each op writes its forward and
+its backward once, for one episode and for a batch, so every episode runs
+through the same numpy kernel: ``np.matmul`` over the leading axis with
+each episode's operand rank kept (``x[..., None, :] @ w`` for a vector per
+episode, never one folded 2-D gemm), reductions over one episode's axes,
+elementwise maths. Each episode's values and gradients are therefore
+bit-identical to an unbatched pass. Nothing is padded: an op's batch has
+one shape, so a batch of questions of several lengths runs the ops over
+its words once per length group (see ``encoders.QuestionEncoding``), inside
+``episode_batch(rows)``, and ``merge_rows`` joins the groups.
+
+Parameters are shared by the episodes of a batch. A batched op does not sum
+a parameter's gradient over its batch: it hands ``Tensor.backward`` a
+``PerEpisode`` contribution, and the sweep adds those episode by episode
+after it ends. A parameter's gradient is therefore summed in the order of
+a loop of one-episode backward passes, bit for bit.
 """
 
 from __future__ import annotations
@@ -94,6 +99,108 @@ def no_grad():
         _GRAD_ENABLED = old
 
 
+# Inside `episode_batch`: the episodes of the root batch that the leading
+# axis of recorded ops holds (None: all of them, in order).
+_IN_BATCH = False
+_BATCH_ROWS = None
+
+
+@contextmanager
+def episode_batch(rows=None):
+    """Ops run inside on a batch of episodes along their leading axis.
+
+    There, an operand of `mul` or a part of `concat` with one axis fewer
+    than the others is shared by every episode, as parameters are. `rows`
+    names the episodes of the enclosing batch that the ops' batch holds
+    (None: all of them, in order); per-episode parameter gradients are
+    added for those episodes.
+    """
+    global _IN_BATCH, _BATCH_ROWS
+    old = _IN_BATCH, _BATCH_ROWS
+    if rows is not None:
+        rows = np.asarray(rows) if _BATCH_ROWS is None else _BATCH_ROWS[rows]
+    _IN_BATCH, _BATCH_ROWS = True, rows
+    try:
+        yield
+    finally:
+        _IN_BATCH, _BATCH_ROWS = old
+
+
+class PerEpisode:
+    """A batched node's gradient for a parameter its episodes share.
+
+    Row i of the node's batch contributes ``fn(*(a[i] for a in args))``,
+    the expression the one-episode backward adds (``args[0][i]`` when `fn`
+    is None). `fn` must also map stacked rows to stacked contributions.
+    `rows[i]` is the root-batch episode of row i (None: episode i).
+    """
+
+    __slots__ = ("fn", "args", "rows")
+
+    def __init__(self, fn, *args, rows=None):
+        self.fn, self.args, self.rows = fn, args, rows
+
+    def episodes(self):
+        return range(len(self.args[0])) if self.rows is None else self.rows
+
+    def of(self, arrays):
+        return arrays[0] if self.fn is None else self.fn(*arrays)
+
+
+def _outer(x, g):
+    """np.multiply.outer of the last axes, for one episode or stacked."""
+    return x[..., :, None] * g[..., None, :]
+
+
+def _transposed_product(x, g):
+    """x.T @ g, for one episode or stacked."""
+    return np.matmul(np.swapaxes(x, -1, -2), g)
+
+
+def _row_sum(g):
+    """g.sum(axis=0) of one episode's rows, or stacked."""
+    return g.sum(axis=-2)
+
+
+# contribution functions that map stacked rows to stacked contributions
+_STACKABLE = (None, _outer, _transposed_product, _row_sum)
+# contributions per np.add.reduce call at most, so that one leaf's stacked
+# contributions stay below 256 KB of float32
+_FOLD_ELEMENTS = 1 << 16
+
+
+def _add_per_episode(leaf, items) -> None:
+    """Add a leaf's queued contributions episode by episode, each episode's
+    in sweep order: the order of a loop of one-episode backward passes."""
+    first = items[0]
+    shapes = [a.shape for a in first.args]
+    if first.fn in _STACKABLE and all(
+            it.fn is first.fn and it.rows is None
+            and [a.shape for a in it.args] == shapes for it in items):
+        # np.add.reduce over stacked contributions is a left fold, bit-equal
+        # to adding them in turn, and c[0] + grad == grad + c[0]
+        stacks = [np.stack(column, axis=1)
+                  for column in zip(*(it.args for it in items))]
+        block = max(1, _FOLD_ELEMENTS // leaf.data.size)
+        for e in range(len(stacks[0])):
+            for lo in range(0, len(items), block):
+                parts = [s[e, lo:lo + block] for s in stacks]
+                if first.fn is _outer:  # the same products, fewer passes
+                    c = np.einsum("ni,nj->nij", *parts)
+                else:
+                    c = first.of(parts)
+                if leaf.grad is not None:
+                    c[0] += leaf.grad
+                leaf.grad = np.add.reduce(c, axis=0)
+        return
+    positions = [{int(e): i for i, e in enumerate(it.episodes())} for it in items]
+    for e in sorted(set().union(*positions)):
+        for it, pos in zip(items, positions):
+            if e in pos:
+                c = it.of([a[pos[e]] for a in it.args])
+                leaf.grad = c if leaf.grad is None else leaf.grad + c
+
+
 class Tensor:
     """A dense array plus optional participation in the gradient tape."""
 
@@ -143,9 +250,18 @@ class Tensor:
         return float(self.data)
 
     def backward(self) -> None:
-        """Reverse-mode sweep from this scalar to every reachable leaf."""
-        if self.data.size != 1:
-            raise ShapeError("backward() requires a scalar root")
+        """Reverse-mode sweep from this root to every reachable leaf.
+
+        The root is a scalar, or a vector of per-episode losses whose sum
+        is differentiated. `PerEpisode` contributions are added after the
+        sweep, episode by episode. The sweep frees each inner node's
+        gradient and backward closure once spent, so a graph is
+        differentiated once.
+        """
+        if self.data.ndim > 1 or self.data.size < 1:
+            raise ShapeError("backward() requires a scalar or vector root")
+        if self._parents and self._backward is None:
+            raise RuntimeError("backward() already ran on this graph")
         topo = []
         visited = set()  # Tensor defines no __eq__, so nodes hash by identity
         stack = [(self, False)]
@@ -162,17 +278,28 @@ class Tensor:
                 if p.requires_grad and p not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
+        queued = {}
         for node in reversed(topo):
             if node._backward is None:
                 continue
             grads = node._backward(node.grad)
+            # spent: the inner gradient, and the closure with its caches
+            node.grad = node._backward = None
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
-                if parent.grad is None:
+                if isinstance(g, PerEpisode):
+                    if parent._backward is not None:
+                        raise ShapeError(
+                            "a batched op shares a non-leaf operand across "
+                            "episodes; only parameters can be shared")
+                    queued.setdefault(parent, []).append(g)
+                elif parent.grad is None:
                     parent.grad = g
                 else:
                     parent.grad = parent.grad + g
+        for leaf, items in queued.items():
+            _add_per_episode(leaf, items)
 
     def __getitem__(self, idx):
         return select(self, idx)
@@ -186,12 +313,12 @@ def _recording(parents) -> bool:
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
 
 
-def _forward_only(name, parents) -> None:
-    """Refuse to put a batched op on the tape: it has no backward."""
-    if _recording(parents):
-        raise ShapeError(
-            f"{name}: a batched forward has no backward; run it under no_grad()"
-        )
+def _shared_grad(batched, rows, fn, *args):
+    """The gradient for an operand that a batch's episodes share: computed
+    now for one episode, handed on as `PerEpisode` for a batch."""
+    if batched:
+        return PerEpisode(fn, *args, rows=rows)
+    return args[0] if fn is None else fn(*args)
 
 
 def _vecmat(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -204,6 +331,13 @@ def _vecmat(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         return x @ w
     return np.matmul(x[:, None, :], w)[:, 0]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for one matrix and vector, or one pair per episode."""
+    if v.ndim == 1:
+        return m @ v
+    return np.matmul(m, v[..., None])[..., 0]
 
 
 def as_tensor(x) -> Tensor:
@@ -245,13 +379,21 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
+    """Elementwise product with broadcasting. Inside `episode_batch` an
+    operand with one axis fewer than the other is shared by the episodes."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
+    in_batch, rows = _IN_BATCH, _BATCH_ROWS
+
+    def grad(t, other, g):
+        if not t.requires_grad:
+            return None
+        if in_batch and t.ndim < other.ndim:
+            return PerEpisode(None, g * other.data, rows=rows)
+        return _unbroadcast(g * other.data, t.data.shape)
 
     def backward(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
-        return ga, gb
+        return grad(a, b, g), grad(b, a, g)
 
     return Tensor._from_op(out, (a, b), backward)
 
@@ -276,27 +418,32 @@ def matmul(a, b) -> Tensor:
     """Matrix/vector product for ranks (2,2), (2,1), (1,2) and (1,1).
 
     A rank-3 b is a batch: a is one vector per episode (B, L) and b one
-    matrix per episode (B, L, d); returns (B, d). Forward only.
+    matrix per episode (B, L, d); returns (B, d).
     """
     a, b = as_tensor(a), as_tensor(b)
-    if b.ndim == 3:
+    batched = b.ndim == 3
+    if batched:
         if a.ndim != 2 or b.shape[:2] != a.shape:
             raise ShapeError(f"batched matmul got {a.shape} @ {b.shape}")
-        _forward_only("matmul", (a, b))
-        return Tensor._from_op(_vecmat(a.data, b.data), (), None)
-    if a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
+    elif a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
         raise ShapeError(f"matmul undefined for shapes {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
+    elif a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = np.asarray(a.data @ b.data)
+    out = _vecmat(a.data, b.data) if batched else np.asarray(a.data @ b.data)
 
     def backward(g):
         ad, bd = a.data, b.data
         ga = gb = None
         if a.requires_grad:
-            ga = g @ bd.T if b.ndim == 2 else np.multiply.outer(g, bd)
+            if batched:
+                ga = _vecmat(g, np.swapaxes(bd, -1, -2))
+            else:
+                ga = g @ bd.T if b.ndim == 2 else np.multiply.outer(g, bd)
         if b.requires_grad:
-            gb = ad.T @ g if a.ndim == 2 else np.multiply.outer(ad, g)
+            if batched:
+                gb = _outer(ad, g)
+            else:
+                gb = ad.T @ g if a.ndim == 2 else np.multiply.outer(ad, g)
         return ga, gb
 
     return Tensor._from_op(out, (a, b), backward)
@@ -306,7 +453,7 @@ def linear(x, w, b, batched=False) -> Tensor:
     """x @ w + b for a rank-1 or rank-2 x, as one tape node.
 
     With `batched`, x has a leading episode axis: (B, d) is one vector per
-    episode and (B, L, d) one matrix per episode. Forward only.
+    episode and (B, L, d) one matrix per episode.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
@@ -314,16 +461,18 @@ def linear(x, w, b, batched=False) -> Tensor:
     if (rank not in (1, 2) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
             or b.data.shape != wd.shape[1:]):
         raise ShapeError(f"linear got x {x.shape}, w {w.shape}, b {b.shape}")
-    if batched:
-        _forward_only("linear", (x, w, b))
     out = (_vecmat(xd, wd) if rank == 1 else xd @ wd) + b.data
+    rows = _BATCH_ROWS
 
     def backward(g):
-        gx = g @ wd.T if x.requires_grad else None
-        gw = None
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = _vecmat(g, wd.T) if rank == 1 else g @ wd.T
         if w.requires_grad:
-            gw = np.multiply.outer(xd, g) if rank == 1 else xd.T @ g
-        gb = (g if rank == 1 else g.sum(axis=0)) if b.requires_grad else None
+            gw = _shared_grad(batched, rows,
+                              _outer if rank == 1 else _transposed_product, xd, g)
+        if b.requires_grad:
+            gb = _shared_grad(batched, rows, None if rank == 1 else _row_sum, g)
         return gx, gw, gb
 
     return Tensor._from_op(out, (x, w, b), backward)
@@ -367,37 +516,49 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return (g - np.dot(g, out)) * out
+    if g.ndim == 1:
+        return (g - np.dot(g, out)) * out
+    # one 1-D dot per row: (1, n) @ (n, 1) runs the same kernel as np.dot
+    return (g - np.matmul(g[..., None, :], out[..., :, None])[..., 0]) * out
 
 
 def softmax(a) -> Tensor:
     """Numerically stable softmax of a rank-1 tensor; a rank-2 tensor is a
-    batch of rows, forward only."""
+    batch of rows."""
     a = as_tensor(a)
     if a.ndim not in (1, 2) or a.size < 1:
         raise ShapeError("softmax expects a non-empty rank-1 tensor or a batch")
-    if a.ndim == 2:
-        _forward_only("softmax", (a,))
     out = _softmax(a.data)
     return Tensor._from_op(out, (a,), lambda g: (_softmax_backward(g, out),))
 
 
-def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
-    """Softmax cross-entropy of a rank-1 logit vector against a class index."""
+def cross_entropy_logits(logits: Tensor, target) -> Tensor:
+    """Softmax cross-entropy of a rank-1 logit vector against a class index.
+
+    A batch is logits (B, A) against one target per episode (B,), and gives
+    one loss per episode (B,).
+    """
     logits = as_tensor(logits)
-    if logits.ndim != 1 or logits.size < 1:
-        raise ShapeError("cross_entropy_logits expects a non-empty rank-1 tensor")
-    if not 0 <= target < logits.size:
-        raise ValueError(f"target {target} out of range for {logits.size} classes")
+    target = np.asarray(target)
+    if (logits.ndim not in (1, 2) or logits.shape[-1] < 1
+            or target.shape != logits.shape[:-1]
+            or not np.issubdtype(target.dtype, np.integer)):
+        raise ShapeError(
+            f"cross_entropy_logits expects logits (A,) or (B, A) and one class "
+            f"index per row, got {logits.shape} and {target.shape}")
+    if np.any((target < 0) | (target >= logits.shape[-1])):
+        raise ValueError(
+            f"target {target} out of range for {logits.shape[-1]} classes")
     x = logits.data
     _screen_finite(x)
-    shifted = x - x.max()
-    log_probs = shifted - np.log(np.exp(shifted).sum())
-    out = np.asarray(-log_probs[target])
+    shifted = x - x.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    pick = (target,) if target.ndim == 0 else (np.arange(target.size), target)
+    out = np.asarray(-log_probs[pick])
 
     def backward(g):
-        grad = np.exp(log_probs) * g
-        grad[target] -= g
+        grad = np.exp(log_probs) * g[..., None]
+        grad[pick] -= g
         return (grad,)
 
     return Tensor._from_op(out, (logits,), backward)
@@ -405,20 +566,31 @@ def cross_entropy_logits(logits: Tensor, target: int) -> Tensor:
 
 def concat(parts, axis=0) -> Tensor:
     """Concatenate tensors of equal rank along `axis` (negative counts
-    from the last axis)."""
+    from the last axis).
+
+    Inside `episode_batch` a part with one axis fewer than the others is
+    shared by the episodes: it is repeated along the leading batch axis.
+    """
     parts = [as_tensor(p) for p in parts]
-    if any(p.ndim != parts[0].ndim for p in parts) or parts[0].ndim == 0:
+    rank = max(p.ndim for p in parts)
+    shared = [p.ndim != rank for p in parts]
+    if rank == 0 or (any(shared) and not _IN_BATCH) or any(
+            s and p.ndim != rank - 1 for p, s in zip(parts, shared)):
         raise ShapeError("concat expects tensors of equal, non-zero rank")
-    axis %= parts[0].ndim
-    out = np.concatenate([p.data for p in parts], axis=axis)
+    axis %= rank
+    batch = next(p.shape[:1] for p, s in zip(parts, shared) if not s)
+    out = np.concatenate([np.broadcast_to(p.data, batch + p.shape) if s
+                          else p.data for p, s in zip(parts, shared)], axis=axis)
     bounds = []
     end = 0
-    for p in parts:
-        start, end = end, end + p.shape[axis]
+    for p, s in zip(parts, shared):
+        start, end = end, end + p.shape[axis - s]
         bounds.append((slice(None),) * axis + (slice(start, end),))
+    rows = _BATCH_ROWS
 
     def backward(g):
-        return tuple(g[b] for b in bounds)
+        return tuple(PerEpisode(None, g[bd], rows=rows) if s else g[bd]
+                     for bd, s in zip(bounds, shared))
 
     return Tensor._from_op(out, tuple(parts), backward)
 
@@ -447,16 +619,37 @@ def select(a, idx) -> Tensor:
     return Tensor._from_op(np.asarray(out), (a,), backward)
 
 
+def merge_rows(parts, rows, batch: int) -> Tensor:
+    """A (batch, ...) tensor whose rows `rows[i]` are the rows of parts[i]:
+    it joins the length groups of a batch of questions."""
+    parts = [as_tensor(p) for p in parts]
+    out = np.empty((batch,) + parts[0].shape[1:], dtype=parts[0].dtype)
+    for part, r in zip(parts, rows):
+        out[r] = part.data
+
+    def backward(g):
+        return tuple(g[r] for r in rows)
+
+    return Tensor._from_op(out, tuple(parts), backward)
+
+
 def take_rows(a, ids) -> Tensor:
-    """Gather rows of a matrix by an integer index array (embedding lookup)."""
+    """Gather rows of a matrix by an integer index array (embedding lookup);
+    ids (B, L) is one sequence per episode."""
     a = as_tensor(a)
     ids = np.asarray(ids, dtype=np.int64)
     out = a.data[ids]
+    rows = _BATCH_ROWS
 
-    def backward(g):
+    def scatter(ids, g):
         full = np.zeros_like(a.data)
         np.add.at(full, ids, g)
-        return (full,)
+        return full
+
+    def backward(g):
+        if ids.ndim == 2:
+            return (PerEpisode(scatter, ids, g, rows=rows),)
+        return (scatter(ids, g),)
 
     return Tensor._from_op(out, (a,), backward)
 
@@ -471,43 +664,67 @@ def reshape(a, shape) -> Tensor:
     return Tensor._from_op(out, (a,), backward)
 
 
-def conv2d_same3(x, w, b) -> Tensor:
-    """3x3 same-padded convolution over a batch of feature grids.
-
-    x: (K, H, W, C_in), w: (3, 3, C_in, C_out), b: (C_out,).
-    Implemented as an im2col matmul so the whole frame batch is one BLAS call.
-    """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 4 or w.ndim != 4 or w.shape[:2] != (3, 3):
-        raise ShapeError(f"conv2d_same3 got x {x.shape}, w {w.shape}")
-    if x.shape[3] != w.shape[2]:
-        raise ShapeError(f"channel mismatch: x {x.shape} vs w {w.shape}")
-    k, h, wd, cin = x.data.shape
-    if h == 0 or wd == 0:
-        raise ShapeError("empty spatial grid")
-    cout = w.data.shape[3]
-    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    cols = np.empty((k, h, wd, 9 * cin), dtype=x.data.dtype)
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """The (K*H*W, 9*C) zero-padded 3x3 patch matrix of grids (K, H, W, C)."""
+    k, h, wd, cin = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    cols = np.empty((k, h, wd, 9 * cin), dtype=x.dtype)
     for di in range(3):
         for dj in range(3):
             patch = xp[:, di:di + h, dj:dj + wd, :]
             cols[..., (di * 3 + dj) * cin:(di * 3 + dj + 1) * cin] = patch
-    wmat = w.data.reshape(9 * cin, cout)
-    out = cols.reshape(-1, 9 * cin) @ wmat + b.data
-    out = out.reshape(k, h, wd, cout)
+    return cols.reshape(-1, 9 * cin)
 
-    def backward(g):
-        gflat = g.reshape(-1, cout)
-        gw = (cols.reshape(-1, 9 * cin).T @ gflat).reshape(w.data.shape)
-        gb = gflat.sum(axis=0)
-        if not x.requires_grad:
-            return None, gw, gb
-        gcols = (gflat @ wmat.T).reshape(k, h, wd, 9, cin)
-        gxp = np.zeros_like(xp)
+
+def conv2d_same3(x, w, b) -> Tensor:
+    """3x3 same-padded convolution over a batch of feature grids.
+
+    x: (K, H, W, C_in), w: (3, 3, C_in, C_out), b: (C_out,); a batch of
+    episodes is x (B, K, H, W, C_in). Implemented as an im2col matmul, one
+    BLAS call per episode. The backward rebuilds the im2col matrix from x,
+    so the tape holds no patch matrix.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim not in (4, 5) or w.ndim != 4 or w.shape[:2] != (3, 3):
+        raise ShapeError(f"conv2d_same3 got x {x.shape}, w {w.shape}")
+    if x.shape[-1] != w.shape[2]:
+        raise ShapeError(f"channel mismatch: x {x.shape} vs w {w.shape}")
+    k, h, wd, cin = x.shape[-4:]
+    if h == 0 or wd == 0:
+        raise ShapeError("empty spatial grid")
+    cout = w.data.shape[3]
+    batched = x.ndim == 5
+    wmat = w.data.reshape(9 * cin, cout)
+
+    def forward(xe):
+        return (_im2col(xe) @ wmat + b.data).reshape(k, h, wd, cout)
+
+    out = np.stack([forward(xe) for xe in x.data]) if batched else forward(x.data)
+    rows = _BATCH_ROWS
+
+    def weight_grad(xe, ge):
+        return (_im2col(xe).T @ ge.reshape(-1, cout)).reshape(w.data.shape)
+
+    def bias_grad(ge):
+        return ge.reshape(-1, cout).sum(axis=0)
+
+    def input_grad(ge):
+        gcols = (ge.reshape(-1, cout) @ wmat.T).reshape(k, h, wd, 9, cin)
+        gxp = np.zeros((k, h + 2, wd + 2, cin), dtype=x.data.dtype)
         for di in range(3):
             for dj in range(3):
                 gxp[:, di:di + h, dj:dj + wd, :] += gcols[:, :, :, di * 3 + dj, :]
-        return gxp[:, 1:h + 1, 1:wd + 1, :], gw, gb
+        return gxp[:, 1:h + 1, 1:wd + 1, :]
+
+    def backward(g):
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = np.stack([input_grad(ge) for ge in g]) if batched else input_grad(g)
+        if w.requires_grad:
+            gw = _shared_grad(batched, rows, weight_grad, x.data, g)
+        if b.requires_grad:
+            gb = _shared_grad(batched, rows, bias_grad, g)
+        return gx, gw, gb
 
     return Tensor._from_op(out, (x, w, b), backward)
 
@@ -540,7 +757,7 @@ def dot_attention(query, keys, values, scale=None):
 def attention_weights(query, keys, scale=1.0) -> Tensor:
     """softmax(scale * keys @ query) for query (d,) and keys (L, d).
 
-    A batch is one query (B, d) and keys (B, L, d) per episode, forward only.
+    A batch is one query (B, d) and keys (B, L, d) per episode.
     """
     query, keys = as_tensor(query), as_tensor(keys)
     batched = query.ndim == 2
@@ -553,14 +770,15 @@ def attention_weights(query, keys, scale=1.0) -> Tensor:
     if scale <= 0:
         raise ValueError("scale must be positive")
     scale = np.asarray(scale, dtype=_DEFAULT_DTYPE)
-    if batched:
-        _forward_only("attention_weights", (query, keys))
     out = _softmax(np.matmul(keys.data, query.data[..., None])[..., 0] * scale)
 
     def backward(g):
         gl = _softmax_backward(g, out) * scale
-        gq = keys.data.T @ gl if query.requires_grad else None
-        gk = np.multiply.outer(gl, query.data) if keys.requires_grad else None
+        gq = gk = None
+        if query.requires_grad:
+            gq = _matvec(np.swapaxes(keys.data, -1, -2), gl)
+        if keys.requires_grad:
+            gk = _outer(gl, query.data)
         return gq, gk
 
     return Tensor._from_op(out, (query, keys), backward)
@@ -570,18 +788,16 @@ def attention_aggregate(a) -> Tensor:
     """Localization score of an attention distribution: sum of squares.
 
     Lies in [1/L, 1]; 1/L at the uniform distribution, 1 at a one-hot.
-    A rank-2 tensor is a batch of distributions, forward only.
+    A rank-2 tensor is a batch of distributions.
     """
     a = as_tensor(a)
     if a.ndim not in (1, 2):
         raise ShapeError("attention_aggregate expects a rank-1 tensor or a batch")
-    if a.ndim == 2:
-        _forward_only("attention_aggregate", (a,))
     ad = a.data
     out = np.asarray(np.matmul(ad[..., None, :], ad[..., :, None])[..., 0, 0])
 
     def backward(g):
-        return (2.0 * g * a.data,)
+        return ((2.0 * g)[..., None] * ad,)
 
     return Tensor._from_op(out, (a,), backward)
 
@@ -594,8 +810,7 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
     `reverse` the run goes from the last position to the first. Returns
     the hidden state at every position, (L, h), in sequence order. The
     backward pass is backpropagation through time over the cached gates.
-    A batch of equal-length sequences x (B, L, d_in) gives (B, L, h),
-    forward only.
+    A batch of equal-length sequences x (B, L, d_in) gives (B, L, h).
     """
     x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
     if x.ndim not in (2, 3) or x.shape[-2] < 1 or wh.ndim != 2:
@@ -607,8 +822,8 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
             f"lstm_direction got wx {wx.shape}, wh {wh.shape}, b {b.shape} "
             f"for input width {x.shape[-1]}"
         )
-    if x.ndim == 3:
-        _forward_only("lstm_direction", (x, wx, wh, b))
+    batched = x.ndim == 3
+    rows = _BATCH_ROWS
     length = x.shape[-2]
     xproj = x.data @ wx.data  # a batch runs one (L, d_in) gemm per episode
     whd, bd = wh.data, b.data
@@ -635,25 +850,27 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
 
     def backward(g):
         dz = np.empty_like(xproj)
-        h_prev = np.empty((length, hh), dtype=xproj.dtype)
-        dh_next = np.zeros(hh, dtype=xproj.dtype)
-        dc = np.zeros(hh, dtype=xproj.dtype)
+        h_prev = np.empty(xproj.shape[:-1] + (hh,), dtype=xproj.dtype)
+        dh_next = np.zeros(xproj.shape[:-2] + (hh,), dtype=xproj.dtype)
+        dc = np.zeros(xproj.shape[:-2] + (hh,), dtype=xproj.dtype)
         for i, (i_g, f_g, g_g, o_g, c_prev, tc, hp) in zip(
                 reversed(order), reversed(cache)):
-            dh = g[i] + dh_next
+            dh = g[..., i, :] + dh_next
             dc = dc + dh * o_g * (1.0 - tc * tc)
-            dz[i, 0:hh] = dc * g_g * i_g * (1.0 - i_g)
-            dz[i, hh:2 * hh] = dc * c_prev * f_g * (1.0 - f_g)
-            dz[i, 2 * hh:3 * hh] = dc * i_g * (1.0 - g_g * g_g)
-            dz[i, 3 * hh:] = dh * tc * o_g * (1.0 - o_g)
-            h_prev[i] = hp
+            dz[..., i, 0:hh] = dc * g_g * i_g * (1.0 - i_g)
+            dz[..., i, hh:2 * hh] = dc * c_prev * f_g * (1.0 - f_g)
+            dz[..., i, 2 * hh:3 * hh] = dc * i_g * (1.0 - g_g * g_g)
+            dz[..., i, 3 * hh:] = dh * tc * o_g * (1.0 - o_g)
+            h_prev[..., i, :] = hp
             dc = dc * f_g
-            dh_next = dz[i] @ whd.T
+            dh_next = _vecmat(dz[..., i, :], whd.T)
         return (
             dz @ wx.data.T if x.requires_grad else None,
-            x.data.T @ dz if wx.requires_grad else None,
-            h_prev.T @ dz if wh.requires_grad else None,
-            dz.sum(axis=0) if b.requires_grad else None,
+            _shared_grad(batched, rows, _transposed_product, x.data, dz)
+            if wx.requires_grad else None,
+            _shared_grad(batched, rows, _transposed_product, h_prev, dz)
+            if wh.requires_grad else None,
+            _shared_grad(batched, rows, _row_sum, dz) if b.requires_grad else None,
         )
 
     return Tensor._from_op(out, (x, wx, wh, b), backward)
@@ -662,7 +879,7 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
 def weighted_sum(a, x, b, y) -> Tensor:
     """a * x + b * y for scalar (0-d) weights a and b.
 
-    A batch is one weight pair (B,) and vector terms (B, d), forward only.
+    A batch is one weight pair (B,) and vector terms (B, d).
     """
     a, x, b, y = (as_tensor(t) for t in (a, x, b, y))
     batched = a.ndim == 1
@@ -672,16 +889,14 @@ def weighted_sum(a, x, b, y) -> Tensor:
             f"weighted_sum got weights {a.shape}, {b.shape} and terms "
             f"{x.shape}, {y.shape}"
         )
-    if batched:
-        _forward_only("weighted_sum", (a, x, b, y))
     out = a.data[..., None] * x.data + b.data[..., None] * y.data
 
     def backward(g):
         return (
-            np.asarray((g * x.data).sum()) if a.requires_grad else None,
-            g * a.data if x.requires_grad else None,
-            np.asarray((g * y.data).sum()) if b.requires_grad else None,
-            g * b.data if y.requires_grad else None,
+            np.asarray((g * x.data).sum(axis=-1)) if a.requires_grad else None,
+            g * a.data[..., None] if x.requires_grad else None,
+            np.asarray((g * y.data).sum(axis=-1)) if b.requires_grad else None,
+            g * b.data[..., None] if y.requires_grad else None,
         )
 
     return Tensor._from_op(out, (a, x, b, y), backward)
@@ -690,14 +905,12 @@ def weighted_sum(a, x, b, y) -> Tensor:
 def memory_blend(m, w, v) -> Tensor:
     """Row i of the result is (1 - w_i) * m_i + w_i * v, for m (N, d).
 
-    A batch is m (B, N, d), w (B, N) and v (B, d), forward only.
+    A batch is m (B, N, d), w (B, N) and v (B, d).
     """
     m, w, v = as_tensor(m), as_tensor(w), as_tensor(v)
     if (m.ndim not in (2, 3) or w.shape != m.shape[:-1]
             or v.shape != m.shape[:-2] + m.shape[-1:]):
         raise ShapeError(f"memory_blend got m {m.shape}, w {w.shape}, v {v.shape}")
-    if m.ndim == 3:
-        _forward_only("memory_blend", (m, w, v))
     w_col = w.data[..., None]  # (N, 1) per episode
     v_row = v.data[..., None, :]  # (1, d) per episode
     out = m.data * (1.0 - w_col) + w_col @ v_row
@@ -705,11 +918,11 @@ def memory_blend(m, w, v) -> Tensor:
     def backward(g):
         gw = None
         if w.requires_grad:
-            gw = g @ v.data - (g * m.data).sum(axis=1)
+            gw = _matvec(g, v.data) - (g * m.data).sum(axis=-1)
         return (
             g * (1.0 - w_col) if m.requires_grad else None,
             gw,
-            w.data @ g if v.requires_grad else None,
+            _vecmat(w.data, g) if v.requires_grad else None,
         )
 
     return Tensor._from_op(out, (m, w, v), backward)
@@ -718,13 +931,11 @@ def memory_blend(m, w, v) -> Tensor:
 def write_head_shift(wh, h_a) -> Tensor:
     """h_a * roll(wh, 1) + (1 - h_a) * wh: a soft circular right-shift.
 
-    A batch is wh (B, N) and h_a (B,), forward only.
+    A batch is wh (B, N) and h_a (B,).
     """
     wh, h_a = as_tensor(wh), as_tensor(h_a)
     if wh.ndim != 1 + h_a.ndim or wh.shape[:-1] != h_a.shape or h_a.ndim > 1:
         raise ShapeError(f"write_head_shift got wh {wh.shape}, h_a {h_a.shape}")
-    if h_a.ndim == 1:
-        _forward_only("write_head_shift", (wh, h_a))
     ha = h_a.data[..., None]
     # np.roll(wh, 1) over the last axis
     shifted = np.concatenate((wh.data[..., -1:], wh.data[..., :-1]), axis=-1)
@@ -734,10 +945,10 @@ def write_head_shift(wh, h_a) -> Tensor:
     def backward(g):
         gwh = gh = None
         if wh.requires_grad:
-            moved = g * h_a.data
-            gwh = np.concatenate((moved[1:], moved[:1])) + g * stay
+            moved = g * ha
+            gwh = np.concatenate((moved[..., 1:], moved[..., :1]), axis=-1) + g * stay
         if h_a.requires_grad:
-            gh = np.asarray((g * shifted).sum() - (g * wh.data).sum())
+            gh = np.asarray((g * shifted).sum(axis=-1) - (g * wh.data).sum(axis=-1))
         return gwh, gh
 
     return Tensor._from_op(out, (wh, h_a), backward)
@@ -749,7 +960,7 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
     x = [vs, rs, tau] goes through two ELU layers to the hidden h; g_v and
     g_m are sigmoids of h @ obj_w + obj_b, and (h_r, h_a, h_none) is the
     softmax of h @ write_w + write_b. A batch is vs and rs (B,) and tau
-    (B, 4) and gives (B, 5), forward only.
+    (B, 4) and gives (B, 5).
     """
     parents = tuple(as_tensor(t) for t in (
         vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b))
@@ -762,8 +973,8 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
             f"gate_mlp got tau {tau.shape}, w1 {w1.shape}, obj_w {obj_w.shape}, "
             f"write_w {write_w.shape}"
         )
-    if vs.ndim == 1:
-        _forward_only("gate_mlp", parents)
+    batched = vs.ndim == 1
+    rows = _BATCH_ROWS
     x = np.concatenate([vs.data[..., None], rs.data[..., None], tau.data], axis=-1)
     a1 = _vecmat(x, w1.data) + b1.data
     h1 = _elu(a1)
@@ -776,18 +987,21 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
         return Tensor._from_op(out, (), None)
     d1, d2 = _elu_slope(a1, h1), _elu_slope(a2, h2)
 
+    def shared(fn, *args):
+        return _shared_grad(batched, rows, fn, *args)
+
     def backward(g):
-        d_obj = g[0:2] * obj * (1.0 - obj)
-        d_write = _softmax_backward(g[2:5], write)
-        d_a2 = (d_obj @ obj_w.data.T + d_write @ write_w.data.T) * d2
-        d_a1 = (d_a2 @ w2.data.T) * d1
-        dx = d_a1 @ w1.data.T
+        d_obj = g[..., 0:2] * obj * (1.0 - obj)
+        d_write = _softmax_backward(g[..., 2:5], write)
+        d_a2 = (_vecmat(d_obj, obj_w.data.T) + _vecmat(d_write, write_w.data.T)) * d2
+        d_a1 = _vecmat(d_a2, w2.data.T) * d1
+        dx = _vecmat(d_a1, w1.data.T)
         return (
-            np.asarray(dx[0]), np.asarray(dx[1]), dx[2:],
-            np.multiply.outer(x, d_a1), d_a1,
-            np.multiply.outer(h1, d_a2), d_a2,
-            np.multiply.outer(h2, d_obj), d_obj,
-            np.multiply.outer(h2, d_write), d_write,
+            np.asarray(dx[..., 0]), np.asarray(dx[..., 1]), dx[..., 2:],
+            shared(_outer, x, d_a1), shared(None, d_a1),
+            shared(_outer, h1, d_a2), shared(None, d_a2),
+            shared(_outer, h2, d_obj), shared(None, d_obj),
+            shared(_outer, h2, d_write), shared(None, d_write),
         )
 
     return Tensor._from_op(out, parents, backward)

@@ -180,7 +180,11 @@ def test_one_episode(monkeypatch):
         assert calls[0] == [len(episodes[0].tokens)]
 
 
-def test_batched_forward_refuses_the_tape():
+def parameter_grads(model):
+    return {p.name: p.grad for p in model.store.parameters()}
+
+
+def test_batched_forward_records_and_matches():
     model, episodes = model_and_episodes("toy-canonical", 12)
     n = len(episodes[0].tokens)
     same = [ep for ep in episodes if len(ep.tokens) == n][:2]
@@ -189,8 +193,18 @@ def test_batched_forward_refuses_the_tape():
     for batch, ids in ((same, np.array([ep.token_ids for ep in same])),
                        (mixed, [ep.token_ids for ep in mixed])):
         frames = np.stack([ep.frames_symbolic() for ep in batch])
-        with pytest.raises(T.ShapeError, match="no_grad"):
-            model.episode_forward(ids, frames)
-        with T.no_grad():
-            out = model.episode_forward(ids, frames)
-        assert out.shape == (len(batch), 4, model.config.num_answers)
+        recorded = model.episode_forward(ids, frames)
+        assert recorded.requires_grad
+        assert recorded.shape == (len(batch), 4, model.config.num_answers)
+        for a, b in zip(recorded.data, reference_logits(model, batch)):
+            assert np.array_equal(a, b)
+        # one tape for the batch against one tape per episode
+        model.store.zero_grad()
+        for ep in batch:
+            model.episode_loss(ep.token_ids, ep.frames_symbolic(),
+                               ep.answer_ids).backward()
+        expected = parameter_grads(model)
+        model.store.zero_grad()
+        model.episode_loss(ids, frames, [ep.answer_ids for ep in batch]).backward()
+        for name, g in parameter_grads(model).items():
+            assert np.array_equal(g, expected[name]), name

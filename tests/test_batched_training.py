@@ -1,0 +1,195 @@
+"""Chunked training tapes against the per-episode loop they replaced.
+
+`training.train` forwards and back-propagates each step's batch in chunks
+of at most `_TRAIN_CHUNK` consecutive episodes, each chunk on one tape.
+`reference_backward` is the former loop, one tape and one `backward()` per
+episode; after each, every parameter gradient and every loss must match it
+bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from samnet import tensor as T
+from samnet import training
+from samnet.cell import SAMNet
+from samnet.checkpoint import load_checkpoint
+from samnet.minicog import generate_corpus
+from samnet.training import NonFiniteLossError, config_from_preset, train
+
+
+def model_and_episodes(preset, count, seed=5, **model_kw):
+    cfg = config_from_preset(preset, task_family="all", **model_kw)
+    model = SAMNet(cfg.model_config(), init_seed=seed)
+    episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                               count, seed=seed + 200)
+    return model, episodes
+
+
+def reference_backward(model, episodes):
+    """The former training loop: one tape per episode."""
+    model.store.zero_grad()
+    losses = []
+    for ep in episodes:
+        loss = model.episode_loss(ep.token_ids, ep.frames_symbolic(),
+                                  ep.answer_ids)
+        losses.append(loss.item())
+        loss.backward()
+    return losses, gradients(model)
+
+
+def chunked_backward(model, episodes, sizes):
+    model.store.zero_grad()
+    losses = []
+    start = 0
+    for size in sizes:
+        losses += training._train_chunk(model, episodes[start:start + size])
+        start += size
+    assert start == len(episodes)
+    return losses, gradients(model)
+
+
+def gradients(model):
+    return {p.name: None if p.grad is None else p.grad.copy()
+            for p in model.store.parameters()}
+
+
+def assert_same_gradients(model, episodes, sizes):
+    ref_losses, ref = reference_backward(model, episodes)
+    losses, got = chunked_backward(model, episodes, sizes)
+    assert losses == ref_losses
+    assert got.keys() == ref.keys()
+    for name, g in ref.items():
+        assert g is not None, name
+        assert got[name] is not None, name
+        assert got[name].dtype == g.dtype and got[name].shape == g.shape, name
+        assert np.array_equal(got[name], g), f"{name} gradient differs"
+
+
+def distinct_lengths(episodes, count):
+    by_length = {}
+    for ep in episodes:
+        by_length.setdefault(len(ep.tokens), ep)
+    assert len(by_length) >= count
+    return list(by_length.values())[:count]
+
+
+@pytest.mark.parametrize("preset", ["toy-canonical", "toy-hard"])
+def test_chunks_of_one_to_four_and_a_remainder(preset):
+    model, episodes = model_and_episodes(preset, 13)
+    lengths = [len(ep.tokens) for ep in episodes]
+    assert len(set(lengths)) > 2 and len(set(lengths)) < len(lengths)
+    assert_same_gradients(model, episodes, [1, 2, 3, 4, 3])
+
+
+@pytest.mark.parametrize("preset", ["toy-canonical", "toy-hard"])
+def test_every_question_length_distinct(preset):
+    model, pool = model_and_episodes(preset, 60)
+    episodes = distinct_lengths(pool, 8)
+    assert_same_gradients(model, episodes, [4, 4])
+
+
+@pytest.mark.parametrize("preset", ["toy-canonical", "toy-hard"])
+def test_memory_disabled(preset):
+    model, episodes = model_and_episodes(preset, 7, memory_enabled=False)
+    assert not model.config.memory_enabled
+    assert_same_gradients(model, episodes, [4, 3])
+
+
+def test_equal_question_lengths_are_one_group():
+    model, pool = model_and_episodes("toy-canonical", 40)
+    n = len(pool[0].tokens)
+    episodes = [ep for ep in pool if len(ep.tokens) == n][:4]
+    assert len(episodes) == 4
+    assert_same_gradients(model, episodes, [4])
+
+
+def test_chunk_loss_is_the_per_episode_loss():
+    model, episodes = model_and_episodes("toy-hard", 3)
+    losses = [model.episode_loss(ep.token_ids, ep.frames_symbolic(),
+                                 ep.answer_ids).data for ep in episodes]
+    batch = model.episode_loss([ep.token_ids for ep in episodes],
+                               np.stack([ep.frames_symbolic() for ep in episodes]),
+                               [ep.answer_ids for ep in episodes])
+    assert batch.shape == (3,)
+    assert [float(x) for x in batch.data] == [float(x) for x in losses]
+    with pytest.raises(ValueError, match="answers"):
+        model.episode_loss([ep.token_ids for ep in episodes],
+                           np.stack([ep.frames_symbolic() for ep in episodes]),
+                           [ep.answer_ids[:-1] for ep in episodes])
+
+
+def tiny_cfg(out_dir, **kw):
+    base = dict(task_family="all", batch_size=6, max_steps=3, eval_every=2,
+                val_episodes=12, out_dir=str(out_dir))
+    base.update(kw)
+    return config_from_preset("toy-canonical", **base)
+
+
+def test_chunk_size_changes_no_checkpoint_byte(tmp_path, monkeypatch):
+    outputs = {}
+    for chunk in (1, 4):
+        monkeypatch.setattr(training, "_TRAIN_CHUNK", chunk)
+        result = train(tiny_cfg(tmp_path / f"chunk{chunk}"), deterministic=True)
+        outputs[chunk] = [
+            load_checkpoint(result.final_checkpoint)[0],
+            load_checkpoint(result.best_checkpoint)[0],
+            open(result.metrics_path, "rb").read(),
+        ]
+    (final1, best1, metrics1), (final4, best4, metrics4) = outputs[1], outputs[4]
+    assert metrics1 == metrics4
+    for one, four in ((final1, final4), (best1, best4)):
+        assert one.keys() == four.keys()
+        assert all(np.array_equal(one[k], four[k]) for k in one)
+
+
+class Poisoned:
+    """An episode whose frames hold a NaN."""
+
+    def __init__(self, episode):
+        self._episode = episode
+
+    def __getattr__(self, name):
+        return getattr(self._episode, name)
+
+    def frames_symbolic(self):
+        frames = self._episode.frames_symbolic().copy()
+        frames[0, 0, 0, 0] = np.nan
+        return frames
+
+
+@pytest.mark.parametrize("poisoned,message", [
+    (2, "[1, 0..2]"),    # the third episode of the first chunk
+    (9, "[1, 6..9]"),    # the second step's second chunk, 4 + 2 episodes
+])
+def test_non_finite_episode_is_named(tmp_path, monkeypatch, poisoned, message):
+    real_stream = training.episode_stream
+
+    def stream(*args):
+        for i, ep in enumerate(real_stream(*args)):
+            yield Poisoned(ep) if i == poisoned else ep
+
+    monkeypatch.setattr(training, "episode_stream", stream)
+    cfg = tiny_cfg(tmp_path / "run", data_seed=1)
+    with pytest.raises(NonFiniteLossError) as exc:
+        with np.errstate(all="ignore"):
+            train(cfg)
+    assert f"batch episode seeds {message};" in str(exc.value)
+
+
+def test_vector_root_is_the_sum_of_its_episodes():
+    model, episodes = model_and_episodes("toy-canonical", 2)
+    args = ([ep.token_ids for ep in episodes],
+            np.stack([ep.frames_symbolic() for ep in episodes]),
+            [ep.answer_ids for ep in episodes])
+    with T.precision("float64"):
+        model = SAMNet(model.config, init_seed=5)
+        model.store.zero_grad()
+        model.episode_loss(*args).backward()
+        vector = gradients(model)
+        model.store.zero_grad()
+        loss = model.episode_loss(*args)
+        T.matmul(T.Tensor(np.ones(2)), loss).backward()
+        summed = gradients(model)
+    for name, g in vector.items():
+        np.testing.assert_allclose(g, summed[name], rtol=1e-12, atol=1e-15)

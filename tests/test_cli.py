@@ -48,6 +48,30 @@ def test_gen_count_below_one_is_a_usage_error(tiny_conf, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "gen"])
+@pytest.mark.parametrize("line,message", [
+    ("max_steps = two", "max_steps: expected int, got 'two'"),
+    ("learning_rate = fast", "learning_rate: expected float, got 'fast'"),
+    ("memory_enabled = maybe", "memory_enabled: expected one of"),
+    ("batch = 4", "unknown config keys ['batch']"),
+])
+def test_bad_config_value_is_a_usage_error(tiny_conf, tmp_path, capsys,
+                                           command, line, message):
+    tiny_conf.write_text(tiny_conf.read_text() + line + "\n")
+    argv = ["train", "--config", str(tiny_conf)]
+    if command == "gen":
+        argv = ["gen", "--config", str(tiny_conf), "--count", "3",
+                "--seed", "5", "--out", str(tmp_path / "corpus.jsonl")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: samnet {command}" in err
+    assert f"{tiny_conf}: {message}" in err
+    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
 def test_generate_corpus_rejects_a_negative_count():
     from samnet.minicog import EpisodeConfig, generate_corpus
 

@@ -78,10 +78,31 @@ class TestQuestionEncoder:
         assert list(rows) == [0, 1] and words.shape == (2, 3, 8)
         assert np.array_equal(out.q.data, expected.q.data)
 
-    def test_ragged_batch_refuses_the_tape(self):
-        enc = QuestionEncoder(store_with_seed(13), vocab_size=6, d=8)
-        with pytest.raises(T.ShapeError, match="no_grad"):
-            enc.encode([[1, 2], [3, 4, 5]])
+    def test_ragged_batch_records_and_matches(self):
+        store = store_with_seed(13)
+        enc = QuestionEncoder(store, vocab_size=6, d=8)
+        seqs = [[1, 2], [3, 4, 5], [0, 5], [2]]
+        targets = [1, 7, 0, 3]
+        # the reference: one tape per question, a cross-entropy read of q
+        single = []
+        for ids, target in zip(seqs, targets):
+            single.append(enc.encode(ids))
+            T.cross_entropy_logits(single[-1].q, target).backward()
+        expected = {p.name: p.grad for p in store.parameters()}
+        store.zero_grad()
+        out = enc.encode(seqs)  # recorded on one tape
+        assert out.q.requires_grad
+        T.cross_entropy_logits(out.q, targets).backward()
+        assert np.array_equal(out.q.data, np.stack([s.q.data for s in single]))
+        for rows, words in out.cw:
+            for row, w in zip(rows, words.data):
+                assert np.array_equal(w, single[row].cw.data)
+        for p in store.parameters():
+            want = expected[p.name]
+            if want is None:  # the cw linear is not read
+                assert p.grad is None, p.name
+            else:
+                assert np.array_equal(p.grad, want), p.name
         with pytest.raises(VocabularyError):
             enc.encode([[1, 2], []])
 

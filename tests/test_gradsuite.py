@@ -9,6 +9,7 @@ CHECK_NAMES = [
     "frame_encoder", "controller_step", "temporal_classifier",
     "visual_retrieval", "memory_retrieval", "gate_network", "memory_update",
     "summary_update", "cell_two_steps", "full_episode_2frames",
+    "full_episode_batch3",
 ]
 
 

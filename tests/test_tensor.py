@@ -241,10 +241,26 @@ def test_evaluation_is_deterministic():
     assert run() == run()
 
 
-def test_backward_requires_scalar_root():
-    with pytest.raises(T.ShapeError):
-        v = T.Tensor([1.0, 2.0], requires_grad=True)
+def test_backward_root_is_a_scalar_or_a_vector():
+    # a vector root, one loss per episode, differentiates their sum
+    with T.precision("float64"):
+        v = T.Tensor([1.0, -2.0, 0.5], requires_grad=True)
         T.elu(v).backward()
+        vector = v.grad
+        v.grad = None
+        T.matmul(T.Tensor(np.ones(3)), T.elu(v)).backward()
+        npt.assert_array_equal(vector, v.grad)
+    with pytest.raises(T.ShapeError):
+        m = T.Tensor(np.ones((2, 2)), requires_grad=True)
+        T.elu(m).backward()
+
+
+def test_backward_runs_once_per_graph():
+    v = T.Tensor([1.0, 2.0], requires_grad=True)
+    root = T.matmul(v, T.elu(v))
+    root.backward()
+    with pytest.raises(RuntimeError, match="already"):
+        root.backward()
 
 
 def test_elu_matches_definition():
