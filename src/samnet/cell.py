@@ -399,12 +399,25 @@ class SAMNet:
             overrides.setdefault("h_a", 0.0)
         with nullcontext() if batch is None else T.episode_batch():
             enc = self.question_encoder.encode(token_ids)
-            # (K, H*W, d), or (B, K, H*W, d) for a batch
-            features = self.frame_encoder.encode(frames)
+            if batch is None:
+                features = self.frame_encoder.encode(frames)  # (K, H*W, d)
+            else:
+                # The CNN runs one episode at a time, which bounds its im2col
+                # buffers and activations, and frame k's rows are stacked
+                # only when needed. Episode e's convolutions hand their
+                # parameter gradients to episode e.
+                features = []
+                for e, episode_frames in enumerate(frames):
+                    with T.episode_batch([e]):
+                        features.append(self.frame_encoder.encode(episode_frames))
             mem = MemoryState.initial(n, self.config.d, batch)
             frame_logits = []
             for k in range(n_frames):
-                keys, values = self.cell.visual.project(features[..., k, :, :])
+                if batch is None:
+                    rows = features[k]
+                else:
+                    rows = T.stack([f[k] for f in features])
+                keys, values = self.cell.visual.project(rows)
                 state = self.cell.initial_state()
                 step_trace = [] if trace is not None else None
                 for t in range(1, self.config.steps + 1):

@@ -127,12 +127,11 @@ class FrameEncoder:
         self.conv2_b = store.new(f"{prefix}.conv2.b", (d,), fan_in=0)
 
     def encode(self, frames: np.ndarray) -> Tensor:
-        """Map (K, H, W, C) grids to a (K, H*W, d) feature map batch; a batch
-        of episodes (B, K, H, W, C) gives (B, K, H*W, d)."""
+        """Map (K, H, W, C) grids to a (K, H*W, d) feature map batch."""
         frames = np.asarray(frames, dtype=T.default_dtype())
         if frames.ndim == 3:
             frames = frames[None]
-        h, w, c = frames.shape[-3:]
+        k, h, w, c = frames.shape
         if h * w == 0:
             raise T.ShapeError("frame grid has no cells")
         if c != self.in_channels:
@@ -141,4 +140,4 @@ class FrameEncoder:
             )
         x = T.elu(T.conv2d_same3(Tensor(frames), self.conv1_w, self.conv1_b))
         x = T.elu(T.conv2d_same3(x, self.conv2_w, self.conv2_b))
-        return T.reshape(x, frames.shape[:-3] + (h * w, self.d))
+        return T.reshape(x, (k, h * w, self.d))

@@ -315,9 +315,12 @@ def _recording(parents) -> bool:
 
 def _shared_grad(batched, rows, fn, *args):
     """The gradient for an operand that a batch's episodes share: computed
-    now for one episode, handed on as `PerEpisode` for a batch."""
+    now for one episode, handed on as `PerEpisode` for a batch, or for one
+    episode of an enclosing batch (`rows`, of length 1)."""
     if batched:
         return PerEpisode(fn, *args, rows=rows)
+    if rows is not None:
+        return PerEpisode(fn, *(a[None] for a in args), rows=rows)
     return args[0] if fn is None else fn(*args)
 
 
@@ -679,52 +682,41 @@ def _im2col(x: np.ndarray) -> np.ndarray:
 def conv2d_same3(x, w, b) -> Tensor:
     """3x3 same-padded convolution over a batch of feature grids.
 
-    x: (K, H, W, C_in), w: (3, 3, C_in, C_out), b: (C_out,); a batch of
-    episodes is x (B, K, H, W, C_in). Implemented as an im2col matmul, one
-    BLAS call per episode. The backward rebuilds the im2col matrix from x,
-    so the tape holds no patch matrix.
+    x: (K, H, W, C_in), w: (3, 3, C_in, C_out), b: (C_out,).
+    Implemented as an im2col matmul so the whole frame batch is one BLAS call.
+    The backward rebuilds the im2col matrix from x, so the tape holds no
+    patch matrix.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim not in (4, 5) or w.ndim != 4 or w.shape[:2] != (3, 3):
+    if x.ndim != 4 or w.ndim != 4 or w.shape[:2] != (3, 3):
         raise ShapeError(f"conv2d_same3 got x {x.shape}, w {w.shape}")
-    if x.shape[-1] != w.shape[2]:
+    if x.shape[3] != w.shape[2]:
         raise ShapeError(f"channel mismatch: x {x.shape} vs w {w.shape}")
-    k, h, wd, cin = x.shape[-4:]
+    k, h, wd, cin = x.data.shape
     if h == 0 or wd == 0:
         raise ShapeError("empty spatial grid")
     cout = w.data.shape[3]
-    batched = x.ndim == 5
     wmat = w.data.reshape(9 * cin, cout)
-
-    def forward(xe):
-        return (_im2col(xe) @ wmat + b.data).reshape(k, h, wd, cout)
-
-    out = np.stack([forward(xe) for xe in x.data]) if batched else forward(x.data)
+    out = (_im2col(x.data) @ wmat + b.data).reshape(k, h, wd, cout)
     rows = _BATCH_ROWS
 
-    def weight_grad(xe, ge):
-        return (_im2col(xe).T @ ge.reshape(-1, cout)).reshape(w.data.shape)
+    def weight_grad(xd, g):
+        return (_im2col(xd).T @ g.reshape(-1, cout)).reshape(w.data.shape)
 
-    def bias_grad(ge):
-        return ge.reshape(-1, cout).sum(axis=0)
-
-    def input_grad(ge):
-        gcols = (ge.reshape(-1, cout) @ wmat.T).reshape(k, h, wd, 9, cin)
-        gxp = np.zeros((k, h + 2, wd + 2, cin), dtype=x.data.dtype)
-        for di in range(3):
-            for dj in range(3):
-                gxp[:, di:di + h, dj:dj + wd, :] += gcols[:, :, :, di * 3 + dj, :]
-        return gxp[:, 1:h + 1, 1:wd + 1, :]
+    def bias_grad(g):
+        return g.reshape(-1, cout).sum(axis=0)
 
     def backward(g):
-        gx = gw = gb = None
+        gx = None
         if x.requires_grad:
-            gx = np.stack([input_grad(ge) for ge in g]) if batched else input_grad(g)
-        if w.requires_grad:
-            gw = _shared_grad(batched, rows, weight_grad, x.data, g)
-        if b.requires_grad:
-            gb = _shared_grad(batched, rows, bias_grad, g)
-        return gx, gw, gb
+            gcols = (g.reshape(-1, cout) @ wmat.T).reshape(k, h, wd, 9, cin)
+            gxp = np.zeros((k, h + 2, wd + 2, cin), dtype=x.data.dtype)
+            for di in range(3):
+                for dj in range(3):
+                    gxp[:, di:di + h, dj:dj + wd, :] += gcols[:, :, :, di * 3 + dj, :]
+            gx = gxp[:, 1:h + 1, 1:wd + 1, :]
+        return (gx, _shared_grad(False, rows, weight_grad, x.data, g),
+                _shared_grad(False, rows, bias_grad, g))
 
     return Tensor._from_op(out, (x, w, b), backward)
 
