@@ -151,9 +151,8 @@ class QuestionDrivenController:
         """Control state c_t and the attention qa over the question words.
 
         For a batch (q (B, d), cw per length group as in `QuestionEncoding`)
-        only the attention and its read run per group, and `T.merge_rows`
-        joins the groups' rows into one (B, d) c_t; qa is then one tensor
-        per group.
+        only the attention and its read run per group, in one
+        `T.grouped_attention_read` node; qa is then one array per group.
         """
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
@@ -168,16 +167,10 @@ class QuestionDrivenController:
             qa = T.attention_weights(uq, cw)
             _check_distribution(qa, "question attention")
             return T.matmul(qa, cw), qa
-        reads, qa = [], []
-        for rows, words in cw:
-            qa_g = T.attention_weights(uq if len(cw) == 1 else T.select(uq, rows),
-                                       words)
-            _check_distribution(qa_g, "question attention")
-            reads.append(T.matmul(qa_g, words))
-            qa.append(qa_g)
-        if len(cw) == 1:  # one group holds every row, in order
-            return reads[0], qa
-        return T.merge_rows(reads, [rows for rows, _ in cw], uq.shape[0]), qa
+        c_t, qa = T.grouped_attention_read(uq, cw)
+        for qa_g in qa:
+            _check_distribution(Tensor(qa_g), "question attention")
+        return c_t, qa
 
 
 class TemporalClassifier:

@@ -776,6 +776,44 @@ def attention_weights(query, keys, scale=1.0) -> Tensor:
     return Tensor._from_op(out, (query, keys), backward)
 
 
+def grouped_attention_read(query, groups):
+    """softmax(words @ query) @ words for each length group of a batch.
+
+    query is (B, d); groups are (rows, words) pairs as in
+    `encoders.QuestionEncoding`, words (B_g, L, d) for the batch rows
+    `rows`. Returns the (B, d) reads as one tape node, and each group's
+    attention weights as plain arrays. The node stands for one
+    `attention_weights` and one `matmul` per group: it evaluates their
+    expressions, and lists each group's words twice among its parents, so
+    that they receive the read's gradient and then the attention's, in the
+    order a one-episode sweep adds them.
+    """
+    query = as_tensor(query)
+    scale = np.asarray(1.0, dtype=_DEFAULT_DTYPE)
+    out = np.empty(query.shape, dtype=query.dtype)
+    weights = []
+    for rows, words in groups:
+        q = query.data[rows]
+        qa = _softmax(np.matmul(words.data, q[..., None])[..., 0] * scale)
+        out[rows] = _vecmat(qa, words.data)
+        weights.append(qa)
+
+    def backward(g):
+        gq = np.empty_like(query.data)
+        grads = []
+        for (rows, words), qa in zip(groups, weights):
+            gr = g[rows]
+            wd = words.data
+            gqa = _vecmat(gr, np.swapaxes(wd, -1, -2))
+            gl = _softmax_backward(gqa, qa) * scale
+            gq[rows] = _matvec(np.swapaxes(wd, -1, -2), gl)
+            grads += [_outer(qa, gr), _outer(gl, query.data[rows])]
+        return (gq, *grads)
+
+    parents = (query,) + tuple(w for _, words in groups for w in (words, words))
+    return Tensor._from_op(out, parents, backward), weights
+
+
 def attention_aggregate(a) -> Tensor:
     """Localization score of an attention distribution: sum of squares.
 
