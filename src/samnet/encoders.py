@@ -109,9 +109,9 @@ class QuestionEncoder:
                 cw, final = self._contextual(np.stack([seqs[i] for i in members]))
             groups.append((rows, cw))
             finals.append(final)
-        if len(groups) > 1:
-            finals = [T.merge_rows(finals, [rows for rows, _ in groups], len(seqs))]
-        q = T.linear(finals[0], self.q_w, self.q_b, batched=True)
+        final = finals[0] if len(groups) == 1 else T.merge_rows(
+            finals, [rows for rows, _ in groups], len(seqs))
+        q = T.linear(final, self.q_w, self.q_b, batched=True)
         return QuestionEncoding(cw=groups, q=q)
 
 

@@ -131,8 +131,9 @@ class PerEpisode:
 
     Row i of the node's batch contributes ``fn(*(a[i] for a in args))``,
     the expression the one-episode backward adds (``args[0][i]`` when `fn`
-    is None). `fn` must also map stacked rows to stacked contributions.
-    `rows[i]` is the root-batch episode of row i (None: episode i).
+    is None). The functions in `_STACKABLE` also map stacked rows to stacked
+    contributions. `rows[i]` is the root-batch episode of row i (None:
+    episode i).
     """
 
     __slots__ = ("fn", "args", "rows")
