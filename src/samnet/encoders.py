@@ -127,17 +127,22 @@ class FrameEncoder:
         self.conv2_b = store.new(f"{prefix}.conv2.b", (d,), fan_in=0)
 
     def encode(self, frames: np.ndarray) -> Tensor:
-        """Map (K, H, W, C) grids to a (K, H*W, d) feature map batch."""
+        """Map (K, H, W, C) grids to a (K, H*W, d) feature map batch.
+
+        A batch of episodes (B, K, H, W, C) gives one (B, K, H*W, d) array;
+        the convolutions run one episode at a time, so their patch matrices
+        stay one episode's size.
+        """
         frames = np.asarray(frames, dtype=T.default_dtype())
         if frames.ndim == 3:
             frames = frames[None]
-        k, h, w, c = frames.shape
+        *lead, h, w, c = frames.shape
         if h * w == 0:
             raise T.ShapeError("frame grid has no cells")
         if c != self.in_channels:
             raise T.ShapeError(
                 f"frame has {c} channels, encoder expects {self.in_channels}"
             )
-        x = T.elu(T.conv2d_same3(Tensor(frames), self.conv1_w, self.conv1_b))
-        x = T.elu(T.conv2d_same3(x, self.conv2_w, self.conv2_b))
-        return T.reshape(x, (k, h * w, self.d))
+        x = T.conv2d_same3_elu(Tensor(frames), (self.conv1_w, self.conv1_b),
+                               (self.conv2_w, self.conv2_b))
+        return T.reshape(x, (*lead, h * w, self.d))

@@ -102,17 +102,21 @@ def _check_elu(rng, eps):
     return grad_check(f, store.parameters(), eps=eps)
 
 
-def _check_conv(rng, eps):
+def _check_conv_elu(rng, eps):
     store = _store(4)
-    img = store.new("img", (1, 3, 3, 2))
-    img.data = rng.normal(size=(1, 3, 3, 2))
-    kern = store.new("kern", (3, 3, 2, 3))
-    kern.data = rng.normal(size=(3, 3, 2, 3)) * 0.5
-    bias = store.new("bias", (3,))
-    readout = rng.normal(size=(1, 3, 3, 3))
+    img = store.new("img", (2, 3, 3, 2))
+    img.data = rng.normal(size=(2, 3, 3, 2))
+    layers = []
+    for i, (cin, cout) in enumerate(((2, 3), (3, 2))):
+        kern = store.new(f"kern{i}", (3, 3, cin, cout))
+        kern.data = rng.normal(size=(3, 3, cin, cout)) * 0.5
+        bias = store.new(f"bias{i}", (cout,))
+        bias.data = rng.normal(size=cout) * 0.1
+        layers.append((kern, bias))
+    readout = rng.normal(size=(2, 3, 3, 2))
 
     def f():
-        return _readout_from(readout, T.conv2d_same3(img, kern, bias))
+        return _readout_from(readout, T.conv2d_same3_elu(img, *layers))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -403,7 +407,7 @@ _CHECKS = [
     ("softmax_cross_entropy", _check_softmax_and_ce),
     ("dot_attention", _check_dot_attention),
     ("elu", _check_elu),
-    ("conv2d_same3", _check_conv),
+    ("conv2d_same3_elu", _check_conv_elu),
     ("linear", _check_linear),
     ("lstm_direction", _check_lstm_direction),
     ("attention_weights", _check_attention_weights),

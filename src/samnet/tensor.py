@@ -12,11 +12,11 @@ Per-node bookkeeping, not arithmetic, dominates at the model's sizes, so
 each layer of the model is one fused op with a hand-written backward
 (``linear``, ``lstm_direction``, ``attention_weights``,
 ``cross_entropy_logits``, ``weighted_sum``, ``memory_blend``,
-``write_head_shift``, ``gate_mlp``). A fused forward evaluates the same
-numpy expressions in the same order as the chain of primitive ops it
-replaces (kept as references in ``tests/test_fused.py``), so forward
-values are bit-identical to that chain. Fused ops keep their backward
-caches only while a graph is being recorded.
+``write_head_shift``, ``gate_mlp``, ``conv2d_same3_elu``). A fused forward
+evaluates the same numpy expressions in the same order as the chain of
+primitive ops it replaces (kept as references in ``tests/test_fused.py``),
+so forward values are bit-identical to that chain. Fused ops keep their
+backward caches only while a graph is being recorded.
 
 Batch axis. The model's ops also take a leading batch axis, one entry per
 episode, forward and backward. Ops whose per-episode operands have a fixed
@@ -35,9 +35,11 @@ its words once per length group (see ``encoders.QuestionEncoding``), inside
 
 Parameters are shared by the episodes of a batch. A batched op does not sum
 a parameter's gradient over its batch: it hands ``Tensor.backward`` a
-``PerEpisode`` contribution, and the sweep adds those episode by episode
-after it ends. A parameter's gradient is therefore summed in the order of
-a loop of one-episode backward passes, bit for bit.
+``PerEpisode`` contribution, and the sweep adds a parameter's
+contributions episode by episode once the last node that uses it is swept.
+A parameter's gradient is therefore summed in the order of a loop of
+one-episode backward passes, bit for bit, and its queued contributions
+are freed as soon as they are added.
 """
 
 from __future__ import annotations
@@ -254,9 +256,10 @@ class Tensor:
         """Reverse-mode sweep from this root to every reachable leaf.
 
         The root is a scalar, or a vector of per-episode losses whose sum
-        is differentiated. `PerEpisode` contributions are added after the
-        sweep, episode by episode. The sweep frees each inner node's
-        gradient and backward closure once spent, so a graph is
+        is differentiated. A leaf's `PerEpisode` contributions are added,
+        episode by episode, once the last node that uses the leaf is swept;
+        every other gradient reaches it earlier. The sweep frees each inner
+        node's gradient and backward closure once spent, so a graph is
         differentiated once.
         """
         if self.data.ndim > 1 or self.data.size < 1:
@@ -265,11 +268,17 @@ class Tensor:
             raise RuntimeError("backward() already ran on this graph")
         topo = []
         visited = set()  # Tensor defines no __eq__, so nodes hash by identity
+        folds = {}  # node -> the leaves it is the last in the sweep to use
+        leaves = set()  # leaves whose last user is known
         stack = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
+                for p in node._parents:
+                    if p.requires_grad and p._backward is None and p not in leaves:
+                        leaves.add(p)
+                        folds.setdefault(node, []).append(p)
                 continue
             if node in visited:
                 continue
@@ -299,8 +308,10 @@ class Tensor:
                     parent.grad = g
                 else:
                     parent.grad = parent.grad + g
-        for leaf, items in queued.items():
-            _add_per_episode(leaf, items)
+            # a leaf's contributions are all in once its last user is swept
+            for leaf in folds.get(node, ()):
+                if leaf in queued:
+                    _add_per_episode(leaf, queued.pop(leaf))
 
     def __getitem__(self, idx):
         return select(self, idx)
@@ -671,7 +682,8 @@ def reshape(a, shape) -> Tensor:
 def _im2col(x: np.ndarray) -> np.ndarray:
     """The (K*H*W, 9*C) zero-padded 3x3 patch matrix of grids (K, H, W, C)."""
     k, h, wd, cin = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    xp = np.zeros((k, h + 2, wd + 2, cin), dtype=x.dtype)
+    xp[:, 1:h + 1, 1:wd + 1] = x
     cols = np.empty((k, h, wd, 9 * cin), dtype=x.dtype)
     for di in range(3):
         for dj in range(3):
@@ -680,46 +692,102 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return cols.reshape(-1, 9 * cin)
 
 
-def conv2d_same3(x, w, b) -> Tensor:
-    """3x3 same-padded convolution over a batch of feature grids.
+def _conv_weight_grad(x, g):
+    """The kernel gradient of one episode's 3x3 convolution: grids x
+    (K, H, W, C_in) and output gradient g (K, H, W, C_out)."""
+    cin, cout = x.shape[-1], g.shape[-1]
+    return (_im2col(x).T @ g.reshape(-1, cout)).reshape(3, 3, cin, cout)
 
-    x: (K, H, W, C_in), w: (3, 3, C_in, C_out), b: (C_out,).
-    Implemented as an im2col matmul so the whole frame batch is one BLAS call.
-    The backward rebuilds the im2col matrix from x, so the tape holds no
-    patch matrix.
+
+def _conv_bias_grad(g):
+    return g.reshape(-1, g.shape[-1]).sum(axis=0)
+
+
+def _conv_input_grad(g, wmat):
+    """The grid gradient of one episode's 3x3 convolution: output gradient
+    g (K, H, W, C_out) and kernel matrix wmat (9*C_in, C_out)."""
+    k, h, wd, cout = g.shape
+    cin = wmat.shape[0] // 9
+    gcols = (g.reshape(-1, cout) @ wmat.T).reshape(k, h, wd, 9, cin)
+    gxp = np.zeros((k, h + 2, wd + 2, cin), dtype=g.dtype)
+    for di in range(3):
+        for dj in range(3):
+            gxp[:, di:di + h, dj:dj + wd, :] += gcols[:, :, :, di * 3 + dj, :]
+    return gxp[:, 1:h + 1, 1:wd + 1, :]
+
+
+def conv2d_same3_elu(x, *layers) -> Tensor:
+    """Layers of elu(3x3 same-padded convolution) over feature grids, as
+    one tape node.
+
+    x: (K, H, W, C_0); each layer is a pair w (3, 3, C_in, C_out), b
+    (C_out,). A batch of episodes is x (B, K, H, W, C_0). Each layer runs
+    an episode's frames as one im2col matmul, and a batch runs one episode
+    at a time, so it holds one episode's patch matrices and inner
+    activations at a time. The node keeps only x and its output: the
+    backward recomputes an episode's inner activations from x, rebuilds the
+    im2col matrices, and takes ELU's slope as where(out > 0, 1, out + 1),
+    which equals where(a > 0, 1, out + 1) for the pre-activation a.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 4 or w.ndim != 4 or w.shape[:2] != (3, 3):
-        raise ShapeError(f"conv2d_same3 got x {x.shape}, w {w.shape}")
-    if x.shape[3] != w.shape[2]:
-        raise ShapeError(f"channel mismatch: x {x.shape} vs w {w.shape}")
-    k, h, wd, cin = x.data.shape
+    x = as_tensor(x)
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    batched = x.ndim == 5
+    if x.ndim not in (4, 5) or not layers:
+        raise ShapeError(f"conv2d_same3_elu got x {x.shape} and {len(layers)} layers")
+    k, h, wd, c = x.shape[-4:]
     if h == 0 or wd == 0:
         raise ShapeError("empty spatial grid")
-    cout = w.data.shape[3]
-    wmat = w.data.reshape(9 * cin, cout)
-    out = (_im2col(x.data) @ wmat + b.data).reshape(k, h, wd, cout)
+    mats = []
+    for w, b in layers:
+        if w.ndim != 4 or w.shape[:3] != (3, 3, c) or b.shape != w.shape[3:]:
+            raise ShapeError(
+                f"conv2d_same3_elu got w {w.shape}, b {b.shape} for {c} channels")
+        c = w.shape[3]
+        mats.append(w.data.reshape(-1, c))
+    xs = x.data if batched else x.data[None]
+
+    def activations(xe, depth):
+        """An episode's grids and its first `depth` layers' outputs."""
+        acts = [xe]
+        for (_, b), wmat in zip(layers[:depth], mats):
+            a = _im2col(acts[-1]) @ wmat + b.data
+            acts.append(_elu(a.reshape(k, h, wd, wmat.shape[1])))
+        return acts
+
+    out = np.empty(xs.shape[:-1] + (c,), dtype=_DEFAULT_DTYPE)
+    for xe, oe in zip(xs, out):
+        oe[...] = activations(xe, len(layers))[-1]
     rows = _BATCH_ROWS
 
-    def weight_grad(xd, g):
-        return (_im2col(xd).T @ g.reshape(-1, cout)).reshape(w.data.shape)
-
-    def bias_grad(g):
-        return g.reshape(-1, cout).sum(axis=0)
-
     def backward(g):
-        gx = None
-        if x.requires_grad:
-            gcols = (g.reshape(-1, cout) @ wmat.T).reshape(k, h, wd, 9, cin)
-            gxp = np.zeros((k, h + 2, wd + 2, cin), dtype=x.data.dtype)
-            for di in range(3):
-                for dj in range(3):
-                    gxp[:, di:di + h, dj:dj + wd, :] += gcols[:, :, :, di * 3 + dj, :]
-            gx = gxp[:, 1:h + 1, 1:wd + 1, :]
-        return (gx, _shared_grad(False, rows, weight_grad, x.data, g),
-                _shared_grad(False, rows, bias_grad, g))
+        gs = g if batched else g[None]
+        # per layer, its input and its pre-activation gradient, per episode
+        inputs = [xs] + [np.empty(xs.shape[:-1] + (wmat.shape[0] // 9,),
+                                  dtype=out.dtype) for wmat in mats[1:]]
+        gas = [np.empty(xs.shape[:-1] + (wmat.shape[1],), dtype=out.dtype)
+               for wmat in mats]
+        gx = np.empty_like(xs) if x.requires_grad else None
+        for e, ge in enumerate(gs):
+            acts = activations(xs[e], len(layers) - 1) + [out[e]]
+            for i in reversed(range(len(layers))):
+                gas[i][e] = ge * _elu_slope(acts[i + 1], acts[i + 1])
+                if i:
+                    inputs[i][e] = acts[i]
+                if i or gx is not None:
+                    ge = _conv_input_grad(gas[i][e], mats[i])
+            if gx is not None:
+                gx[e] = ge
+        if not batched:
+            gx = None if gx is None else gx[0]
+            inputs, gas = [a[0] for a in inputs], [a[0] for a in gas]
+        grads = [gx]
+        for xin, ga in zip(inputs, gas):
+            grads += [_shared_grad(batched, rows, _conv_weight_grad, xin, ga),
+                      _shared_grad(batched, rows, _conv_bias_grad, ga)]
+        return tuple(grads)
 
-    return Tensor._from_op(out, (x, w, b), backward)
+    parents = (x,) + tuple(t for layer in layers for t in layer)
+    return Tensor._from_op(out if batched else out[0], parents, backward)
 
 
 def dot_attention(query, keys, values, scale=None):

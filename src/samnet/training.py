@@ -3,11 +3,14 @@
 Training is single-threaded and fully seeded: episodes stream from the
 generator, and an Adam step with global-norm clipping updates the
 parameters once per batch. A step forwards and back-propagates its batch
-in chunks of at most `_TRAIN_CHUNK` consecutive episodes, each chunk on one
-tape. A chunk gives every parameter gradient, bit for bit, that a loop of
-one-episode tapes gives (see the batch-axis note in `tensor`), so the chunk
-size changes speed and memory only. Identical configs and seeds therefore
-produce byte-identical checkpoints and metrics files.
+in chunks of consecutive episodes, each chunk on one tape; a tape budget in
+frame-feature elements (`_TAPE_BUDGET`) sets the chunk size from the
+episodes' frame count, grid and width, so a tape's memory stays about the
+same whatever the episode size. A chunk gives every parameter gradient, bit
+for bit, that a loop of one-episode tapes gives (see the batch-axis note in
+`tensor`), so the chunk size changes speed and memory only. Identical
+configs and seeds therefore produce byte-identical checkpoints and metrics
+files.
 """
 
 from __future__ import annotations
@@ -233,19 +236,37 @@ class EvalResult:
 
 
 # Episodes per batched evaluation forward. Per episode a batch holds its
-# frame features, rendered frames, one frame's rows, keys and values, its
-# memory and its contextual words: about 0.15 MB at toy-hard with 16 slots.
+# frame features, rendered frames, one frame's keys and values, its memory
+# and its contextual words: about 0.15 MB at toy-hard with 16 slots.
 # Measured on 256 toy-hard episodes at 16 slots (one thread), peak RSS was
 # 39.7 MB at a cap of 1 and 43.9 MB at 32, so about 0.13 MB per episode. The
-# frame CNN runs one episode at a time, so its im2col buffers do not grow.
+# frame CNN runs one episode at a time, so its im2col buffers and its first
+# layer's output do not grow.
 _EVAL_BATCH = 32
 
 
-# Consecutive stream episodes per training tape. A tape holds about 0.66 MB
-# per toy-canonical episode and 1.4 MB per toy-hard episode; four live
-# tapes raised peak RSS by 3-6% on the benchmark workloads, eight would
-# not fit toy-hard's budget.
-_TRAIN_CHUNK = 4
+# Frame-feature elements (episodes x frames x grid cells x d) per training
+# tape, which sets how many episodes share a tape. A tape's peak holds about
+# 0.40 MB per toy-canonical episode (6,400 elements) and 1.3 MB per toy-hard
+# one (18,432), 0.06-0.07 KB per element at both. This budget gives
+# toy-canonical 12 episodes per tape, toy-hard 4 and six-frame toy-canonical
+# videos 8. On train-canonical, 12 per tape raised peak RSS by 3.9% (median
+# of 10 runs) and 16 by 7.6% (one run), against a 10% bound.
+_TAPE_BUDGET = 76_800
+
+
+def _train_chunk_size(cfg: TrainConfig) -> int:
+    """Episodes per training tape at most, from the tape budget and an
+    episode's frame-feature size."""
+    per_episode = cfg.frames * cfg.grid_height * cfg.grid_width * cfg.d
+    return max(1, _TAPE_BUDGET // per_episode)
+
+
+def _train_chunks(cfg: TrainConfig) -> list[int]:
+    """Sizes of the consecutive chunks a step's batch is trained in, one
+    tape each: as few as `_train_chunk_size` allows, equal give or take one."""
+    n = -(-cfg.batch_size // _train_chunk_size(cfg))
+    return [cfg.batch_size // n + (i < cfg.batch_size % n) for i in range(n)]
 
 
 def _first_non_finite(model: SAMNet, episodes) -> int:
@@ -454,13 +475,13 @@ def train(cfg: TrainConfig, log=None, deterministic: bool = False,
                 f"acc {result.accuracy:.4f}")
         return result
 
+    chunk_sizes = _train_chunks(cfg)
     for step in range(1, cfg.max_steps + 1):
         model.store.zero_grad()
         batch_first = episode_index
         batch_loss = 0.0
-        for start in range(0, cfg.batch_size, _TRAIN_CHUNK):
-            chunk = [next(stream)
-                     for _ in range(min(_TRAIN_CHUNK, cfg.batch_size - start))]
+        for size in chunk_sizes:
+            chunk = [next(stream) for _ in range(size)]
             try:
                 for loss in _train_chunk(model, chunk):
                     batch_loss += loss

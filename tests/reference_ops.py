@@ -1,4 +1,4 @@
-"""Differentiable elementwise ops that the model no longer calls.
+"""Differentiable primitive ops that the model no longer calls.
 
 `samnet.tensor` keeps only the ops the model uses; the fused ops replaced
 these. The primitive reference chains in `test_fused.py` and the op sweep
@@ -30,3 +30,25 @@ def sigmoid(a):
     a = T.as_tensor(a)
     out = T._sigmoid(a.data)
     return T.Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def conv2d_same3(x, w, b):
+    """3x3 same-padded convolution of grids x (K, H, W, C_in) with w
+    (3, 3, C_in, C_out) and b (C_out,), as one im2col matmul."""
+    x, w, b = T.as_tensor(x), T.as_tensor(w), T.as_tensor(b)
+    k, h, wd, cin = x.data.shape
+    cout = w.data.shape[3]
+    wmat = w.data.reshape(9 * cin, cout)
+    out = (T._im2col(x.data) @ wmat + b.data).reshape(k, h, wd, cout)
+
+    def backward(g):
+        gcols = (g.reshape(-1, cout) @ wmat.T).reshape(k, h, wd, 9, cin)
+        gxp = np.zeros((k, h + 2, wd + 2, cin), dtype=x.data.dtype)
+        for di in range(3):
+            for dj in range(3):
+                gxp[:, di:di + h, dj:dj + wd, :] += gcols[:, :, :, di * 3 + dj, :]
+        return (gxp[:, 1:h + 1, 1:wd + 1, :],
+                (T._im2col(x.data).T @ g.reshape(-1, cout)).reshape(w.data.shape),
+                g.reshape(-1, cout).sum(axis=0))
+
+    return T.Tensor._from_op(out, (x, w, b), backward)

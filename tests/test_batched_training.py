@@ -1,7 +1,8 @@
 """Chunked training tapes against the per-episode loop they replaced.
 
 `training.train` forwards and back-propagates each step's batch in chunks
-of at most `_TRAIN_CHUNK` consecutive episodes, each chunk on one tape.
+of consecutive episodes (`training._train_chunks`: as many per tape as
+`_TAPE_BUDGET` frame-feature elements allow), each chunk on one tape.
 `reference_backward` is the former loop, one tape and one `backward()` per
 episode; after each, every parameter gradient and every loss must match it
 bit for bit.
@@ -96,6 +97,15 @@ def test_memory_disabled(preset):
     assert_same_gradients(model, episodes, [4, 3])
 
 
+@pytest.mark.parametrize("preset,count", [("toy-canonical", 24), ("toy-hard", 8)])
+def test_chunks_of_the_rule_size(preset, count):
+    model, episodes = model_and_episodes(preset, count)
+    cfg = config_from_preset(preset, batch_size=count)
+    sizes = training._train_chunks(cfg)
+    assert sizes == [count // 2] * 2
+    assert_same_gradients(model, episodes, sizes)
+
+
 def test_equal_question_lengths_are_one_group():
     model, pool = model_and_episodes("toy-canonical", 40)
     n = len(pool[0].tokens)
@@ -126,21 +136,46 @@ def tiny_cfg(out_dir, **kw):
     return config_from_preset("toy-canonical", **base)
 
 
+@pytest.mark.parametrize("preset,overrides,most", [
+    ("toy-canonical", {}, 12),               # 4 frames of 5x5 cells, d 64
+    ("toy-canonical", {"frames": 6}, 8),     # the transfer target's videos
+    ("toy-hard", {}, 4),                     # 8 frames of 6x6 cells
+    ("toy-canonical", {"grid_height": 64, "grid_width": 64, "d": 256}, 1),
+])
+def test_chunk_rule(preset, overrides, most):
+    cfg = config_from_preset(preset, batch_size=48, **overrides)
+    assert training._train_chunk_size(cfg) == most
+    sizes = training._train_chunks(cfg)
+    assert sum(sizes) == 48 and max(sizes) == most
+
+
+@pytest.mark.parametrize("batch,sizes", [
+    (32, [11, 11, 10]), (16, [8, 8]), (12, [12]), (13, [7, 6]), (1, [1]),
+])
+def test_chunks_are_as_few_and_as_equal_as_the_budget_allows(batch, sizes):
+    cfg = config_from_preset("toy-canonical", batch_size=batch)
+    assert training._train_chunks(cfg) == sizes
+
+
 def test_chunk_size_changes_no_checkpoint_byte(tmp_path, monkeypatch):
     outputs = {}
-    for chunk in (1, 4):
-        monkeypatch.setattr(training, "_TRAIN_CHUNK", chunk)
-        result = train(tiny_cfg(tmp_path / f"chunk{chunk}"), deterministic=True)
-        outputs[chunk] = [
-            load_checkpoint(result.final_checkpoint)[0],
-            load_checkpoint(result.best_checkpoint)[0],
-            open(result.metrics_path, "rb").read(),
-        ]
-    (final1, best1, metrics1), (final4, best4, metrics4) = outputs[1], outputs[4]
-    assert metrics1 == metrics4
-    for one, four in ((final1, final4), (best1, best4)):
-        assert one.keys() == four.keys()
-        assert all(np.array_equal(one[k], four[k]) for k in one)
+    budgets = {"one per tape": 1, "the rule": training._TAPE_BUDGET,
+               "whole batch": 10 ** 9}
+    for name, budget in budgets.items():
+        monkeypatch.setattr(training, "_TAPE_BUDGET", budget)
+        cfg = tiny_cfg(tmp_path / name.replace(" ", "-"), batch_size=14)
+        outputs[name] = training._train_chunks(cfg), train(cfg, deterministic=True)
+    assert [sizes for sizes, _ in outputs.values()] == [[1] * 14, [7, 7], [14]]
+    results = [result for _, result in outputs.values()]
+    reference = results[0]
+    for result in results[1:]:
+        assert (open(result.metrics_path, "rb").read()
+                == open(reference.metrics_path, "rb").read())
+        for path in ("final_checkpoint", "best_checkpoint"):
+            got = load_checkpoint(getattr(result, path))[0]
+            want = load_checkpoint(getattr(reference, path))[0]
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
 class Poisoned:
@@ -160,7 +195,7 @@ class Poisoned:
 
 @pytest.mark.parametrize("poisoned,message", [
     (2, "[1, 0..2]"),    # the third episode of the first chunk
-    (9, "[1, 6..9]"),    # the second step's second chunk, 4 + 2 episodes
+    (9, "[1, 6..9]"),    # the fourth episode of the second step's tape
 ])
 def test_non_finite_episode_is_named(tmp_path, monkeypatch, poisoned, message):
     real_stream = training.episode_stream

@@ -1,9 +1,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from samnet import gradsuite
+from samnet import tensor as T
 from samnet.cli import main
+from samnet.gradcheck import grad_check
 from samnet.minicog import ANSWERS, VOCABULARY, read_corpus
 
 
@@ -188,12 +192,40 @@ def test_transfer_split_count_is_a_usage_error(tmp_path, capsys, line, message):
     assert not (tmp_path / "tr").exists()  # rejected before any training
 
 
-def test_gradcheck_exit_code(capsys):
-    # float32 mode keeps the CLI contract fast enough for the unit suite
+def cheap_checks(*names):
+    # tests/test_gradsuite.py runs the whole suite; the CLI contract needs
+    # only checks that run in milliseconds
+    return [check for check in gradsuite._CHECKS if check[0] in names]
+
+
+def test_gradcheck_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(gradsuite, "_CHECKS", cheap_checks("elu", "linear"))
     assert main(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "full_episode_2frames" in out
-    assert "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["PASS elu", "PASS linear"]
+
+
+def _check_wrong_backward(rng, eps):
+    """A doubling op whose backward forgets the factor 2."""
+    store = gradsuite._store(0)
+    x = store.new("x", (4,))
+    x.data = rng.normal(size=4)
+
+    def f():
+        doubled = T.Tensor._from_op(2.0 * x.data, (x,), lambda g: (g,))
+        return gradsuite._readout_from(np.ones(4), doubled)
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+@pytest.mark.parametrize("flags", [[], ["--f64"]])
+def test_gradcheck_failure_exits_one(capsys, monkeypatch, flags):
+    monkeypatch.setattr(gradsuite, "_CHECKS", cheap_checks("elu") + [
+        ("wrong_backward", _check_wrong_backward)])
+    assert main(["gradcheck", *flags]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS elu", "FAIL wrong_backward"]
 
 
 def test_unknown_command_rejected():

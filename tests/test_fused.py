@@ -4,15 +4,15 @@ Each fused op in `samnet.tensor` must give the same forward values, bit for
 bit in float32, as the primitive chain that the model used before it was
 fused, and the same gradients up to float64 rounding. The chains here are
 those reference graphs; the per-token LSTM loop is the question encoder's
-former `_run_direction`. The elementwise ops that only these chains use
-come from `reference_ops`.
+former `_run_direction`. The primitive ops that only these chains use
+(the elementwise ops and the unfused convolution) come from `reference_ops`.
 """
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reference_ops import sigmoid, sub, tanh
+from reference_ops import conv2d_same3, sigmoid, sub, tanh
 from samnet import tensor as T
 from samnet.cell import GateNetwork, SAMNet
 from samnet.encoders import QuestionEncoder
@@ -74,6 +74,14 @@ def chain_write_head_shift(wh, h_a):
     return T.add(T.mul(h_a, shifted), T.mul(sub(1.0, h_a), wh))
 
 
+def chain_conv_elu(x, *layers):
+    """The frame encoder's former graph: a convolution node, then an ELU
+    node, per layer."""
+    for w, b in layers:
+        x = T.elu(conv2d_same3(x, w, b))
+    return x
+
+
 def chain_gate_mlp(net: GateNetwork, vs, rs, tau):
     x = T.concat([T.reshape(vs, (1,)), T.reshape(rs, (1,)), tau])
     h = T.elu(chain_linear(x, net.w1, net.b1))
@@ -108,6 +116,8 @@ def cases(rng):
     m, vo, vec_x, vec_y = leaves(rng, (4, 6), (6,), (4,), (4,))
     w_mix, rh = probability(rng, 4), probability(rng, 4)
     h_r, h_a = scalar(rng), scalar(rng)
+    grids, w1, b1, w2, b2 = leaves(rng, (2, 4, 3, 3), (3, 3, 3, 5), (5,),
+                                   (3, 3, 5, 4), (4,))
     return [
         ("linear_rank1", lambda: T.linear(x1, w, b),
          lambda: chain_linear(x1, w, b), [x1, w, b]),
@@ -127,6 +137,12 @@ def cases(rng):
          lambda: chain_memory_blend(m, w_mix, vo), [m, w_mix, vo]),
         ("write_head_shift", lambda: T.write_head_shift(rh, h_a),
          lambda: chain_write_head_shift(rh, h_a), [rh, h_a]),
+        ("conv_elu_one_layer", lambda: T.conv2d_same3_elu(grids, (w1, b1)),
+         lambda: chain_conv_elu(grids, (w1, b1)), [grids, w1, b1]),
+        ("conv_elu_two_layers",
+         lambda: T.conv2d_same3_elu(grids, (w1, b1), (w2, b2)),
+         lambda: chain_conv_elu(grids, (w1, b1), (w2, b2)),
+         [grids, w1, b1, w2, b2]),
     ]
 
 
@@ -200,6 +216,35 @@ def test_gate_mlp_equals_primitive_chain():
                 for ga, gb in zip(gradients(fused, inputs, readout),
                                   gradients(chain, inputs, readout)):
                     npt.assert_allclose(ga, gb, rtol=1e-10, atol=1e-13)
+
+
+def test_conv_elu_batch_equals_each_episode():
+    # a batch of episodes: each episode's output, input gradient and
+    # parameter contributions are those of its own one-episode node
+    rng = np.random.default_rng(12)
+    grids = rng.normal(size=(3, 2, 4, 3, 3)).astype(np.float32)
+    params = leaves(rng, (3, 3, 3, 5), (5,), (3, 3, 5, 4), (4,))
+    layers = (params[:2], params[2:])
+    readout = rng.normal(size=(3, 2, 4, 3, 4))
+    each, expected = [], []
+    for e in range(3):
+        x = T.Tensor(grids[e], requires_grad=True)
+        out = T.conv2d_same3_elu(x, *layers)
+        each.append(out.data)
+        _readout_from(readout[e], out).backward()
+        expected.append(x.grad)
+    expected += [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    x = T.Tensor(grids, requires_grad=True)
+    out = T.conv2d_same3_elu(x, *layers)
+    assert np.array_equal(out.data, np.stack(each))
+    # a vector root: each episode's own readout, as the training loss gives
+    r = T.Tensor((readout / np.sqrt(readout[0].size)).reshape(3, -1))
+    T.matmul(r, T.reshape(out, (3, -1, 1)))[:, 0].backward()
+    got = list(x.grad) + [p.grad for p in params]
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
 
 
 def test_question_encoder_equals_per_token_chain():

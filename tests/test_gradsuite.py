@@ -3,7 +3,7 @@
 from samnet.gradsuite import run_gradient_suite
 
 CHECK_NAMES = [
-    "softmax_cross_entropy", "dot_attention", "elu", "conv2d_same3",
+    "softmax_cross_entropy", "dot_attention", "elu", "conv2d_same3_elu",
     "linear", "lstm_direction", "attention_weights", "weighted_sum",
     "memory_blend", "write_head_shift", "gate_mlp", "question_encoder",
     "frame_encoder", "controller_step", "temporal_classifier",

@@ -1,0 +1,48 @@
+"""A guard on what a training tape holds per episode.
+
+`training._train_chunk` forwards and back-propagates a chunk of episodes on
+one tape, and `training._TAPE_BUDGET` sizes the chunks from what that tape
+holds per episode. The tracemalloc peak of one chunk of the budget's size,
+per episode, must stay within 5% of what it was when the budget was set.
+Keeping the frame CNN's pre-activations on the tape raises it by 12.5%
+(toy-canonical) and 11% (toy-hard); one per-frame copy of the frame
+features raises it by 6.7% (toy-canonical, caught) and 4.6-6.0% (toy-hard,
+not always caught). Numpy's small-buffer cache moves a reading by up to
+about 1.5%.
+"""
+
+import tracemalloc
+
+import pytest
+
+from samnet import training
+from samnet.cell import SAMNet
+from samnet.minicog import generate_corpus
+from samnet.training import config_from_preset
+
+# KB per episode, measured with numpy 2.4.6 on CPython 3.11
+MEASURED_KB = {"toy-canonical": 400, "toy-hard": 1301}
+
+
+def chunk_peak_kb_per_episode(preset):
+    cfg = config_from_preset(preset, task_family="all")
+    size = training._train_chunk_size(cfg)
+    model = SAMNet(cfg.model_config(), init_seed=3)
+    episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                               size, seed=9)
+    training._train_chunk(model, episodes[:2])  # first-call allocations
+    model.store.zero_grad()
+    tracemalloc.start()
+    try:
+        training._train_chunk(model, episodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return size, peak / size / 1024
+
+
+@pytest.mark.parametrize("preset,size", [("toy-canonical", 12), ("toy-hard", 4)])
+def test_tape_peak_per_episode_stays_under_its_ceiling(preset, size):
+    got_size, kb = chunk_peak_kb_per_episode(preset)
+    assert got_size == size
+    assert kb <= 1.05 * MEASURED_KB[preset], f"{kb:.0f} KB per episode"

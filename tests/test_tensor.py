@@ -199,7 +199,7 @@ def test_ops_grad_check_random_shapes(seed):
             d = tanh(T.div(v, 2.0))
             e = T.matmul(mat, T.add(a, T.mul(b, c)))
             e = T.add(e, T.matmul(T.matmul(d, mat2), np.eye(m)))
-            conv = T.conv2d_same3(img, kern, bias)
+            conv = T.conv2d_same3_elu(img, (kern, bias), (kern, bias))
             cs = sumsq(conv)
             agg = T.attention_aggregate(T.softmax(w))
             cat = T.concat([e, T.stack([v, w])[0][:1]])
