@@ -22,7 +22,8 @@ rng = np.random.default_rng(0)
 keys = T.Tensor(rng.normal(size=(4, 8)))
 values = T.Tensor(rng.normal(size=(4, 8)))
 query = T.Tensor(rng.normal(size=8))
-weights, summary = T.dot_attention(query, keys, values)
+weights = T.attention_weights(query, keys, 1.0 / np.sqrt(8))  # scale 1/sqrt(d)
+summary = T.matmul(weights, values)
 print("weights:", np.round(weights.data, 3), "sum:", round(float(weights.data.sum()), 6))
 print("summary shape:", summary.shape)
 

@@ -7,9 +7,11 @@ memory, turns the attention localization scores into gating decisions, and
 then applies gated memory writes and a summary-object update. Information
 crosses frame boundaries only through the slot memory and its write head.
 
-Every component also runs a batch of episodes, forward and backward: each
-per-episode tensor then has a leading batch axis, which a component reads
-from the rank of its inputs (a control state (B, d) rather than (d,)).
+Every component also runs a batch of episodes, forward and backward, by one
+rule: inside `T.episode_batch`, which `SAMNet.episode_forward` opens for a
+list of questions, each per-episode tensor has a leading batch axis (a
+control state (B, d) rather than (d,)); outside it, a component runs one
+episode. No component reads the batch from the rank of its inputs.
 Parameters, and the learned initial state, are shared by the episodes.
 Questions in a batch may differ in length, so the contextual words come in
 one group per length, and only the controller's attention over them runs
@@ -150,20 +152,18 @@ class QuestionDrivenController:
     def step(self, q: Tensor, cw, c_prev: Tensor, t: int):
         """Control state c_t and the attention qa over the question words.
 
-        For a batch (q (B, d), cw per length group as in `QuestionEncoding`)
+        A batch's cw is a list of length groups (see `QuestionEncoding`):
         only the attention and its read run per group, in one
-        `T.grouped_attention_read` node; qa is then one array per group.
+        `T.grouped_attention_read` node, and qa is one array per group.
         """
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
         w, b = self.q_step[t - 1]
-        batched = q.ndim == 2
-        q_t = T.linear(q, w, b, batched=batched)
-        cq = T.linear(T.concat([q_t, c_prev], axis=-1), self.merge_w,
-                      self.merge_b, batched=batched)
+        q_t = T.linear(q, w, b)
+        cq = T.linear(T.concat([q_t, c_prev], axis=-1), self.merge_w, self.merge_b)
         # u . (cq * cw_i) == cw_i . (u * cq), so one matvec gives all logits
         uq = T.mul(self.attn_u, cq)
-        if not batched:
+        if isinstance(cw, Tensor):
             qa = T.attention_weights(uq, cw)
             _check_distribution(qa, "question attention")
             return T.matmul(qa, cw), qa
@@ -183,9 +183,8 @@ class TemporalClassifier:
         self.b2 = store.new(f"{prefix}.b2", (len(TEMPORAL_CLASSES),), fan_in=0)
 
     def classify(self, c_t: Tensor) -> Tensor:
-        batched = c_t.ndim == 2
-        hidden = T.elu(T.linear(c_t, self.w1, self.b1, batched=batched))
-        tau = T.softmax(T.linear(hidden, self.w2, self.b2, batched=batched))
+        hidden = T.elu(T.linear(c_t, self.w1, self.b1))
+        tau = T.softmax(T.linear(hidden, self.w2, self.b2))
         _check_distribution(tau, "temporal class weights")
         return tau
 
@@ -203,17 +202,15 @@ class VisualRetrieval:
         self.query_b = store.new(f"{prefix}.query.b", (d,), fan_in=0)
 
     def project(self, feature_rows: Tensor):
-        batched = feature_rows.ndim == 3
-        keys = T.linear(feature_rows, self.key_w, self.key_b, batched=batched)
-        values = T.linear(feature_rows, self.value_w, self.value_b,
-                          batched=batched)
+        keys = T.linear(feature_rows, self.key_w, self.key_b)
+        values = T.linear(feature_rows, self.value_w, self.value_b)
         return keys, values
 
     def retrieve(self, keys: Tensor, values: Tensor, c_t: Tensor):
-        query = T.linear(c_t, self.query_w, self.query_b, batched=c_t.ndim == 2)
-        va, vo = T.dot_attention(query, keys, values, scale=1.0 / math.sqrt(self.d))
+        query = T.linear(c_t, self.query_w, self.query_b)
+        va = T.attention_weights(query, keys, 1.0 / math.sqrt(self.d))
         _check_distribution(va, "visual attention")
-        return vo, va
+        return T.matmul(va, values), va
 
 
 class MemoryRetrieval:
@@ -225,10 +222,10 @@ class MemoryRetrieval:
         self.query_b = store.new(f"{prefix}.query.b", (d,), fan_in=0)
 
     def retrieve(self, m: Tensor, c_t: Tensor):
-        query = T.linear(c_t, self.query_w, self.query_b, batched=c_t.ndim == 2)
-        rh, mo = T.dot_attention(query, m, m, scale=1.0 / math.sqrt(self.d))
+        query = T.linear(c_t, self.query_w, self.query_b)
+        rh = T.attention_weights(query, m, 1.0 / math.sqrt(self.d))
         _check_distribution(rh, "read head")
-        return mo, rh
+        return T.matmul(rh, m), rh
 
 
 class GateNetwork:
@@ -265,8 +262,7 @@ class SummaryUpdate:
     def update(self, vo: Tensor, mo: Tensor, g_v: Tensor, g_m: Tensor,
                so_prev: Tensor):
         ro = T.weighted_sum(g_v, vo, g_m, mo)
-        so = T.linear(T.concat([ro, so_prev], axis=-1), self.w, self.b,
-                      batched=ro.ndim == 2)
+        so = T.linear(T.concat([ro, so_prev], axis=-1), self.w, self.b)
         return so, ro
 
 
@@ -281,10 +277,8 @@ class AnswerHead:
         self.b2 = store.new(f"{prefix}.b2", (num_answers,), fan_in=0)
 
     def logits(self, so: Tensor, q: Tensor) -> Tensor:
-        batched = so.ndim == 2
-        h = T.elu(T.linear(T.concat([so, q], axis=-1), self.w1, self.b1,
-                           batched=batched))
-        return T.linear(h, self.w2, self.b2, batched=batched)
+        h = T.elu(T.linear(T.concat([so, q], axis=-1), self.w1, self.b1))
+        return T.linear(h, self.w2, self.b2)
 
 
 def _override_gate(value: Tensor, forced) -> Tensor:

@@ -12,7 +12,6 @@ from .training import (
     config_from_kv,
     evaluate_checkpoint,
     load_eval_data,
-    parse_config_file,
     read_kv_file,
     train,
 )
@@ -42,17 +41,17 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _parsed_config(args):
-    """The TrainConfig of `--config`; a bad value is a usage error naming
-    its key (exit 2), as `samnet transfer` reports bad counts."""
+def _parsed_config(args, extra_keys=()):
+    """The TrainConfig of `--config` and the values of its `extra_keys`; a
+    bad value is a usage error naming its key (exit 2)."""
     try:
-        return parse_config_file(args.config)
+        return config_from_kv(read_kv_file(args.config), extra_keys)
     except ValueError as exc:
         args.parser.error(f"{args.config}: {exc}")
 
 
 def _cmd_gen(args) -> int:
-    cfg = _parsed_config(args)
+    cfg, _ = _parsed_config(args)
     episode_cfg = cfg.episode_config()
     family = cfg.task_family_weights()
     episodes = generate_corpus(episode_cfg, family, args.count, seed=args.seed)
@@ -62,7 +61,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _parsed_config(args)
+    cfg, _ = _parsed_config(args)
     result = train(cfg, log=print, deterministic=args.deterministic)
     print(f"final checkpoint: {result.final_checkpoint}")
     print(f"best checkpoint:  {result.best_checkpoint} "
@@ -144,8 +143,7 @@ def _config_count(args, extras: dict, key: str, default, low: int = 1):
 def _cmd_transfer(args) -> int:
     from .transfer import run_protocol
 
-    cfg, extras = config_from_kv(read_kv_file(args.config),
-                                 extra_keys=TRANSFER_KEYS)
+    cfg, extras = _parsed_config(args, TRANSFER_KEYS)
     eval_episodes = _config_count(args, extras, "eval_episodes", 2000)
     target_mem_slots = _config_count(args, extras, "target_mem_slots", None)
     split = _build_split(args, extras, cfg.episode_config())

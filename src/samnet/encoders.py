@@ -76,24 +76,23 @@ class QuestionEncoder:
 
     def _contextual(self, ids: np.ndarray):
         """cw and the final states [fwd last, bwd first] of one sequence (L,)
-        or of an equal-length batch (B, L)."""
-        batched = ids.ndim == 2
+        or, inside `T.episode_batch`, of an equal-length batch (B, L)."""
         embeds = T.take_rows(self.embed, ids)
         fwd = T.lstm_direction(embeds, *self.dir_params["fwd"])
         bwd = T.lstm_direction(embeds, *self.dir_params["bwd"], reverse=True)
-        cw = T.linear(T.concat([fwd, bwd], axis=-1), self.cw_w, self.cw_b,
-                      batched=batched)
+        cw = T.linear(T.concat([fwd, bwd], axis=-1), self.cw_w, self.cw_b)
         last = ids.shape[-1] - 1
         return cw, T.concat([fwd[..., last, :], bwd[..., 0, :]], axis=-1)
 
     def encode(self, token_ids) -> QuestionEncoding:
         """Encode one token sequence (L,) to cw (L, d) and q (d,).
 
-        A batch is B sequences of any lengths (a list, or a (B, L) array).
-        The LSTM and the cw linear run once per length group as on one
-        equal-length batch, inside `T.episode_batch(rows)`; `T.merge_rows`
-        joins the groups' final states and the q linear runs once on all B.
-        See `QuestionEncoding` for the batch layout.
+        A batch is B sequences of any lengths (a list, or a (B, L) array),
+        encoded inside `T.episode_batch`. The LSTM and the cw linear run
+        once per length group as on one equal-length batch, inside
+        `T.episode_batch(rows)`; `T.merge_rows` joins the groups' final
+        states and the q linear runs once on all B. See `QuestionEncoding`
+        for the batch layout.
         """
         if question_batch(token_ids) is None:
             cw, final = self._contextual(self._checked_ids(token_ids))
@@ -103,15 +102,17 @@ class QuestionEncoder:
         for i, ids in enumerate(seqs):
             by_length.setdefault(ids.size, []).append(i)
         groups, finals = [], []
-        for members in by_length.values():
-            rows = np.array(members)
-            with T.episode_batch(rows):
-                cw, final = self._contextual(np.stack([seqs[i] for i in members]))
-            groups.append((rows, cw))
-            finals.append(final)
-        final = finals[0] if len(groups) == 1 else T.merge_rows(
-            finals, [rows for rows, _ in groups], len(seqs))
-        q = T.linear(final, self.q_w, self.q_b, batched=True)
+        with T.episode_batch():
+            for members in by_length.values():
+                rows = np.array(members)
+                with T.episode_batch(rows):
+                    cw, final = self._contextual(
+                        np.stack([seqs[i] for i in members]))
+                groups.append((rows, cw))
+                finals.append(final)
+            final = finals[0] if len(groups) == 1 else T.merge_rows(
+                finals, [rows for rows, _ in groups], len(seqs))
+            q = T.linear(final, self.q_w, self.q_b)
         return QuestionEncoding(cw=groups, q=q)
 
 
@@ -129,9 +130,9 @@ class FrameEncoder:
     def encode(self, frames: np.ndarray) -> Tensor:
         """Map (K, H, W, C) grids to a (K, H*W, d) feature map batch.
 
-        A batch of episodes (B, K, H, W, C) gives one (B, K, H*W, d) array;
-        the convolutions run one episode at a time, so their patch matrices
-        stay one episode's size.
+        Inside `T.episode_batch`, a batch of episodes (B, K, H, W, C) gives
+        one (B, K, H*W, d) array; the convolutions run one episode at a
+        time, so their patch matrices stay one episode's size.
         """
         frames = np.asarray(frames, dtype=T.default_dtype())
         if frames.ndim == 3:

@@ -83,7 +83,8 @@ def _check_dot_attention(rng, eps):
     readout = rng.normal(size=4)
 
     def f():
-        weights, summary = T.dot_attention(query, keys, values)
+        weights = T.attention_weights(query, keys, 0.5)  # 1/sqrt(4)
+        summary = T.matmul(weights, values)
         return T.add(_readout_from(readout, summary),
                      T.attention_aggregate(weights))
 

@@ -12,13 +12,15 @@ cannot be met, then reported as a generation error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .oracle import _frame_answer, oracle_answer
+from .oracle import _frame_answer, _relation_holds, oracle_answer
 from .programs import (
     ANSWER_INDEX,
     ANSWERS,
@@ -170,6 +172,19 @@ class _PairTable:
 _PAIR_TABLES = {name: _PairTable(family) for name, family in FAMILIES.items()}
 
 
+class _Cell(NamedTuple):
+    """A grid cell; it equals, and hashes as, its (row, col) tuple."""
+
+    row: int
+    col: int
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(height: int, width: int) -> tuple[_Cell, ...]:
+    """A grid's cells in row-major order, listed once per grid shape."""
+    return tuple(_Cell(r, c) for r in range(height) for c in range(width))
+
+
 def _pick(rng, items):
     if not items:
         raise _PlanFailure("empty choice pool")
@@ -184,7 +199,9 @@ def _coin(rng, p) -> bool:
 class _FramePlan:
     planned: list  # SceneObject
     forbidden: list  # descriptors (color|None, shape|None); None,None matches all
-    region_rules: list = field(default_factory=list)  # (cells, descriptor)
+    # (reference object, relation, descriptor): no distractor that stands in
+    # the relation to the reference may match the descriptor
+    region_rules: list = field(default_factory=list)
 
 
 class _Planner:
@@ -204,15 +221,13 @@ class _Planner:
         pass
 
     # -- shared helpers -------------------------------------------------
-    def free_cell(self, taken, cells=None):
-        pool = [
-            (r, c)
-            for r in range(self.cfg.height)
-            for c in range(self.cfg.width)
-            if (r, c) not in taken
-        ]
-        if cells is not None:
-            pool = [rc for rc in pool if rc in cells]
+    def free_cell(self, taken, region=None):
+        """A cell drawn from the free ones in row-major order; with `region`
+        = (reference object, relation), from those in that relation to it."""
+        pool = [cell for cell in _grid(self.cfg.height, self.cfg.width)
+                if cell not in taken]
+        if region is not None:
+            pool = [cell for cell in pool if _relation_holds(cell, *region)]
         return _pick(self.rng, pool)
 
     def legal_pair(self, desc=(None, None), exclude=()):
@@ -221,8 +236,8 @@ class _Planner:
         return table.pick(self.rng,
                           table.masks[desc] & ~table.mask_of(exclude))
 
-    def place(self, objs, taken, color, shape, cells=None):
-        row, col = self.free_cell(taken, cells=cells)
+    def place(self, objs, taken, color, shape, region=None):
+        row, col = self.free_cell(taken, region=region)
         obj = SceneObject(row, col, color, shape)
         objs.append(obj)
         taken.add((row, col))
@@ -420,16 +435,6 @@ class _SpatialPlanner(_Planner):
         self.ref_pair = program.reference
         self.relation = program.relation
 
-    def _region(self, row, col):
-        h, w, rel = self.cfg.height, self.cfg.width, self.relation
-        if rel == "left":
-            return {(r, c) for r in range(h) for c in range(col)}
-        if rel == "right":
-            return {(r, c) for r in range(h) for c in range(col + 1, w)}
-        if rel == "above":
-            return {(r, c) for r in range(row) for c in range(w)}
-        return {(r, c) for r in range(row + 1, h) for c in range(w)}
-
     def plan(self, k):
         objs, taken = [], set()
         forbidden = [self.ref_pair]
@@ -437,11 +442,13 @@ class _SpatialPlanner(_Planner):
         if not _coin(self.rng, _P_REF):
             return _FramePlan(objs, forbidden)
         want_true = _coin(self.rng, _P_EXIST)
-        cells = [
-            (r, c) for r in range(self.cfg.height) for c in range(self.cfg.width)
-        ]
+        cells = _grid(self.cfg.height, self.cfg.width)
         if want_true:
-            cells = [rc for rc in cells if self._region(*rc)]
+            # a region is a half-plane of the grid: it holds some cell when
+            # it holds one of the grid's two opposite corners
+            corners = (cells[0], cells[-1])
+            cells = [cell for cell in cells if any(
+                _relation_holds(c, cell, self.relation) for c in corners)]
             if not cells:
                 raise _PlanFailure(
                     f"no reference cell admits relation {self.relation!r}"
@@ -450,16 +457,15 @@ class _SpatialPlanner(_Planner):
         ref = SceneObject(row, col, *self.ref_pair)
         objs.append(ref)
         taken.add((row, col))
-        region = self._region(row, col)
         query = self.program.query
         if want_true:
             pair = self.legal_pair(query, exclude=(self.ref_pair,))
-            self.place(objs, taken, *pair, cells=region)
+            self.place(objs, taken, *pair, region=(ref, self.relation))
         # Distractors in the region must not match the query: for Get*Space
         # that leaves at most one object there. Only a true ExistSpace
         # answer holds whatever else the region contains.
         if not want_true or self.program.task_class != "ExistSpace":
-            rules.append((region, query))
+            rules.append((ref, self.relation, query))
         return _FramePlan(objs, forbidden, rules)
 
 
@@ -542,17 +548,14 @@ def _fill_distractors(rng, cfg: EpisodeConfig, table: _PairTable,
     legal = table.masks[None, None] & ~table.mask_of(plan.forbidden)
     # row-major: each distractor shuffles a copy, so the draws see the
     # same list as a fresh row-major scan of the free cells would give
-    free = [
-        (r, c) for r in range(cfg.height) for c in range(cfg.width)
-        if (r, c) not in taken
-    ]
+    free = [cell for cell in _grid(cfg.height, cfg.width) if cell not in taken]
     for _ in range(budget):
         cells = free.copy()
         rng.shuffle(cells)
         for cell in cells:
             options = legal
-            for region, desc in plan.region_rules:
-                if cell in region:
+            for ref, relation, desc in plan.region_rules:
+                if _relation_holds(cell, ref, relation):
                     options &= ~table.masks[desc]
             if options:
                 objs.append(SceneObject(*cell, *table.pick(rng, options)))
@@ -600,10 +603,10 @@ def _gen_episode(cfg: EpisodeConfig, draw, seed) -> Episode:
     )
 
 
-def episode_stream(cfg: EpisodeConfig, task_family, seed: int, start: int = 0):
+def episode_stream(cfg: EpisodeConfig, task_family, seed: int):
     """Infinite deterministic stream; episode i uses sub-seed (seed, i)."""
     draw = _class_draw(task_family)
-    i = start
+    i = 0
     while True:
         yield _gen_episode(cfg, draw, [seed, i])
         i += 1

@@ -47,9 +47,6 @@ class FeatureFamily:
     def shapes_for(self, color: str) -> tuple[str, ...]:
         return tuple(s for s in SHAPES if color in self.allowed[s])
 
-    def permits(self, color: str, shape: str) -> bool:
-        return color in self.allowed[shape]
-
     def pairs(self) -> list[tuple[str, str]]:
         return [(c, s) for s in SHAPES for c in self.allowed[s]]
 

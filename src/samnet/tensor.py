@@ -19,19 +19,23 @@ so forward values are bit-identical to that chain. Fused ops keep their
 backward caches only while a graph is being recorded.
 
 Batch axis. The model's ops also take a leading batch axis, one entry per
-episode, forward and backward. Ops whose per-episode operands have a fixed
-rank read the batch from one extra leading axis; ``matmul`` reads it from a
-rank-3 right operand, and ``linear``, whose per-episode input may be a
-vector or a matrix, takes ``batched=True``. Each op writes its forward and
-its backward once, for one episode and for a batch, so every episode runs
-through the same numpy kernel: ``np.matmul`` over the leading axis with
-each episode's operand rank kept (``x[..., None, :] @ w`` for a vector per
-episode, never one folded 2-D gemm), reductions over one episode's axes,
-elementwise maths. Each episode's values and gradients are therefore
-bit-identical to an unbatched pass. Nothing is padded: an op's batch has
-one shape, so a batch of questions of several lengths runs the ops over
-its words once per length group (see ``encoders.QuestionEncoding``), inside
-``episode_batch(rows)``, and ``merge_rows`` joins the groups.
+episode, forward and backward. One rule decides whether operands carry it:
+inside ``episode_batch`` they do, outside it they do not. No op reads the
+batch from an operand's rank or takes a flag for it; an op reads the scope
+when it runs its forward and keeps it for its backward, and a fixed-rank op
+given an extra leading axis outside the scope raises ``ShapeError``. Only
+``cell.SAMNet.episode_forward`` and ``encoders.QuestionEncoder.encode``,
+which receive a list of questions, open the scope. Each op writes its
+forward and its backward once, for one episode and for a batch, so every
+episode runs through the same numpy kernel: ``np.matmul`` over the leading
+axis with each episode's operand rank kept (``x[..., None, :] @ w`` for a
+vector per episode, never one folded 2-D gemm), reductions over one
+episode's axes, elementwise maths. Each episode's values and gradients are
+therefore bit-identical to an unbatched pass. Nothing is padded: an op's
+batch has one shape, so a batch of questions of several lengths runs the
+ops over its words once per length group (see
+``encoders.QuestionEncoding``), inside ``episode_batch(rows)``, and
+``merge_rows`` joins the groups.
 
 Parameters are shared by the episodes of a batch. A batched op does not sum
 a parameter's gradient over its batch: it hands ``Tensor.backward`` a
@@ -109,7 +113,8 @@ _BATCH_ROWS = None
 
 @contextmanager
 def episode_batch(rows=None):
-    """Ops run inside on a batch of episodes along their leading axis.
+    """Ops run inside on a batch of episodes along their leading axis;
+    outside, on one episode.
 
     There, an operand of `mul` or a part of `concat` with one axis fewer
     than the others is shared by every episode, as parameters are. `rows`
@@ -327,12 +332,9 @@ def _recording(parents) -> bool:
 
 def _shared_grad(batched, rows, fn, *args):
     """The gradient for an operand that a batch's episodes share: computed
-    now for one episode, handed on as `PerEpisode` for a batch, or for one
-    episode of an enclosing batch (`rows`, of length 1)."""
+    now for one episode, handed on as `PerEpisode` for a batch."""
     if batched:
         return PerEpisode(fn, *args, rows=rows)
-    if rows is not None:
-        return PerEpisode(fn, *(a[None] for a in args), rows=rows)
     return args[0] if fn is None else fn(*args)
 
 
@@ -432,13 +434,13 @@ def div(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     """Matrix/vector product for ranks (2,2), (2,1), (1,2) and (1,1).
 
-    A rank-3 b is a batch: a is one vector per episode (B, L) and b one
+    Inside `episode_batch`, a is one vector per episode (B, L) and b one
     matrix per episode (B, L, d); returns (B, d).
     """
     a, b = as_tensor(a), as_tensor(b)
-    batched = b.ndim == 3
+    batched = _IN_BATCH
     if batched:
-        if a.ndim != 2 or b.shape[:2] != a.shape:
+        if a.ndim != 2 or b.ndim != 3 or b.shape[:2] != a.shape:
             raise ShapeError(f"batched matmul got {a.shape} @ {b.shape}")
     elif a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
         raise ShapeError(f"matmul undefined for shapes {a.shape} @ {b.shape}")
@@ -464,20 +466,20 @@ def matmul(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), backward)
 
 
-def linear(x, w, b, batched=False) -> Tensor:
+def linear(x, w, b) -> Tensor:
     """x @ w + b for a rank-1 or rank-2 x, as one tape node.
 
-    With `batched`, x has a leading episode axis: (B, d) is one vector per
-    episode and (B, L, d) one matrix per episode.
+    Inside `episode_batch`, x has a leading episode axis: (B, d) is one
+    vector per episode and (B, L, d) one matrix per episode.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
+    batched, rows = _IN_BATCH, _BATCH_ROWS
     rank = xd.ndim - batched
     if (rank not in (1, 2) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
             or b.data.shape != wd.shape[1:]):
         raise ShapeError(f"linear got x {x.shape}, w {w.shape}, b {b.shape}")
     out = (_vecmat(xd, wd) if rank == 1 else xd @ wd) + b.data
-    rows = _BATCH_ROWS
 
     def backward(g):
         gx = gw = gb = None
@@ -650,11 +652,11 @@ def merge_rows(parts, rows, batch: int) -> Tensor:
 
 def take_rows(a, ids) -> Tensor:
     """Gather rows of a matrix by an integer index array (embedding lookup);
-    ids (B, L) is one sequence per episode."""
+    inside `episode_batch`, ids (B, L) is one sequence per episode."""
     a = as_tensor(a)
     ids = np.asarray(ids, dtype=np.int64)
     out = a.data[ids]
-    rows = _BATCH_ROWS
+    batched, rows = _IN_BATCH, _BATCH_ROWS
 
     def scatter(ids, g):
         full = np.zeros_like(a.data)
@@ -662,7 +664,7 @@ def take_rows(a, ids) -> Tensor:
         return full
 
     def backward(g):
-        if ids.ndim == 2:
+        if batched:
             return (PerEpisode(scatter, ids, g, rows=rows),)
         return (scatter(ids, g),)
 
@@ -721,7 +723,7 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
     one tape node.
 
     x: (K, H, W, C_0); each layer is a pair w (3, 3, C_in, C_out), b
-    (C_out,). A batch of episodes is x (B, K, H, W, C_0). Each layer runs
+    (C_out,). Inside `episode_batch`, x is (B, K, H, W, C_0). Each layer runs
     an episode's frames as one im2col matmul, and a batch runs one episode
     at a time, so it holds one episode's patch matrices and inner
     activations at a time. The node keeps only x and its output: the
@@ -731,8 +733,8 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
     """
     x = as_tensor(x)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
-    batched = x.ndim == 5
-    if x.ndim not in (4, 5) or not layers:
+    batched, rows = _IN_BATCH, _BATCH_ROWS
+    if x.ndim != 4 + batched or not layers:
         raise ShapeError(f"conv2d_same3_elu got x {x.shape} and {len(layers)} layers")
     k, h, wd, c = x.shape[-4:]
     if h == 0 or wd == 0:
@@ -757,7 +759,6 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
     out = np.empty(xs.shape[:-1] + (c,), dtype=_DEFAULT_DTYPE)
     for xe, oe in zip(xs, out):
         oe[...] = activations(xe, len(layers))[-1]
-    rows = _BATCH_ROWS
 
     def backward(g):
         gs = g if batched else g[None]
@@ -790,39 +791,14 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
     return Tensor._from_op(out if batched else out[0], parents, backward)
 
 
-def dot_attention(query, keys, values, scale=None):
-    """Dot-product attention of one query against key/value rows.
-
-    Returns (weights, summary): weights = softmax(scale * keys @ query),
-    summary = weights @ values. Default scale is 1/sqrt(d). A batch is one
-    query (B, d) and key/value rows (B, L, d) per episode.
-    """
-    query, keys, values = as_tensor(query), as_tensor(keys), as_tensor(values)
-    batched = query.ndim == 2
-    if keys.ndim != 2 + batched or values.ndim != 2 + batched \
-            or query.ndim not in (1, 2) or keys.shape[:-2] != query.shape[:-1]:
-        raise ShapeError("dot_attention expects query (d,), keys/values (L, d)")
-    if keys.shape[:-1] != values.shape[:-1]:
-        raise ShapeError(
-            f"key/value row mismatch: {keys.shape[-2]} vs {values.shape[-2]}"
-        )
-    if keys.shape[-1] != query.shape[-1]:
-        raise ShapeError(f"query width {query.shape[-1]} vs keys {keys.shape}")
-    if scale is None:
-        scale = 1.0 / math.sqrt(query.shape[-1])
-    weights = attention_weights(query, keys, scale)
-    summary = matmul(weights, values)
-    return weights, summary
-
-
 def attention_weights(query, keys, scale=1.0) -> Tensor:
     """softmax(scale * keys @ query) for query (d,) and keys (L, d).
 
-    A batch is one query (B, d) and keys (B, L, d) per episode.
+    Inside `episode_batch`, query is (B, d) and keys (B, L, d).
     """
     query, keys = as_tensor(query), as_tensor(keys)
-    batched = query.ndim == 2
-    if (query.ndim not in (1, 2) or keys.ndim != 2 + batched
+    batched = _IN_BATCH
+    if (query.ndim != 1 + batched or keys.ndim != 2 + batched
             or keys.shape[:-2] != query.shape[:-1]
             or keys.shape[-1] != query.shape[-1]):
         raise ShapeError(f"attention over keys {keys.shape} with query {query.shape}")
@@ -909,10 +885,12 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
     `reverse` the run goes from the last position to the first. Returns
     the hidden state at every position, (L, h), in sequence order. The
     backward pass is backpropagation through time over the cached gates.
-    A batch of equal-length sequences x (B, L, d_in) gives (B, L, h).
+    Inside `episode_batch`, equal-length sequences x (B, L, d_in) give
+    (B, L, h).
     """
     x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
-    if x.ndim not in (2, 3) or x.shape[-2] < 1 or wh.ndim != 2:
+    batched, rows = _IN_BATCH, _BATCH_ROWS
+    if x.ndim != 2 + batched or x.shape[-2] < 1 or wh.ndim != 2:
         raise ShapeError(f"lstm_direction got x {x.shape}, wh {wh.shape}")
     hh = wh.shape[0]
     if wx.shape != (x.shape[-1], 4 * hh) or wh.shape != (hh, 4 * hh) \
@@ -921,8 +899,6 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
             f"lstm_direction got wx {wx.shape}, wh {wh.shape}, b {b.shape} "
             f"for input width {x.shape[-1]}"
         )
-    batched = x.ndim == 3
-    rows = _BATCH_ROWS
     length = x.shape[-2]
     xproj = x.data @ wx.data  # a batch runs one (L, d_in) gemm per episode
     whd, bd = wh.data, b.data
@@ -976,14 +952,14 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
 
 
 def weighted_sum(a, x, b, y) -> Tensor:
-    """a * x + b * y for scalar (0-d) weights a and b.
+    """a * x + b * y for scalar (0-d) weights a and b and vectors x and y.
 
-    A batch is one weight pair (B,) and vector terms (B, d).
+    Inside `episode_batch`, the weights are (B,) and the vectors (B, d).
     """
     a, x, b, y = (as_tensor(t) for t in (a, x, b, y))
-    batched = a.ndim == 1
-    if (a.ndim > 1 or b.shape != a.shape or x.shape != y.shape
-            or (batched and (x.ndim != 2 or x.shape[0] != a.shape[0]))):
+    batched = _IN_BATCH
+    if (a.ndim != batched or b.shape != a.shape or x.shape != y.shape
+            or x.ndim != 1 + batched or x.shape[:batched] != a.shape):
         raise ShapeError(
             f"weighted_sum got weights {a.shape}, {b.shape} and terms "
             f"{x.shape}, {y.shape}"
@@ -1058,13 +1034,14 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
 
     x = [vs, rs, tau] goes through two ELU layers to the hidden h; g_v and
     g_m are sigmoids of h @ obj_w + obj_b, and (h_r, h_a, h_none) is the
-    softmax of h @ write_w + write_b. A batch is vs and rs (B,) and tau
-    (B, 4) and gives (B, 5).
+    softmax of h @ write_w + write_b. Inside `episode_batch`, vs and rs
+    are (B,) and tau (B, 4), and give (B, 5).
     """
     parents = tuple(as_tensor(t) for t in (
         vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b))
     vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b = parents
-    if (vs.ndim > 1 or rs.shape != vs.shape or tau.ndim != vs.ndim + 1
+    batched, rows = _IN_BATCH, _BATCH_ROWS
+    if (vs.ndim != batched or rs.shape != vs.shape or tau.ndim != vs.ndim + 1
             or tau.shape[:-1] != vs.shape
             or w1.shape[0] != 2 + tau.shape[-1] or obj_w.shape[1] != 2
             or write_w.shape[1] != 3):
@@ -1072,8 +1049,6 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
             f"gate_mlp got tau {tau.shape}, w1 {w1.shape}, obj_w {obj_w.shape}, "
             f"write_w {write_w.shape}"
         )
-    batched = vs.ndim == 1
-    rows = _BATCH_ROWS
     x = np.concatenate([vs.data[..., None], rs.data[..., None], tau.data], axis=-1)
     a1 = _vecmat(x, w1.data) + b1.data
     h1 = _elu(a1)

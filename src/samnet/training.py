@@ -78,6 +78,16 @@ class TrainConfig:
     # output
     out_dir: str = "runs/default"
 
+    def __post_init__(self):
+        """Reject counts the model or the loop cannot run, naming the key."""
+        for key, low in (("d", 2), ("reasoning_steps", 1), ("mem_slots", 1),
+                         ("batch_size", 1), ("max_steps", 0)):
+            value = getattr(self, key)
+            if value < low:
+                raise ValueError(f"{key}: must be >= {low}, got {value}")
+        if self.d % 2:  # the question Bi-LSTM gives each direction d/2
+            raise ValueError(f"d: must be even, got {self.d}")
+
     def episode_config(self) -> EpisodeConfig:
         return EpisodeConfig(
             height=self.grid_height, width=self.grid_width, frames=self.frames,

@@ -52,12 +52,17 @@ def test_gen_count_below_one_is_a_usage_error(tiny_conf, tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "gen"])
+@pytest.mark.parametrize("command", ["train", "gen", "transfer"])
 @pytest.mark.parametrize("line,message", [
     ("max_steps = two", "max_steps: expected int, got 'two'"),
     ("learning_rate = fast", "learning_rate: expected float, got 'fast'"),
     ("memory_enabled = maybe", "memory_enabled: expected one of"),
     ("batch = 4", "unknown config keys ['batch']"),
+    ("batch_size = 0", "batch_size: must be >= 1, got 0"),
+    ("max_steps = -1", "max_steps: must be >= 0, got -1"),
+    ("d = 7", "d: must be even, got 7"),
+    ("reasoning_steps = 0", "reasoning_steps: must be >= 1, got 0"),
+    ("mem_slots = 0", "mem_slots: must be >= 1, got 0"),
 ])
 def test_bad_config_value_is_a_usage_error(tiny_conf, tmp_path, capsys,
                                            command, line, message):
@@ -66,6 +71,9 @@ def test_bad_config_value_is_a_usage_error(tiny_conf, tmp_path, capsys,
     if command == "gen":
         argv = ["gen", "--config", str(tiny_conf), "--count", "3",
                 "--seed", "5", "--out", str(tmp_path / "corpus.jsonl")]
+    if command == "transfer":
+        argv = ["transfer", "--split", "reasoning", "--mode", "zero_shot",
+                "--config", str(tiny_conf)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

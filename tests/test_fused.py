@@ -237,11 +237,13 @@ def test_conv_elu_batch_equals_each_episode():
     for p in params:
         p.grad = None
     x = T.Tensor(grids, requires_grad=True)
-    out = T.conv2d_same3_elu(x, *layers)
-    assert np.array_equal(out.data, np.stack(each))
-    # a vector root: each episode's own readout, as the training loss gives
-    r = T.Tensor((readout / np.sqrt(readout[0].size)).reshape(3, -1))
-    T.matmul(r, T.reshape(out, (3, -1, 1)))[:, 0].backward()
+    with T.episode_batch():
+        out = T.conv2d_same3_elu(x, *layers)
+        assert np.array_equal(out.data, np.stack(each))
+        # a vector root: each episode's own readout, as the training loss gives
+        r = T.Tensor((readout / np.sqrt(readout[0].size)).reshape(3, -1))
+        root = T.matmul(r, T.reshape(out, (3, -1, 1)))[:, 0]
+    root.backward()
     got = list(x.grad) + [p.grad for p in params]
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)

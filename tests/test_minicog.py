@@ -182,7 +182,7 @@ class TestGeneration:
             ep = next(stream)
             for scene in ep.scenes:
                 for o in scene.objects:
-                    assert fam.permits(o.color, o.shape), (ep.program, o)
+                    assert o.color in fam.colors_for(o.shape), (ep.program, o)
 
     def test_distractors_never_satisfy_referent_descriptors(self):
         # for GetColor(shape) episodes, at most one object per frame has the

@@ -5,7 +5,9 @@ replaced.
 descriptors" with bitmasks. The reference filters below are the list
 comprehensions over `family.pairs()` and `programs.matches` that the
 generator ran before the tables; draws from a table must equal draws from
-those lists under the same random state.
+those lists under the same random state. A region rule's cells are built as
+the sets the spatial planner listed before it used the oracle's relation
+predicate.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from samnet.minicog.generator import (
     _fill_distractors,
     _pick,
 )
-from samnet.minicog.programs import matches
+from samnet.minicog.programs import RELATIONS, matches
 from samnet.minicog.scenes import FAMILIES
 
 DESCRIPTORS = list(itertools.product((None,) + COLORS, (None,) + SHAPES))
@@ -52,6 +54,18 @@ def reference_legal(family, forbidden, region_descs=()):
     return legal
 
 
+def region_cells(cfg, ref, relation):
+    """The cells in `relation` to the reference object, as a set."""
+    h, w, row, col = cfg.height, cfg.width, ref.row, ref.col
+    if relation == "left":
+        return {(r, c) for r in range(h) for c in range(col)}
+    if relation == "right":
+        return {(r, c) for r in range(h) for c in range(col + 1, w)}
+    if relation == "above":
+        return {(r, c) for r in range(row) for c in range(w)}
+    return {(r, c) for r in range(row + 1, h) for c in range(w)}
+
+
 def reference_fill(rng, cfg, family, plan):
     """`_fill_distractors` as it was before the pair tables."""
     objs = list(plan.planned)
@@ -67,8 +81,8 @@ def reference_fill(rng, cfg, family, plan):
         placed = False
         for row, col in cells:
             options = legal
-            for region, desc in plan.region_rules:
-                if (row, col) in region:
+            for ref, relation, desc in plan.region_rules:
+                if (row, col) in region_cells(cfg, ref, relation):
                     options = [
                         pair for pair in options if not matches(*pair, desc)
                     ]
@@ -141,8 +155,8 @@ def test_fill_distractors_equals_the_list_filter(name):
             for i in order[:n_planned]
         ]
         rules = [
-            ({cells[int(i)] for i in order[:int(rng.integers(len(cells) + 1))]},
-             desc)
+            (SceneObject(*cells[int(rng.integers(len(cells)))], *table.pairs[0]),
+             RELATIONS[int(rng.integers(len(RELATIONS)))], desc)
             for desc in random_descriptors(rng, int(rng.integers(0, 3)))
         ]
         forbidden = random_descriptors(rng, int(rng.integers(0, 4)))

@@ -57,20 +57,27 @@ class TestSoftmax:
         assert abs(out.sum() - 1.0) < 1e-6
 
 
+def attend(query, keys, values, scale):
+    """Dot-product attention as the retrieval components record it: the
+    weights over the keys, then their mix of the values."""
+    weights = T.attention_weights(query, keys, scale)
+    return weights, T.matmul(weights, values)
+
+
 class TestDotAttention:
     def test_zero_keys_give_uniform_weights(self):
         rng = np.random.default_rng(1)
         keys = T.Tensor(np.zeros((5, 4)))
         values = T.Tensor(rng.normal(size=(5, 4)))
         query = T.Tensor(rng.normal(size=4))
-        w, _ = T.dot_attention(query, keys, values)
+        w, _ = attend(query, keys, values, 0.5)
         npt.assert_allclose(w.data, np.full(5, 0.2), atol=1e-6)
 
     def test_saturated_keys_select_one_row(self):
         keys = T.Tensor(np.eye(4) * 1000.0)
         values = T.Tensor(np.arange(16, dtype=np.float64).reshape(4, 4))
         query = T.Tensor([0.0, 0.0, 1.0, 0.0])
-        w, s = T.dot_attention(query, keys, values, scale=1.0)
+        w, s = attend(query, keys, values, 1.0)
         npt.assert_allclose(w.data, [0.0, 0.0, 1.0, 0.0], atol=1e-6)
         npt.assert_allclose(s.data, values.data[2], atol=1e-4)
 
@@ -84,14 +91,14 @@ class TestDotAttention:
         e = np.exp(logits - logits.max())
         ew = e / e.sum()
         expected = ew @ v
-        w2, s2 = T.dot_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), scale=0.5)
+        w2, s2 = attend(T.Tensor(q), T.Tensor(k), T.Tensor(v), 0.5)
         npt.assert_allclose(w2.data, ew, atol=1e-5)
         npt.assert_allclose(s2.data, expected, atol=1e-5)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(T.ShapeError):
-            T.dot_attention(T.Tensor([1.0, 2.0]), T.Tensor(np.ones((3, 2))),
-                            T.Tensor(np.ones((4, 2))))
+            attend(T.Tensor([1.0, 2.0]), T.Tensor(np.ones((3, 2))),
+                   T.Tensor(np.ones((4, 2))), 1.0)
 
 
 class TestAttentionAggregate:
@@ -235,7 +242,7 @@ def test_evaluation_is_deterministic():
     q = rng.standard_normal(6).astype(np.float32)
 
     def run():
-        w, s = T.dot_attention(T.Tensor(q), T.Tensor(a), T.Tensor(a))
+        w, s = attend(T.Tensor(q), T.Tensor(a), T.Tensor(a), 1 / np.sqrt(6))
         return T.attention_aggregate(s).item()
 
     assert run() == run()
@@ -268,3 +275,34 @@ def test_elu_matches_definition():
     out = T.elu(T.Tensor(x)).data
     expected = np.where(x > 0, x, np.exp(x) - 1.0)
     npt.assert_allclose(out, expected, rtol=1e-6)
+
+
+def _batch_of_two(*shapes):
+    rng = np.random.default_rng(3)
+    return [T.Tensor(rng.normal(size=s)) for s in shapes]
+
+
+# each op's operands for a batch of two episodes
+BATCHED_OPS = {
+    "conv2d_same3_elu": lambda: T.conv2d_same3_elu(
+        *_batch_of_two((2, 1, 3, 3, 2)), _batch_of_two((3, 3, 2, 3), (3,))),
+    "attention_weights": lambda: T.attention_weights(
+        *_batch_of_two((2, 4), (2, 3, 4))),
+    "lstm_direction": lambda: T.lstm_direction(
+        *_batch_of_two((2, 3, 2), (2, 8), (2, 8), (8,))),
+    "gate_mlp": lambda: T.gate_mlp(*_batch_of_two(
+        (2,), (2,), (2, 4), (6, 3), (3,), (3, 3), (3,), (3, 2), (2,),
+        (3, 3), (3,))),
+    "weighted_sum": lambda: T.weighted_sum(
+        *_batch_of_two((2,), (2, 3), (2,), (2, 3))),
+    "matmul": lambda: T.matmul(*_batch_of_two((2, 3), (2, 3, 4))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(BATCHED_OPS))
+def test_extra_leading_axis_needs_episode_batch(op):
+    # the batch is read from the scope alone, never from operand ranks
+    with pytest.raises(T.ShapeError):
+        BATCHED_OPS[op]()
+    with T.episode_batch():
+        assert BATCHED_OPS[op]().shape[0] == 2

@@ -94,6 +94,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{key}: expected .*{raw!r}"):
             parse_config_file(p)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("batch_size", 0, "must be >= 1, got 0"),
+        ("max_steps", -1, "must be >= 0, got -1"),
+        ("d", 7, "must be even, got 7"),
+        ("d", 0, "must be >= 2, got 0"),
+        ("reasoning_steps", 0, "must be >= 1, got 0"),
+        ("mem_slots", 0, "must be >= 1, got 0"),
+    ])
+    def test_bad_count_names_the_key(self, key, value, message):
+        # before any training: batch_size 0 made every step divide by zero
+        with pytest.raises(ValueError, match=f"^{key}: {message}$"):
+            config_from_preset("toy-canonical", **{key: value})
+
     def test_unknown_preset_rejected(self, tmp_path):
         p = tmp_path / "c.conf"
         p.write_text("preset = nope\n")
