@@ -13,20 +13,3 @@ The layers, bottom to top:
 - `training`: Adam training loop, evaluation, metrics, checkpoints.
 - `cli`: the `samnet` command.
 """
-
-from . import tensor
-from .cell import CellState, Gates, MemoryState, ModelConfig, SAMCell, SAMNet
-from .checkpoint import load_checkpoint, save_checkpoint
-from .encoders import FrameEncoder, QuestionEncoder
-from .gradcheck import grad_check
-from .params import Parameter, ParameterStore
-from .training import TrainConfig, evaluate_episodes, train
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CellState", "FrameEncoder", "Gates", "MemoryState",
-    "ModelConfig", "Parameter", "ParameterStore", "QuestionEncoder",
-    "SAMCell", "SAMNet", "TrainConfig", "evaluate_episodes", "grad_check",
-    "load_checkpoint", "save_checkpoint", "tensor", "train",
-]

@@ -8,10 +8,11 @@ then applies gated memory writes and a summary-object update. Information
 crosses frame boundaries only through the slot memory and its write head.
 
 Every component also runs a batch of episodes, forward and backward, by one
-rule: inside `T.episode_batch`, which `SAMNet.episode_forward` opens for a
-list of questions, each per-episode tensor has a leading batch axis (a
-control state (B, d) rather than (d,)); outside it, a component runs one
-episode. No component reads the batch from the rank of its inputs.
+rule: inside `T.episode_batch`, which `SAMNet.episode_forward` and
+`SAMNet.episode_loss` open for a list of questions, each per-episode tensor
+has a leading batch axis (a control state (B, d) rather than (d,));
+outside it, a component runs one episode. No component reads the batch
+from the rank of its inputs.
 Parameters, and the learned initial state, are shared by the episodes.
 Questions in a batch may differ in length, so the contextual words come in
 one group per length, and only the controller's attention over them runs
@@ -405,25 +406,17 @@ class SAMNet:
             return T.stack(frame_logits, axis=0 if batch is None else 1)
 
     def episode_loss(self, token_ids, frames, answer_ids, **kw) -> Tensor:
-        """Mean softmax cross-entropy over the per-frame answers.
+        """Mean softmax cross-entropy over the per-frame answers, one
+        `T.cross_entropy_logits` node on the forward's logits.
 
         A batch (see `episode_forward`) with answers (B, K) gives one loss
         per episode, (B,).
         """
         logits = self.episode_forward(token_ids, frames, **kw)
         answer_ids = np.asarray(answer_ids, dtype=np.int64)
-        if answer_ids.shape != logits.shape[:-1]:
-            raise ValueError(
-                f"answers {answer_ids.shape} for logits {logits.shape[:-1]}"
-            )
-        terms = [
-            T.cross_entropy_logits(logits[..., k, :], answer_ids[..., k])
-            for k in range(answer_ids.shape[-1])
-        ]
-        total = terms[0]
-        for term in terms[1:]:
-            total = T.add(total, term)
-        return T.div(total, float(len(terms)))
+        batch = question_batch(token_ids)
+        with nullcontext() if batch is None else T.episode_batch():
+            return T.cross_entropy_logits(logits, answer_ids)
 
     def hyper_manifest(self) -> dict[str, str]:
         c = self.config

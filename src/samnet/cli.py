@@ -43,10 +43,10 @@ def _positive_int(text: str) -> int:
 
 def _parsed_config(args, extra_keys=()):
     """The TrainConfig of `--config` and the values of its `extra_keys`; a
-    bad value is a usage error naming its key (exit 2)."""
+    bad value or an unreadable file is a usage error naming it (exit 2)."""
     try:
         return config_from_kv(read_kv_file(args.config), extra_keys)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         args.parser.error(f"{args.config}: {exc}")
 
 

@@ -4,6 +4,7 @@ from .generator import (
     CorpusError,
     Episode,
     EpisodeConfig,
+    EpisodeConfigError,
     GenerationError,
     GENERATOR_VERSION,
     episode_stream,

@@ -60,6 +60,14 @@ class GenerationError(RuntimeError):
     pass
 
 
+class EpisodeConfigError(ValueError):
+    """A setting no episode can have; `name` is its `EpisodeConfig` field."""
+
+    def __init__(self, name: str, problem: str):
+        super().__init__(f"{name} {problem}")
+        self.name, self.problem = name, problem
+
+
 class CorpusError(ValueError):
     """A corpus file that is malformed, truncated or built on other tables."""
 
@@ -79,22 +87,20 @@ class EpisodeConfig:
     family_name: str = "any"
 
     def __post_init__(self):
-        for name in ("height", "width", "frames", "history", "distractors",
-                     "max_objects"):
+        for name, low in (("height", 1), ("width", 1), ("frames", 1),
+                          ("history", 0), ("distractors", 0), ("max_objects", 1)):
             value = getattr(self, name)
             if type(value) is not int:  # bool is an int subclass; refuse it too
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.frames < 1:
-            raise ValueError("episode needs at least one frame")
-        if not 0 <= self.history <= self.frames - 1:
-            raise ValueError(
-                f"history {self.history} outside [0, frames-1={self.frames - 1}]"
-            )
-        if self.height < 1 or self.width < 1:
-            raise ValueError("grid extents must be positive")
-        if self.distractors < 0 or self.max_objects < 1:
-            raise ValueError("distractors must be >= 0 and max_objects >= 1")
-        FeatureFamily.by_name(self.family_name)
+                raise EpisodeConfigError(name, f"must be an int, got {value!r}")
+            if value < low:
+                raise EpisodeConfigError(name, f"must be >= {low}, got {value}")
+        if self.history > self.frames - 1:
+            raise EpisodeConfigError(
+                "history", f"{self.history} outside [0, frames-1={self.frames - 1}]")
+        if self.family_name not in FAMILIES:
+            raise EpisodeConfigError(
+                "family_name", f"must be one of {sorted(FAMILIES)}, "
+                f"got {self.family_name!r}")
 
     @property
     def family(self) -> FeatureFamily:

@@ -24,18 +24,19 @@ inside ``episode_batch`` they do, outside it they do not. No op reads the
 batch from an operand's rank or takes a flag for it; an op reads the scope
 when it runs its forward and keeps it for its backward, and a fixed-rank op
 given an extra leading axis outside the scope raises ``ShapeError``. Only
-``cell.SAMNet.episode_forward`` and ``encoders.QuestionEncoder.encode``,
-which receive a list of questions, open the scope. Each op writes its
-forward and its backward once, for one episode and for a batch, so every
-episode runs through the same numpy kernel: ``np.matmul`` over the leading
-axis with each episode's operand rank kept (``x[..., None, :] @ w`` for a
-vector per episode, never one folded 2-D gemm), reductions over one
-episode's axes, elementwise maths. Each episode's values and gradients are
-therefore bit-identical to an unbatched pass. Nothing is padded: an op's
-batch has one shape, so a batch of questions of several lengths runs the
-ops over its words once per length group (see
-``encoders.QuestionEncoding``), inside ``episode_batch(rows)``, and
-``merge_rows`` joins the groups.
+``cell.SAMNet.episode_forward``, ``cell.SAMNet.episode_loss`` and
+``encoders.QuestionEncoder.encode``, which receive a list of questions, and
+``training.evaluate_episodes``, for the losses of its episodes of one frame
+count, open the scope. Each op writes its forward and its backward once,
+for one episode and for a batch, so every episode runs through the same
+numpy kernel: ``np.matmul`` over the leading axis with each episode's
+operand rank kept (``x[..., None, :] @ w`` for a vector per episode, never
+one folded 2-D gemm), reductions over one episode's axes, elementwise
+maths. Each episode's values and gradients are therefore bit-identical to
+an unbatched pass. Nothing is padded: an op's batch has one shape, so a
+batch of questions of several lengths runs the ops over its words once per
+length group (see ``encoders.QuestionEncoding``), inside
+``episode_batch(rows)``, and ``merge_rows`` joins the groups.
 
 Parameters are shared by the episodes of a batch. A batched op does not sum
 a parameter's gradient over its batch: it hands ``Tensor.backward`` a
@@ -550,19 +551,22 @@ def softmax(a) -> Tensor:
 
 
 def cross_entropy_logits(logits: Tensor, target) -> Tensor:
-    """Softmax cross-entropy of a rank-1 logit vector against a class index.
+    """The episode loss: the mean over frames of each frame's softmax
+    cross-entropy, for logits (K, A) against one class index per frame.
 
-    A batch is logits (B, A) against one target per episode (B,), and gives
-    one loss per episode (B,).
+    One frame's logits (A,) against one index give its cross-entropy.
+    Inside `episode_batch` both carry a leading batch axis, giving one loss
+    per episode (B,). Each frame receives g / K of the loss gradient g.
     """
     logits = as_tensor(logits)
     target = np.asarray(target)
-    if (logits.ndim not in (1, 2) or logits.shape[-1] < 1
+    rank = logits.ndim - _IN_BATCH
+    if (rank not in (1, 2) or logits.shape[-1] < 1
             or target.shape != logits.shape[:-1]
             or not np.issubdtype(target.dtype, np.integer)):
         raise ShapeError(
-            f"cross_entropy_logits expects logits (A,) or (B, A) and one class "
-            f"index per row, got {logits.shape} and {target.shape}")
+            f"cross_entropy_logits expects logits ([B,] [K,] A) and one class "
+            f"index per frame, got {logits.shape} and {target.shape}")
     if np.any((target < 0) | (target >= logits.shape[-1])):
         raise ValueError(
             f"target {target} out of range for {logits.shape[-1]} classes")
@@ -570,10 +574,13 @@ def cross_entropy_logits(logits: Tensor, target) -> Tensor:
     _screen_finite(x)
     shifted = x - x.max(axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    pick = (target,) if target.ndim == 0 else (np.arange(target.size), target)
-    out = np.asarray(-log_probs[pick])
+    pick = np.indices(target.shape, sparse=True) + (target,)
+    out = -log_probs[pick]
+    out = np.asarray(out.mean(axis=-1) if rank == 2 else out)
 
     def backward(g):
+        if rank == 2:  # each frame's share
+            g = (g / target.shape[-1])[..., None]
         grad = np.exp(log_probs) * g[..., None]
         grad[pick] -= g
         return (grad,)
@@ -980,10 +987,10 @@ def weighted_sum(a, x, b, y) -> Tensor:
 def memory_blend(m, w, v) -> Tensor:
     """Row i of the result is (1 - w_i) * m_i + w_i * v, for m (N, d).
 
-    A batch is m (B, N, d), w (B, N) and v (B, d).
+    Inside `episode_batch`, m is (B, N, d), w (B, N) and v (B, d).
     """
     m, w, v = as_tensor(m), as_tensor(w), as_tensor(v)
-    if (m.ndim not in (2, 3) or w.shape != m.shape[:-1]
+    if (m.ndim != 2 + _IN_BATCH or w.shape != m.shape[:-1]
             or v.shape != m.shape[:-2] + m.shape[-1:]):
         raise ShapeError(f"memory_blend got m {m.shape}, w {w.shape}, v {v.shape}")
     w_col = w.data[..., None]  # (N, 1) per episode
@@ -1006,10 +1013,10 @@ def memory_blend(m, w, v) -> Tensor:
 def write_head_shift(wh, h_a) -> Tensor:
     """h_a * roll(wh, 1) + (1 - h_a) * wh: a soft circular right-shift.
 
-    A batch is wh (B, N) and h_a (B,).
+    Inside `episode_batch`, wh is (B, N) and h_a (B,).
     """
     wh, h_a = as_tensor(wh), as_tensor(h_a)
-    if wh.ndim != 1 + h_a.ndim or wh.shape[:-1] != h_a.shape or h_a.ndim > 1:
+    if wh.ndim != 1 + _IN_BATCH or h_a.shape != wh.shape[:-1]:
         raise ShapeError(f"write_head_shift got wh {wh.shape}, h_a {h_a.shape}")
     ha = h_a.data[..., None]
     # np.roll(wh, 1) over the last axis

@@ -27,6 +27,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .minicog import (
     ANSWERS,
     EpisodeConfig,
+    EpisodeConfigError,
     GRID_CHANNELS,
     VOCABULARY,
     episode_stream,
@@ -44,6 +45,11 @@ class NonFiniteLossError(RuntimeError):
 
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
+
+# the TrainConfig key of each EpisodeConfig field
+EPISODE_KEYS = {"height": "grid_height", "width": "grid_width", "frames": "frames",
+                "history": "history", "distractors": "distractors",
+                "max_objects": "max_objects", "family_name": "family"}
 
 
 @dataclass
@@ -81,19 +87,20 @@ class TrainConfig:
     def __post_init__(self):
         """Reject counts the model or the loop cannot run, naming the key."""
         for key, low in (("d", 2), ("reasoning_steps", 1), ("mem_slots", 1),
-                         ("batch_size", 1), ("max_steps", 0)):
+                         ("batch_size", 1), ("max_steps", 0), ("val_episodes", 1)):
             value = getattr(self, key)
             if value < low:
                 raise ValueError(f"{key}: must be >= {low}, got {value}")
         if self.d % 2:  # the question Bi-LSTM gives each direction d/2
             raise ValueError(f"d: must be even, got {self.d}")
+        try:
+            self.episode_config()
+        except EpisodeConfigError as exc:
+            raise ValueError(f"{EPISODE_KEYS[exc.name]}: {exc.problem}") from None
 
     def episode_config(self) -> EpisodeConfig:
-        return EpisodeConfig(
-            height=self.grid_height, width=self.grid_width, frames=self.frames,
-            history=self.history, distractors=self.distractors,
-            max_objects=self.max_objects, family_name=self.family,
-        )
+        return EpisodeConfig(**{name: getattr(self, key)
+                                for name, key in EPISODE_KEYS.items()})
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -280,12 +287,13 @@ def _train_chunks(cfg: TrainConfig) -> list[int]:
 
 
 def _first_non_finite(model: SAMNet, episodes) -> int:
-    """Index of the first episode whose own forward meets a non-finite
-    value: the episode a loop of one-episode tapes stops at."""
+    """Index of the first episode whose own loss meets a non-finite value:
+    the episode a loop of one-episode tapes stops at."""
     with T.no_grad():
         for i, ep in enumerate(episodes):
             try:
-                model.episode_forward(ep.token_ids, ep.frames_symbolic())
+                model.episode_loss(ep.token_ids, ep.frames_symbolic(),
+                                   ep.answer_ids)
             except T.NonFiniteError:
                 return i
     return len(episodes) - 1
@@ -340,11 +348,16 @@ def evaluate_episodes(model: SAMNet, episodes, n_slots=None,
     per_class_hit: dict[str, int] = {}
     per_class_n: dict[str, int] = {}
     all_logits = _eval_logits(model, episodes, n_slots, gate_overrides)
-    for ep, logits in zip(episodes, all_logits):
+    losses = {}
+    with T.episode_batch():  # one loss call per frame count
+        for k in {len(logits) for logits in all_logits}:
+            rows = [i for i, logits in enumerate(all_logits) if len(logits) == k]
+            out = T.cross_entropy_logits(np.stack([all_logits[i] for i in rows]),
+                                         [episodes[i].answer_ids for i in rows])
+            losses.update(zip(rows, out.data))
+    for i, (ep, logits) in enumerate(zip(episodes, all_logits)):
         answers = np.asarray(ep.answer_ids)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        total_loss += float(-logp[np.arange(len(answers)), answers].mean())
+        total_loss += float(losses[i])
         pred = logits.argmax(axis=1)
         hits = int((pred == answers).sum())
         correct += hits
@@ -444,8 +457,6 @@ def train(cfg: TrainConfig, log=None, deterministic: bool = False,
     produce byte-identical outputs. `init_from` warm-starts from an existing
     checkpoint with the same architecture (used for fine-tuning).
     """
-    if cfg.val_episodes < 1:
-        raise ValueError(f"val_episodes must be >= 1, got {cfg.val_episodes}")
     os.makedirs(cfg.out_dir, exist_ok=True)
     episode_cfg = cfg.episode_config()
     family = cfg.task_family_weights()

@@ -28,7 +28,7 @@ from .minicog import (
     answer_set,
     generate_corpus,
 )
-from .training import TrainConfig, evaluate_episodes, load_model, train
+from .training import EPISODE_KEYS, TrainConfig, evaluate_episodes, load_model, train
 
 
 class SplitValidationError(ValueError):
@@ -414,12 +414,7 @@ def run_protocol(split: TransferSplit, base: TrainConfig, out_dir: str,
 
 
 def _episode_kv(cfg: EpisodeConfig) -> dict:
-    return {
-        "grid_height": cfg.height, "grid_width": cfg.width,
-        "frames": cfg.frames, "history": cfg.history,
-        "distractors": cfg.distractors, "max_objects": cfg.max_objects,
-        "family": cfg.family_name,
-    }
+    return {key: getattr(cfg, name) for name, key in EPISODE_KEYS.items()}
 
 
 def _family_spec(family: TaskFamily) -> str:

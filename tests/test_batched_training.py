@@ -123,7 +123,7 @@ def test_chunk_loss_is_the_per_episode_loss():
                                [ep.answer_ids for ep in episodes])
     assert batch.shape == (3,)
     assert [float(x) for x in batch.data] == [float(x) for x in losses]
-    with pytest.raises(ValueError, match="answers"):
+    with pytest.raises(ValueError, match="one class index per frame"):
         model.episode_loss([ep.token_ids for ep in episodes],
                            np.stack([ep.frames_symbolic() for ep in episodes]),
                            [ep.answer_ids[:-1] for ep in episodes])
@@ -210,6 +210,20 @@ def test_non_finite_episode_is_named(tmp_path, monkeypatch, poisoned, message):
         with np.errstate(all="ignore"):
             train(cfg)
     assert f"batch episode seeds {message};" in str(exc.value)
+
+
+def test_non_finite_logits_name_the_first_episode(tmp_path):
+    # no forward op screens the logits: only each episode's loss meets the
+    # inf, and a loop of one-episode tapes stops at the first episode
+    cfg = tiny_cfg(tmp_path / "run", batch_size=8, data_seed=1)
+    model = SAMNet(cfg.model_config(), init_seed=cfg.init_seed)
+    model.store["answer.b2"].data[0] = np.inf
+    ckpt = str(tmp_path / "inf.ckpt")
+    training.save_model(ckpt, model, cfg, 0)
+    with pytest.raises(NonFiniteLossError) as exc:
+        with np.errstate(all="ignore"):
+            train(cfg, init_from=ckpt)
+    assert "batch episode seeds [1, 0..0];" in str(exc.value)
 
 
 def test_vector_root_is_the_sum_of_its_episodes():

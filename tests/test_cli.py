@@ -63,25 +63,43 @@ def test_gen_count_below_one_is_a_usage_error(tiny_conf, tmp_path, capsys,
     ("d = 7", "d: must be even, got 7"),
     ("reasoning_steps = 0", "reasoning_steps: must be >= 1, got 0"),
     ("mem_slots = 0", "mem_slots: must be >= 1, got 0"),
+    ("val_episodes = 0", "val_episodes: must be >= 1, got 0"),
+    ("grid_height = 0", "grid_height: must be >= 1, got 0"),
 ])
 def test_bad_config_value_is_a_usage_error(tiny_conf, tmp_path, capsys,
                                            command, line, message):
     tiny_conf.write_text(tiny_conf.read_text() + line + "\n")
-    argv = ["train", "--config", str(tiny_conf)]
-    if command == "gen":
-        argv = ["gen", "--config", str(tiny_conf), "--count", "3",
-                "--seed", "5", "--out", str(tmp_path / "corpus.jsonl")]
-    if command == "transfer":
-        argv = ["transfer", "--split", "reasoning", "--mode", "zero_shot",
-                "--config", str(tiny_conf)]
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(config_argv(command, tiny_conf, tmp_path))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"usage: samnet {command}" in err
     assert f"{tiny_conf}: {message}" in err
     assert not (tmp_path / "run").exists()
     assert not (tmp_path / "corpus.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gen", "transfer"])
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys, command):
+    conf = tmp_path / "nope.conf"
+    with pytest.raises(SystemExit) as exc:
+        main(config_argv(command, conf, tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"usage: samnet {command}" in err
+    assert f"{conf}: [Errno 2] No such file or directory" in err
+    assert not (tmp_path / "corpus.jsonl").exists()
+
+
+def config_argv(command, conf, tmp_path):
+    """`samnet <command>` on config file `conf`, writing under tmp_path."""
+    if command == "gen":
+        return ["gen", "--config", str(conf), "--count", "3",
+                "--seed", "5", "--out", str(tmp_path / "corpus.jsonl")]
+    if command == "transfer":
+        return ["transfer", "--split", "reasoning", "--mode", "zero_shot",
+                "--config", str(conf)]
+    return ["train", "--config", str(conf)]
 
 
 def test_generate_corpus_rejects_a_negative_count():

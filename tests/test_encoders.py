@@ -92,7 +92,8 @@ class TestQuestionEncoder:
         store.zero_grad()
         out = enc.encode(seqs)  # recorded on one tape
         assert out.q.requires_grad
-        T.cross_entropy_logits(out.q, targets).backward()
+        with T.episode_batch():  # one loss per question
+            T.cross_entropy_logits(out.q, targets).backward()
         assert np.array_equal(out.q.data, np.stack([s.q.data for s in single]))
         for rows, words in out.cw:
             for row, w in zip(rows, words.data):

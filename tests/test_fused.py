@@ -6,7 +6,11 @@ fused, and the same gradients up to float64 rounding. The chains here are
 those reference graphs; the per-token LSTM loop is the question encoder's
 former `_run_direction`. The primitive ops that only these chains use
 (the elementwise ops and the unfused convolution) come from `reference_ops`.
+The episode loss has two references: evaluation's former numpy loss for
+its value, and training's former per-frame chain for its gradient.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import numpy.testing as npt
@@ -17,6 +21,7 @@ from samnet import tensor as T
 from samnet.cell import GateNetwork, SAMNet
 from samnet.encoders import QuestionEncoder
 from samnet.gradsuite import _readout_from
+from samnet.minicog import generate_corpus
 from samnet.params import ParameterStore
 from samnet.training import config_from_preset
 
@@ -55,6 +60,24 @@ def chain_cross_entropy_forward(logits: np.ndarray, target: int) -> np.ndarray:
     shifted = logits - logits.max()
     out = shifted - np.log(np.exp(shifted).sum())
     return -np.asarray(out[target])
+
+
+def numpy_episode_loss(logits: np.ndarray, answers) -> np.float32:
+    """Evaluation's former per-episode loss, in numpy."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -logp[np.arange(len(answers)), answers].mean()
+
+
+def chain_episode_loss(logits, answers):
+    """Training's former episode loss: per frame a select and a one-frame
+    cross-entropy, then an add chain and a div."""
+    terms = [T.cross_entropy_logits(logits[..., k, :], answers[..., k])
+             for k in range(answers.shape[-1])]
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    return T.div(total, float(len(terms)))
 
 
 def chain_weighted_sum(a, x, b, y):
@@ -190,6 +213,67 @@ def test_cross_entropy_gradient_is_softmax_minus_one_hot():
         T.cross_entropy_logits(logits, 2).backward()
         expected = T.softmax(T.Tensor(logits.data)).data - np.eye(6)[2]
         npt.assert_allclose(logits.grad, expected, rtol=1e-12, atol=1e-15)
+
+
+def episode_logits(rng, *shape):
+    logits = (rng.normal(size=shape + (17,)) * 4).astype(np.float32)
+    return logits, rng.integers(0, 17, size=shape)
+
+
+@pytest.mark.parametrize("frames", [4, 6, 8])
+def test_episode_loss_equals_numpy_frame_mean(frames):
+    rng = np.random.default_rng(frames)
+    for _ in range(20):
+        logits, answers = episode_logits(rng, frames)
+        out = T.cross_entropy_logits(logits, answers).data
+        assert out.dtype == np.float32
+        assert np.array_equal(out, numpy_episode_loss(logits, answers))
+        logits, answers = episode_logits(rng, 5, frames)
+        with T.episode_batch():
+            out = T.cross_entropy_logits(logits, answers).data
+        assert out.shape == (5,)
+        for got, episode in zip(out, zip(logits, answers)):
+            assert np.array_equal(got, numpy_episode_loss(*episode))
+
+
+@pytest.mark.parametrize("frames", [4, 6, 8])
+def test_episode_loss_gradient_equals_per_frame_chain(frames):
+    rng = np.random.default_rng(10 + frames)
+    for batch in (None, 3):
+        shape = (frames,) if batch is None else (batch, frames)
+        data, answers = episode_logits(rng, *shape)
+        grads = []
+        for loss in (T.cross_entropy_logits, chain_episode_loss):
+            logits = T.Tensor(data, requires_grad=True)
+            with nullcontext() if batch is None else T.episode_batch():
+                loss(logits, answers).backward()
+            grads.append(logits.grad)
+        assert np.array_equal(*grads)
+
+
+@pytest.mark.parametrize("preset", ["toy-canonical", "toy-hard"])  # K = 4, 8
+def test_ragged_batch_loss_equals_both_references(preset):
+    cfg = config_from_preset(preset, task_family="all")
+    model = SAMNet(cfg.model_config(), init_seed=4)
+    episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                               4, seed=21)
+    assert len({len(ep.tokens) for ep in episodes}) > 1
+    ids = [ep.token_ids for ep in episodes]
+    frames = np.stack([ep.frames_symbolic() for ep in episodes])
+    answers = np.array([ep.answer_ids for ep in episodes])
+    grads = []
+    for loss in (T.cross_entropy_logits, chain_episode_loss):
+        model.store.zero_grad()
+        logits = model.episode_forward(ids, frames)
+        with T.episode_batch():
+            out = loss(logits, answers)
+        out.backward()
+        grads.append([p.grad for p in model.store.parameters()])
+        if loss is T.cross_entropy_logits:
+            for got, episode in zip(out.data, zip(logits.data, answers)):
+                assert np.array_equal(got, numpy_episode_loss(*episode))
+    for fused, chain in zip(*grads):
+        assert np.array_equal(fused, chain)
 
 
 def test_gate_mlp_equals_primitive_chain():

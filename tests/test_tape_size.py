@@ -9,9 +9,14 @@ Keeping the frame CNN's pre-activations on the tape raises it by 12.5%
 features raises it by 6.7% (toy-canonical, caught) and 4.6-6.0% (toy-hard,
 not always caught). Numpy's small-buffer cache moves a reading by up to
 about 1.5%.
+
+One episode's loss records a fixed number of tape nodes per preset, which
+the README quotes; the count and the README change together.
 """
 
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,9 @@ from samnet.training import config_from_preset
 
 # KB per episode, measured with numpy 2.4.6 on CPython 3.11
 MEASURED_KB = {"toy-canonical": 400, "toy-hard": 1301}
+# tape nodes of one episode's loss
+EPISODE_TAPE_NODES = {"toy-canonical": 553, "toy-hard": 1045}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def chunk_peak_kb_per_episode(preset):
@@ -46,3 +54,29 @@ def test_tape_peak_per_episode_stays_under_its_ceiling(preset, size):
     got_size, kb = chunk_peak_kb_per_episode(preset)
     assert got_size == size
     assert kb <= 1.05 * MEASURED_KB[preset], f"{kb:.0f} KB per episode"
+
+
+def tape_nodes(root) -> int:
+    """Nodes that `Tensor.backward` visits from `root`."""
+    visited = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in visited:
+            visited.add(id(node))
+            stack += [p for p in node._parents if p.requires_grad]
+    return len(visited)
+
+
+@pytest.mark.parametrize("preset", sorted(EPISODE_TAPE_NODES))
+def test_episode_tape_nodes_are_the_readme_count(preset):
+    cfg = config_from_preset(preset, task_family="all")
+    model = SAMNet(cfg.model_config(), init_seed=3)
+    [ep] = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                           1, seed=9)
+    loss = model.episode_loss(ep.token_ids, ep.frames_symbolic(), ep.answer_ids)
+    count = EPISODE_TAPE_NODES[preset]
+    assert tape_nodes(loss) == count
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    assert re.search(rf"`{preset}` episode (records )?{count:,}\b",
+                     readme), f"README does not quote {count:,} for {preset}"

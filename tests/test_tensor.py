@@ -296,6 +296,11 @@ BATCHED_OPS = {
     "weighted_sum": lambda: T.weighted_sum(
         *_batch_of_two((2,), (2, 3), (2,), (2, 3))),
     "matmul": lambda: T.matmul(*_batch_of_two((2, 3), (2, 3, 4))),
+    "memory_blend": lambda: T.memory_blend(
+        *_batch_of_two((2, 4, 3), (2, 4), (2, 3))),
+    "write_head_shift": lambda: T.write_head_shift(*_batch_of_two((2, 4), (2,))),
+    "cross_entropy_logits": lambda: T.cross_entropy_logits(
+        *_batch_of_two((2, 3, 5)), np.array([[0, 4, 2], [1, 1, 3]])),
 }
 
 

@@ -172,9 +172,8 @@ class TestTraining:
         assert model is not None
 
     def test_zero_val_episodes_rejected_before_any_checkpoint(self, tmp_path):
-        cfg = tiny_cfg(tmp_path / "run", val_episodes=0)
-        with pytest.raises(ValueError, match="val_episodes"):
-            train(cfg)
+        with pytest.raises(ValueError, match="val_episodes: must be >= 1, got 0"):
+            train(tiny_cfg(tmp_path / "run", val_episodes=0))
         assert not (tmp_path / "run").exists()
 
     def test_empty_evaluation_rejected(self):
