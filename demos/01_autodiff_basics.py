@@ -36,8 +36,9 @@ w = store.new("w", (3, 4))
 b = store.new("b", (4,), fan_in=0)
 logits = T.linear(T.elu(x), w, b)
 loss = T.cross_entropy_logits(logits, 2)
-loss.backward()
+# backward() releases inner values such as the logits: read them first
 print("logits:", np.round(logits.data, 4))
+loss.backward()
 print("loss:", round(loss.item(), 4))
 print("dloss/dx:", np.round(store["x"].grad, 4))
 print("dloss/db:", np.round(store["b"].grad, 4), " (softmax - one-hot)")

@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 
-from .minicog import generate_corpus, write_corpus
+from .minicog import CorpusError, generate_corpus, write_corpus
 from .training import (
     config_from_kv,
     evaluate_checkpoint,
@@ -71,11 +71,21 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    episodes = load_eval_data(args.data)
+    # a file that cannot be read, or a data config with a bad value, is a
+    # usage error naming it; a malformed corpus or checkpoint stays typed
+    try:
+        episodes = load_eval_data(args.data)
+    except CorpusError:
+        raise
+    except (OSError, ValueError) as exc:
+        args.parser.error(f"{args.data}: {exc}")
     overrides = {"h_r": 0.0, "h_a": 0.0} if args.ablate_writes else None
-    result, _ = evaluate_checkpoint(
-        args.ckpt, episodes, n_slots=args.mem_slots, gate_overrides=overrides
-    )
+    try:
+        result, _ = evaluate_checkpoint(
+            args.ckpt, episodes, n_slots=args.mem_slots,
+            gate_overrides=overrides)
+    except OSError as exc:  # only opening the checkpoint does I/O
+        args.parser.error(f"{args.ckpt}: {exc}")
     print(json.dumps({
         "loss": round(result.loss, 6),
         "accuracy": round(result.accuracy, 6),
@@ -192,7 +202,7 @@ def main(argv=None) -> int:
                    help="override the number of memory slots at test time")
     p.add_argument("--ablate-writes", action="store_true",
                    help="force the memory write gates to zero")
-    p.set_defaults(fn=_cmd_eval)
+    p.set_defaults(fn=_cmd_eval, parser=p)
 
     p = sub.add_parser("transfer", help="run a full transfer protocol")
     p.add_argument("--split", required=True,

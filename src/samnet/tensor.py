@@ -18,6 +18,12 @@ primitive ops it replaces (kept as references in ``tests/test_fused.py``),
 so forward values are bit-identical to that chain. Fused ops keep their
 backward caches only while a graph is being recorded.
 
+A graph is differentiated once. ``Tensor.backward()`` releases each inner
+node's value as soon as the sweep has passed it, with its gradient and
+backward closure, so a tape's memory falls while it is swept: read any inner
+value before ``backward()``. The root keeps its value (a training tape's
+per-episode losses) and the leaves keep their values and gradients.
+
 Batch axis. The model's ops also take a leading batch axis, one entry per
 episode, forward and backward. One rule decides whether operands carry it:
 inside ``episode_batch`` they do, outside it they do not. No op reads the
@@ -265,13 +271,15 @@ class Tensor:
         is differentiated. A leaf's `PerEpisode` contributions are added,
         episode by episode, once the last node that uses the leaf is swept;
         every other gradient reaches it earlier. The sweep frees each inner
-        node's gradient and backward closure once spent, so a graph is
-        differentiated once.
+        node's gradient, backward closure and value once spent, so a graph
+        is differentiated once and an inner value must be read before
+        `backward()`. The root keeps its value and every leaf its value and
+        gradient.
         """
-        if self.data.ndim > 1 or self.data.size < 1:
-            raise ShapeError("backward() requires a scalar or vector root")
         if self._parents and self._backward is None:
             raise RuntimeError("backward() already ran on this graph")
+        if self.data.ndim > 1 or self.data.size < 1:
+            raise ShapeError("backward() requires a scalar or vector root")
         topo = []
         visited = set()  # Tensor defines no __eq__, so nodes hash by identity
         folds = {}  # node -> the leaves it is the last in the sweep to use
@@ -299,8 +307,11 @@ class Tensor:
             if node._backward is None:
                 continue
             grads = node._backward(node.grad)
-            # spent: the inner gradient, and the closure with its caches
+            # spent: the inner gradient, the closure with its caches and,
+            # since every node that reads it has been swept, the value
             node.grad = node._backward = None
+            if node is not self:
+                node.data = None
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue

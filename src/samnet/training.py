@@ -85,7 +85,8 @@ class TrainConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
-        """Reject counts the model or the loop cannot run, naming the key."""
+        """Reject counts the model or the loop cannot run and task families
+        the generator does not know, naming the key."""
         for key, low in (("d", 2), ("reasoning_steps", 1), ("mem_slots", 1),
                          ("batch_size", 1), ("max_steps", 0), ("val_episodes", 1)):
             value = getattr(self, key)
@@ -97,6 +98,10 @@ class TrainConfig:
             self.episode_config()
         except EpisodeConfigError as exc:
             raise ValueError(f"{EPISODE_KEYS[exc.name]}: {exc.problem}") from None
+        try:
+            self.task_family_weights()
+        except ValueError as exc:
+            raise ValueError(f"task_family: {exc}") from None
 
     def episode_config(self) -> EpisodeConfig:
         return EpisodeConfig(**{name: getattr(self, key)
@@ -263,13 +268,16 @@ _EVAL_BATCH = 32
 
 
 # Frame-feature elements (episodes x frames x grid cells x d) per training
-# tape, which sets how many episodes share a tape. A tape's peak holds about
-# 0.40 MB per toy-canonical episode (6,400 elements) and 1.3 MB per toy-hard
-# one (18,432), 0.06-0.07 KB per element at both. This budget gives
-# toy-canonical 12 episodes per tape, toy-hard 4 and six-frame toy-canonical
-# videos 8. On train-canonical, 12 per tape raised peak RSS by 3.9% (median
-# of 10 runs) and 16 by 7.6% (one run), against a 10% bound.
-_TAPE_BUDGET = 76_800
+# tape, which sets how many episodes share a tape. `Tensor.backward` frees
+# each inner value once it is swept, and a tape's peak holds about 0.32 MB
+# per toy-canonical episode (6,400 elements), 0.84 MB per toy-hard one
+# (18,432) and 0.47 MB per six-frame toy-canonical one (9,600), about 0.05 KB
+# per element at all three. This budget gives toy-canonical 16 episodes per
+# tape, toy-hard 5 and six-frame videos 10. On train-canonical (batch 32),
+# two tapes of 16 raised peak RSS by 2.2% over three of 11 without the
+# release (median of 10 runs); one tape of 32 raised it by 12.7% (two runs),
+# against a 10% bound.
+_TAPE_BUDGET = 102_400
 
 
 def _train_chunk_size(cfg: TrainConfig) -> int:
@@ -457,9 +465,9 @@ def train(cfg: TrainConfig, log=None, deterministic: bool = False,
     produce byte-identical outputs. `init_from` warm-starts from an existing
     checkpoint with the same architecture (used for fine-tuning).
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
     episode_cfg = cfg.episode_config()
     family = cfg.task_family_weights()
+    os.makedirs(cfg.out_dir, exist_ok=True)
     model = SAMNet(cfg.model_config(), init_seed=cfg.init_seed)
     if init_from is not None:
         arrays, _, _ = load_checkpoint(init_from)

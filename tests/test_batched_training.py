@@ -137,9 +137,9 @@ def tiny_cfg(out_dir, **kw):
 
 
 @pytest.mark.parametrize("preset,overrides,most", [
-    ("toy-canonical", {}, 12),               # 4 frames of 5x5 cells, d 64
-    ("toy-canonical", {"frames": 6}, 8),     # the transfer target's videos
-    ("toy-hard", {}, 4),                     # 8 frames of 6x6 cells
+    ("toy-canonical", {}, 16),               # 4 frames of 5x5 cells, d 64
+    ("toy-canonical", {"frames": 6}, 10),    # the transfer target's videos
+    ("toy-hard", {}, 5),                     # 8 frames of 6x6 cells
     ("toy-canonical", {"grid_height": 64, "grid_width": 64, "d": 256}, 1),
 ])
 def test_chunk_rule(preset, overrides, most):
@@ -150,7 +150,8 @@ def test_chunk_rule(preset, overrides, most):
 
 
 @pytest.mark.parametrize("batch,sizes", [
-    (32, [11, 11, 10]), (16, [8, 8]), (12, [12]), (13, [7, 6]), (1, [1]),
+    (32, [16, 16]), (16, [16]), (12, [12]), (17, [9, 8]), (33, [11, 11, 11]),
+    (1, [1]),
 ])
 def test_chunks_are_as_few_and_as_equal_as_the_budget_allows(batch, sizes):
     cfg = config_from_preset("toy-canonical", batch_size=batch)
@@ -163,9 +164,9 @@ def test_chunk_size_changes_no_checkpoint_byte(tmp_path, monkeypatch):
                "whole batch": 10 ** 9}
     for name, budget in budgets.items():
         monkeypatch.setattr(training, "_TAPE_BUDGET", budget)
-        cfg = tiny_cfg(tmp_path / name.replace(" ", "-"), batch_size=14)
+        cfg = tiny_cfg(tmp_path / name.replace(" ", "-"), batch_size=20)
         outputs[name] = training._train_chunks(cfg), train(cfg, deterministic=True)
-    assert [sizes for sizes, _ in outputs.values()] == [[1] * 14, [7, 7], [14]]
+    assert [sizes for sizes, _ in outputs.values()] == [[1] * 20, [10, 10], [20]]
     results = [result for _, result in outputs.values()]
     reference = results[0]
     for result in results[1:]:

@@ -65,6 +65,7 @@ def test_gen_count_below_one_is_a_usage_error(tiny_conf, tmp_path, capsys,
     ("mem_slots = 0", "mem_slots: must be >= 1, got 0"),
     ("val_episodes = 0", "val_episodes: must be >= 1, got 0"),
     ("grid_height = 0", "grid_height: must be >= 1, got 0"),
+    ("task_family = Bogus", "task_family: unknown task family name 'Bogus'"),
 ])
 def test_bad_config_value_is_a_usage_error(tiny_conf, tmp_path, capsys,
                                            command, line, message):
@@ -149,6 +150,47 @@ def test_eval_slot_count_below_one_is_a_usage_error(slots, capsys):
     err = capsys.readouterr().err
     assert "usage: samnet eval" in err
     assert f"--mem-slots: expected an int >= 1, got '{slots}'" in err
+
+
+@pytest.mark.parametrize("case", [
+    "missing data", "data is a directory", "bad data config",
+    "missing checkpoint", "checkpoint is a directory",
+])
+def test_eval_unreadable_input_is_a_usage_error(tiny_conf, tmp_path, capsys,
+                                                case):
+    # tiny_conf doubles as a data config; no checkpoint is read before it
+    data, ckpt = tiny_conf, tmp_path / "missing.ckpt"
+    if case == "missing data":
+        data = tmp_path / "missing.jsonl"
+    elif case == "data is a directory":
+        data = tmp_path
+    elif case == "bad data config":
+        tiny_conf.write_text(tiny_conf.read_text() + "max_steps = two\n")
+    elif case == "checkpoint is a directory":
+        ckpt = tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: samnet eval" in err
+    named = ckpt if "checkpoint" in case else data
+    assert f"error: {named}: " in err
+    if case == "bad data config":
+        assert "max_steps: expected int, got 'two'" in err
+
+
+def test_eval_malformed_files_stay_typed_errors(tiny_conf, tmp_path):
+    from samnet.checkpoint import CheckpointError
+    from samnet.minicog import CorpusError
+
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text("not a checkpoint\n")
+    with pytest.raises(CheckpointError, match="bad.ckpt"):
+        main(["eval", "--ckpt", str(ckpt), "--data", str(tiny_conf)])
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text('{"format": "something else"}\n')
+    with pytest.raises(CorpusError, match="bad.jsonl"):
+        main(["eval", "--ckpt", str(ckpt), "--data", str(corpus)])
 
 
 def test_transfer_emits_report(tmp_path, capsys):

@@ -83,21 +83,23 @@ class TestQuestionEncoder:
         enc = QuestionEncoder(store, vocab_size=6, d=8)
         seqs = [[1, 2], [3, 4, 5], [0, 5], [2]]
         targets = [1, 7, 0, 3]
-        # the reference: one tape per question, a cross-entropy read of q
+        # the reference: one tape per question, a cross-entropy read of q;
+        # backward() releases inner values, so they are read before it
         single = []
         for ids, target in zip(seqs, targets):
-            single.append(enc.encode(ids))
-            T.cross_entropy_logits(single[-1].q, target).backward()
+            enc_one = enc.encode(ids)
+            single.append((enc_one.q.data, enc_one.cw.data))
+            T.cross_entropy_logits(enc_one.q, target).backward()
         expected = {p.name: p.grad for p in store.parameters()}
         store.zero_grad()
         out = enc.encode(seqs)  # recorded on one tape
         assert out.q.requires_grad
-        with T.episode_batch():  # one loss per question
-            T.cross_entropy_logits(out.q, targets).backward()
-        assert np.array_equal(out.q.data, np.stack([s.q.data for s in single]))
+        assert np.array_equal(out.q.data, np.stack([q for q, _ in single]))
         for rows, words in out.cw:
             for row, w in zip(rows, words.data):
-                assert np.array_equal(w, single[row].cw.data)
+                assert np.array_equal(w, single[row][1])
+        with T.episode_batch():  # one loss per question
+            T.cross_entropy_logits(out.q, targets).backward()
         for p in store.parameters():
             want = expected[p.name]
             if want is None:  # the cw linear is not read

@@ -265,13 +265,16 @@ def test_ragged_batch_loss_equals_both_references(preset):
     for loss in (T.cross_entropy_logits, chain_episode_loss):
         model.store.zero_grad()
         logits = model.episode_forward(ids, frames)
+        # backward() releases the logits, so the references read them first
+        want = [numpy_episode_loss(*episode)
+                for episode in zip(logits.data, answers)]
         with T.episode_batch():
             out = loss(logits, answers)
         out.backward()
         grads.append([p.grad for p in model.store.parameters()])
         if loss is T.cross_entropy_logits:
-            for got, episode in zip(out.data, zip(logits.data, answers)):
-                assert np.array_equal(got, numpy_episode_loss(*episode))
+            for got, expected in zip(out.data, want):
+                assert np.array_equal(got, expected)
     for fused, chain in zip(*grads):
         assert np.array_equal(fused, chain)
 

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from reference_ops import sigmoid, sub, tanh
 from samnet import tensor as T
 from samnet.gradcheck import grad_check
+from samnet.cell import SAMNet
 from samnet.gradsuite import _readout_from
+from samnet.minicog import generate_corpus
 from samnet.params import ParameterStore
+from samnet.training import config_from_preset
 
 
 def make_store(seed=0):
@@ -266,6 +269,37 @@ def test_backward_runs_once_per_graph():
     v = T.Tensor([1.0, 2.0], requires_grad=True)
     root = T.matmul(v, T.elu(v))
     root.backward()
+    with pytest.raises(RuntimeError, match="already"):
+        root.backward()
+
+
+def test_backward_releases_inner_values_and_keeps_root_and_leaves():
+    cfg = config_from_preset("toy-canonical", task_family="all")
+    model = SAMNet(cfg.model_config(), init_seed=2)
+    episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                               3, seed=5)
+    ids = [ep.token_ids for ep in episodes]
+    logits = model.episode_forward(
+        ids, np.stack([ep.frames_symbolic() for ep in episodes]))
+    with T.episode_batch():
+        root = T.cross_entropy_logits(
+            logits, np.array([ep.answer_ids for ep in episodes]))
+    tape, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node not in tape:
+            tape.add(node)
+            stack += [p for p in node._parents if p.requires_grad]
+    inner = [n for n in tape if n is not root and n._backward is not None]
+    losses = root.data.copy()
+    params = {p.name: p.data.copy() for p in model.store.parameters()}
+    root.backward()
+    assert logits.data is None
+    assert inner and all(node.data is None for node in inner)
+    assert root.shape == (3,) and np.array_equal(root.data, losses)
+    for p in model.store.parameters():
+        assert np.array_equal(p.data, params[p.name]), p.name
+        assert p.grad is not None and p.grad.shape == p.data.shape, p.name
     with pytest.raises(RuntimeError, match="already"):
         root.backward()
 

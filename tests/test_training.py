@@ -176,6 +176,15 @@ class TestTraining:
             train(tiny_cfg(tmp_path / "run", val_episodes=0))
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_task_family_rejected_before_any_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="task_family: unknown task family"):
+            tiny_cfg(tmp_path / "run", task_family="Bogus")
+        cfg = tiny_cfg(tmp_path / "run")
+        cfg.task_family = "Bogus"  # set after the config's own checks
+        with pytest.raises(ValueError, match="unknown task family"):
+            train(cfg)
+        assert not (tmp_path / "run").exists()
+
     def test_empty_evaluation_rejected(self):
         from samnet.cell import SAMNet
         model = SAMNet(tiny_cfg("x").model_config(), init_seed=0)
