@@ -16,8 +16,8 @@ np.set_printoptions(precision=3, suppress=True)
 
 print("=== memory update algebra ===")
 m = T.Tensor(np.arange(12, dtype=np.float32).reshape(4, 3))
-wh = T.one_hot(1, 4)           # write head points at slot 1
-rh = T.one_hot(3, 4)           # read head found slot 3
+wh = T.Tensor([0, 1, 0, 0])    # write head points at slot 1
+rh = T.Tensor([0, 0, 0, 1])    # read head found slot 3
 vo = T.Tensor([9.0, 9.0, 9.0])
 
 print("memory before:\n", m.data)
@@ -31,7 +31,7 @@ m4, w = memory_update(m, wh, rh, vo, h_r=T.Tensor(0.0), h_a=T.Tensor(1.0))
 print("append via the write head rewrites slot 1:\n", m4.data)
 print("write vector sums to h_r + h_a:", float(w.data.sum()))
 
-head = T.one_hot(3, 4)
+head = T.Tensor([0, 0, 0, 1])
 print("\ncircular write-head advance from slot 3:",
       write_head_update(head, T.Tensor(1.0)).data, "(wraps to slot 0)")
 

@@ -8,11 +8,10 @@ then applies gated memory writes and a summary-object update. Information
 crosses frame boundaries only through the slot memory and its write head.
 
 Every component also runs a batch of episodes, forward and backward, by one
-rule: inside `T.episode_batch`, which `SAMNet.episode_forward` and
-`SAMNet.episode_loss` open for a list of questions, each per-episode tensor
-has a leading batch axis (a control state (B, d) rather than (d,));
-outside it, a component runs one episode. No component reads the batch
-from the rank of its inputs.
+rule: inside `T.episode_batch`, which the callers that batch open, each
+per-episode tensor has a leading batch axis (a control state (B, d) rather
+than (d,)); outside it, a component runs one episode. A component that
+differs for a batch asks `T.in_episode_batch()`, never its inputs' shape.
 Parameters, and the learned initial state, are shared by the episodes.
 Questions in a batch may differ in length, so the contextual words come in
 one group per length, and only the controller's attention over them runs
@@ -25,13 +24,12 @@ to its own pass; see the batch-axis note in `tensor`.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .encoders import FrameEncoder, QuestionEncoder, question_batch
+from .encoders import FrameEncoder, QuestionEncoder
 from .params import ParameterStore
 from .tensor import Tensor
 
@@ -68,11 +66,10 @@ class MemoryState:
     def initial(cls, n_slots: int, d: int, batch: int | None = None) -> "MemoryState":
         """Empty memory with the head on slot 0; one copy per episode when
         `batch` is given."""
-        if batch is None:
-            return cls(m=T.zeros((n_slots, d)), wh=T.one_hot(0, n_slots))
-        wh = np.zeros((batch, n_slots), dtype=T.default_dtype())
-        wh[:, 0] = 1.0
-        return cls(m=T.zeros((batch, n_slots, d)), wh=Tensor(wh))
+        lead = () if batch is None else (batch,)
+        wh = np.zeros(lead + (n_slots,), dtype=T.default_dtype())
+        wh[..., 0] = 1.0
+        return cls(m=T.zeros(lead + (n_slots, d)), wh=Tensor(wh))
 
 
 @dataclass
@@ -92,9 +89,10 @@ class Gates:
 
 @dataclass
 class StepTrace:
-    """Attention vectors and gates recorded for inspection."""
+    """Attention vectors and gates recorded for inspection. For a batch each
+    keeps the batch axis, but qa is one array per episode: lengths differ."""
 
-    qa: np.ndarray
+    qa: np.ndarray | list[np.ndarray]
     tau: np.ndarray
     va: np.ndarray
     rh: np.ndarray
@@ -153,9 +151,9 @@ class QuestionDrivenController:
     def step(self, q: Tensor, cw, c_prev: Tensor, t: int):
         """Control state c_t and the attention qa over the question words.
 
-        A batch's cw is a list of length groups (see `QuestionEncoding`):
-        only the attention and its read run per group, in one
-        `T.grouped_attention_read` node, and qa is one array per group.
+        Inside `T.episode_batch`, cw is a list of length groups (see
+        `QuestionEncoding`): only the attention and its read run per group,
+        in one `T.grouped_attention_read` node; qa is one array per group.
         """
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
@@ -164,7 +162,7 @@ class QuestionDrivenController:
         cq = T.linear(T.concat([q_t, c_prev], axis=-1), self.merge_w, self.merge_b)
         # u . (cq * cw_i) == cw_i . (u * cq), so one matvec gives all logits
         uq = T.mul(self.attn_u, cq)
-        if isinstance(cw, Tensor):
+        if not T.in_episode_batch():
             qa = T.attention_weights(uq, cw)
             _check_distribution(qa, "question attention")
             return T.matmul(qa, cw), qa
@@ -325,14 +323,18 @@ class SAMCell:
         _check_distribution(wh_t, "write head")
         so_t, _ = self.summary.update(vo, mo, g_v, g_m, state.so)
         if trace is not None:
+            if T.in_episode_batch():  # qa comes per length group
+                by_row = {r: a for (rows, _), g in zip(cw, qa)
+                          for r, a in zip(rows, g)}
+                qa = [by_row[r] for r in range(len(by_row))]
+            else:
+                qa = qa.data.copy()
             trace.append(StepTrace(
-                qa=qa.data.copy(), tau=tau.data.copy(), va=va.data.copy(),
+                qa=qa, tau=tau.data.copy(), va=va.data.copy(),
                 rh=rh.data.copy(),
-                gates={
-                    "g_v": g_v.item(), "g_m": g_m.item(),
-                    "h_r": h_r.item(), "h_a": h_a.item(),
-                    "h_none": gates.h_none.item(),
-                },
+                gates={name: g.data.copy() for name, g in (
+                    ("g_v", g_v), ("g_m", g_m), ("h_r", h_r), ("h_a", h_a),
+                    ("h_none", gates.h_none))},
                 w=w.data.copy(), wh=wh_t.data.copy(),
             ))
         return CellState(c=c_t, so=so_t), MemoryState(m=m_t, wh=wh_t)
@@ -358,25 +360,12 @@ class SAMNet:
         vectors. n_slots may differ from the training-time setting: no
         parameter shape depends on it.
 
-        A batch of B episodes with equal frame shape is B token sequences
-        of any lengths (see `QuestionEncoder.encode`) with frames
-        (B, K, H, W, C), and returns (B, K, num_answers), each episode
-        bit-identical to its own forward. Its ops run inside
-        `T.episode_batch`, and a batch takes no trace.
+        Inside `T.episode_batch`, a batch of B episodes with equal frame
+        shape is B token sequences of any lengths (see
+        `QuestionEncoder.encode`) with frames (B, K, H, W, C), and returns
+        (B, K, num_answers), each episode bit-identical to its own forward;
+        so is row i of its trace (see `StepTrace`).
         """
-        batch = question_batch(token_ids)
-        frames = np.asarray(frames, dtype=T.default_dtype())
-        if batch is None and frames.ndim == 3:
-            frames = frames[None]
-        if batch is not None and (frames.ndim != 5 or frames.shape[0] != batch
-                                  or trace is not None):
-            raise ValueError(
-                f"a batch of {batch} questions needs frames (B, K, H, W, C) "
-                f"and no trace, got frames {frames.shape}"
-            )
-        n_frames = frames.shape[0 if batch is None else 1]
-        if n_frames < 1:
-            raise ValueError("episode must contain at least one frame")
         n = self.config.mem_slots if n_slots is None else n_slots
         if n < 1:
             raise ValueError(f"n_slots must be >= 1, got {n}")
@@ -385,38 +374,38 @@ class SAMNet:
             overrides.setdefault("g_m", 0.0)
             overrides.setdefault("h_r", 0.0)
             overrides.setdefault("h_a", 0.0)
-        with nullcontext() if batch is None else T.episode_batch():
-            enc = self.question_encoder.encode(token_ids)
-            features = self.frame_encoder.encode(frames)  # ([B,] K, H*W, d)
-            mem = MemoryState.initial(n, self.config.d, batch)
-            frame_logits = []
-            for k in range(n_frames):
-                # frame k's rows: a view of the features, of every episode
-                keys, values = self.cell.visual.project(features[..., k, :, :])
-                state = self.cell.initial_state()
-                step_trace = [] if trace is not None else None
-                for t in range(1, self.config.steps + 1):
-                    state, mem = self.cell.step(
-                        enc.q, enc.cw, keys, values, state, mem, t,
-                        gate_overrides=overrides, trace=step_trace,
-                    )
-                if trace is not None:
-                    trace.append(step_trace)
-                frame_logits.append(self.answer_head.logits(state.so, enc.q))
-            return T.stack(frame_logits, axis=0 if batch is None else 1)
+        enc = self.question_encoder.encode(token_ids)
+        features = self.frame_encoder.encode(frames)  # ([B,] K, H*W, d)
+        n_frames = features.shape[-3]
+        if n_frames < 1:
+            raise ValueError("episode must contain at least one frame")
+        batch = len(token_ids) if T.in_episode_batch() else None
+        mem = MemoryState.initial(n, self.config.d, batch)
+        frame_logits = []
+        for k in range(n_frames):
+            # frame k's rows: a view of the features, of every episode
+            keys, values = self.cell.visual.project(features[..., k, :, :])
+            state = self.cell.initial_state()
+            step_trace = [] if trace is not None else None
+            for t in range(1, self.config.steps + 1):
+                state, mem = self.cell.step(
+                    enc.q, enc.cw, keys, values, state, mem, t,
+                    gate_overrides=overrides, trace=step_trace,
+                )
+            if trace is not None:
+                trace.append(step_trace)
+            frame_logits.append(self.answer_head.logits(state.so, enc.q))
+        return T.stack(frame_logits, axis=-2)
 
     def episode_loss(self, token_ids, frames, answer_ids, **kw) -> Tensor:
         """Mean softmax cross-entropy over the per-frame answers, one
         `T.cross_entropy_logits` node on the forward's logits.
 
-        A batch (see `episode_forward`) with answers (B, K) gives one loss
-        per episode, (B,).
+        Inside `T.episode_batch`, a batch (see `episode_forward`) with
+        answers (B, K) gives one loss per episode, (B,).
         """
         logits = self.episode_forward(token_ids, frames, **kw)
-        answer_ids = np.asarray(answer_ids, dtype=np.int64)
-        batch = question_batch(token_ids)
-        with nullcontext() if batch is None else T.episode_batch():
-            return T.cross_entropy_logits(logits, answer_ids)
+        return T.cross_entropy_logits(logits, np.asarray(answer_ids, dtype=np.int64))
 
     def hyper_manifest(self) -> dict[str, str]:
         c = self.config

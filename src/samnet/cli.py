@@ -10,8 +10,9 @@ import sys
 from .minicog import CorpusError, generate_corpus, write_corpus
 from .training import (
     config_from_kv,
-    evaluate_checkpoint,
+    evaluate_episodes,
     load_eval_data,
+    load_model,
     read_kv_file,
     train,
 )
@@ -72,7 +73,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     # a file that cannot be read, or a data config with a bad value, is a
-    # usage error naming it; a malformed corpus or checkpoint stays typed
+    # usage error naming it; a malformed corpus or checkpoint stays typed.
+    # The checkpoint is opened first: a data config generates its corpus.
+    try:
+        model, _ = load_model(args.ckpt)
+    except OSError as exc:
+        args.parser.error(f"{args.ckpt}: {exc}")
     try:
         episodes = load_eval_data(args.data)
     except CorpusError:
@@ -80,12 +86,8 @@ def _cmd_eval(args) -> int:
     except (OSError, ValueError) as exc:
         args.parser.error(f"{args.data}: {exc}")
     overrides = {"h_r": 0.0, "h_a": 0.0} if args.ablate_writes else None
-    try:
-        result, _ = evaluate_checkpoint(
-            args.ckpt, episodes, n_slots=args.mem_slots,
-            gate_overrides=overrides)
-    except OSError as exc:  # only opening the checkpoint does I/O
-        args.parser.error(f"{args.ckpt}: {exc}")
+    result = evaluate_episodes(model, episodes, n_slots=args.mem_slots,
+                               gate_overrides=overrides)
     print(json.dumps({
         "loss": round(result.loss, 6),
         "accuracy": round(result.accuracy, 6),

@@ -26,21 +26,14 @@ class VocabularyError(ValueError):
 class QuestionEncoding:
     """One question: q (d,) and its contextual words cw (L, d).
 
-    A batch of B questions of any lengths: q (B, d) in batch order, and cw
-    one (rows, words) pair per question length, in order of first
-    appearance, where rows are the batch indices of that length in
-    ascending order and words is (B_g, L, d).
+    Inside `T.episode_batch`, a batch of B questions of any lengths: q
+    (B, d) in batch order, and cw one (rows, words) pair per question
+    length, in order of first appearance, where rows are the batch indices
+    of that length in ascending order and words is (B_g, L, d).
     """
 
     cw: Tensor | list[tuple[np.ndarray, Tensor]]
     q: Tensor
-
-
-def question_batch(token_ids) -> int | None:
-    """B for a batch of B token sequences, None for one sequence."""
-    if len(token_ids) and np.ndim(token_ids[0]) == 1:
-        return len(token_ids)
-    return None
 
 
 class QuestionEncoder:
@@ -64,9 +57,13 @@ class QuestionEncoder:
         self.q_b = store.new(f"{prefix}.q.b", (d,), fan_in=0)
 
     def _checked_ids(self, token_ids) -> np.ndarray:
-        ids = np.asarray(token_ids, dtype=np.int64)
+        try:
+            ids = np.asarray(token_ids, dtype=np.int64)
+        except ValueError:  # ragged: a list of questions of several lengths
+            ids = np.zeros((0, 0), dtype=np.int64)
         if ids.ndim != 1 or ids.size < 1:
-            raise VocabularyError("expected a non-empty token id sequence")
+            raise VocabularyError("expected a non-empty token id sequence; a "
+                                  "batch of questions needs T.episode_batch")
         if ids.min() < 0 or ids.max() >= self.vocab_size:
             bad = ids[(ids < 0) | (ids >= self.vocab_size)][0]
             raise VocabularyError(
@@ -87,14 +84,14 @@ class QuestionEncoder:
     def encode(self, token_ids) -> QuestionEncoding:
         """Encode one token sequence (L,) to cw (L, d) and q (d,).
 
-        A batch is B sequences of any lengths (a list, or a (B, L) array),
-        encoded inside `T.episode_batch`. The LSTM and the cw linear run
-        once per length group as on one equal-length batch, inside
+        Inside `T.episode_batch`, token_ids is B sequences of any lengths (a
+        list, or a (B, L) array). The LSTM and the cw linear run once per
+        length group as on one equal-length batch, inside
         `T.episode_batch(rows)`; `T.merge_rows` joins the groups' final
         states and the q linear runs once on all B. See `QuestionEncoding`
         for the batch layout.
         """
-        if question_batch(token_ids) is None:
+        if not T.in_episode_batch():
             cw, final = self._contextual(self._checked_ids(token_ids))
             return QuestionEncoding(cw=cw, q=T.linear(final, self.q_w, self.q_b))
         seqs = [self._checked_ids(s) for s in token_ids]
@@ -102,18 +99,15 @@ class QuestionEncoder:
         for i, ids in enumerate(seqs):
             by_length.setdefault(ids.size, []).append(i)
         groups, finals = [], []
-        with T.episode_batch():
-            for members in by_length.values():
-                rows = np.array(members)
-                with T.episode_batch(rows):
-                    cw, final = self._contextual(
-                        np.stack([seqs[i] for i in members]))
-                groups.append((rows, cw))
-                finals.append(final)
-            final = finals[0] if len(groups) == 1 else T.merge_rows(
-                finals, [rows for rows, _ in groups], len(seqs))
-            q = T.linear(final, self.q_w, self.q_b)
-        return QuestionEncoding(cw=groups, q=q)
+        for members in by_length.values():
+            rows = np.array(members)
+            with T.episode_batch(rows):
+                cw, final = self._contextual(np.stack([seqs[i] for i in members]))
+            groups.append((rows, cw))
+            finals.append(final)
+        final = finals[0] if len(groups) == 1 else T.merge_rows(
+            finals, [rows for rows, _ in groups], len(seqs))
+        return QuestionEncoding(cw=groups, q=T.linear(final, self.q_w, self.q_b))
 
 
 class FrameEncoder:
@@ -135,11 +129,7 @@ class FrameEncoder:
         time, so their patch matrices stay one episode's size.
         """
         frames = np.asarray(frames, dtype=T.default_dtype())
-        if frames.ndim == 3:
-            frames = frames[None]
-        *lead, h, w, c = frames.shape
-        if h * w == 0:
-            raise T.ShapeError("frame grid has no cells")
+        *lead, h, w, c = frames.shape  # an empty grid is the conv's ShapeError
         if c != self.in_channels:
             raise T.ShapeError(
                 f"frame has {c} channels, encoder expects {self.in_channels}"

@@ -399,7 +399,9 @@ def _check_full_episode_batch(rng, eps):
     readout = rng.normal(size=3)
 
     def f():
-        return _readout_from(readout, net.episode_loss(tokens, frames, answers))
+        with T.episode_batch():
+            loss = net.episode_loss(tokens, frames, answers)
+        return _readout_from(readout, loss)
 
     return grad_check(f, net.store.parameters(), eps=eps)
 

@@ -21,28 +21,30 @@ backward caches only while a graph is being recorded.
 A graph is differentiated once. ``Tensor.backward()`` releases each inner
 node's value as soon as the sweep has passed it, with its gradient and
 backward closure, so a tape's memory falls while it is swept: read any inner
-value before ``backward()``. The root keeps its value (a training tape's
-per-episode losses) and the leaves keep their values and gradients.
+value before ``backward()``: a released value raises ``ReleasedValueError``.
+The root keeps its value (a training tape's per-episode losses) and the
+leaves keep their values and gradients.
 
 Batch axis. The model's ops also take a leading batch axis, one entry per
-episode, forward and backward. One rule decides whether operands carry it:
-inside ``episode_batch`` they do, outside it they do not. No op reads the
-batch from an operand's rank or takes a flag for it; an op reads the scope
-when it runs its forward and keeps it for its backward, and a fixed-rank op
-given an extra leading axis outside the scope raises ``ShapeError``. Only
-``cell.SAMNet.episode_forward``, ``cell.SAMNet.episode_loss`` and
-``encoders.QuestionEncoder.encode``, which receive a list of questions, and
-``training.evaluate_episodes``, for the losses of its episodes of one frame
-count, open the scope. Each op writes its forward and its backward once,
-for one episode and for a batch, so every episode runs through the same
-numpy kernel: ``np.matmul`` over the leading axis with each episode's
-operand rank kept (``x[..., None, :] @ w`` for a vector per episode, never
-one folded 2-D gemm), reductions over one episode's axes, elementwise
-maths. Each episode's values and gradients are therefore bit-identical to
-an unbatched pass. Nothing is padded: an op's batch has one shape, so a
-batch of questions of several lengths runs the ops over its words once per
-length group (see ``encoders.QuestionEncoding``), inside
-``episode_batch(rows)``, and ``merge_rows`` joins the groups.
+episode, forward and backward. One rule decides whether operands carry it,
+for the ops and the model alike: inside ``episode_batch`` they do, outside
+it they do not. Nothing reads the batch from an operand's rank, from how
+its input nests or from a flag: an op reads the scope when it runs its
+forward and keeps it for its backward, a model component reads it through
+``in_episode_batch``, and a fixed-rank op given an extra leading axis
+outside the scope raises ``ShapeError``. The callers that batch open the
+scope once: ``training._train_chunk``, ``training._eval_logits`` and the
+gradient suite's ``full_episode_batch3`` check. Each op writes its forward
+and its backward once, for one episode and for a batch, so every episode
+runs through the same numpy kernel: ``np.matmul`` over the leading axis
+with each episode's operand rank kept (``x[..., None, :] @ w`` for a vector
+per episode, never one folded 2-D gemm), reductions over one episode's
+axes, elementwise maths. Each episode's values and gradients are
+therefore bit-identical to an unbatched pass. Nothing is padded: an op's
+batch has one shape, so a batch of questions of several lengths runs the
+ops over its words once per length group (see
+``encoders.QuestionEncoding``), inside ``episode_batch(rows)``, and
+``merge_rows`` joins the groups.
 
 Parameters are shared by the episodes of a batch. A batched op does not sum
 a parameter's gradient over its batch: it hands ``Tensor.backward`` a
@@ -74,6 +76,23 @@ class ShapeError(ValueError):
 
 class NonFiniteError(ValueError):
     """An op or a gradient check met a NaN or infinite value."""
+
+
+class ReleasedValueError(RuntimeError):
+    """An inner node's value was read after ``Tensor.backward`` released it."""
+
+
+class _Released:
+    """The value of a node that ``Tensor.backward`` has swept."""
+
+    def __array__(self, *args, **kwargs):
+        raise ReleasedValueError(
+            "value released by backward(); read it before backward()")
+
+    __float__ = __getattr__ = __array__
+
+
+_RELEASED = _Released()
 
 
 def set_default_dtype(dtype) -> None:
@@ -116,6 +135,11 @@ def no_grad():
 # axis of recorded ops holds (None: all of them, in order).
 _IN_BATCH = False
 _BATCH_ROWS = None
+
+
+def in_episode_batch() -> bool:
+    """True inside `episode_batch`: operands carry a leading batch axis."""
+    return _IN_BATCH
 
 
 @contextmanager
@@ -311,7 +335,7 @@ class Tensor:
             # since every node that reads it has been swept, the value
             node.grad = node._backward = None
             if node is not self:
-                node.data = None
+                node.data = _RELEASED
             for parent, g in zip(node._parents, grads):
                 if g is None or not parent.requires_grad:
                     continue
@@ -334,7 +358,8 @@ class Tensor:
         return select(self, idx)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        shape = "released" if self.data is _RELEASED else self.data.shape
+        return f"Tensor(shape={shape}, requires_grad={self.requires_grad})"
 
 
 def _recording(parents) -> bool:
@@ -377,12 +402,6 @@ def as_tensor(x) -> Tensor:
 
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=_DEFAULT_DTYPE))
-
-
-def one_hot(index: int, length: int) -> Tensor:
-    v = np.zeros(length, dtype=_DEFAULT_DTYPE)
-    v[index] = 1.0
-    return Tensor(v)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -881,11 +900,11 @@ def attention_aggregate(a) -> Tensor:
     """Localization score of an attention distribution: sum of squares.
 
     Lies in [1/L, 1]; 1/L at the uniform distribution, 1 at a one-hot.
-    A rank-2 tensor is a batch of distributions.
+    Inside `episode_batch`, a is one distribution per episode (B, L).
     """
     a = as_tensor(a)
-    if a.ndim not in (1, 2):
-        raise ShapeError("attention_aggregate expects a rank-1 tensor or a batch")
+    if a.ndim != 1 + _IN_BATCH:
+        raise ShapeError(f"attention_aggregate got {a.shape}")
     ad = a.data
     out = np.asarray(np.matmul(ad[..., None, :], ad[..., :, None])[..., 0, 0])
 

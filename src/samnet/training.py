@@ -310,25 +310,27 @@ def _first_non_finite(model: SAMNet, episodes) -> int:
 def _train_chunk(model: SAMNet, episodes) -> list[float]:
     """Forward and back-propagate episodes on one tape, adding their
     gradients to the parameters'; returns the per-episode losses."""
-    loss = model.episode_loss(
-        [ep.token_ids for ep in episodes],
-        np.stack([ep.frames_symbolic() for ep in episodes]),
-        [ep.answer_ids for ep in episodes],
-    )
+    with T.episode_batch():
+        loss = model.episode_loss(
+            [ep.token_ids for ep in episodes],
+            np.stack([ep.frames_symbolic() for ep in episodes]),
+            [ep.answer_ids for ep in episodes],
+        )
     loss.backward()
     return [float(x) for x in loss.data]
 
 
-def _eval_logits(model: SAMNet, episodes, n_slots, gate_overrides) -> list:
-    """Per-episode logits (K, num_answers), forwarded in batches of episodes
-    with equal frame shape; no padding, so each is bit-identical to the
-    episode's own forward."""
+def _eval_logits(model: SAMNet, episodes, n_slots, gate_overrides):
+    """Per-episode logits (K, num_answers) and losses, forwarded in batches
+    of episodes with equal frame shape; no padding, so each is bit-identical
+    to the episode's own forward and loss."""
     groups: dict[tuple, list[int]] = {}
     for i, ep in enumerate(episodes):
         key = (len(ep.scenes), ep.config.height, ep.config.width)
         groups.setdefault(key, []).append(i)
     logits = [None] * len(episodes)
-    with T.no_grad():
+    losses = [None] * len(episodes)
+    with T.no_grad(), T.episode_batch():
         for members in groups.values():
             # by question length, so that each batch spans few length groups
             members.sort(key=lambda i: len(episodes[i].token_ids))
@@ -338,10 +340,12 @@ def _eval_logits(model: SAMNet, episodes, n_slots, gate_overrides) -> list:
                     [episodes[i].token_ids for i in chunk],
                     np.stack([episodes[i].frames_symbolic() for i in chunk]),
                     n_slots=n_slots, gate_overrides=gate_overrides,
-                ).data
-                for i, episode_logits in zip(chunk, out):
-                    logits[i] = episode_logits
-    return logits
+                )
+                loss = T.cross_entropy_logits(
+                    out, np.array([episodes[i].answer_ids for i in chunk]))
+                for i, row, row_loss in zip(chunk, out.data, loss.data):
+                    logits[i], losses[i] = row, row_loss
+    return logits, losses
 
 
 def evaluate_episodes(model: SAMNet, episodes, n_slots=None,
@@ -355,17 +359,10 @@ def evaluate_episodes(model: SAMNet, episodes, n_slots=None,
     frames = 0
     per_class_hit: dict[str, int] = {}
     per_class_n: dict[str, int] = {}
-    all_logits = _eval_logits(model, episodes, n_slots, gate_overrides)
-    losses = {}
-    with T.episode_batch():  # one loss call per frame count
-        for k in {len(logits) for logits in all_logits}:
-            rows = [i for i, logits in enumerate(all_logits) if len(logits) == k]
-            out = T.cross_entropy_logits(np.stack([all_logits[i] for i in rows]),
-                                         [episodes[i].answer_ids for i in rows])
-            losses.update(zip(rows, out.data))
-    for i, (ep, logits) in enumerate(zip(episodes, all_logits)):
+    all_logits, losses = _eval_logits(model, episodes, n_slots, gate_overrides)
+    for ep, logits, loss in zip(episodes, all_logits, losses):
         answers = np.asarray(ep.answer_ids)
-        total_loss += float(losses[i])
+        total_loss += float(loss)
         pred = logits.argmax(axis=1)
         hits = int((pred == answers).sum())
         correct += hits

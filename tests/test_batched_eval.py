@@ -77,7 +77,7 @@ def model_and_episodes(preset, count, seed=3, **model_kw):
 
 def assert_matches_reference(model, episodes, n_slots=None, gate_overrides=None):
     expected = reference_logits(model, episodes, n_slots, gate_overrides)
-    got = training._eval_logits(model, episodes, n_slots, gate_overrides)
+    got, _ = training._eval_logits(model, episodes, n_slots, gate_overrides)
     assert len(got) == len(expected)
     for i, (a, b) in enumerate(zip(got, expected)):
         assert a.dtype == b.dtype and a.shape == b.shape
@@ -193,7 +193,8 @@ def test_batched_forward_records_and_matches():
     for batch, ids in ((same, np.array([ep.token_ids for ep in same])),
                        (mixed, [ep.token_ids for ep in mixed])):
         frames = np.stack([ep.frames_symbolic() for ep in batch])
-        recorded = model.episode_forward(ids, frames)
+        with T.episode_batch():
+            recorded = model.episode_forward(ids, frames)
         assert recorded.requires_grad
         assert recorded.shape == (len(batch), 4, model.config.num_answers)
         for a, b in zip(recorded.data, reference_logits(model, batch)):
@@ -205,6 +206,8 @@ def test_batched_forward_records_and_matches():
                                ep.answer_ids).backward()
         expected = parameter_grads(model)
         model.store.zero_grad()
-        model.episode_loss(ids, frames, [ep.answer_ids for ep in batch]).backward()
+        with T.episode_batch():
+            loss = model.episode_loss(ids, frames, [ep.answer_ids for ep in batch])
+        loss.backward()
         for name, g in parameter_grads(model).items():
             assert np.array_equal(g, expected[name]), name

@@ -118,12 +118,14 @@ def test_chunk_loss_is_the_per_episode_loss():
     model, episodes = model_and_episodes("toy-hard", 3)
     losses = [model.episode_loss(ep.token_ids, ep.frames_symbolic(),
                                  ep.answer_ids).data for ep in episodes]
-    batch = model.episode_loss([ep.token_ids for ep in episodes],
-                               np.stack([ep.frames_symbolic() for ep in episodes]),
-                               [ep.answer_ids for ep in episodes])
+    with T.episode_batch():
+        batch = model.episode_loss([ep.token_ids for ep in episodes],
+                                   np.stack([ep.frames_symbolic() for ep in episodes]),
+                                   [ep.answer_ids for ep in episodes])
     assert batch.shape == (3,)
     assert [float(x) for x in batch.data] == [float(x) for x in losses]
-    with pytest.raises(ValueError, match="one class index per frame"):
+    with pytest.raises(ValueError, match="one class index per frame"), \
+            T.episode_batch():
         model.episode_loss([ep.token_ids for ep in episodes],
                            np.stack([ep.frames_symbolic() for ep in episodes]),
                            [ep.answer_ids[:-1] for ep in episodes])
@@ -235,10 +237,13 @@ def test_vector_root_is_the_sum_of_its_episodes():
     with T.precision("float64"):
         model = SAMNet(model.config, init_seed=5)
         model.store.zero_grad()
-        model.episode_loss(*args).backward()
+        with T.episode_batch():
+            loss = model.episode_loss(*args)
+        loss.backward()
         vector = gradients(model)
         model.store.zero_grad()
-        loss = model.episode_loss(*args)
+        with T.episode_batch():
+            loss = model.episode_loss(*args)
         T.matmul(T.Tensor(np.ones(2)), loss).backward()
         summed = gradients(model)
     for name, g in vector.items():

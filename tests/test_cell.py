@@ -257,7 +257,7 @@ class TestMemoryUpdate:
         rng = np.random.default_rng(14)
         m = T.Tensor(rng.normal(size=(4, 6)))
         wh = T.Tensor(rand_distribution(rng, 4))
-        rh = T.one_hot(2, 4)
+        rh = T.Tensor(np.eye(4)[2])
         vo = T.Tensor(rng.normal(size=6))
         m_t, w = memory_update(m, wh, rh, vo, T.Tensor(1.0), T.Tensor(0.0))
         npt.assert_allclose(m_t.data[2], vo.data, atol=0)
@@ -268,7 +268,7 @@ class TestMemoryUpdate:
     def test_half_replace_half_append_same_slot(self):
         # hand evaluation for N=3, d=2: w = 0.5*e1 + 0.5*e1 = e1
         m = T.Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        onehot = T.one_hot(1, 3)
+        onehot = T.Tensor(np.eye(3)[1])
         vo = T.Tensor([10.0, 20.0])
         m_t, w = memory_update(m, onehot, onehot, vo, T.Tensor(0.5), T.Tensor(0.5))
         npt.assert_allclose(w.data, [0.0, 1.0, 0.0], atol=1e-7)
@@ -276,7 +276,7 @@ class TestMemoryUpdate:
 
     def test_length_mismatch_raises(self):
         with pytest.raises(T.ShapeError):
-            memory_update(T.zeros((3, 2)), T.one_hot(0, 3), T.one_hot(0, 4),
+            memory_update(T.zeros((3, 2)), T.Tensor(np.eye(3)[0]), T.Tensor(np.eye(4)[0]),
                           T.zeros(2), T.Tensor(0.5), T.Tensor(0.5))
 
     @given(st.integers(0, 10_000))
@@ -480,6 +480,40 @@ class TestEpisodeForward:
             net.episode_forward([1, 2], frames)
         finally:
             T.DEBUG_CHECKS = False
+
+    def test_batch_trace_equals_each_episode_trace(self):
+        from samnet.minicog import generate_corpus
+        from samnet.training import config_from_preset
+
+        cfg = config_from_preset("toy-hard", task_family="all")
+        net = SAMNet(cfg.model_config(), init_seed=6)
+        episodes = generate_corpus(cfg.episode_config(),
+                                   cfg.task_family_weights(), 6, seed=31)
+        assert len({len(ep.tokens) for ep in episodes}) > 1
+        with T.no_grad():
+            single = []
+            for ep in episodes:
+                trace = []
+                logits = net.episode_forward(ep.token_ids, ep.frames_symbolic(),
+                                             n_slots=16, trace=trace)
+                single.append((logits.data, trace))
+            trace = []
+            with T.episode_batch():
+                logits = net.episode_forward(
+                    [ep.token_ids for ep in episodes],
+                    np.stack([ep.frames_symbolic() for ep in episodes]),
+                    n_slots=16, trace=trace)
+        assert len(trace) == cfg.frames
+        for i, (episode_logits, episode_trace) in enumerate(single):
+            assert np.array_equal(logits.data[i], episode_logits)
+            for frame, episode_frame in zip(trace, episode_trace, strict=True):
+                for step, one in zip(frame, episode_frame, strict=True):
+                    assert len(step.qa) == len(episodes)
+                    for name in ("qa", "tau", "va", "rh", "w", "wh"):
+                        assert np.array_equal(getattr(step, name)[i],
+                                              getattr(one, name)), name
+                    for name, value in one.gates.items():
+                        assert np.array_equal(step.gates[name][i], value), name
 
     def test_parameter_count_independent_of_extent_knobs(self):
         base = toy_net(26)

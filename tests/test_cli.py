@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from samnet import gradsuite
+from samnet import gradsuite, training
 from samnet import tensor as T
+from samnet.cell import SAMNet
 from samnet.cli import main
 from samnet.gradcheck import grad_check
 from samnet.minicog import ANSWERS, VOCABULARY, read_corpus
@@ -21,6 +22,15 @@ def tiny_conf(tmp_path):
         "batch_size = 4\nmax_steps = 2\neval_every = 2\nval_episodes = 8\n"
         f"out_dir = {tmp_path / 'run'}\n"
     )
+    return path
+
+
+@pytest.fixture
+def tiny_ckpt(tiny_conf, tmp_path):
+    """An untrained checkpoint of tiny_conf's model."""
+    cfg = training.parse_config_file(tiny_conf)
+    path = tmp_path / "tiny.ckpt"
+    training.save_model(str(path), SAMNet(cfg.model_config()), cfg, 0)
     return path
 
 
@@ -156,18 +166,25 @@ def test_eval_slot_count_below_one_is_a_usage_error(slots, capsys):
     "missing data", "data is a directory", "bad data config",
     "missing checkpoint", "checkpoint is a directory",
 ])
-def test_eval_unreadable_input_is_a_usage_error(tiny_conf, tmp_path, capsys,
-                                                case):
-    # tiny_conf doubles as a data config; no checkpoint is read before it
-    data, ckpt = tiny_conf, tmp_path / "missing.ckpt"
+def test_eval_unreadable_input_is_a_usage_error(tiny_conf, tiny_ckpt, tmp_path,
+                                                capsys, monkeypatch, case):
+    # tiny_conf doubles as a data config; the checkpoint is opened before
+    # it, so no corpus is generated for an unreadable checkpoint
+    data, ckpt = tiny_conf, tiny_ckpt
     if case == "missing data":
         data = tmp_path / "missing.jsonl"
     elif case == "data is a directory":
         data = tmp_path
     elif case == "bad data config":
         tiny_conf.write_text(tiny_conf.read_text() + "max_steps = two\n")
+    elif case == "missing checkpoint":
+        ckpt = tmp_path / "missing.ckpt"
     elif case == "checkpoint is a directory":
         ckpt = tmp_path
+    if "checkpoint" in case:
+        def generate_corpus(*args, **kwargs):
+            raise AssertionError("data read before the checkpoint")
+        monkeypatch.setattr(training, "generate_corpus", generate_corpus)
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
     assert exc.value.code == 2
@@ -179,7 +196,7 @@ def test_eval_unreadable_input_is_a_usage_error(tiny_conf, tmp_path, capsys,
         assert "max_steps: expected int, got 'two'" in err
 
 
-def test_eval_malformed_files_stay_typed_errors(tiny_conf, tmp_path):
+def test_eval_malformed_files_stay_typed_errors(tiny_conf, tiny_ckpt, tmp_path):
     from samnet.checkpoint import CheckpointError
     from samnet.minicog import CorpusError
 
@@ -190,7 +207,7 @@ def test_eval_malformed_files_stay_typed_errors(tiny_conf, tmp_path):
     corpus = tmp_path / "bad.jsonl"
     corpus.write_text('{"format": "something else"}\n')
     with pytest.raises(CorpusError, match="bad.jsonl"):
-        main(["eval", "--ckpt", str(ckpt), "--data", str(corpus)])
+        main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(corpus)])
 
 
 def test_transfer_emits_report(tmp_path, capsys):

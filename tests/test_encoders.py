@@ -34,6 +34,12 @@ class TestQuestionEncoder:
         with pytest.raises(VocabularyError):
             enc.encode([])
 
+    def test_batch_outside_episode_batch_is_a_vocabulary_error(self):
+        enc = QuestionEncoder(store_with_seed(2), vocab_size=4, d=8)
+        for batch in ([[1, 2], [3]], np.array([[1, 2], [3, 0]])):
+            with pytest.raises(VocabularyError, match="T.episode_batch"):
+                enc.encode(batch)
+
     def test_reversal_changes_question_embedding(self):
         # the bidirectional encoder is order sensitive for nearly every init
         tokens = [1, 2, 3, 4]
@@ -52,7 +58,8 @@ class TestQuestionEncoder:
         seqs = [rng.integers(0, 12, size=n).tolist()
                 for n in (5, 3, 5, 1, 7, 3, 5)]
         with T.no_grad():
-            out = enc.encode(seqs)
+            with T.episode_batch():
+                out = enc.encode(seqs)
             single = [enc.encode(s) for s in seqs]
         assert out.q.shape == (len(seqs), 16)
         for i, one in enumerate(single):
@@ -71,7 +78,7 @@ class TestQuestionEncoder:
     def test_equal_length_batch_is_one_group(self):
         enc = QuestionEncoder(store_with_seed(12), vocab_size=6, d=8)
         ids = np.array([[1, 2, 3], [3, 2, 1]])
-        with T.no_grad():
+        with T.no_grad(), T.episode_batch():
             out = enc.encode(ids)
             expected = enc.encode(ids.tolist())
         [(rows, words)] = out.cw
@@ -92,7 +99,8 @@ class TestQuestionEncoder:
             T.cross_entropy_logits(enc_one.q, target).backward()
         expected = {p.name: p.grad for p in store.parameters()}
         store.zero_grad()
-        out = enc.encode(seqs)  # recorded on one tape
+        with T.episode_batch():
+            out = enc.encode(seqs)  # recorded on one tape
         assert out.q.requires_grad
         assert np.array_equal(out.q.data, np.stack([q for q, _ in single]))
         for rows, words in out.cw:
@@ -106,7 +114,7 @@ class TestQuestionEncoder:
                 assert p.grad is None, p.name
             else:
                 assert np.array_equal(p.grad, want), p.name
-        with pytest.raises(VocabularyError):
+        with pytest.raises(VocabularyError), T.episode_batch():
             enc.encode([[1, 2], []])
 
     def test_odd_width_rejected(self):
@@ -148,8 +156,8 @@ class TestFrameEncoder:
         b = np.zeros((7, 7, 3), dtype=np.float32)
         a[3, 2, 1] = 1.0
         b[3, 3, 1] = 1.0  # same object moved one cell to the right
-        fa = enc.encode(a).data[0].reshape(7, 7, 8)
-        fb = enc.encode(b).data[0].reshape(7, 7, 8)
+        fa = enc.encode(a[None]).data[0].reshape(7, 7, 8)
+        fb = enc.encode(b[None]).data[0].reshape(7, 7, 8)
         for i in range(2, 5):
             for j in (3, 4):
                 npt.assert_allclose(fb[i, j], fa[i, j - 1], atol=1e-5)

@@ -264,7 +264,8 @@ def test_ragged_batch_loss_equals_both_references(preset):
     grads = []
     for loss in (T.cross_entropy_logits, chain_episode_loss):
         model.store.zero_grad()
-        logits = model.episode_forward(ids, frames)
+        with T.episode_batch():
+            logits = model.episode_forward(ids, frames)
         # backward() releases the logits, so the references read them first
         want = [numpy_episode_loss(*episode)
                 for episode in zip(logits.data, answers)]
@@ -334,6 +335,64 @@ def test_conv_elu_batch_equals_each_episode():
     got = list(x.grad) + [p.grad for p in params]
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
+
+
+def chain_grouped_attention_read(query, groups):
+    """Per length group, `attention_weights` then `matmul` on the group's
+    query rows; `merge_rows` joins the reads."""
+    reads, weights = [], []
+    for rows, words in groups:
+        with T.episode_batch(rows):
+            qa = T.attention_weights(query[rows], words)
+            reads.append(T.matmul(qa, words))
+        weights.append(qa.data)
+    rows = [rows for rows, _ in groups]
+    return T.merge_rows(reads, rows, query.shape[0]), weights
+
+
+def test_grouped_attention_read_equals_per_group_chain():
+    lengths = [3, 5, 3, 1, 5, 3]  # three groups, their rows interleaved
+    for dtype in ("float32", "float64"):
+        with T.precision(dtype):
+            rng = np.random.default_rng(13)
+            [query] = leaves(rng, (len(lengths), 6))
+            groups = []
+            for n in dict.fromkeys(lengths):
+                rows = np.flatnonzero(np.array(lengths) == n)
+                groups += [(rows, *leaves(rng, (rows.size, n, 6)))]
+            out, weights = T.grouped_attention_read(query, groups)
+            chain, chain_weights = chain_grouped_attention_read(query, groups)
+            assert np.array_equal(out.data, chain.data)
+            for a, b in zip(weights, chain_weights):
+                assert np.array_equal(a, b)
+            if dtype == "float64":
+                inputs = [query] + [words for _, words in groups]
+                readout = rng.normal(size=query.shape)
+                fused = gradients(
+                    lambda: T.grouped_attention_read(query, groups)[0],
+                    inputs, readout)
+                reference = gradients(
+                    lambda: chain_grouped_attention_read(query, groups)[0],
+                    inputs, readout)
+                for ga, gb in zip(fused, reference):
+                    npt.assert_allclose(ga, gb, rtol=1e-10, atol=1e-13)
+
+
+def test_merge_rows_equals_row_assignment():
+    rng = np.random.default_rng(14)
+    rows = [np.array([0, 3]), np.array([4]), np.array([1, 2])]
+    parts = leaves(rng, (2, 3, 4), (1, 3, 4), (2, 3, 4))
+    out = T.merge_rows(parts, rows, 5)
+    want = np.empty((5, 3, 4), dtype=np.float32)
+    for part, r in zip(parts, rows):
+        want[r] = part.data
+    assert np.array_equal(out.data, want)
+    readout = rng.normal(size=(5, 3, 4))
+    grads = gradients(lambda: T.merge_rows(parts, rows, 5), parts, readout)
+    # _readout_from's gradient is the scaled readout itself
+    g = (readout / np.sqrt(readout.size)).astype(np.float32)
+    for grad, r in zip(grads, rows):
+        assert np.array_equal(grad, g[r])
 
 
 def test_question_encoder_equals_per_token_chain():

@@ -53,7 +53,7 @@ def test_replay_logits_match_the_program(replay, n_slots):
     episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
                                12, seed=11)
     assert len({len(ep.tokens) for ep in episodes}) > 2
-    got = training._eval_logits(model, episodes, n_slots, None)
+    got, _ = training._eval_logits(model, episodes, n_slots, None)
     with T.no_grad():
         for i, ep in enumerate(episodes):
             expected = replay.episode_forward(

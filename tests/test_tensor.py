@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -279,9 +281,9 @@ def test_backward_releases_inner_values_and_keeps_root_and_leaves():
     episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
                                3, seed=5)
     ids = [ep.token_ids for ep in episodes]
-    logits = model.episode_forward(
-        ids, np.stack([ep.frames_symbolic() for ep in episodes]))
     with T.episode_batch():
+        logits = model.episode_forward(
+            ids, np.stack([ep.frames_symbolic() for ep in episodes]))
         root = T.cross_entropy_logits(
             logits, np.array([ep.answer_ids for ep in episodes]))
     tape, stack = set(), [root]
@@ -294,8 +296,15 @@ def test_backward_releases_inner_values_and_keeps_root_and_leaves():
     losses = root.data.copy()
     params = {p.name: p.data.copy() for p in model.store.parameters()}
     root.backward()
-    assert logits.data is None
-    assert inner and all(node.data is None for node in inner)
+    assert inner and all(node.data is T._RELEASED for node in inner)
+    assert logits.data is T._RELEASED
+    # a released value says why it is gone, however it is read
+    released = re.escape("value released by backward(); read it before backward()")
+    for read in (lambda: logits.shape, lambda: np.asarray(logits.data),
+                 lambda: logits.item(), lambda: np.round(logits.data, 4)):
+        with pytest.raises(T.ReleasedValueError, match=released):
+            read()
+    assert repr(logits) == "Tensor(shape=released, requires_grad=True)"
     assert root.shape == (3,) and np.array_equal(root.data, losses)
     for p in model.store.parameters():
         assert np.array_equal(p.data, params[p.name]), p.name
