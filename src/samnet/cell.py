@@ -101,10 +101,9 @@ class StepTrace:
     wh: np.ndarray
 
 
-def _check_distribution(vec: Tensor, name: str) -> None:
+def _check_distribution(data: np.ndarray, name: str) -> None:
     if not T.DEBUG_CHECKS:
         return
-    data = vec.data
     if data.min() < -1e-6 or np.abs(data.sum(axis=-1) - 1.0).max() > 1e-6:
         raise AssertionError(f"{name} is not a distribution: {data}")
 
@@ -164,11 +163,11 @@ class QuestionDrivenController:
         uq = T.mul(self.attn_u, cq)
         if not T.in_episode_batch():
             qa = T.attention_weights(uq, cw)
-            _check_distribution(qa, "question attention")
+            _check_distribution(qa.data, "question attention")
             return T.matmul(qa, cw), qa
         c_t, qa = T.grouped_attention_read(uq, cw)
         for qa_g in qa:
-            _check_distribution(Tensor(qa_g), "question attention")
+            _check_distribution(qa_g, "question attention")
         return c_t, qa
 
 
@@ -184,7 +183,7 @@ class TemporalClassifier:
     def classify(self, c_t: Tensor) -> Tensor:
         hidden = T.elu(T.linear(c_t, self.w1, self.b1))
         tau = T.softmax(T.linear(hidden, self.w2, self.b2))
-        _check_distribution(tau, "temporal class weights")
+        _check_distribution(tau.data, "temporal class weights")
         return tau
 
 
@@ -208,7 +207,7 @@ class VisualRetrieval:
     def retrieve(self, keys: Tensor, values: Tensor, c_t: Tensor):
         query = T.linear(c_t, self.query_w, self.query_b)
         va = T.attention_weights(query, keys, 1.0 / math.sqrt(self.d))
-        _check_distribution(va, "visual attention")
+        _check_distribution(va.data, "visual attention")
         return T.matmul(va, values), va
 
 
@@ -223,7 +222,7 @@ class MemoryRetrieval:
     def retrieve(self, m: Tensor, c_t: Tensor):
         query = T.linear(c_t, self.query_w, self.query_b)
         rh = T.attention_weights(query, m, 1.0 / math.sqrt(self.d))
-        _check_distribution(rh, "read head")
+        _check_distribution(rh.data, "read head")
         return T.matmul(rh, m), rh
 
 
@@ -320,7 +319,7 @@ class SAMCell:
         h_a = _override_gate(gates.h_a, ov.get("h_a"))
         m_t, w = memory_update(mem.m, mem.wh, rh, vo, h_r, h_a)
         wh_t = write_head_update(mem.wh, h_a)
-        _check_distribution(wh_t, "write head")
+        _check_distribution(wh_t.data, "write head")
         so_t, _ = self.summary.update(vo, mo, g_v, g_m, state.so)
         if trace is not None:
             if T.in_episode_batch():  # qa comes per length group

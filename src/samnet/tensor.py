@@ -46,13 +46,14 @@ ops over its words once per length group (see
 ``encoders.QuestionEncoding``), inside ``episode_batch(rows)``, and
 ``merge_rows`` joins the groups.
 
-Parameters are shared by the episodes of a batch. A batched op does not sum
-a parameter's gradient over its batch: it hands ``Tensor.backward`` a
-``PerEpisode`` contribution, and the sweep adds a parameter's
-contributions episode by episode once the last node that uses it is swept.
-A parameter's gradient is therefore summed in the order of a loop of
-one-episode backward passes, bit for bit, and its queued contributions
-are freed as soon as they are added.
+Parameters are shared by the episodes of a batch. An op hands a
+parameter's gradient to ``Tensor.backward`` as ``PerEpisode``
+contributions, which the sweep adds once it has passed the parameter's
+last user, in the order of a loop of one-episode backward passes, bit for
+bit. A weight's uses queue as row blocks, in one episode as in a batch:
+an episode's gradient is one product ``X.T @ G`` of its rows in sweep
+order, one ``np.matmul`` over the episode axis computes a whole batch's,
+and one ``np.add.reduce`` adds them, as it adds the shared sums.
 """
 
 from __future__ import annotations
@@ -165,25 +166,25 @@ def episode_batch(rows=None):
 
 
 class PerEpisode:
-    """A batched node's gradient for a parameter its episodes share.
-
-    Row i of the node's batch contributes ``fn(*(a[i] for a in args))``,
-    the expression the one-episode backward adds (``args[0][i]`` when `fn`
-    is None). The functions in `_STACKABLE` also map stacked rows to stacked
-    contributions. `rows[i]` is the root-batch episode of row i (None:
-    episode i).
+    """A node's gradient for an operand that episodes share, queued for
+    the sweep: each arg has one entry per episode, `rows[i]` the root-batch
+    episode of entry i (None: episode i). Entry i contributes
+    ``fn(*(a[i] for a in args))`` (``args[0][i]`` when `fn` is None), but a
+    weight's uses (`fn` `_transposed_product`, row blocks x (n, d) and g
+    (n, h)) join an episode's blocks in sweep order into one ``x.T @ g``.
+    One episode outside `episode_batch` (`batched` False) gets its leading
+    axis here.
     """
 
-    __slots__ = ("fn", "args", "rows")
+    __slots__ = ("fn", "args", "rows", "batched")
 
-    def __init__(self, fn, *args, rows=None):
-        self.fn, self.args, self.rows = fn, args, rows
+    def __init__(self, fn, *args, rows=None, batched=True):
+        if not batched:  # one episode outside `episode_batch`
+            args = tuple(a[None] for a in args)
+        self.fn, self.args, self.rows, self.batched = fn, args, rows, batched
 
-    def episodes(self):
-        return range(len(self.args[0])) if self.rows is None else self.rows
-
-    def of(self, arrays):
-        return arrays[0] if self.fn is None else self.fn(*arrays)
+    def episodes(self) -> np.ndarray:
+        return np.arange(len(self.args[0])) if self.rows is None else self.rows
 
 
 def _outer(x, g):
@@ -196,48 +197,47 @@ def _transposed_product(x, g):
     return np.matmul(np.swapaxes(x, -1, -2), g)
 
 
-def _row_sum(g):
-    """g.sum(axis=0) of one episode's rows, or stacked."""
-    return g.sum(axis=-2)
-
-
-# contribution functions that map stacked rows to stacked contributions
-_STACKABLE = (None, _outer, _transposed_product, _row_sum)
-# contributions per np.add.reduce call at most, so that one leaf's stacked
-# contributions stay below 256 KB of float32
-_FOLD_ELEMENTS = 1 << 16
+def _products(uses):
+    """Each episode's x.T @ g, its row blocks joined in sweep order, as
+    (episodes, products) pairs in episode order (None: all episodes). When
+    every use covers every episode, one np.matmul over the episode axis."""
+    if all(u.rows is None for u in uses):  # every use covers every episode
+        x, g = (c[0] if len(c) == 1 else np.concatenate(c, axis=-2)
+                for c in zip(*(u.args for u in uses)))
+        return [(None, _transposed_product(x, g))]
+    blocks = {}  # episode -> its (x, g) row blocks in sweep order
+    for u in uses:
+        for e, *xg in zip(u.episodes().tolist(), *u.args):
+            blocks.setdefault(e, []).append(xg)
+    return [(np.array([e]), _transposed_product(
+        *(np.concatenate(c, axis=-2)[None] for c in zip(*xg))))
+        for e, xg in sorted(blocks.items())]
 
 
 def _add_per_episode(leaf, items) -> None:
-    """Add a leaf's queued contributions episode by episode, each episode's
-    in sweep order: the order of a loop of one-episode backward passes."""
-    first = items[0]
-    shapes = [a.shape for a in first.args]
-    if first.fn in _STACKABLE and all(
-            it.fn is first.fn and it.rows is None
-            and [a.shape for a in it.args] == shapes for it in items):
-        # np.add.reduce over stacked contributions is a left fold, bit-equal
-        # to adding them in turn, and c[0] + grad == grad + c[0]
-        stacks = [np.stack(column, axis=1)
-                  for column in zip(*(it.args for it in items))]
-        block = max(1, _FOLD_ELEMENTS // leaf.data.size)
-        for e in range(len(stacks[0])):
-            for lo in range(0, len(items), block):
-                parts = [s[e, lo:lo + block] for s in stacks]
-                if first.fn is _outer:  # the same products, fewer passes
-                    c = np.einsum("ni,nj->nij", *parts)
-                else:
-                    c = first.of(parts)
-                if leaf.grad is not None:
-                    c[0] += leaf.grad
-                leaf.grad = np.add.reduce(c, axis=0)
+    """Add a leaf's queued contributions in the order of a loop of
+    one-episode backward passes: episode after episode, each episode's in
+    sweep order, but its weight uses last, as one product. When every
+    contribution is an array over all episodes, the adds are one left fold
+    over a leading axis; otherwise they run one episode at a time."""
+    uses = [it for it in items if it.fn is _transposed_product]
+    items = [it for it in items if it.fn is not _transposed_product]
+    items += [PerEpisode(None, c, rows=e) for e, c in _products(uses)] if uses else []
+    if any(it.fn is not None or it.rows is not None for it in items):
+        for _, i, j in sorted((e, i, j) for i, it in enumerate(items)
+                              for j, e in enumerate(it.episodes().tolist())):
+            fn, args = items[i].fn, items[i].args
+            part = fn(*(a[j] for a in args)) if fn else args[0][j]
+            leaf.grad = part if leaf.grad is None else leaf.grad + part
         return
-    positions = [{int(e): i for i, e in enumerate(it.episodes())} for it in items]
-    for e in sorted(set().union(*positions)):
-        for it, pos in zip(items, positions):
-            if e in pos:
-                c = it.of([a[pos[e]] for a in it.args])
-                leaf.grad = c if leaf.grad is None else leaf.grad + c
+    c = items[0].args[0]  # a weight's products, fresh
+    if len(items) > 1 or not uses:  # each episode's contributions in turn
+        c = np.stack([it.args[0] for it in items], axis=1).reshape((-1,) + c.shape[1:])
+    if leaf.grad is not None:
+        c[0] += leaf.grad  # grad + c[0] == c[0] + grad
+    # np.add.reduce sums a single column pairwise, more columns as a left fold
+    leaf.grad = (np.add.reduce(c, axis=0) if c[0].size > 1
+                 else np.add.accumulate(c, axis=0)[-1])
 
 
 class Tensor:
@@ -293,12 +293,13 @@ class Tensor:
 
         The root is a scalar, or a vector of per-episode losses whose sum
         is differentiated. A leaf's `PerEpisode` contributions are added,
-        episode by episode, once the last node that uses the leaf is swept;
-        every other gradient reaches it earlier. The sweep frees each inner
-        node's gradient, backward closure and value once spent, so a graph
-        is differentiated once and an inner value must be read before
-        `backward()`. The root keeps its value and every leaf its value and
-        gradient.
+        episode after episode, once the last node that uses the leaf is
+        swept; every other gradient reaches it earlier. A computed operand's
+        are added at once, and only outside `episode_batch`. The sweep
+        frees each inner node's gradient, backward closure and value once
+        spent, so a graph is differentiated once and an inner value must be
+        read before `backward()`. The root keeps its value and every leaf
+        its value and gradient.
         """
         if self._parents and self._backward is None:
             raise RuntimeError("backward() already ran on this graph")
@@ -340,11 +341,14 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 if isinstance(g, PerEpisode):
-                    if parent._backward is not None:
+                    if parent._backward is None:
+                        queued.setdefault(parent, []).append(g)
+                    elif g.batched:
                         raise ShapeError(
                             "a batched op shares a non-leaf operand across "
                             "episodes; only parameters can be shared")
-                    queued.setdefault(parent, []).append(g)
+                    else:  # a computed operand of one episode: added now
+                        _add_per_episode(parent, [g])
                 elif parent.grad is None:
                     parent.grad = g
                 else:
@@ -365,14 +369,6 @@ class Tensor:
 def _recording(parents) -> bool:
     """True when an op on these parents will be put on the tape."""
     return _GRAD_ENABLED and any(p.requires_grad for p in parents)
-
-
-def _shared_grad(batched, rows, fn, *args):
-    """The gradient for an operand that a batch's episodes share: computed
-    now for one episode, handed on as `PerEpisode` for a batch."""
-    if batched:
-        return PerEpisode(fn, *args, rows=rows)
-    return args[0] if fn is None else fn(*args)
 
 
 def _vecmat(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -517,10 +513,11 @@ def linear(x, w, b) -> Tensor:
         if x.requires_grad:
             gx = _vecmat(g, wd.T) if rank == 1 else g @ wd.T
         if w.requires_grad:
-            gw = _shared_grad(batched, rows,
-                              _outer if rank == 1 else _transposed_product, xd, g)
+            xs, gs = (xd, g) if rank == 2 else (xd[..., None, :], g[..., None, :])
+            gw = PerEpisode(_transposed_product, xs, gs, rows=rows, batched=batched)
         if b.requires_grad:
-            gb = _shared_grad(batched, rows, None if rank == 1 else _row_sum, g)
+            gb = PerEpisode(None, g if rank == 1 else g.sum(axis=-2),
+                            rows=rows, batched=batched)
         return gx, gw, gb
 
     return Tensor._from_op(out, (x, w, b), backward)
@@ -701,9 +698,7 @@ def take_rows(a, ids) -> Tensor:
         return full
 
     def backward(g):
-        if batched:
-            return (PerEpisode(scatter, ids, g, rows=rows),)
-        return (scatter(ids, g),)
+        return (PerEpisode(scatter, ids, g, rows=rows, batched=batched),)
 
     return Tensor._from_op(out, (a,), backward)
 
@@ -818,10 +813,10 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
         if not batched:
             gx = None if gx is None else gx[0]
             inputs, gas = [a[0] for a in inputs], [a[0] for a in gas]
-        grads = [gx]
+        grads, shared = [gx], dict(rows=rows, batched=batched)
         for xin, ga in zip(inputs, gas):
-            grads += [_shared_grad(batched, rows, _conv_weight_grad, xin, ga),
-                      _shared_grad(batched, rows, _conv_bias_grad, ga)]
+            grads += [PerEpisode(_conv_weight_grad, xin, ga, **shared),
+                      PerEpisode(_conv_bias_grad, ga, **shared)]
         return tuple(grads)
 
     parents = (x,) + tuple(t for layer in layers for t in layer)
@@ -960,6 +955,8 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
         states[i] = h
     out = np.stack(states, axis=-2)
 
+    shared = dict(rows=rows, batched=batched)
+
     def backward(g):
         dz = np.empty_like(xproj)
         h_prev = np.empty(xproj.shape[:-1] + (hh,), dtype=xproj.dtype)
@@ -978,11 +975,11 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
             dh_next = _vecmat(dz[..., i, :], whd.T)
         return (
             dz @ wx.data.T if x.requires_grad else None,
-            _shared_grad(batched, rows, _transposed_product, x.data, dz)
+            PerEpisode(_transposed_product, x.data, dz, **shared)
             if wx.requires_grad else None,
-            _shared_grad(batched, rows, _transposed_product, h_prev, dz)
+            PerEpisode(_transposed_product, h_prev, dz, **shared)
             if wh.requires_grad else None,
-            _shared_grad(batched, rows, _row_sum, dz) if b.requires_grad else None,
+            PerEpisode(None, dz.sum(axis=-2), **shared) if b.requires_grad else None,
         )
 
     return Tensor._from_op(out, (x, wx, wh, b), backward)
@@ -1098,8 +1095,12 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
         return Tensor._from_op(out, (), None)
     d1, d2 = _elu_slope(a1, h1), _elu_slope(a2, h2)
 
-    def shared(fn, *args):
-        return _shared_grad(batched, rows, fn, *args)
+    def uses(x, g):  # one row per episode
+        return PerEpisode(_transposed_product, x[..., None, :], g[..., None, :],
+                          rows=rows, batched=batched)
+
+    def sums(g):
+        return PerEpisode(None, g, rows=rows, batched=batched)
 
     def backward(g):
         d_obj = g[..., 0:2] * obj * (1.0 - obj)
@@ -1109,10 +1110,8 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
         dx = _vecmat(d_a1, w1.data.T)
         return (
             np.asarray(dx[..., 0]), np.asarray(dx[..., 1]), dx[..., 2:],
-            shared(_outer, x, d_a1), shared(None, d_a1),
-            shared(_outer, h1, d_a2), shared(None, d_a2),
-            shared(_outer, h2, d_obj), shared(None, d_obj),
-            shared(_outer, h2, d_write), shared(None, d_write),
+            uses(x, d_a1), sums(d_a1), uses(h1, d_a2), sums(d_a2),
+            uses(h2, d_obj), sums(d_obj), uses(h2, d_write), sums(d_write),
         )
 
     return Tensor._from_op(out, parents, backward)

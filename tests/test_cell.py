@@ -481,6 +481,23 @@ class TestEpisodeForward:
         finally:
             T.DEBUG_CHECKS = False
 
+    def test_debug_mode_catches_a_bad_batched_question_attention(self, monkeypatch):
+        net = toy_net(26)
+        rng = np.random.default_rng(26)
+        frames = (rng.random((2, 2, 3, 3, 4)) < 0.3).astype(np.float32)
+        read = T.grouped_attention_read
+
+        def doubled(query, groups):  # each group's weights sum to 2
+            out, weights = read(query, groups)
+            return out, [2 * qa for qa in weights]
+
+        monkeypatch.setattr(T, "grouped_attention_read", doubled)
+        with T.episode_batch():
+            net.episode_forward([[1, 2], [3]], frames)  # checks off
+            monkeypatch.setattr(T, "DEBUG_CHECKS", True)
+            with pytest.raises(AssertionError, match="question attention"):
+                net.episode_forward([[1, 2], [3]], frames)
+
     def test_batch_trace_equals_each_episode_trace(self):
         from samnet.minicog import generate_corpus
         from samnet.training import config_from_preset

@@ -34,17 +34,17 @@ RUN_DIGESTS = {
         "metrics.csv":
             "e3640a7881ea2839ec3a0f49a8ae8357bda736c454d4ac81e2d2ea1b0cfab702",
         "final.ckpt":
-            "94367afd2dc269ad0db3e484948ea37dd62df2c5272eda69cf0cd31acb5beb21",
+            "dc613d680602dc41be7eebe1a3d54bb1c242bfe76531fb881de9f299fc257362",
         "best.ckpt":
-            "d66499fbe7121e6a16aa35b0688aa0d732625d213d58bdb9dcc14306075717a5",
+            "3cf84447ed74e2455d30dd92bc782b9b28e8095877b1ee60e371a3a291c91fd0",
     },
     "toy-hard": {
         "metrics.csv":
             "b8f20a9b0396837ace45af949ac92a48f194804b740505a77237059286784f1e",
         "final.ckpt":
-            "01c79720e124baf909f00f6f6f58213235b110862fb2db6325c13316b2898e01",
+            "15f005ad3708bee1d775747a03aecc7102dc05bf71c198179a0114626e938605",
         "best.ckpt":
-            "b869506f95a2369cbadb9fca1c9ed39ad1a62154d818eb9876fb1366e89ccddd",
+            "8083f67290b2b85ccfb8cfaaf8bf8c8a76c4ea1c2d740af38b80c413667a83f2",
     },
 }
 EVAL_DIGESTS = {

@@ -13,6 +13,7 @@ from samnet.cell import SAMNet
 from samnet.gradsuite import _readout_from
 from samnet.minicog import generate_corpus
 from samnet.params import ParameterStore
+from samnet import training
 from samnet.training import config_from_preset
 
 
@@ -354,3 +355,194 @@ def test_extra_leading_axis_needs_episode_batch(op):
         BATCHED_OPS[op]()
     with T.episode_batch():
         assert BATCHED_OPS[op]().shape[0] == 2
+
+
+# Weight gradients: every use of a weight queues its row blocks (x, g), and
+# once the sweep has passed the weight's last user each episode adds one
+# product x.T @ g of its rows joined in sweep order, episode after episode.
+
+def _weight_graph(w, inputs, shared, groups=None):
+    """A loss per episode through four uses of the leaf w (6, 6): rank-1
+    `linear`, rank-2 `linear` (once per length group when `groups` are
+    given) and `gate_mlp`'s w1 and w2. Outside `episode_batch`, one
+    episode: `inputs` are that episode's."""
+    x, words, vs, rs, tau = inputs
+    b, gate = shared
+    rank1 = T.attention_aggregate(T.linear(x, w, b))
+    if groups is None:
+        rank2 = T.attention_aggregate(T.reshape(
+            T.linear(words, w, b), words.shape[:-2] + (-1,)))
+    else:
+        parts = []
+        for rows in groups:
+            with T.episode_batch(rows):
+                group = np.stack([words[i] for i in rows])
+                parts.append(T.attention_aggregate(T.reshape(
+                    T.linear(group, w, b), (len(rows), -1))))
+        rank2 = T.merge_rows(parts, groups, len(x))
+    gates = T.gate_mlp(vs, rs, tau, w, gate[0], w, *gate[1:])
+    return T.add(T.add(rank1, rank2), T.attention_aggregate(gates))
+
+
+def _queued_uses(monkeypatch, leaf):
+    """Record the row blocks queued for `leaf`, one list per fold."""
+    folds = []
+    real = T._add_per_episode
+
+    def recording(target, items):
+        if target is leaf:
+            folds.append([(it.episodes().tolist(), *it.args) for it in items])
+        real(target, items)
+
+    monkeypatch.setattr(T, "_add_per_episode", recording)
+    return folds
+
+
+def _episode_rows(fold):
+    """Per episode of a fold, in episode order, its rows (x, g) joined in
+    sweep order."""
+    blocks = {}
+    for episodes, x, g in fold:
+        for e, xe, ge in zip(episodes, x, g):
+            blocks.setdefault(e, []).append((xe, ge))
+    return [tuple(np.concatenate(c, axis=0) for c in zip(*blocks[e]))
+            for e in sorted(blocks)]
+
+
+WEIGHT_MODES = ("one episode at a time", "batch", "length groups")
+
+
+def _weight_gradient(monkeypatch, mode, dtype, lengths=None, seed=17):
+    """w's gradient over four episodes, whose rank-2 inputs have `lengths`
+    rows (a batch: 3 each, else 3, 2, 3, 2), and the row blocks its folds
+    got."""
+    lengths = lengths or ((3,) * 4 if mode == "batch" else (3, 2, 3, 2))
+    rng = np.random.default_rng(seed)
+    with T.precision(dtype):
+        w = T.Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        shared = (T.Tensor(rng.normal(size=6)),
+                  [T.Tensor(rng.normal(size=s)) for s in
+                   ((6,), (6,), (6, 2), (2,), (6, 3), (3,))])
+        x, vs, rs, tau = (rng.normal(size=(4,) + s) for s in ((6,), (), (), (4,)))
+        words = [rng.normal(size=(n, 6)) for n in lengths]
+        folds = _queued_uses(monkeypatch, w)
+        if mode == "one episode at a time":
+            for e in range(4):
+                _weight_graph(w, (x[e], words[e], vs[e], rs[e], tau[e]),
+                              shared).backward()
+        else:
+            groups = None
+            if mode == "length groups":
+                groups = [np.flatnonzero(np.array(lengths) == n)
+                          for n in dict.fromkeys(lengths)]
+            else:
+                words = np.stack(words)
+            with T.episode_batch():
+                loss = _weight_graph(w, (x, words, vs, rs, tau), shared, groups)
+            loss.backward()
+    return w.grad, folds
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+def test_weight_gradient_is_one_product_per_episode(monkeypatch, mode):
+    got, folds = _weight_gradient(monkeypatch, mode, "float32")
+    assert len(folds) == (4 if mode == "one episode at a time" else 1)
+    want = None
+    for fold in folds:
+        rows = _episode_rows(fold)
+        assert len(rows) == (1 if mode == "one episode at a time" else 4)
+        for x, g in rows:
+            # 1 + 3 rows of the linear uses, 2 of gate_mlp; 1 fewer if short
+            assert len(x) in (6, 5)
+            product = np.matmul(x.T, g)
+            want = product if want is None else want + product
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", WEIGHT_MODES)
+def test_weight_gradient_is_the_outer_product_sum_float64(monkeypatch, mode):
+    got, folds = _weight_gradient(monkeypatch, mode, "float64")
+    want = np.zeros((6, 6))
+    for fold in folds:
+        for x, g in _episode_rows(fold):
+            for xr, gr in zip(x, g):
+                want += np.multiply.outer(xr, gr)
+    npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_batch_and_groups_add_the_weight_gradient_of_a_loop():
+    """Episode i of a batch sees the values of its own graph, so batch,
+    length groups and one-episode tapes give the same bits."""
+    for modes, lengths in [(("length groups",), (3, 2, 3, 2)),
+                           (("batch", "length groups"), (3, 3, 3, 3))]:
+        with pytest.MonkeyPatch.context() as mp:
+            loop, _ = _weight_gradient(mp, "one episode at a time", "float32",
+                                       lengths)
+        for mode in modes:
+            with pytest.MonkeyPatch.context() as mp:
+                got, _ = _weight_gradient(mp, mode, "float32", lengths)
+            assert np.array_equal(got, loop), (mode, lengths)
+
+
+def test_computed_weight_is_added_on_the_spot_but_not_shared():
+    rng = np.random.default_rng(23)
+    with T.precision("float64"):
+        leaf = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        x1, x2, r1, r2, b = (rng.normal(size=s) for s in (4, 4, 3, 3, 3))
+        w = T.reshape(leaf, (4, 3))  # not a leaf: no fold waits for it
+        loss = T.add(T.matmul(T.linear(x1, w, b), r1),
+                     T.matmul(T.linear(x2, w, b), r2))
+        loss.backward()
+        npt.assert_allclose(leaf.grad, np.outer(x1, r1) + np.outer(x2, r2),
+                            rtol=1e-12, atol=1e-12)
+        with T.episode_batch():
+            loss = T.attention_aggregate(
+                T.linear(rng.normal(size=(2, 4)), T.reshape(leaf, (4, 3)), b))
+        with pytest.raises(T.ShapeError, match="only parameters can be shared"):
+            loss.backward()
+
+
+def test_shared_one_element_bias_folds_in_episode_order():
+    # np.add.reduce sums a single column pairwise; the fold must not
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(40, 5)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+    x = x.astype(np.float32)
+    w = T.Tensor(rng.normal(size=(5, 1)))
+    b = T.Tensor([0.5], requires_grad=True)
+    for e in range(40):
+        T.attention_aggregate(T.linear(x[e], w, b)[0:1]).backward()
+    loop, b.grad = b.grad, None
+    with T.episode_batch():
+        loss = T.attention_aggregate(T.linear(x, w, b))
+    loss.backward()
+    assert np.array_equal(b.grad, loop)
+
+
+# A chunk's float32 gradients against a float64 run of the same model and
+# episodes, relative to each parameter's largest entry. Measured at most
+# 1.60e-6 on toy-canonical (cell.memread.query.w) and 2.02e-6 on toy-hard
+# (cell.gates.write.b). `cell.visual.key.b` is left out: its true gradient
+# is exactly zero, so its computed one is rounding noise.
+FLOAT64_BOUND = 5e-6
+
+
+@pytest.mark.parametrize("preset,count", [("toy-canonical", 16), ("toy-hard", 5)])
+def test_chunk_gradients_are_float64_gradients_within_a_bound(preset, count):
+    cfg = config_from_preset(preset, task_family="all")
+    episodes = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                               count, seed=205)
+    grads = {}
+    for dtype in ("float32", "float64"):
+        with T.precision(dtype):
+            model = SAMNet(cfg.model_config(), init_seed=5)
+            if dtype == "float64":  # the float32 model's values
+                model.store.load_arrays(values)
+            values = model.store.state_arrays()
+            training._train_chunk(model, episodes)
+            grads[dtype] = {p.name: p.grad for p in model.store.parameters()}
+    got, want = grads.values()
+    del want["cell.visual.key.b"]
+    for name, g in want.items():
+        assert got[name].dtype == np.float32 and g.dtype == np.float64, name
+        gap = np.abs(got[name] - g).max() / np.abs(g).max()
+        assert gap <= FLOAT64_BOUND, f"{name}: {gap:.2e}"
