@@ -44,15 +44,12 @@ class ModelConfig:
     d: int = 128
     steps: int = 8
     mem_slots: int = 8
-    gate_hidden: int = 0  # 0 means use d
     memory_enabled: bool = True
 
     def __post_init__(self):
         for name in ("d", "steps", "mem_slots"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.gate_hidden == 0:
-            self.gate_hidden = self.d
 
 
 @dataclass
@@ -293,7 +290,7 @@ class SAMCell:
         self.temporal = TemporalClassifier(store, d)
         self.visual = VisualRetrieval(store, d)
         self.memread = MemoryRetrieval(store, d)
-        self.gate_net = GateNetwork(store, config.gate_hidden)
+        self.gate_net = GateNetwork(store, d)
         self.summary = SummaryUpdate(store, d)
         self.c0 = store.new("cell.c0", (d,), fan_in=d)
         self.so0 = store.new("cell.so0", (d,), fan_in=d)
@@ -415,7 +412,6 @@ class SAMNet:
             "vocab_size": str(c.vocab_size),
             "num_answers": str(c.num_answers),
             "in_channels": str(c.in_channels),
-            "gate_hidden": str(c.gate_hidden),
             "memory_enabled": str(int(c.memory_enabled)),
         }
 
@@ -423,9 +419,14 @@ class SAMNet:
     def config_from_hypers(cls, hypers: dict[str, str]) -> ModelConfig:
         """The config a checkpoint header describes; KeyError for a missing
         key, ValueError for a bad value. The `gate_mode softmax` line of
-        older checkpoints is accepted; the write gates have no other form."""
+        older checkpoints is accepted, as the write gates have no other
+        form, and so is their `gate_hidden` line when it equals `d`, the
+        gate network's only width."""
         if hypers.get("gate_mode", "softmax") != "softmax":
             raise ValueError(f"unknown gate_mode {hypers['gate_mode']!r}")
+        if hypers.get("gate_hidden", hypers["d"]) != hypers["d"]:
+            raise ValueError(f"gate_hidden {hypers['gate_hidden']!r} is not "
+                             f"d {hypers['d']!r}")
         if hypers["memory_enabled"] not in ("0", "1"):
             raise ValueError(
                 f"memory_enabled must be 0 or 1, got {hypers['memory_enabled']!r}"
@@ -437,6 +438,5 @@ class SAMNet:
             d=int(hypers["d"]),
             steps=int(hypers["steps"]),
             mem_slots=int(hypers["mem_slots"]),
-            gate_hidden=int(hypers["gate_hidden"]),
             memory_enabled=hypers["memory_enabled"] == "1",
         )

@@ -78,8 +78,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], hypers: dict[str, str])
 def load_checkpoint(path):
     """Read a checkpoint; returns (arrays, hypers, manifest_text). Raises
     CheckpointError, naming the path, on any malformed header line, on a
-    parameter listed twice or sharing data bytes with another, and on a
-    data section that does not hold every parameter."""
+    parameter listed twice or sharing data bytes with another, on a data
+    section that does not hold every parameter, and on a NaN or infinite
+    value, which training never saves."""
     with open(path, "rb") as fh:
         raw = fh.read()
     nl = raw.find(b"\n")
@@ -131,6 +132,8 @@ def load_checkpoint(path):
         if count:
             spans.append((off, end, name))
         a = np.frombuffer(raw, dtype=_F32, count=count, offset=data_start + off)
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
         arrays[name] = a.reshape(shape).copy()
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):

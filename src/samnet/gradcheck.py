@@ -21,7 +21,7 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
     for p in params:
         if not isinstance(p, Parameter):
             raise TypeError(f"expected Parameter, got {type(p)!r}")
-        p.zero_grad()
+        p.grad = None
 
     out = f()
     if out.size != 1:

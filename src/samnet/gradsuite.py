@@ -60,10 +60,21 @@ def _readout_from(weights, out):
     return T.matmul(T.Tensor(r), T.reshape(out, (-1,)))
 
 
+def _random_params(store, rng, specs):
+    """One parameter per (name, shape) or (name, shape, scale) spec, drawn
+    in order as scale * N(0, 1) in the suite's dtype."""
+    out = []
+    for name, shape, *scale in specs:
+        p = store.new(name, shape, fan_in=1)
+        draw = rng.normal(size=shape) * (scale[0] if scale else 1.0)
+        p.data = np.asarray(draw, dtype=T.default_dtype())
+        out.append(p)
+    return out
+
+
 def _check_softmax_and_ce(rng, eps):
     store = _store(1)
-    logits = store.new("logits", (6,))
-    logits.data = rng.normal(size=6)
+    logits, = _random_params(store, rng, [("logits", (6,))])
 
     def f():
         probs = T.softmax(logits)
@@ -75,11 +86,8 @@ def _check_softmax_and_ce(rng, eps):
 
 def _check_dot_attention(rng, eps):
     store = _store(2)
-    keys = store.new("keys", (3, 4))
-    values = store.new("values", (3, 4))
-    query = store.new("query", (4,))
-    for p in store.parameters():
-        p.value.data = rng.normal(size=p.data.shape)
+    keys, values, query = _random_params(
+        store, rng, [("keys", (3, 4)), ("values", (3, 4)), ("query", (4,))])
     readout = rng.normal(size=4)
 
     def f():
@@ -93,8 +101,7 @@ def _check_dot_attention(rng, eps):
 
 def _check_elu(rng, eps):
     store = _store(3)
-    x = store.new("x", (5,))
-    x.data = rng.normal(size=5)
+    x, = _random_params(store, rng, [("x", (5,))])
     readout = rng.normal(size=5)
 
     def f():
@@ -105,30 +112,17 @@ def _check_elu(rng, eps):
 
 def _check_conv_elu(rng, eps):
     store = _store(4)
-    img = store.new("img", (2, 3, 3, 2))
-    img.data = rng.normal(size=(2, 3, 3, 2))
-    layers = []
+    specs = [("img", (2, 3, 3, 2))]
     for i, (cin, cout) in enumerate(((2, 3), (3, 2))):
-        kern = store.new(f"kern{i}", (3, 3, cin, cout))
-        kern.data = rng.normal(size=(3, 3, cin, cout)) * 0.5
-        bias = store.new(f"bias{i}", (cout,))
-        bias.data = rng.normal(size=cout) * 0.1
-        layers.append((kern, bias))
+        specs += [(f"kern{i}", (3, 3, cin, cout), 0.5), (f"bias{i}", (cout,), 0.1)]
+    img, kern0, bias0, kern1, bias1 = _random_params(store, rng, specs)
     readout = rng.normal(size=(2, 3, 3, 2))
 
     def f():
-        return _readout_from(readout, T.conv2d_same3_elu(img, *layers))
+        return _readout_from(readout, T.conv2d_same3_elu(
+            img, (kern0, bias0), (kern1, bias1)))
 
     return grad_check(f, store.parameters(), eps=eps)
-
-
-def _random_params(store, rng, shapes):
-    out = []
-    for name, shape in shapes:
-        t = store.new(name, shape, fan_in=1)
-        t.data = np.asarray(rng.normal(size=shape), dtype=T.default_dtype())
-        out.append(t)
-    return out
 
 
 def _check_linear(rng, eps):
@@ -288,8 +282,7 @@ def _check_visual(rng, eps):
 def _check_memory_read(rng, eps):
     store = _store(10)
     mem = MemoryRetrieval(store, d=8)
-    m = store.new("m", (3, 8))
-    m.data = rng.normal(size=(3, 8))
+    m, = _random_params(store, rng, [("m", (3, 8))])
     c_t = T.Tensor(rng.normal(size=8))
     readout = rng.normal(size=8)
 
@@ -315,12 +308,8 @@ def _check_gates(rng, eps):
 
 def _check_memory_write(rng, eps):
     store = _store(12)
-    m = store.new("m", (3, 4))
-    m.data = rng.normal(size=(3, 4))
-    vo = store.new("vo", (4,))
-    vo.data = rng.normal(size=4)
-    raw = store.new("raw", (3,))
-    raw.data = rng.normal(size=3)
+    m, vo, raw = _random_params(
+        store, rng, [("m", (3, 4)), ("vo", (4,)), ("raw", (3,))])
     wh_prev = T.Tensor(np.random.default_rng(1).dirichlet(np.ones(3)))
     rh = T.Tensor(np.random.default_rng(2).dirichlet(np.ones(3)))
     readout = rng.normal(size=(3, 4))

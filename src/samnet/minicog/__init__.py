@@ -15,26 +15,20 @@ from .generator import (
 )
 from .oracle import oracle_answer
 from .programs import (
-    ANSWER_INDEX,
     ANSWERS,
     GROUP_OF,
     GROUP_TREE,
     INVALID,
     QuestionProgram,
     RELATIONS,
-    TAGS,
     TASK_CLASSES,
     TASK_GROUPS,
     VOCABULARY,
     answer_set,
-    encode_tokens,
     enumerate_programs,
-    named_task_family,
     parse_task_family,
 )
 from .scenes import (
-    COLOR_FAMILY_A,
-    COLOR_FAMILY_B,
     COLORS,
     CONSTRAINED_SHAPES,
     FeatureFamily,

@@ -1,7 +1,9 @@
 """Named trainable parameters.
 
-Parameters carry a unique dotted-path name; the name order fixes their
-position in checkpoint files, so registration order must be deterministic.
+A parameter is a leaf tensor with a unique dotted-path name; the model,
+the optimizer, the checkpoint loader and the gradient checker all hold the
+same object. The name order fixes a parameter's position in checkpoint
+files, so registration order must be deterministic.
 """
 
 from __future__ import annotations
@@ -11,27 +13,15 @@ import numpy as np
 from .tensor import Tensor, default_dtype
 
 
-class Parameter:
-    __slots__ = ("name", "value")
+class Parameter(Tensor):
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, value: Tensor):
+    def __init__(self, name: str, data: np.ndarray):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        self.value = value
-        value.requires_grad = True
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self):
-        return self.value.grad
-
-    def zero_grad(self) -> None:
-        self.value.grad = None
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 class ParameterStore:
@@ -41,7 +31,7 @@ class ParameterStore:
         self._params: dict[str, Parameter] = {}
         self._rng = rng
 
-    def new(self, name: str, shape, fan_in: int | None = None) -> Tensor:
+    def new(self, name: str, shape, fan_in: int | None = None) -> Parameter:
         """Create a parameter initialized uniform in +-1/sqrt(fan_in).
 
         fan_in defaults to the first extent of `shape` for matrices used as
@@ -58,9 +48,8 @@ class ParameterStore:
                 fan_in = shape[0]
             bound = 1.0 / np.sqrt(fan_in)
             data = self._rng.uniform(-bound, bound, size=shape).astype(default_dtype())
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = Parameter(name, t)
-        return t
+        p = self._params[name] = Parameter(name, data)
+        return p
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
@@ -78,7 +67,7 @@ class ParameterStore:
 
     def zero_grad(self) -> None:
         for p in self._params.values():
-            p.zero_grad()
+            p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self._params.items()}
@@ -93,8 +82,8 @@ class ParameterStore:
             )
         for name, p in self._params.items():
             a = arrays[name]
-            if tuple(a.shape) != tuple(p.data.shape):
+            if tuple(a.shape) != tuple(p.shape):
                 raise ValueError(
-                    f"shape mismatch for {name}: {a.shape} vs {p.data.shape}"
+                    f"shape mismatch for {name}: {a.shape} vs {p.shape}"
                 )
-            p.value.data = a.astype(default_dtype())
+            p.data = a.astype(default_dtype())

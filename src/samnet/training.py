@@ -58,7 +58,6 @@ class TrainConfig:
     d: int = 128
     reasoning_steps: int = 8
     mem_slots: int = 8
-    gate_hidden: int = 0
     memory_enabled: bool = True
     # optimizer
     learning_rate: float = 1e-4
@@ -85,13 +84,21 @@ class TrainConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
-        """Reject counts the model or the loop cannot run and task families
-        the generator does not know, naming the key."""
+        """Reject counts, seeds and rates the model or the loop cannot run
+        and task families the generator does not know, naming the key."""
         for key, low in (("d", 2), ("reasoning_steps", 1), ("mem_slots", 1),
-                         ("batch_size", 1), ("max_steps", 0), ("val_episodes", 1)):
+                         ("batch_size", 1), ("max_steps", 0), ("val_episodes", 1),
+                         ("eval_every", 0), ("init_seed", 0), ("data_seed", 0),
+                         ("val_seed", 0)):
             value = getattr(self, key)
             if value < low:
                 raise ValueError(f"{key}: must be >= {low}, got {value}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate: must be finite and > 0, "
+                             f"got {self.learning_rate}")
+        if not 0 <= self.grad_clip < np.inf:  # 0: no clipping
+            raise ValueError(f"grad_clip: must be finite and >= 0, "
+                             f"got {self.grad_clip}")
         if self.d % 2:  # the question Bi-LSTM gives each direction d/2
             raise ValueError(f"d: must be even, got {self.d}")
         try:
@@ -111,7 +118,7 @@ class TrainConfig:
         return ModelConfig(
             vocab_size=len(VOCABULARY), num_answers=len(ANSWERS),
             in_channels=GRID_CHANNELS, d=self.d, steps=self.reasoning_steps,
-            mem_slots=self.mem_slots, gate_hidden=self.gate_hidden,
+            mem_slots=self.mem_slots,
             memory_enabled=self.memory_enabled,
         )
 
@@ -234,7 +241,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1 - b2) * (g * g)
             m_hat = self.m[i] / bias1
             v_hat = self.v[i] / bias2
-            p.value.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def clip_global_norm(grads, max_norm: float):

@@ -215,17 +215,21 @@ def test_non_finite_episode_is_named(tmp_path, monkeypatch, poisoned, message):
     assert f"batch episode seeds {message};" in str(exc.value)
 
 
-def test_non_finite_logits_name_the_first_episode(tmp_path):
+def test_non_finite_logits_name_the_first_episode(tmp_path, monkeypatch):
     # no forward op screens the logits: only each episode's loss meets the
-    # inf, and a loop of one-episode tapes stops at the first episode
+    # inf, and a loop of one-episode tapes stops at the first episode. The
+    # inf is put into the model `train` builds: a checkpoint holding it no
+    # longer loads
+    def poisoned(*args, **kwargs):
+        model = SAMNet(*args, **kwargs)
+        model.store["answer.b2"].data[0] = np.inf
+        return model
+
+    monkeypatch.setattr(training, "SAMNet", poisoned)
     cfg = tiny_cfg(tmp_path / "run", batch_size=8, data_seed=1)
-    model = SAMNet(cfg.model_config(), init_seed=cfg.init_seed)
-    model.store["answer.b2"].data[0] = np.inf
-    ckpt = str(tmp_path / "inf.ckpt")
-    training.save_model(ckpt, model, cfg, 0)
     with pytest.raises(NonFiniteLossError) as exc:
         with np.errstate(all="ignore"):
-            train(cfg, init_from=ckpt)
+            train(cfg)
     assert "batch episode seeds [1, 0..0];" in str(exc.value)
 
 

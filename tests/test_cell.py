@@ -540,6 +540,31 @@ class TestEpisodeForward:
         shapes2 = {n: more_slots.store[n].data.shape for n in more_slots.store.names()}
         assert shapes == shapes2
 
+    def test_store_returns_the_leaves_the_layers_hold(self):
+        # one object per parameter: the optimizer, the loader and the
+        # gradient checker update the very tensors the layers compute with
+        net = toy_net(27)
+        held, seen = set(), set()
+        todo = [v for k, v in vars(net).items() if k != "store"]
+        while todo:
+            obj = todo.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, T.Tensor):
+                held.add(id(obj))
+            elif isinstance(obj, dict):
+                todo.extend(obj.values())
+            elif isinstance(obj, (list, tuple)):
+                todo.extend(obj)
+            elif hasattr(obj, "__dict__"):
+                todo.extend(vars(obj).values())
+        params = net.store.parameters()
+        assert held == {id(p) for p in params}
+        assert all(net.store[p.name] is p for p in params)
+        store = store_with_seed()
+        assert store.new("w", (2, 3)) is store["w"]
+
 
 def backward_walk_size(root) -> int:
     """Nodes that `Tensor.backward` visits from `root` (the same DFS)."""

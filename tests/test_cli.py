@@ -68,6 +68,7 @@ def test_gen_count_below_one_is_a_usage_error(tiny_conf, tmp_path, capsys,
     ("learning_rate = fast", "learning_rate: expected float, got 'fast'"),
     ("memory_enabled = maybe", "memory_enabled: expected one of"),
     ("batch = 4", "unknown config keys ['batch']"),
+    ("gate_hidden = 8", "unknown config keys ['gate_hidden']"),
     ("batch_size = 0", "batch_size: must be >= 1, got 0"),
     ("max_steps = -1", "max_steps: must be >= 0, got -1"),
     ("d = 7", "d: must be even, got 7"),
@@ -76,6 +77,10 @@ def test_gen_count_below_one_is_a_usage_error(tiny_conf, tmp_path, capsys,
     ("val_episodes = 0", "val_episodes: must be >= 1, got 0"),
     ("grid_height = 0", "grid_height: must be >= 1, got 0"),
     ("task_family = Bogus", "task_family: unknown task family name 'Bogus'"),
+    ("learning_rate = nan", "learning_rate: must be finite and > 0, got nan"),
+    ("grad_clip = -1", "grad_clip: must be finite and >= 0, got -1.0"),
+    ("eval_every = -1", "eval_every: must be >= 0, got -1"),
+    ("init_seed = -1", "init_seed: must be >= 0, got -1"),
 ])
 def test_bad_config_value_is_a_usage_error(tiny_conf, tmp_path, capsys,
                                            command, line, message):
@@ -197,7 +202,7 @@ def test_eval_unreadable_input_is_a_usage_error(tiny_conf, tiny_ckpt, tmp_path,
 
 
 def test_eval_malformed_files_stay_typed_errors(tiny_conf, tiny_ckpt, tmp_path):
-    from samnet.checkpoint import CheckpointError
+    from samnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
     from samnet.minicog import CorpusError
 
     ckpt = tmp_path / "bad.ckpt"
@@ -208,6 +213,12 @@ def test_eval_malformed_files_stay_typed_errors(tiny_conf, tiny_ckpt, tmp_path):
     corpus.write_text('{"format": "something else"}\n')
     with pytest.raises(CorpusError, match="bad.jsonl"):
         main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(corpus)])
+    arrays, hypers, _ = load_checkpoint(tiny_ckpt)
+    arrays["answer.b2"][0] = np.nan
+    save_checkpoint(ckpt, arrays, hypers)
+    with pytest.raises(CheckpointError,
+                       match="bad.ckpt: parameter answer.b2 holds a non-finite"):
+        main(["eval", "--ckpt", str(ckpt), "--data", str(tiny_conf)])
 
 
 def test_transfer_emits_report(tmp_path, capsys):
@@ -293,8 +304,7 @@ def test_gradcheck_exit_code(capsys, monkeypatch):
 def _check_wrong_backward(rng, eps):
     """A doubling op whose backward forgets the factor 2."""
     store = gradsuite._store(0)
-    x = store.new("x", (4,))
-    x.data = rng.normal(size=4)
+    x, = gradsuite._random_params(store, rng, [("x", (4,))])
 
     def f():
         doubled = T.Tensor._from_op(2.0 * x.data, (x,), lambda g: (g,))

@@ -1,5 +1,9 @@
-"""The float64 gradient suite (`samnet gradcheck --f64`) runs in tier-1."""
+"""The float64 gradient suite (`samnet gradcheck --f64`) runs in tier-1;
+the float32 suite is checked for the dtype of its leaves."""
 
+import numpy as np
+
+from samnet import gradsuite
 from samnet.gradsuite import run_gradient_suite
 
 CHECK_NAMES = [
@@ -19,3 +23,22 @@ def test_float64_suite_passes_every_check():
     failed = [(r.name, r.max_rel_err) for r in results if not r.passed]
     assert not failed
     assert all(r.threshold == 1e-5 for r in results)
+
+
+def test_float32_suite_checks_float32_leaves(monkeypatch):
+    # a float64 draw assigned to a leaf would make `samnet gradcheck` check
+    # float64 arithmetic; the spy runs no finite differences
+    leaves = []
+
+    def spy(f, params, eps):
+        leaves.append({p.name: p.data.dtype for p in params})
+        return 0.0
+
+    monkeypatch.setattr(gradsuite, "grad_check", spy)
+    results = run_gradient_suite(use_float64=False)
+    assert [r.name for r in results] == CHECK_NAMES
+    assert len(leaves) == len(CHECK_NAMES) and all(leaves)
+    wide = {r.name: sorted(name for name, dtype in check.items()
+                           if dtype != np.float32)
+            for r, check in zip(results, leaves)}
+    assert {name: names for name, names in wide.items() if names} == {}

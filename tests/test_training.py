@@ -101,11 +101,29 @@ class TestConfig:
         ("d", 0, "must be >= 2, got 0"),
         ("reasoning_steps", 0, "must be >= 1, got 0"),
         ("mem_slots", 0, "must be >= 1, got 0"),
+        ("eval_every", -1, "must be >= 0, got -1"),
+        ("init_seed", -1, "must be >= 0, got -1"),
+        ("data_seed", -1, "must be >= 0, got -1"),
+        ("val_seed", -1, "must be >= 0, got -1"),
+        ("learning_rate", 0.0, "must be finite and > 0, got 0.0"),
+        ("learning_rate", -1e-3, "must be finite and > 0, got -0.001"),
+        ("learning_rate", float("nan"), "must be finite and > 0, got nan"),
+        ("learning_rate", float("inf"), "must be finite and > 0, got inf"),
+        ("grad_clip", -1.0, "must be finite and >= 0, got -1.0"),
+        ("grad_clip", float("nan"), "must be finite and >= 0, got nan"),
+        ("grad_clip", float("inf"), "must be finite and >= 0, got inf"),
     ])
     def test_bad_count_names_the_key(self, key, value, message):
-        # before any training: batch_size 0 made every step divide by zero
+        # before any training: batch_size 0 made every step divide by zero,
+        # a negative seed ended in numpy's ValueError and a NaN learning
+        # rate in a bare NonFiniteError
         with pytest.raises(ValueError, match=f"^{key}: {message}$"):
             config_from_preset("toy-canonical", **{key: value})
+
+    def test_zero_grad_clip_and_eval_every_are_accepted(self):
+        # 0 means no clipping and no periodic evaluation
+        cfg = config_from_preset("toy-canonical", grad_clip=0.0, eval_every=0)
+        assert (cfg.grad_clip, cfg.eval_every) == (0.0, 0)
 
     def test_unknown_preset_rejected(self, tmp_path):
         p = tmp_path / "c.conf"
@@ -328,6 +346,20 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="m.ckpt: parameters a and b share"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_is_typed(self, tmp_path, value):
+        # before: a NaN in answer.b2 loaded silently and `samnet eval` ended
+        # in a bare NonFiniteError
+        arrays, hypers, _ = load_checkpoint(GATE_MODE_CKPT)
+        arrays["answer.b2"][1] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, arrays, hypers)
+        message = "m.ckpt: parameter answer.b2 holds a non-finite value"
+        with pytest.raises(CheckpointError, match=message):
+            load_model(path)
+        with pytest.raises(CheckpointError, match=message):
+            train(tiny_cfg(tmp_path / "run"), init_from=str(path))
+
     def test_header_bit_flips_load_or_raise_typed(self, tmp_path):
         rng = np.random.default_rng(0)
         arrays = {
@@ -369,8 +401,9 @@ class TestCheckpointFormat:
         (b"\nhyper mem_slots 3\n", b"\nhyper mem_slots 0\n"),
         (b"\nhyper gate_mode softmax\n", b"\nhyper gate_mode sigmoid\n"),
         (b"\nhyper memory_enabled 1\n", b"\nhyper memory_enabled 7\n"),
+        (b"\nhyper gate_hidden 8\n", b"\nhyper gate_hidden 16\n"),
     ], ids=["d-32", "d-abc", "d-missing", "steps-0", "mem_slots-0",
-            "gate_mode-sigmoid", "memory_enabled-7"])
+            "gate_mode-sigmoid", "memory_enabled-7", "gate_hidden-16"])
     def test_bad_architecture_header_is_typed(self, tmp_path, old, new):
         raw = GATE_MODE_CKPT.read_bytes()
         assert raw.count(old) == 1
@@ -383,6 +416,7 @@ class TestCheckpointFormat:
         raw = GATE_MODE_CKPT.read_bytes()
         assert b"\nhyper gate_mode softmax\n" in raw
         assert b"\nhyper cfg.gate_mode softmax\n" in raw
+        assert b"\nhyper d 8\n" in raw and b"\nhyper gate_hidden 8\n" in raw
         model, _ = load_model(GATE_MODE_CKPT)
         cfg = config_from_preset("toy-canonical")
         episodes = generate_corpus(cfg.episode_config(),
