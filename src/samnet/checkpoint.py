@@ -41,7 +41,8 @@ def _parse_shape(s: str):
 
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], hypers: dict[str, str]) -> None:
-    """Write parameters and hyperparameter key-values atomically."""
+    """Write parameters and hyperparameter key-values atomically. Raises
+    CheckpointError, naming the path, on a NaN or infinite float32 value."""
     lines = [MAGIC]
     for key in hypers:
         value = str(hypers[key])
@@ -53,9 +54,11 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], hypers: dict[str, str])
     for name, a in arrays.items():
         if " " in name:
             raise ValueError(f"invalid parameter name {name!r}")
-        blob = np.ascontiguousarray(a, dtype=_F32).tobytes()
+        blob = np.ascontiguousarray(a, dtype=_F32)
+        if not np.isfinite(blob).all():
+            raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
         lines.append(f"param {name} {_shape_str(a.shape)} {offset}")
-        offset += len(blob)
+        offset += blob.nbytes
         blobs.append(blob)
     lines.append(f"data {offset}")
     header = ("\n".join(lines) + "\n").encode("utf-8")

@@ -16,7 +16,11 @@ each layer of the model is one fused op with a hand-written backward
 evaluates the same numpy expressions in the same order as the chain of
 primitive ops it replaces (kept as references in ``tests/test_fused.py``),
 so forward values are bit-identical to that chain. Fused ops keep their
-backward caches only while a graph is being recorded.
+backward caches only while a graph is being recorded. The elementwise
+kernels (ELU and its slope from the output alone, ``memory_blend``'s
+w_i * v, an LSTM step's gates) avoid masked selects, (N, 1) @ (1, d) gemms
+and per-slice calls, and keep the bits of the forms they replaced, which
+``tests/reference_ops.py`` keeps.
 
 A graph is differentiated once. ``Tensor.backward()`` releases each inner
 node's value as soon as the sweep has passed it, with its gradient and
@@ -52,8 +56,10 @@ contributions, which the sweep adds once it has passed the parameter's
 last user, in the order of a loop of one-episode backward passes, bit for
 bit. A weight's uses queue as row blocks, in one episode as in a batch:
 an episode's gradient is one product ``X.T @ G`` of its rows in sweep
-order, one ``np.matmul`` over the episode axis computes a whole batch's,
-and one ``np.add.reduce`` adds them, as it adds the shared sums.
+order, one ``np.matmul`` over the episode axis computes a block of
+episodes' products (at most ``_FOLD_ELEMENTS`` elements), and
+``np.add.reduce`` adds each block to the running sum, one left fold over
+the episodes, as it adds the shared sums.
 """
 
 from __future__ import annotations
@@ -197,14 +203,13 @@ def _transposed_product(x, g):
     return np.matmul(np.swapaxes(x, -1, -2), g)
 
 
+# At most this many elements of a weight's products are made and added at once
+_FOLD_ELEMENTS = 32768
+
+
 def _products(uses):
     """Each episode's x.T @ g, its row blocks joined in sweep order, as
-    (episodes, products) pairs in episode order (None: all episodes). When
-    every use covers every episode, one np.matmul over the episode axis."""
-    if all(u.rows is None for u in uses):  # every use covers every episode
-        x, g = (c[0] if len(c) == 1 else np.concatenate(c, axis=-2)
-                for c in zip(*(u.args for u in uses)))
-        return [(None, _transposed_product(x, g))]
+    (episodes, products) pairs in episode order."""
     blocks = {}  # episode -> its (x, g) row blocks in sweep order
     for u in uses:
         for e, *xg in zip(u.episodes().tolist(), *u.args):
@@ -218,11 +223,14 @@ def _add_per_episode(leaf, items) -> None:
     """Add a leaf's queued contributions in the order of a loop of
     one-episode backward passes: episode after episode, each episode's in
     sweep order, but its weight uses last, as one product. When every
-    contribution is an array over all episodes, the adds are one left fold
-    over a leading axis; otherwise they run one episode at a time."""
+    contribution covers every episode, the adds are one left fold over a
+    leading axis, a weight's products made one block of episodes at a time;
+    otherwise they run one episode at a time."""
     uses = [it for it in items if it.fn is _transposed_product]
     items = [it for it in items if it.fn is not _transposed_product]
-    items += [PerEpisode(None, c, rows=e) for e, c in _products(uses)] if uses else []
+    if items or any(u.rows is not None for u in uses):
+        items += [PerEpisode(None, c, rows=e) for e, c in _products(uses)]
+        uses = []
     if any(it.fn is not None or it.rows is not None for it in items):
         for _, i, j in sorted((e, i, j) for i, it in enumerate(items)
                               for j, e in enumerate(it.episodes().tolist())):
@@ -230,14 +238,22 @@ def _add_per_episode(leaf, items) -> None:
             part = fn(*(a[j] for a in args)) if fn else args[0][j]
             leaf.grad = part if leaf.grad is None else leaf.grad + part
         return
-    c = items[0].args[0]  # a weight's products, fresh
-    if len(items) > 1 or not uses:  # each episode's contributions in turn
-        c = np.stack([it.args[0] for it in items], axis=1).reshape((-1,) + c.shape[1:])
-    if leaf.grad is not None:
-        c[0] += leaf.grad  # grad + c[0] == c[0] + grad
-    # np.add.reduce sums a single column pairwise, more columns as a left fold
-    leaf.grad = (np.add.reduce(c, axis=0) if c[0].size > 1
-                 else np.add.accumulate(c, axis=0)[-1])
+    if uses:  # a weight's products, one np.matmul per block of episodes
+        x, g = (c[0] if len(c) == 1 else np.concatenate(c, axis=-2)
+                for c in zip(*(u.args for u in uses)))
+        n = max(1, _FOLD_ELEMENTS // (x.shape[-1] * g.shape[-1]))
+        blocks = (_transposed_product(x[s:s + n], g[s:s + n])
+                  for s in range(0, len(x), n))
+    else:  # each episode's contributions in turn
+        blocks = [np.stack([it.args[0] for it in items], axis=1).reshape(
+            (-1,) + items[0].args[0].shape[1:])]
+    for c in blocks:  # fresh arrays
+        if leaf.grad is not None:
+            c[0] += leaf.grad  # grad + c[0] == c[0] + grad
+        # np.add.reduce sums a single column pairwise, more columns as a left fold
+        leaf.grad = (np.add.reduce(c, axis=0) if c[0].size > 1
+                     else np.add.accumulate(c, axis=0)[-1])
+        del c  # freed before the next block is made
 
 
 class Tensor:
@@ -528,11 +544,12 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _elu(a: np.ndarray) -> np.ndarray:
-    return np.where(a > 0.0, a, np.expm1(np.minimum(a, 0.0))).astype(a.dtype, copy=False)
+    return np.maximum(a, 0.0) + np.expm1(np.minimum(a, 0.0))
 
 
-def _elu_slope(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    return np.where(a > 0.0, 1.0, out + 1.0)
+def _elu_slope(out: np.ndarray) -> np.ndarray:
+    """ELU's slope from its output: the bits of where(out > 0, 1, out + 1)."""
+    return np.minimum(out, 0.0) + 1.0
 
 
 def elu(a) -> Tensor:
@@ -540,7 +557,7 @@ def elu(a) -> Tensor:
     out = _elu(a.data)
 
     def backward(g):
-        return (g * _elu_slope(a.data, out),)
+        return (g * _elu_slope(out),)
 
     return Tensor._from_op(out, (a,), backward)
 
@@ -760,8 +777,7 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
     at a time, so it holds one episode's patch matrices and inner
     activations at a time. The node keeps only x and its output: the
     backward recomputes an episode's inner activations from x, rebuilds the
-    im2col matrices, and takes ELU's slope as where(out > 0, 1, out + 1),
-    which equals where(a > 0, 1, out + 1) for the pre-activation a.
+    im2col matrices, and takes ELU's slope from its output.
     """
     x = as_tensor(x)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
@@ -803,7 +819,7 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
         for e, ge in enumerate(gs):
             acts = activations(xs[e], len(layers) - 1) + [out[e]]
             for i in reversed(range(len(layers))):
-                gas[i][e] = ge * _elu_slope(acts[i + 1], acts[i + 1])
+                gas[i][e] = ge * _elu_slope(acts[i + 1])
                 if i:
                     inputs[i][e] = acts[i]
                 if i or gx is not None:
@@ -942,14 +958,13 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
     states = [None] * length
     for i in order:
         z = xproj[..., i, :] + _vecmat(h, whd) + bd
-        i_g = _sigmoid(z[..., 0:hh])
-        f_g = _sigmoid(z[..., hh:2 * hh])
-        g_g = np.tanh(z[..., 2 * hh:3 * hh])
-        o_g = _sigmoid(z[..., 3 * hh:4 * hh])
+        gates = _sigmoid(z)  # the cell block's tanh replaces its sigmoid
+        gates[..., 2 * hh:3 * hh] = np.tanh(z[..., 2 * hh:3 * hh])
+        i_g, f_g, g_g, o_g = (gates[..., k * hh:(k + 1) * hh] for k in range(4))
         c_new = f_g * c + i_g * g_g
         tc = np.tanh(c_new)
         if record:
-            cache.append((i_g, f_g, g_g, o_g, c, tc, h))
+            cache.append((gates, c, tc, h))
         c = c_new
         h = o_g * tc
         states[i] = h
@@ -962,8 +977,8 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
         h_prev = np.empty(xproj.shape[:-1] + (hh,), dtype=xproj.dtype)
         dh_next = np.zeros(xproj.shape[:-2] + (hh,), dtype=xproj.dtype)
         dc = np.zeros(xproj.shape[:-2] + (hh,), dtype=xproj.dtype)
-        for i, (i_g, f_g, g_g, o_g, c_prev, tc, hp) in zip(
-                reversed(order), reversed(cache)):
+        for i, (gates, c_prev, tc, hp) in zip(reversed(order), reversed(cache)):
+            i_g, f_g, g_g, o_g = (gates[..., k * hh:(k + 1) * hh] for k in range(4))
             dh = g[..., i, :] + dh_next
             dc = dc + dh * o_g * (1.0 - tc * tc)
             dz[..., i, 0:hh] = dc * g_g * i_g * (1.0 - i_g)
@@ -1022,7 +1037,8 @@ def memory_blend(m, w, v) -> Tensor:
         raise ShapeError(f"memory_blend got m {m.shape}, w {w.shape}, v {v.shape}")
     w_col = w.data[..., None]  # (N, 1) per episode
     v_row = v.data[..., None, :]  # (1, d) per episode
-    out = m.data * (1.0 - w_col) + w_col @ v_row
+    # + 0.0 makes a -0 product +0, as the (N, 1) @ (1, d) gemm this replaces did
+    out = m.data * (1.0 - w_col) + (w_col * v_row + 0.0)
 
     def backward(g):
         gw = None
@@ -1084,17 +1100,13 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
             f"write_w {write_w.shape}"
         )
     x = np.concatenate([vs.data[..., None], rs.data[..., None], tau.data], axis=-1)
-    a1 = _vecmat(x, w1.data) + b1.data
-    h1 = _elu(a1)
-    a2 = _vecmat(h1, w2.data) + b2.data
-    h2 = _elu(a2)
+    h1 = _elu(_vecmat(x, w1.data) + b1.data)
+    h2 = _elu(_vecmat(h1, w2.data) + b2.data)
     obj = _sigmoid(_vecmat(h2, obj_w.data) + obj_b.data)
     write = _softmax(_vecmat(h2, write_w.data) + write_b.data)
     out = np.concatenate([obj, write], axis=-1)
     if not _recording(parents):
         return Tensor._from_op(out, (), None)
-    d1, d2 = _elu_slope(a1, h1), _elu_slope(a2, h2)
-
     def uses(x, g):  # one row per episode
         return PerEpisode(_transposed_product, x[..., None, :], g[..., None, :],
                           rows=rows, batched=batched)
@@ -1105,8 +1117,9 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
     def backward(g):
         d_obj = g[..., 0:2] * obj * (1.0 - obj)
         d_write = _softmax_backward(g[..., 2:5], write)
-        d_a2 = (_vecmat(d_obj, obj_w.data.T) + _vecmat(d_write, write_w.data.T)) * d2
-        d_a1 = _vecmat(d_a2, w2.data.T) * d1
+        d_a2 = ((_vecmat(d_obj, obj_w.data.T) + _vecmat(d_write, write_w.data.T))
+                * _elu_slope(h2))
+        d_a1 = _vecmat(d_a2, w2.data.T) * _elu_slope(h1)
         dx = _vecmat(d_a1, w1.data.T)
         return (
             np.asarray(dx[..., 0]), np.asarray(dx[..., 1]), dx[..., 2:],

@@ -1,9 +1,12 @@
-"""Differentiable primitive ops that the model no longer calls.
+"""Differentiable primitive ops that the model no longer calls, and the
+former forms of kernels that `samnet.tensor` rewrote.
 
 `samnet.tensor` keeps only the ops the model uses; the fused ops replaced
 these. The primitive reference chains in `test_fused.py` and the op sweep
 in `test_tensor.py` still build graphs from them, so they live here with
-the forward expressions and backward rules the tape library had.
+the forward expressions and backward rules the tape library had. The
+kernel forms at the end are the references of `test_tensor.py`'s
+bit-identity tests.
 """
 
 import numpy as np
@@ -52,3 +55,39 @@ def conv2d_same3(x, w, b):
                 g.reshape(-1, cout).sum(axis=0))
 
     return T.Tensor._from_op(out, (x, w, b), backward)
+
+
+def elu_where(a):
+    """ELU as a masked select."""
+    return np.where(a > 0.0, a, np.expm1(np.minimum(a, 0.0))).astype(a.dtype, copy=False)
+
+
+def elu_slope_where(a, out):
+    """ELU's slope from its pre-activation a (or its output) and output."""
+    return np.where(a > 0.0, 1.0, out + 1.0)
+
+
+def memory_blend_matmul(m, w, v):
+    """`tensor.memory_blend`'s value, w_i * v as an (N, 1) @ (1, d) gemm."""
+    w_col = w[..., None]
+    return m * (1.0 - w_col) + w_col @ v[..., None, :]
+
+
+def lstm_direction_sliced(x, wx, wh, b, reverse=False):
+    """`tensor.lstm_direction`'s value, with one sigmoid call per gate."""
+    hh = wh.shape[0]
+    xproj = x @ wx
+    h = np.zeros(x.shape[:-2] + (hh,), dtype=x.dtype)
+    c = np.zeros_like(h)
+    length = x.shape[-2]
+    states = [None] * length
+    for i in (range(length - 1, -1, -1) if reverse else range(length)):
+        z = xproj[..., i, :] + T._vecmat(h, wh) + b
+        i_g = T._sigmoid(z[..., 0:hh])
+        f_g = T._sigmoid(z[..., hh:2 * hh])
+        g_g = np.tanh(z[..., 2 * hh:3 * hh])
+        o_g = T._sigmoid(z[..., 3 * hh:4 * hh])
+        c = f_g * c + i_g * g_g
+        h = o_g * np.tanh(c)
+        states[i] = h
+    return np.stack(states, axis=-2)

@@ -218,14 +218,17 @@ def test_non_finite_episode_is_named(tmp_path, monkeypatch, poisoned, message):
 def test_non_finite_logits_name_the_first_episode(tmp_path, monkeypatch):
     # no forward op screens the logits: only each episode's loss meets the
     # inf, and a loop of one-episode tapes stops at the first episode. The
-    # inf is put into the model `train` builds: a checkpoint holding it no
-    # longer loads
-    def poisoned(*args, **kwargs):
-        model = SAMNet(*args, **kwargs)
-        model.store["answer.b2"].data[0] = np.inf
-        return model
+    # inf is put into the model once `train` has saved its initial weights,
+    # final.ckpt then best.ckpt: a checkpoint can neither be saved nor
+    # loaded with it
+    save_model = training.save_model
 
-    monkeypatch.setattr(training, "SAMNet", poisoned)
+    def save_then_poison(path, model, cfg, step):
+        save_model(path, model, cfg, step)
+        if path.endswith("best.ckpt"):
+            model.store["answer.b2"].data[0] = np.inf
+
+    monkeypatch.setattr(training, "save_model", save_then_poison)
     cfg = tiny_cfg(tmp_path / "run", batch_size=8, data_seed=1)
     with pytest.raises(NonFiniteLossError) as exc:
         with np.errstate(all="ignore"):

@@ -202,8 +202,9 @@ def test_eval_unreadable_input_is_a_usage_error(tiny_conf, tiny_ckpt, tmp_path,
 
 
 def test_eval_malformed_files_stay_typed_errors(tiny_conf, tiny_ckpt, tmp_path):
-    from samnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+    from samnet.checkpoint import CheckpointError, load_checkpoint
     from samnet.minicog import CorpusError
+    from test_training import write_non_finite
 
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_text("not a checkpoint\n")
@@ -214,8 +215,7 @@ def test_eval_malformed_files_stay_typed_errors(tiny_conf, tiny_ckpt, tmp_path):
     with pytest.raises(CorpusError, match="bad.jsonl"):
         main(["eval", "--ckpt", str(tiny_ckpt), "--data", str(corpus)])
     arrays, hypers, _ = load_checkpoint(tiny_ckpt)
-    arrays["answer.b2"][0] = np.nan
-    save_checkpoint(ckpt, arrays, hypers)
+    write_non_finite(ckpt, arrays, hypers, "answer.b2", 0, np.nan)
     with pytest.raises(CheckpointError,
                        match="bad.ckpt: parameter answer.b2 holds a non-finite"):
         main(["eval", "--ckpt", str(ckpt), "--data", str(tiny_conf)])

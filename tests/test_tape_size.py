@@ -3,9 +3,10 @@
 `training._train_chunk` forwards and back-propagates a chunk of episodes on
 one tape, and `training._TAPE_BUDGET` sizes the chunks from what that tape
 holds per episode. The tracemalloc peak of one chunk of the budget's size,
-per episode, must stay within 5% of what it was when the budget was set,
-for toy-canonical, toy-hard and six-frame toy-canonical videos (the
-temporal transfer target). Each of these breaks all three:
+per episode, must stay within 5% of its last reading, for toy-canonical,
+toy-hard and six-frame toy-canonical videos (the temporal transfer
+target). Each of these broke all three against the readings when the
+budget was set:
 - `Tensor.backward` keeping the values it has swept: +20%, +27%, +19%;
 - the frame CNN keeping both layers' pre-activations on the tape: +16%,
   +17%, +16%;
@@ -28,7 +29,7 @@ from samnet.minicog import generate_corpus
 from samnet.training import config_from_preset
 
 # KB per episode, measured with numpy 2.4.6 on CPython 3.11
-MEASURED_KB = {"toy-canonical": 318, "toy-hard": 840, "six-frame": 466}
+MEASURED_KB = {"toy-canonical": 294, "toy-hard": 779, "six-frame": 431}
 # tape nodes of one episode's loss
 EPISODE_TAPE_NODES = {"toy-canonical": 553, "toy-hard": 1045}
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,4 +1,5 @@
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import numpy.testing as npt
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_ops import sigmoid, sub, tanh
+from reference_ops import (elu_slope_where, elu_where, lstm_direction_sliced,
+                           memory_blend_matmul, sigmoid, sub, tanh)
 from samnet import tensor as T
 from samnet.gradcheck import grad_check
 from samnet.cell import SAMNet
@@ -321,6 +323,95 @@ def test_elu_matches_definition():
     npt.assert_allclose(out, expected, rtol=1e-6)
 
 
+KERNEL_DTYPES = (np.float32, np.float64)
+
+
+def _edge_values(dtype):
+    """+-0, NaN of both signs, +-inf, denormals, +-3e38 and ordinary values."""
+    fi = np.finfo(dtype)
+    edges = [0.0, np.nan, np.inf, fi.smallest_subnormal, fi.tiny / 3, fi.tiny,
+             3e38, 1e-30, 0.5, 1.0, 2.5, 88.0]
+    return np.array(edges + [-e for e in edges], dtype=dtype)
+
+
+def _kernel_draws(dtype, shape, seed):
+    """Seeded draws over magnitudes 1e-40 to 1e2, edge values first and last."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.choice([-40, -30, -8, -3, 0, 0, 0, 1, 2], size=shape)
+    x = (rng.standard_normal(shape) * scale).astype(dtype)
+    edges = _edge_values(dtype)
+    x.reshape(-1)[:len(edges)] = edges
+    x.reshape(-1)[-len(edges):] = edges[::-1]
+    return x
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    bits = np.uint32 if got.dtype == np.float32 else np.uint64
+    assert np.array_equal(got.view(bits), want.view(bits))
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_elu_and_its_slope_keep_the_masked_select_bits(dtype):
+    for seed, shape in ((31, (8, 6, 6, 64)), (32, (1001,)), (33, (5, 7))):
+        a = _kernel_draws(dtype, shape, seed)
+        with np.errstate(all="ignore"):
+            out = T._elu(a)
+            _assert_same_bits(out, elu_where(a))
+            slope = T._elu_slope(out)
+            _assert_same_bits(slope, elu_slope_where(a, out))
+            _assert_same_bits(slope, elu_slope_where(out, out))
+            with T.precision(dtype):
+                x = T.Tensor(a, requires_grad=True)
+                y = T.elu(x)
+                g = np.ones_like(a)
+                [gx] = y._backward(g)
+        _assert_same_bits(y.data, out)
+        _assert_same_bits(gx, g * elu_slope_where(a, out))
+
+
+def _blend_operands(dtype):
+    """m, w and v over which w_i * v and m_ij * (1 - w_i) meet every pair
+    of edge values, and so every pair of signed zeros."""
+    e = _edge_values(dtype)
+    k = len(e)
+    w = np.repeat(e, k)  # row r: w = e[r // k], m = e[r % k]
+    m = np.broadcast_to(np.tile(e, k)[:, None], (k * k, k)).copy()
+    return m, w, e.copy()
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+@pytest.mark.parametrize("batch", [None, 1, 3])
+def test_memory_blend_keeps_the_gemm_bits(dtype, batch):
+    m, w, v = _blend_operands(dtype)
+    if batch:
+        rng = np.random.default_rng(37)
+        m, w, v = (np.stack([a] + [_kernel_draws(dtype, a.shape, s)
+                                   for s in rng.integers(1 << 30, size=batch - 1)])
+                   for a in (m, w, v))
+    with np.errstate(all="ignore"), T.precision(dtype):
+        with T.episode_batch() if batch else nullcontext():
+            got = T.memory_blend(m, w, v).data
+        _assert_same_bits(got, memory_blend_matmul(m, w, v))
+
+
+@pytest.mark.parametrize("dtype", KERNEL_DTYPES)
+def test_lstm_gates_keep_the_per_slice_sigmoid_bits(dtype):
+    rng = np.random.default_rng(41)
+    for batch in (None, 1, 2, 7, 32):
+        for hh in (4, 5, 16, 64):
+            lead = () if batch is None else (batch,)
+            x, wx, wh, b = (rng.standard_normal(s).astype(dtype) for s in (
+                lead + (3, 6), (6, 4 * hh), (hh, 4 * hh), (4 * hh,)))
+            if batch:  # edge values in one episode's input
+                x[-1].reshape(-1)[:] = _edge_values(dtype)[:x[-1].size]
+            with np.errstate(all="ignore"), T.precision(dtype):
+                with T.episode_batch() if batch else nullcontext():
+                    got = T.lstm_direction(x, wx, wh, b, reverse=hh % 2 == 1).data
+                want = lstm_direction_sliced(x, wx, wh, b, reverse=hh % 2 == 1)
+            _assert_same_bits(got, want)
+
+
 def _batch_of_two(*shapes):
     rng = np.random.default_rng(3)
     return [T.Tensor(rng.normal(size=s)) for s in shapes]
@@ -482,6 +573,25 @@ def test_batch_and_groups_add_the_weight_gradient_of_a_loop():
             with pytest.MonkeyPatch.context() as mp:
                 got, _ = _weight_gradient(mp, mode, "float32", lengths)
             assert np.array_equal(got, loop), (mode, lengths)
+
+
+@pytest.mark.parametrize("fold_elements", [36, 72, 108])
+def test_weight_products_fold_a_block_of_episodes_at_a_time(monkeypatch,
+                                                           fold_elements):
+    """w's (6, 6) products made 1, 2 or 3 episodes at a time add to the bits
+    of a loop of one-episode tapes."""
+    with pytest.MonkeyPatch.context() as mp:
+        loop, _ = _weight_gradient(mp, "one episode at a time", "float32",
+                                   (3, 3, 3, 3))
+    monkeypatch.setattr(T, "_FOLD_ELEMENTS", fold_elements)
+    blocks = []
+    matmul = T._transposed_product
+    monkeypatch.setattr(T, "_transposed_product",
+                        lambda x, g: blocks.append(len(x)) or matmul(x, g))
+    got, _ = _weight_gradient(monkeypatch, "batch", "float32")
+    n = fold_elements // 36
+    assert blocks == [n] * (4 // n) + [4 % n] * (4 % n > 0)
+    assert np.array_equal(got, loop)
 
 
 def test_computed_weight_is_added_on_the_spot_but_not_shared():

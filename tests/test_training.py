@@ -32,6 +32,18 @@ GATE_MODE_CKPT = DATA / "gate_mode_header.ckpt"
 GATE_MODE_LOGITS = DATA / "gate_mode_header_logits.npy"
 
 
+def write_non_finite(path, arrays, hypers, name, index, value):
+    """Save a checkpoint, then set entry `index` of parameter `name` to a
+    non-finite `value` in the file: `save_checkpoint` refuses to write one."""
+    save_checkpoint(path, arrays, hypers)
+    _, _, manifest = load_checkpoint(path)
+    [line] = [l for l in manifest.splitlines() if l.startswith(f"param {name} ")]
+    at = len(manifest.encode("utf-8")) + int(line.split()[-1]) + 4 * index
+    raw = bytearray(path.read_bytes())
+    raw[at:at + 4] = np.array(value, dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+
+
 def tiny_cfg(out_dir, **kw):
     base = dict(
         d=16, reasoning_steps=2, mem_slots=3,
@@ -351,14 +363,26 @@ class TestCheckpointFormat:
         # before: a NaN in answer.b2 loaded silently and `samnet eval` ended
         # in a bare NonFiniteError
         arrays, hypers, _ = load_checkpoint(GATE_MODE_CKPT)
-        arrays["answer.b2"][1] = value
         path = tmp_path / "m.ckpt"
-        save_checkpoint(path, arrays, hypers)
+        write_non_finite(path, arrays, hypers, "answer.b2", 1, value)
         message = "m.ckpt: parameter answer.b2 holds a non-finite value"
         with pytest.raises(CheckpointError, match=message):
             load_model(path)
         with pytest.raises(CheckpointError, match=message):
             train(tiny_cfg(tmp_path / "run"), init_from=str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_save_refuses_non_finite(self, tmp_path, value):
+        # 1e39 is finite in float64 and infinite in the file's float32
+        arrays, hypers, _ = load_checkpoint(GATE_MODE_CKPT)
+        arrays["answer.b2"] = arrays["answer.b2"].astype(np.float64)
+        arrays["answer.b2"][1] = value
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(CheckpointError,
+                           match="m.ckpt: parameter answer.b2 holds a non-finite value"):
+            with np.errstate(over="ignore"):
+                save_checkpoint(path, arrays, hypers)
+        assert list(tmp_path.iterdir()) == []
 
     def test_header_bit_flips_load_or_raise_typed(self, tmp_path):
         rng = np.random.default_rng(0)
