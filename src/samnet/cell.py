@@ -111,15 +111,11 @@ def memory_update(m_prev: Tensor, wh_prev: Tensor, rh: Tensor, vo: Tensor,
 
     w = h_r * rh + h_a * wh_prev picks the write location softly; every row
     of the result is a convex blend (1 - w_i) * old_row + w_i * vo. A zero w
-    leaves memory untouched.
+    leaves memory untouched. One `T.memory_write` node; w is returned as a
+    value only.
     """
-    n = m_prev.shape[-2]
-    if wh_prev.shape != m_prev.shape[:-1] or rh.shape != m_prev.shape[:-1]:
-        raise T.ShapeError(
-            f"write vectors must have length {n}, got rh {rh.shape}, wh {wh_prev.shape}"
-        )
-    w = T.weighted_sum(h_r, rh, h_a, wh_prev)
-    return T.memory_blend(m_prev, w, vo), w
+    m_t, w = T.memory_write(m_prev, wh_prev, rh, vo, h_r, h_a)
+    return m_t, Tensor(w)
 
 
 def write_head_update(wh_prev: Tensor, h_a: Tensor) -> Tensor:
@@ -154,10 +150,9 @@ class QuestionDrivenController:
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
         w, b = self.q_step[t - 1]
-        q_t = T.linear(q, w, b)
-        cq = T.linear(T.concat([q_t, c_prev], axis=-1), self.merge_w, self.merge_b)
         # u . (cq * cw_i) == cw_i . (u * cq), so one matvec gives all logits
-        uq = T.mul(self.attn_u, cq)
+        uq = T.control_query(q, c_prev, w, b, self.merge_w, self.merge_b,
+                             self.attn_u)
         if not T.in_episode_batch():
             qa = T.attention_weights(uq, cw)
             _check_distribution(qa.data, "question attention")
@@ -178,8 +173,7 @@ class TemporalClassifier:
         self.b2 = store.new(f"{prefix}.b2", (len(TEMPORAL_CLASSES),), fan_in=0)
 
     def classify(self, c_t: Tensor) -> Tensor:
-        hidden = T.elu(T.linear(c_t, self.w1, self.b1))
-        tau = T.softmax(T.linear(hidden, self.w2, self.b2))
+        tau = T.elu_mlp([c_t], self.w1, self.b1, self.w2, self.b2, softmax=True)
         _check_distribution(tau.data, "temporal class weights")
         return tau
 
@@ -202,8 +196,8 @@ class VisualRetrieval:
         return keys, values
 
     def retrieve(self, keys: Tensor, values: Tensor, c_t: Tensor):
-        query = T.linear(c_t, self.query_w, self.query_b)
-        va = T.attention_weights(query, keys, 1.0 / math.sqrt(self.d))
+        va = T.attention_weights(c_t, keys, 1.0 / math.sqrt(self.d),
+                                 project=(self.query_w, self.query_b))
         _check_distribution(va.data, "visual attention")
         return T.matmul(va, values), va
 
@@ -217,8 +211,8 @@ class MemoryRetrieval:
         self.query_b = store.new(f"{prefix}.query.b", (d,), fan_in=0)
 
     def retrieve(self, m: Tensor, c_t: Tensor):
-        query = T.linear(c_t, self.query_w, self.query_b)
-        rh = T.attention_weights(query, m, 1.0 / math.sqrt(self.d))
+        rh = T.attention_weights(c_t, m, 1.0 / math.sqrt(self.d),
+                                 project=(self.query_w, self.query_b))
         _check_distribution(rh.data, "read head")
         return T.matmul(rh, m), rh
 
@@ -243,8 +237,7 @@ class GateNetwork:
     def gates(self, vs: Tensor, rs: Tensor, tau: Tensor) -> Gates:
         out = T.gate_mlp(vs, rs, tau, self.w1, self.b1, self.w2, self.b2,
                          self.obj_w, self.obj_b, self.write_w, self.write_b)
-        return Gates(g_v=out[..., 0], g_m=out[..., 1], h_r=out[..., 2],
-                     h_a=out[..., 3], h_none=out[..., 4])
+        return Gates(*[T.column(out, i) for i in range(5)])
 
 
 class SummaryUpdate:
@@ -256,9 +249,9 @@ class SummaryUpdate:
 
     def update(self, vo: Tensor, mo: Tensor, g_v: Tensor, g_m: Tensor,
                so_prev: Tensor):
-        ro = T.weighted_sum(g_v, vo, g_m, mo)
-        so = T.linear(T.concat([ro, so_prev], axis=-1), self.w, self.b)
-        return so, ro
+        """One `T.mixed_linear` node; ro is returned as a value only."""
+        so, ro = T.mixed_linear(g_v, vo, g_m, mo, so_prev, self.w, self.b)
+        return so, Tensor(ro)
 
 
 class AnswerHead:
@@ -272,8 +265,7 @@ class AnswerHead:
         self.b2 = store.new(f"{prefix}.b2", (num_answers,), fan_in=0)
 
     def logits(self, so: Tensor, q: Tensor) -> Tensor:
-        h = T.elu(T.linear(T.concat([so, q], axis=-1), self.w1, self.b1))
-        return T.linear(h, self.w2, self.b2)
+        return T.elu_mlp([so, q], self.w1, self.b1, self.w2, self.b2)
 
 
 def _override_gate(value: Tensor, forced) -> Tensor:

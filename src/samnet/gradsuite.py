@@ -154,34 +154,76 @@ def _check_lstm_direction(rng, eps):
 
 def _check_attention_weights(rng, eps):
     store = _store(18)
-    query, keys = _random_params(store, rng, [("query", (4,)), ("keys", (3, 4))])
-    readout = rng.normal(size=3)
+    query, keys, w, b = _random_params(
+        store, rng, [("query", (4,)), ("keys", (3, 4)), ("w", (4, 4)), ("b", (4,))])
+    readout = rng.normal(size=(2, 3))
 
     def f():
-        return _readout_from(readout, T.attention_weights(query, keys, 0.7))
+        return T.add(
+            _readout_from(readout[0], T.attention_weights(query, keys, 0.7)),
+            _readout_from(readout[1], T.attention_weights(
+                query, keys, 0.7, project=(w, b))))
 
     return grad_check(f, store.parameters(), eps=eps)
 
 
-def _check_weighted_sum(rng, eps):
+def _check_control_query(rng, eps):
     store = _store(19)
-    a, x, b, y = _random_params(
-        store, rng, [("a", ()), ("x", (3,)), ("b", ()), ("y", (3,))])
-    readout = rng.normal(size=3)
+    params = _random_params(store, rng, [
+        ("q", (3,)), ("c_prev", (2,)), ("w", (3, 4)), ("b", (4,)),
+        ("merge_w", (6, 4)), ("merge_b", (4,)), ("u", (4,)),
+    ])
+    readout = rng.normal(size=4)
 
     def f():
-        return _readout_from(readout, T.weighted_sum(a, x, b, y))
+        return _readout_from(readout, T.control_query(*params))
 
     return grad_check(f, store.parameters(), eps=eps)
 
 
-def _check_memory_blend(rng, eps):
+def _check_elu_mlp(rng, eps):
     store = _store(20)
-    m, w, v = _random_params(store, rng, [("m", (3, 4)), ("w", (3,)), ("v", (4,))])
+    x, y, w1, b1, w2, b2, w0 = _random_params(store, rng, [
+        ("x", (3,)), ("y", (2,)), ("w1", (5, 4)), ("b1", (4,)),
+        ("w2", (4, 3)), ("b2", (3,)), ("w0", (3, 4))])
+    readout = rng.normal(size=(2, 3))
+
+    def f():  # two parts, as the answer head; one part and a softmax
+        return T.add(
+            _readout_from(readout[0], T.elu_mlp([x, y], w1, b1, w2, b2)),
+            _readout_from(readout[1], T.elu_mlp([x], w0, b1, w2, b2, softmax=True)))
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+def _check_mixed_linear(rng, eps):
+    # the weights are gate columns, as the summary update reads them
+    store = _store(23)
+    raw, x, y, z, w, b = _random_params(store, rng, [
+        ("raw", (5,)), ("x", (3,)), ("y", (3,)), ("z", (2,)), ("w", (5, 4)),
+        ("b", (4,))])
+    readout = rng.normal(size=4)
+
+    def f():
+        gates = T.softmax(raw)
+        out, _ = T.mixed_linear(T.column(gates, 0), x, T.column(gates, 1), y,
+                                z, w, b)
+        return _readout_from(readout, out)
+
+    return grad_check(f, store.parameters(), eps=eps)
+
+
+def _check_memory_write(rng, eps):
+    store = _store(24)
+    m, raw, wh, rh, v = _random_params(store, rng, [
+        ("m", (3, 4)), ("raw", (3,)), ("wh", (3,)), ("rh", (3,)), ("v", (4,))])
     readout = rng.normal(size=(3, 4))
 
     def f():
-        return _readout_from(readout, T.memory_blend(m, w, v))
+        write = T.softmax(raw)  # (h_r, h_a, h_none), as the gate network gives
+        out, _ = T.memory_write(m, wh, rh, v, T.column(write, 0),
+                                T.column(write, 1))
+        return _readout_from(readout, out)
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -306,21 +348,21 @@ def _check_gates(rng, eps):
     return grad_check(f, store.parameters(), eps=eps)
 
 
-def _check_memory_write(rng, eps):
+def _check_memory_update(rng, eps):
     store = _store(12)
     m, vo, raw = _random_params(
         store, rng, [("m", (3, 4)), ("vo", (4,)), ("raw", (3,))])
     wh_prev = T.Tensor(np.random.default_rng(1).dirichlet(np.ones(3)))
     rh = T.Tensor(np.random.default_rng(2).dirichlet(np.ones(3)))
     readout = rng.normal(size=(3, 4))
-    head_readout = rng.normal(size=(2, 3))
+    head_readout = rng.normal(size=3)
 
     def f():
         write = T.softmax(raw)  # (h_r, h_a, h_none), as the gate network gives
-        m_t, w = memory_update(m, wh_prev, rh, vo, write[0], write[1])
-        wh_t = write_head_update(wh_prev, write[1])
-        return T.add(_readout_from(readout, m_t),
-                     _readout_from(head_readout, T.stack([w, wh_t])))
+        gates = T.column(write, 0), T.column(write, 1)
+        m_t, _ = memory_update(m, wh_prev, rh, vo, *gates)
+        wh_t = write_head_update(wh_prev, gates[1])
+        return T.add(_readout_from(readout, m_t), _readout_from(head_readout, wh_t))
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -403,8 +445,10 @@ _CHECKS = [
     ("linear", _check_linear),
     ("lstm_direction", _check_lstm_direction),
     ("attention_weights", _check_attention_weights),
-    ("weighted_sum", _check_weighted_sum),
-    ("memory_blend", _check_memory_blend),
+    ("control_query", _check_control_query),
+    ("elu_mlp", _check_elu_mlp),
+    ("mixed_linear", _check_mixed_linear),
+    ("memory_write", _check_memory_write),
     ("write_head_shift", _check_write_head_shift),
     ("gate_mlp", _check_gate_mlp),
     ("question_encoder", _check_question_encoder),
@@ -414,7 +458,7 @@ _CHECKS = [
     ("visual_retrieval", _check_visual),
     ("memory_retrieval", _check_memory_read),
     ("gate_network", _check_gates),
-    ("memory_update", _check_memory_write),
+    ("memory_update", _check_memory_update),
     ("summary_update", _check_summary),
     ("cell_two_steps", _check_cell_step),
     ("full_episode_2frames", _check_full_episode),

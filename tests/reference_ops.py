@@ -2,9 +2,11 @@
 former forms of kernels that `samnet.tensor` rewrote.
 
 `samnet.tensor` keeps only the ops the model uses; the fused ops replaced
-these. The primitive reference chains in `test_fused.py` and the op sweep
-in `test_tensor.py` still build graphs from them, so they live here with
-the forward expressions and backward rules the tape library had. The
+these (`mul`, `weighted_sum` and `memory_blend` were the model's until
+the controller, summary and memory write were fused). The primitive
+reference chains in `test_fused.py` and the op sweep in `test_tensor.py`
+still build graphs from them, so they live here with the forward
+expressions and backward rules the tape library had. The
 kernel forms at the end are the references of `test_tensor.py`'s
 bit-identity tests.
 """
@@ -33,6 +35,59 @@ def sigmoid(a):
     a = T.as_tensor(a)
     out = T._sigmoid(a.data)
     return T.Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def mul(a, b):
+    """Elementwise product with broadcasting. Inside `episode_batch` an
+    operand with one axis fewer than the other is shared by the episodes."""
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    out = a.data * b.data
+    in_batch, rows = T.in_episode_batch(), T._BATCH_ROWS
+
+    def grad(t, other, g):
+        if not t.requires_grad:
+            return None
+        if in_batch and t.ndim < other.ndim:
+            return T.PerEpisode(None, g * other.data, rows=rows)
+        return T._unbroadcast(g * other.data, t.data.shape)
+
+    return T.Tensor._from_op(out, (a, b), lambda g: (grad(a, b, g), grad(b, a, g)))
+
+
+def weighted_sum(a, x, b, y):
+    """a * x + b * y for scalar (0-d) weights a and b and vectors x and y;
+    inside `episode_batch`, the weights are (B,) and the vectors (B, d)."""
+    a, x, b, y = (T.as_tensor(t) for t in (a, x, b, y))
+    out = a.data[..., None] * x.data + b.data[..., None] * y.data
+
+    def backward(g):
+        return (
+            np.asarray((g * x.data).sum(axis=-1)) if a.requires_grad else None,
+            g * a.data[..., None] if x.requires_grad else None,
+            np.asarray((g * y.data).sum(axis=-1)) if b.requires_grad else None,
+            g * b.data[..., None] if y.requires_grad else None,
+        )
+
+    return T.Tensor._from_op(out, (a, x, b, y), backward)
+
+
+def memory_blend(m, w, v):
+    """Row i of the result is (1 - w_i) * m_i + w_i * v, for m (N, d); inside
+    `episode_batch`, m is (B, N, d), w (B, N) and v (B, d)."""
+    m, w, v = T.as_tensor(m), T.as_tensor(w), T.as_tensor(v)
+    w_col = w.data[..., None]
+
+    def backward(g):
+        gw = None
+        if w.requires_grad:
+            gw = T._matvec(g, v.data) - (g * m.data).sum(axis=-1)
+        return (
+            g * (1.0 - w_col) if m.requires_grad else None,
+            gw,
+            T._vecmat(w.data, g) if v.requires_grad else None,
+        )
+
+    return T.Tensor._from_op(T._blend(m.data, w.data, v.data), (m, w, v), backward)
 
 
 def conv2d_same3(x, w, b):
@@ -68,7 +123,7 @@ def elu_slope_where(a, out):
 
 
 def memory_blend_matmul(m, w, v):
-    """`tensor.memory_blend`'s value, w_i * v as an (N, 1) @ (1, d) gemm."""
+    """`tensor._blend`'s value, w_i * v as an (N, 1) @ (1, d) gemm."""
     w_col = w[..., None]
     return m * (1.0 - w_col) + w_col @ v[..., None, :]
 

@@ -581,8 +581,8 @@ def backward_walk_size(root) -> int:
 
 
 def test_canonical_episode_tape_stays_fused():
-    # one fused node per layer keeps a toy-canonical episode near 600 nodes;
-    # the unfused primitive chains recorded about 1,450
+    # one fused node per layer of a reasoning step keeps a toy-canonical
+    # episode near 300 nodes; unfused primitive chains recorded about 1,450
     from samnet.minicog import episode_stream
     from samnet.training import config_from_preset
 
@@ -590,4 +590,4 @@ def test_canonical_episode_tape_stays_fused():
     model = SAMNet(cfg.model_config(), init_seed=0)
     ep = next(episode_stream(cfg.episode_config(), cfg.task_family_weights(), 0))
     loss = model.episode_loss(ep.token_ids, ep.frames_symbolic(), ep.answer_ids)
-    assert backward_walk_size(loss) <= 650
+    assert backward_walk_size(loss) <= 335

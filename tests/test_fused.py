@@ -4,7 +4,10 @@ Each fused op in `samnet.tensor` must give the same forward values, bit for
 bit in float32, as the primitive chain that the model used before it was
 fused, and the same gradients up to float64 rounding. The chains here are
 those reference graphs; the per-token LSTM loop is the question encoder's
-former `_run_direction`. The primitive ops that only these chains use
+former `_run_direction`. The step's fused layers are also checked as the
+model runs them, for one episode and a batch, from the shared learned
+initial state and with forced gates: logits and parameter gradients equal
+the former step's bit for bit. The primitive ops that only these chains use
 (the elementwise ops and the unfused convolution) come from `reference_ops`.
 The episode loss has two references: evaluation's former numpy loss for
 its value, and training's former per-frame chain for its gradient.
@@ -16,9 +19,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reference_ops import conv2d_same3, sigmoid, sub, tanh
+from reference_ops import (conv2d_same3, memory_blend, mul, sigmoid, sub, tanh,
+                           weighted_sum)
 from samnet import tensor as T
-from samnet.cell import GateNetwork, SAMNet
+from samnet.cell import (CellState, GateNetwork, MemoryState, ModelConfig,
+                         SAMNet, _override_gate)
 from samnet.encoders import QuestionEncoder
 from samnet.gradsuite import _readout_from
 from samnet.minicog import generate_corpus
@@ -45,14 +50,14 @@ def chain_lstm_direction(x, wx, wh, b, reverse=False):
         f_g = sigmoid(z[hh:2 * hh])
         g = tanh(z[2 * hh:3 * hh])
         o_g = sigmoid(z[3 * hh:4 * hh])
-        c = T.add(T.mul(f_g, c), T.mul(i_g, g))
-        h = T.mul(o_g, tanh(c))
+        c = T.add(mul(f_g, c), mul(i_g, g))
+        h = mul(o_g, tanh(c))
         states[i] = h
     return T.stack(states)
 
 
 def chain_attention_weights(query, keys, scale):
-    return T.softmax(T.mul(T.matmul(keys, query), scale))
+    return T.softmax(mul(T.matmul(keys, query), scale))
 
 
 def chain_cross_entropy_forward(logits: np.ndarray, target: int) -> np.ndarray:
@@ -81,20 +86,60 @@ def chain_episode_loss(logits, answers):
 
 
 def chain_weighted_sum(a, x, b, y):
-    return T.add(T.mul(a, x), T.mul(b, y))
+    return T.add(mul(a, x), mul(b, y))
 
 
 def chain_memory_blend(m, w, v):
     n = m.shape[0]
     w_col = T.reshape(w, (n, 1))
-    keep = T.mul(m, sub(1.0, w_col))
+    keep = mul(m, sub(1.0, w_col))
     return T.add(keep, T.matmul(w_col, T.reshape(v, (1, v.shape[0]))))
 
 
 def chain_write_head_shift(wh, h_a):
     # a gather by the rotated index is the former one-step roll op
     shifted = T.select(wh, np.roll(np.arange(wh.shape[0]), 1))
-    return T.add(T.mul(h_a, shifted), T.mul(sub(1.0, h_a), wh))
+    return T.add(mul(h_a, shifted), mul(sub(1.0, h_a), wh))
+
+
+# The model's graphs before its step layers were fused, for one episode or
+# inside `episode_batch`: `weighted_sum`, `memory_blend` and `mul` were
+# model ops then, and a gate was a `select` of `gate_mlp`'s output.
+
+def chain_control_query(q, c_prev, w, b, merge_w, merge_b, u):
+    q_t = T.linear(q, w, b)
+    return mul(u, T.linear(T.concat([q_t, c_prev], axis=-1), merge_w, merge_b))
+
+
+def chain_elu_mlp(parts, w1, b1, w2, b2, softmax=False):
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+    out = T.linear(T.elu(T.linear(x, w1, b1)), w2, b2)
+    return T.softmax(out) if softmax else out
+
+
+def chain_mixed_linear(a, x, b, y, z, w, bias):
+    return T.linear(T.concat([weighted_sum(a, x, b, y), z], axis=-1), w, bias)
+
+
+def chain_memory_write(m, wh, rh, v, h_r, h_a):
+    return memory_blend(m, weighted_sum(h_r, rh, h_a, wh), v)
+
+
+def chain_projected_attention(query, keys, scale, w, b):
+    return T.attention_weights(T.linear(query, w, b), keys, scale)
+
+
+def select_gate(gates, i):
+    return gates[..., i]
+
+
+def gate_consumers(gate, gates, m, wh, rh, v, vo, mo, so, w, bias):
+    """The step's three gate readers, on the gates `gate(gates, i)`,
+    joined into one output."""
+    g_v, g_m, h_r, h_a = (gate(gates, i) for i in range(4))
+    mem = T.memory_write(m, wh, rh, v, h_r, h_a)[0]
+    so_t = T.mixed_linear(g_v, vo, g_m, mo, so, w, bias)[0]
+    return T.concat([T.reshape(mem, (-1,)), T.write_head_shift(wh, h_a), so_t])
 
 
 def chain_conv_elu(x, *layers):
@@ -141,6 +186,12 @@ def cases(rng):
     h_r, h_a = scalar(rng), scalar(rng)
     grids, w1, b1, w2, b2 = leaves(rng, (2, 4, 3, 3), (3, 3, 3, 5), (5,),
                                    (3, 3, 5, 4), (4,))
+    u, merge_w, t_w2, t_b2, a_w1, a_b1, pw, pb, s_w = leaves(
+        rng, (7,), (13, 7), (7, 4), (4,), (10, 6), (6,), (6, 6), (6,), (12, 6))
+    head, gates = probability(rng, 4), probability(rng, 5)
+    mix_inputs = [h_r, vo, h_a, x1, x1, s_w, pb]
+    mem_inputs = [m, head, rh, vo, h_r, h_a]
+    gate_inputs = [gates, m, head, rh, vo, vo, x1, x1, s_w, pb]
     return [
         ("linear_rank1", lambda: T.linear(x1, w, b),
          lambda: chain_linear(x1, w, b), [x1, w, b]),
@@ -153,11 +204,27 @@ def cases(rng):
          [xs, wx, wh, lb]),
         ("attention_weights", lambda: T.attention_weights(query, keys, 0.125),
          lambda: chain_attention_weights(query, keys, 0.125), [query, keys]),
-        ("weighted_sum", lambda: T.weighted_sum(h_r, vec_x, h_a, vec_y),
-         lambda: chain_weighted_sum(h_r, vec_x, h_a, vec_y),
-         [h_r, vec_x, h_a, vec_y]),
-        ("memory_blend", lambda: T.memory_blend(m, w_mix, vo),
-         lambda: chain_memory_blend(m, w_mix, vo), [m, w_mix, vo]),
+        ("attention_weights_projected",
+         lambda: T.attention_weights(x1, keys, 0.25, project=(pw, pb)),
+         lambda: chain_projected_attention(x1, keys, 0.25, pw, pb),
+         [x1, keys, pw, pb]),
+        ("control_query", lambda: T.control_query(x1, query, w, b, merge_w, b, u),
+         lambda: chain_control_query(x1, query, w, b, merge_w, b, u),
+         [x1, query, w, b, merge_w, u]),
+        ("elu_mlp_softmax",
+         lambda: T.elu_mlp([x1], w, b, t_w2, t_b2, softmax=True),
+         lambda: chain_elu_mlp([x1], w, b, t_w2, t_b2, softmax=True),
+         [x1, w, b, t_w2, t_b2]),
+        ("elu_mlp_two_parts", lambda: T.elu_mlp([x1, vec_x], a_w1, a_b1, pw, pb),
+         lambda: chain_elu_mlp([x1, vec_x], a_w1, a_b1, pw, pb),
+         [x1, vec_x, a_w1, a_b1, pw, pb]),
+        ("mixed_linear", lambda: T.mixed_linear(*mix_inputs)[0],
+         lambda: chain_mixed_linear(*mix_inputs), mix_inputs),
+        ("memory_write", lambda: T.memory_write(*mem_inputs)[0],
+         lambda: chain_memory_blend(m, chain_weighted_sum(h_r, rh, h_a, head), vo),
+         mem_inputs),
+        ("gate_columns", lambda: gate_consumers(T.column, *gate_inputs),
+         lambda: gate_consumers(select_gate, *gate_inputs), gate_inputs),
         ("write_head_shift", lambda: T.write_head_shift(rh, h_a),
          lambda: chain_write_head_shift(rh, h_a), [rh, h_a]),
         ("conv_elu_one_layer", lambda: T.conv2d_same3_elu(grids, (w1, b1)),
@@ -427,3 +494,100 @@ def test_no_grad_forward_equals_recorded_forward():
     with T.no_grad():
         plain = model.episode_forward(tokens, frames).data
     assert np.array_equal(recorded, plain)
+
+
+def chain_cell_step(cell, q, cw, keys, values, state, mem, t, overrides):
+    """`SAMCell.step` as it was before its layers were fused."""
+    ctrl, clf, gate_net = cell.controller, cell.temporal, cell.gate_net
+    w, b = ctrl.q_step[t - 1]
+    uq = chain_control_query(q, state.c, w, b, ctrl.merge_w, ctrl.merge_b,
+                             ctrl.attn_u)
+    if T.in_episode_batch():
+        c_t, _ = T.grouped_attention_read(uq, cw)
+    else:
+        c_t = T.matmul(T.attention_weights(uq, cw), cw)
+    tau = chain_elu_mlp([c_t], clf.w1, clf.b1, clf.w2, clf.b2, softmax=True)
+    scale = 1.0 / np.sqrt(cell.config.d)
+    va = chain_projected_attention(c_t, keys, scale, cell.visual.query_w,
+                                   cell.visual.query_b)
+    rh = chain_projected_attention(c_t, mem.m, scale, cell.memread.query_w,
+                                   cell.memread.query_b)
+    vo, mo = T.matmul(va, values), T.matmul(rh, mem.m)
+    out = T.gate_mlp(T.attention_aggregate(va), T.attention_aggregate(rh), tau,
+                     gate_net.w1, gate_net.b1, gate_net.w2, gate_net.b2,
+                     gate_net.obj_w, gate_net.obj_b, gate_net.write_w,
+                     gate_net.write_b)
+    g_v, g_m, h_r, h_a = (_override_gate(out[..., i], overrides.get(name))
+                          for i, name in enumerate(("g_v", "g_m", "h_r", "h_a")))
+    m_t = chain_memory_write(mem.m, mem.wh, rh, vo, h_r, h_a)
+    wh_t = T.write_head_shift(mem.wh, h_a)
+    so_t = chain_mixed_linear(g_v, vo, g_m, mo, state.so, cell.summary.w,
+                              cell.summary.b)
+    return CellState(c=c_t, so=so_t), MemoryState(m=m_t, wh=wh_t)
+
+
+def cell_steps_loss(net, tokens, features, answers, step, head):
+    """Three reasoning steps over one frame from the learned initial state
+    (t = 1 reads the shared `cell.c0` and `cell.so0`), then the answer head:
+    the fused model's or the chain's, by `step` and `head`."""
+    cell = net.cell
+    enc = net.question_encoder.encode(tokens)
+    keys, values = cell.visual.project(features)
+    state = cell.initial_state()
+    batch = len(tokens) if T.in_episode_batch() else None
+    mem = MemoryState.initial(3, cell.config.d, batch)
+    for t in range(1, cell.config.steps + 1):
+        state, mem = step(enc.q, enc.cw, keys, values, state, mem, t)
+    logits = head(state.so, enc.q)
+    return logits, T.cross_entropy_logits(logits, answers)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"h_r": 0.0, "h_a": 0.0}, {"g_v": 1.0},
+    {"g_m": 0.0, "h_r": 0.0, "h_a": 0.0},  # a model without memory
+])
+@pytest.mark.parametrize("batched", [False, True])
+def test_fused_cell_steps_equal_the_former_chains(batched, overrides):
+    # float32: logits and every parameter gradient bit for bit; float64:
+    # gradients within 1e-10. The batch has two question lengths.
+    cfg = ModelConfig(vocab_size=9, num_answers=5, in_channels=4, d=8, steps=3,
+                      mem_slots=3)
+    for dtype in ("float32", "float64"):
+        with T.precision(dtype):
+            net = SAMNet(cfg, init_seed=17)
+            rng = np.random.default_rng(18)
+            tokens = [[1, 4, 2, 7], [3, 5], [6, 0, 2, 8]]
+            features = T.Tensor(rng.normal(size=(3, 6, 8)))
+            answers = np.array([0, 3, 4])
+            if not batched:
+                tokens, features, answers = tokens[0], features.data[0], answers[0]
+
+            def fused_step(*args):
+                return net.cell.step(*args, gate_overrides=overrides)
+
+            def chain_step(*args):
+                return chain_cell_step(net.cell, *args, overrides)
+
+            def chain_head(so, q):
+                head = net.answer_head
+                return chain_elu_mlp([so, q], head.w1, head.b1, head.w2, head.b2)
+
+            results = []
+            for step, head in ((fused_step, net.answer_head.logits),
+                               (chain_step, chain_head)):
+                net.store.zero_grad()
+                with T.episode_batch() if batched else nullcontext():
+                    logits, loss = cell_steps_loss(net, tokens, features,
+                                                   answers, step, head)
+                    value = logits.data.copy()
+                loss.backward()
+                results.append((value, [np.zeros(0) if p.grad is None else p.grad
+                                        for p in net.store.parameters()]))
+            (got, got_grads), (want, want_grads) = results
+            assert np.array_equal(got, want)
+            for p, a, b in zip(net.store.parameters(), got_grads, want_grads):
+                if dtype == "float32":
+                    assert np.array_equal(a, b), p.name
+                else:
+                    npt.assert_allclose(a, b, rtol=1e-10, atol=1e-13, err_msg=p.name)
+

@@ -8,8 +8,9 @@ from samnet.gradsuite import run_gradient_suite
 
 CHECK_NAMES = [
     "softmax_cross_entropy", "dot_attention", "elu", "conv2d_same3_elu",
-    "linear", "lstm_direction", "attention_weights", "weighted_sum",
-    "memory_blend", "write_head_shift", "gate_mlp", "question_encoder",
+    "linear", "lstm_direction", "attention_weights", "control_query",
+    "elu_mlp", "mixed_linear", "memory_write", "write_head_shift", "gate_mlp",
+    "question_encoder",
     "frame_encoder", "controller_step", "temporal_classifier",
     "visual_retrieval", "memory_retrieval", "gate_network", "memory_update",
     "summary_update", "cell_two_steps", "full_episode_2frames",

@@ -26,6 +26,9 @@ RUNS = {
     "toy-canonical": (8, 12, 4, 60),
     "toy-hard": (6, 6, 3, 40),
 }
+# A model without memory: its gates g_m, h_r and h_a are forced to 0, so
+# only g_v carries a gradient into the gate network.
+MEMORYLESS_RUN = ("toy-canonical", 8, 10, 2, 40)
 EVAL_EPISODES = 120
 EVAL_SEED = 20191126
 
@@ -46,6 +49,14 @@ RUN_DIGESTS = {
         "best.ckpt":
             "8083f67290b2b85ccfb8cfaaf8bf8c8a76c4ea1c2d740af38b80c413667a83f2",
     },
+}
+MEMORYLESS_DIGESTS = {
+    "metrics.csv":
+        "def5a0cbeba5b85ad0e6a9a3bb492ab9c8aafef4ba17ab085b4be6058a793d0d",
+    "final.ckpt":
+        "73e4561697e021d58844d842af9dd29f525492f5fb449f17029c3eb020d6d536",
+    "best.ckpt":
+        "ca65f7cba9cf41af5aa34afeb093d59223fd0cb1ab36158e7bc24e2ba52d0840",
 }
 EVAL_DIGESTS = {
     ():
@@ -92,6 +103,21 @@ def test_trained_run_is_pinned(runs, preset):
                "final.ckpt": payload_digest(result.final_checkpoint),
                "best.ckpt": payload_digest(result.best_checkpoint)}
     assert got == RUN_DIGESTS[preset]
+
+
+def test_memoryless_run_is_pinned(tmp_path):
+    # the gradient path of forced gates, which evaluation pins do not reach
+    preset, batch, steps, every, val = MEMORYLESS_RUN
+    cfg = config_from_preset(
+        preset, task_family="all", memory_enabled=False, batch_size=batch,
+        max_steps=steps, eval_every=every, val_episodes=val,
+        out_dir=str(tmp_path))
+    result = train(cfg, deterministic=True)
+    with open(result.metrics_path, "rb") as fh:
+        got = {"metrics.csv": sha256(fh.read()),
+               "final.ckpt": payload_digest(result.final_checkpoint),
+               "best.ckpt": payload_digest(result.best_checkpoint)}
+    assert got == MEMORYLESS_DIGESTS
 
 
 def test_eval_json_is_pinned(runs, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_ops import (elu_slope_where, elu_where, lstm_direction_sliced,
-                           memory_blend_matmul, sigmoid, sub, tanh)
+                           memory_blend_matmul, mul, sigmoid, sub, tanh)
 from samnet import tensor as T
 from samnet.gradcheck import grad_check
 from samnet.cell import SAMNet
@@ -203,16 +203,18 @@ def test_ops_grad_check_random_shapes(seed):
         tau, *gate_params = _rand_params(
             store, rng, [(4,), (6, 2), (2,), (2, 2), (2,), (2, 2), (2,),
                          (2, 3), (3,)], prefix="gate")
+        mlp_w1, mlp_b1, mlp_w2, mlp_b2, merge_w = _rand_params(
+            store, rng, [(2 * n, 3), (3,), (3, m), (m,), (m + n, m)], prefix="fused")
 
         def sumsq(t):
             return T.attention_aggregate(T.reshape(t, (-1,)))
 
         def f():
             a = T.softmax(v)
-            b = T.elu(T.add(v, T.mul(w, 0.7)))
+            b = T.elu(T.add(v, mul(w, 0.7)))
             c = sigmoid(sub(v, w))
             d = tanh(T.div(v, 2.0))
-            e = T.matmul(mat, T.add(a, T.mul(b, c)))
+            e = T.matmul(mat, T.add(a, mul(b, c)))
             e = T.add(e, T.matmul(T.matmul(d, mat2), np.eye(m)))
             conv = T.conv2d_same3_elu(img, (kern, bias), (kern, bias))
             cs = sumsq(conv)
@@ -224,10 +226,17 @@ def test_ops_grad_check_random_shapes(seed):
             states = T.lstm_direction(mat, wx, wh, lstm_b, reverse=seed % 3 == 0)
             att = T.attention_weights(w, mat, 0.5)
             ce = T.cross_entropy_logits(lin, seed % m)
-            mix = T.weighted_sum(v[0], e, w[0], lin)
-            blend = T.memory_blend(mat, att, v)
             gates = T.gate_mlp(sigmoid(v[0]), sigmoid(w[0]), T.softmax(tau),
                                *gate_params)
+            # the gate columns reach their source through the fused ops
+            mix, _ = T.mixed_linear(T.column(gates, 0), e, T.column(gates, 1),
+                                    lin, v, merge_w, lin_b)
+            blend, _ = T.memory_write(mat, att, T.softmax(lin), v,
+                                      T.column(gates, 2), T.column(gates, 3))
+            query = T.control_query(v, w, mat2, lin_b, merge_w, lin_b, lin)
+            mlp = T.elu_mlp([v, w], mlp_w1, mlp_b1, mlp_w2, mlp_b2,
+                            softmax=seed % 2 == 0)
+            att2 = T.attention_weights(v, lin2, 0.5, project=(mat2, lin_b))
             fused = T.add(
                 T.add(sumsq(lin2), sumsq(states)),
                 T.add(T.add(T.matmul(att, T.Tensor(np.arange(m))), ce),
@@ -235,6 +244,9 @@ def test_ops_grad_check_random_shapes(seed):
                             T.add(sumsq(blend),
                                   T.matmul(T.Tensor(np.arange(5.0)), gates)))),
             )
+            fused = T.add(fused, T.add(
+                T.add(T.matmul(T.Tensor(readout), query), sumsq(mlp)),
+                T.matmul(att2, T.Tensor(np.arange(m)))))
             return T.add(
                 T.add(T.add(T.matmul(T.Tensor(readout), e), cs), fused),
                 T.add(T.add(agg, _readout_from(np.ones(m + 1), cat)), sumsq(rolled)),
@@ -390,9 +402,7 @@ def test_memory_blend_keeps_the_gemm_bits(dtype, batch):
                                    for s in rng.integers(1 << 30, size=batch - 1)])
                    for a in (m, w, v))
     with np.errstate(all="ignore"), T.precision(dtype):
-        with T.episode_batch() if batch else nullcontext():
-            got = T.memory_blend(m, w, v).data
-        _assert_same_bits(got, memory_blend_matmul(m, w, v))
+        _assert_same_bits(T._blend(m, w, v), memory_blend_matmul(m, w, v))
 
 
 @pytest.mark.parametrize("dtype", KERNEL_DTYPES)
@@ -428,11 +438,17 @@ BATCHED_OPS = {
     "gate_mlp": lambda: T.gate_mlp(*_batch_of_two(
         (2,), (2,), (2, 4), (6, 3), (3,), (3, 3), (3,), (3, 2), (2,),
         (3, 3), (3,))),
-    "weighted_sum": lambda: T.weighted_sum(
-        *_batch_of_two((2,), (2, 3), (2,), (2, 3))),
+    "attention_weights_projected": lambda: T.attention_weights(
+        *_batch_of_two((2, 4), (2, 3, 5)), project=_batch_of_two((4, 5), (5,))),
+    "control_query": lambda: T.control_query(*_batch_of_two(
+        (2, 3), (2, 4), (3, 5), (5,), (9, 5), (5,), (5,))),
+    "elu_mlp": lambda: T.elu_mlp(
+        _batch_of_two((2, 3), (2, 2)), *_batch_of_two((5, 4), (4,), (4, 3), (3,))),
+    "mixed_linear": lambda: T.mixed_linear(*_batch_of_two(
+        (2,), (2, 3), (2,), (2, 3), (2, 3), (6, 4), (4,)))[0],
     "matmul": lambda: T.matmul(*_batch_of_two((2, 3), (2, 3, 4))),
-    "memory_blend": lambda: T.memory_blend(
-        *_batch_of_two((2, 4, 3), (2, 4), (2, 3))),
+    "memory_write": lambda: T.memory_write(*_batch_of_two(
+        (2, 4, 3), (2, 4), (2, 4), (2, 3), (2,), (2,)))[0],
     "write_head_shift": lambda: T.write_head_shift(*_batch_of_two((2, 4), (2,))),
     "cross_entropy_logits": lambda: T.cross_entropy_logits(
         *_batch_of_two((2, 3, 5)), np.array([[0, 4, 2], [1, 1, 3]])),
