@@ -26,7 +26,7 @@ class CheckpointError(RuntimeError):
 
 
 def _shape_str(shape) -> str:
-    return "x".join(str(int(e)) for e in shape) if shape else "1"
+    return "x".join(str(int(e)) for e in shape)
 
 
 def _count(text: str) -> int:
@@ -42,7 +42,9 @@ def _parse_shape(s: str):
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray], hypers: dict[str, str]) -> None:
     """Write parameters and hyperparameter key-values atomically. Raises
-    CheckpointError, naming the path, on a NaN or infinite float32 value."""
+    CheckpointError, naming the path and the parameter, on a 0-d array,
+    whose shape the header cannot hold, and on a NaN or infinite float32
+    value."""
     lines = [MAGIC]
     for key in hypers:
         value = str(hypers[key])
@@ -54,6 +56,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], hypers: dict[str, str])
     for name, a in arrays.items():
         if " " in name:
             raise ValueError(f"invalid parameter name {name!r}")
+        if np.ndim(a) == 0:
+            raise CheckpointError(f"{path}: parameter {name} is 0-d")
         blob = np.ascontiguousarray(a, dtype=_F32)
         if not np.isfinite(blob).all():
             raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")

@@ -1,9 +1,17 @@
-"""The full gradient-verification suite: every sub-unit, a whole episode,
-and a ragged batch of episodes on one tape.
+"""The full gradient-verification suite: every tape op from one table, then
+every model component, a whole episode, and a ragged batch of episodes on
+one tape.
 
-Each check builds a small seeded instance of one component, reduces its
-output to a scalar through one fixed random readout ``<out, R>``
-(`_readout_from`), and compares tape gradients against central
+`OPS` declares each variant of each public differentiable op of
+`samnet.tensor` once: how to draw its operands over named sizes, which of
+them carry the batch axis inside `episode_batch`, and the call. The suite's
+op checks are generated from it, and so are the op tests in
+``tests/test_ops.py``, with the reference chains of
+``tests/reference_ops.py``. The component and model checks build modules,
+so each is written out.
+
+Each check reduces its output to a scalar through one fixed random readout
+``<out, R>`` (`_readout_from`), and compares tape gradients against central
 differences. Thresholds depend on scalar precision: float64 runs must stay
 below 1e-5, float32 runs below 1e-3 (finite differences themselves carry
 ~1e-4 noise at that precision).
@@ -11,8 +19,11 @@ below 1e-5, float32 runs below 1e-3 (finite differences themselves carry
 
 from __future__ import annotations
 
+import inspect
 import zlib
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +43,7 @@ from .cell import (
 )
 from .encoders import FrameEncoder, QuestionEncoder
 from .gradcheck import grad_check
-from .params import ParameterStore
+from .params import Parameter, ParameterStore
 
 
 @dataclass
@@ -60,198 +71,190 @@ def _readout_from(weights, out):
     return T.matmul(T.Tensor(r), T.reshape(out, (-1,)))
 
 
-def _random_params(store, rng, specs):
-    """One parameter per (name, shape) or (name, shape, scale) spec, drawn
-    in order as scale * N(0, 1) in the suite's dtype."""
-    out = []
-    for name, shape, *scale in specs:
-        p = store.new(name, shape, fan_in=1)
-        draw = rng.normal(size=shape) * (scale[0] if scale else 1.0)
-        p.data = np.asarray(draw, dtype=T.default_dtype())
-        out.append(p)
-    return out
+class Draw:
+    """Draws operands from one generator: a tensor is a leaf `Parameter`
+    holding scale * N(0, 1) + shift in the suite's dtype."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.count = 0
+
+    def __call__(self, *shape, scale=1.0, shift=0.0) -> Parameter:
+        self.count += 1
+        return Parameter(f"x{self.count}",
+                         self.rng.normal(size=shape) * scale + shift)
+
+    def ints(self, high, *shape):
+        """Integers in [0, high): class indices, token ids, an index."""
+        return self.rng.integers(high, size=shape)
+
+    def partition(self, *sizes):
+        """Row sets of a random split of sizes[0] + sizes[1] + ... rows."""
+        perm = self.rng.permutation(sum(sizes))
+        return np.split(perm, np.cumsum(sizes)[:-1])
 
 
-def _check_softmax_and_ce(rng, eps):
-    store = _store(1)
-    logits, = _random_params(store, rng, [("logits", (6,))])
+@dataclass(frozen=True)
+class Op:
+    """One variant of a tape op.
 
-    def f():
-        probs = T.softmax(logits)
-        return T.add(T.cross_entropy_logits(logits, 2),
-                     T.attention_aggregate(probs))
+    `operands(draw, **sizes)` draws one episode's operands; its keyword
+    arguments are the named sizes, each drawn from 1-5. `call(op,
+    *operands)` runs `op` on them and returns its tensor (default
+    ``op(*operands)``). Inside `episode_batch` the operands at the indices
+    `per_episode` carry a leading batch axis and the others are shared; an
+    op with none has no batch form. `rank_checked`: outside
+    `episode_batch` an extra leading axis raises `ShapeError`. `chainless`:
+    the op is its own primitive, with no reference chain.
+    """
 
-    return grad_check(f, store.parameters(), eps=eps)
+    op: Callable
+    operands: Callable
+    call: Callable | None = None
+    per_episode: tuple = ()
+    rank_checked: bool = False
+    chainless: bool = False
 
+    def sizes(self, rng) -> dict:
+        names = list(inspect.signature(self.operands).parameters)[1:]
+        return {name: int(rng.integers(1, 6)) for name in names}
 
-def _check_dot_attention(rng, eps):
-    store = _store(2)
-    keys, values, query = _random_params(
-        store, rng, [("keys", (3, 4)), ("values", (3, 4)), ("query", (4,))])
-    readout = rng.normal(size=4)
+    def draw(self, rng, sizes=None) -> list:
+        """One episode's operands, at `sizes` or at sizes drawn from rng."""
+        return self.operands(Draw(rng), **(sizes or self.sizes(rng)))
 
-    def f():
-        weights = T.attention_weights(query, keys, 0.5)  # 1/sqrt(4)
-        summary = T.matmul(weights, values)
-        return T.add(_readout_from(readout, summary),
-                     T.attention_aggregate(weights))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_elu(rng, eps):
-    store = _store(3)
-    x, = _random_params(store, rng, [("x", (5,))])
-    readout = rng.normal(size=5)
-
-    def f():
-        return _readout_from(readout, T.elu(x))
-
-    return grad_check(f, store.parameters(), eps=eps)
+    def run(self, operands):
+        if self.call is None:
+            return self.op(*operands)
+        return self.call(self.op, *operands)
 
 
-def _check_conv_elu(rng, eps):
-    store = _store(4)
-    specs = [("img", (2, 3, 3, 2))]
-    for i, (cin, cout) in enumerate(((2, 3), (3, 2))):
-        specs += [(f"kern{i}", (3, 3, cin, cout), 0.5), (f"bias{i}", (cout,), 0.1)]
-    img, kern0, bias0, kern1, bias1 = _random_params(store, rng, specs)
-    readout = rng.normal(size=(2, 3, 3, 2))
-
-    def f():
-        return _readout_from(readout, T.conv2d_same3_elu(
-            img, (kern0, bias0), (kern1, bias1)))
-
-    return grad_check(f, store.parameters(), eps=eps)
+def _lstm_operands(draw, length, n, h):
+    return [draw(length, n), draw(n, 4 * h), draw(h, 4 * h), draw(4 * h)]
 
 
-def _check_linear(rng, eps):
-    store = _store(16)
-    x, w, b, rows = _random_params(
-        store, rng, [("x", (3,)), ("w", (3, 4)), ("b", (4,)), ("rows", (2, 3))])
-    readout = rng.normal(size=(3, 4))
+# Every variant of every public differentiable op of `samnet.tensor`.
+# `mixed_linear` and `memory_write` read their gates as columns of a drawn
+# gate network output (g_v, g_m, h_r, h_a, h_none), as the reasoning step
+# does.
+OPS = {
+    "add": Op(T.add, lambda draw, n, m: [draw(n, m), draw(m)], chainless=True),
+    "div": Op(T.div, lambda draw, n: [draw(n), draw(n, shift=3.0)],
+              chainless=True),
+    "matmul": Op(T.matmul, lambda draw, n, m: [draw(n), draw(n, m)],
+                 per_episode=(0, 1), rank_checked=True, chainless=True),
+    "elu": Op(T.elu, lambda draw, n, m: [draw(n, m)], chainless=True),
+    "softmax": Op(T.softmax, lambda draw, n: [draw(n)], chainless=True),
+    "cross_entropy_logits": Op(
+        T.cross_entropy_logits,
+        lambda draw, k, a: [draw(k, a, scale=4.0), draw.ints(a, k)],
+        per_episode=(0, 1), rank_checked=True),
+    "concat": Op(  # the second part shared, as a learned initial state is
+        T.concat, lambda draw, n, m: [draw(n), draw(m)],
+        lambda op, x, y: op([x, y], axis=-1),
+        per_episode=(0,), rank_checked=True, chainless=True),
+    "stack": Op(T.stack, lambda draw, n: [draw(n), draw(n)],
+                lambda op, x, y: op([x, y], axis=-2), per_episode=(0, 1),
+                chainless=True),
+    "select": Op(T.select, lambda draw, n, m: [draw(n, m), int(draw.ints(n))],
+                 lambda op, x, i: op(x, (..., i, slice(None))),
+                 per_episode=(0,), chainless=True),
+    "column": Op(T.column, lambda draw, n: [draw(n), int(draw.ints(n))],
+                 per_episode=(0,)),
+    "take_rows": Op(T.take_rows, lambda draw, v, n, length: [
+        draw(v, n), draw.ints(v, length)], per_episode=(1,), chainless=True),
+    "reshape": Op(T.reshape, lambda draw, n, m: [draw(n, m)],
+                  lambda op, x: op(x, x.shape[:-2] + (-1,)), per_episode=(0,),
+                  chainless=True),
+    "merge_rows": Op(
+        T.merge_rows,
+        lambda draw, a, b, m: [draw(a, m), draw(b, m), draw.partition(a, b)],
+        lambda op, x, y, rows: op([x, y], rows, x.shape[0] + y.shape[0])),
+    "grouped_attention_read": Op(
+        T.grouped_attention_read, lambda draw, a, b, k, length, d: [
+            draw(a + b, d), draw(a, k, d), draw(b, length, d),
+            draw.partition(a, b)],
+        lambda op, q, x, y, rows: op(q, list(zip(rows, (x, y))))[0]),
+    "attention_aggregate": Op(T.attention_aggregate, lambda draw, n: [draw(n)],
+                              per_episode=(0,), rank_checked=True,
+                              chainless=True),
+    "linear_rank1": Op(T.linear, lambda draw, n, m: [
+        draw(n), draw(n, m), draw(m)], per_episode=(0,)),
+    "linear_rank2": Op(T.linear, lambda draw, length, n, m: [
+        draw(length, n), draw(n, m), draw(m)], per_episode=(0,),
+        rank_checked=True),
+    "lstm_direction_forward": Op(T.lstm_direction, _lstm_operands,
+                                 per_episode=(0,), rank_checked=True),
+    "lstm_direction_reverse": Op(
+        T.lstm_direction, _lstm_operands,
+        lambda op, *operands: op(*operands, reverse=True),
+        per_episode=(0,), rank_checked=True),
+    "attention_weights": Op(
+        T.attention_weights, lambda draw, length, d: [
+            draw(d), draw(length, d), 0.5],
+        per_episode=(0, 1), rank_checked=True),
+    "attention_weights_projected": Op(
+        T.attention_weights, lambda draw, length, n, d: [
+            draw(n), draw(length, d), 0.7, draw(n, d), draw(d)],
+        lambda op, q, keys, scale, w, b: op(q, keys, scale, project=(w, b)),
+        per_episode=(0, 1), rank_checked=True),
+    "control_query": Op(  # c_prev shared, as the learned initial state is
+        T.control_query, lambda draw, n, c, d: [
+            draw(n), draw(c), draw(n, d), draw(d), draw(d + c, d), draw(d),
+            draw(d)],
+        per_episode=(0,), rank_checked=True),
+    "elu_mlp_softmax": Op(
+        T.elu_mlp, lambda draw, n, h, m: [
+            draw(n), draw(n, h), draw(h), draw(h, m), draw(m)],
+        lambda op, x, *weights: op([x], *weights, softmax=True),
+        per_episode=(0,), rank_checked=True),
+    "elu_mlp_two_parts": Op(
+        T.elu_mlp, lambda draw, n, k, h, m: [
+            draw(n), draw(k), draw(n + k, h), draw(h), draw(h, m), draw(m)],
+        lambda op, x, y, *weights: op([x, y], *weights),
+        per_episode=(0, 1), rank_checked=True),
+    "mixed_linear": Op(
+        T.mixed_linear, lambda draw, n, k, m: [
+            draw(5), draw(n), draw(n), draw(k), draw(n + k, m), draw(m)],
+        lambda op, gates, x, y, z, w, b: op(
+            T.column(gates, 0), x, T.column(gates, 1), y, z, w, b)[0],
+        per_episode=(0, 1, 2, 3), rank_checked=True),
+    "memory_write": Op(
+        T.memory_write, lambda draw, s, d: [
+            draw(s, d), draw(s), draw(s), draw(d), draw(5)],
+        lambda op, m, wh, rh, v, gates: op(
+            m, wh, rh, v, T.column(gates, 2), T.column(gates, 3))[0],
+        per_episode=(0, 1, 2, 3, 4), rank_checked=True),
+    "write_head_shift": Op(T.write_head_shift, lambda draw, s: [draw(s), draw()],
+                           per_episode=(0, 1), rank_checked=True),
+    "gate_mlp": Op(
+        T.gate_mlp, lambda draw, t, h, k: [
+            draw(), draw(), draw(t), draw(2 + t, h), draw(h), draw(h, k),
+            draw(k), draw(k, 2), draw(2), draw(k, 3), draw(3)],
+        per_episode=(0, 1, 2), rank_checked=True),
+    "conv2d_same3_elu_one_layer": Op(
+        T.conv2d_same3_elu, lambda draw, k, h, w, c, o: [
+            draw(k, h, w, c), draw(3, 3, c, o, scale=0.5), draw(o, scale=0.1)],
+        lambda op, x, *layer: op(x, layer), per_episode=(0,),
+        rank_checked=True),
+    "conv2d_same3_elu_two_layers": Op(
+        T.conv2d_same3_elu, lambda draw, k, h, w, c, o, p: [
+            draw(k, h, w, c), draw(3, 3, c, o, scale=0.5), draw(o, scale=0.1),
+            draw(3, 3, o, p, scale=0.5), draw(p, scale=0.1)],
+        lambda op, x, *layers: op(x, layers[:2], layers[2:]), per_episode=(0,),
+        rank_checked=True),
+}
 
-    def f():
-        return T.add(_readout_from(readout[0], T.linear(x, w, b)),
-                     _readout_from(readout[1:], T.linear(rows, w, b)))
 
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_lstm_direction(rng, eps):
-    store = _store(17)
-    x, wx, wh, b = _random_params(
-        store, rng, [("x", (3, 2)), ("wx", (2, 8)), ("wh", (2, 8)), ("b", (8,))])
-    readout = rng.normal(size=(2, 3, 2))
-
-    def f():
-        fwd = T.lstm_direction(x, wx, wh, b)
-        bwd = T.lstm_direction(x, wx, wh, b, reverse=True)
-        return T.add(_readout_from(readout[0], fwd), _readout_from(readout[1], bwd))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_attention_weights(rng, eps):
-    store = _store(18)
-    query, keys, w, b = _random_params(
-        store, rng, [("query", (4,)), ("keys", (3, 4)), ("w", (4, 4)), ("b", (4,))])
-    readout = rng.normal(size=(2, 3))
-
-    def f():
-        return T.add(
-            _readout_from(readout[0], T.attention_weights(query, keys, 0.7)),
-            _readout_from(readout[1], T.attention_weights(
-                query, keys, 0.7, project=(w, b))))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_control_query(rng, eps):
-    store = _store(19)
-    params = _random_params(store, rng, [
-        ("q", (3,)), ("c_prev", (2,)), ("w", (3, 4)), ("b", (4,)),
-        ("merge_w", (6, 4)), ("merge_b", (4,)), ("u", (4,)),
-    ])
-    readout = rng.normal(size=4)
-
-    def f():
-        return _readout_from(readout, T.control_query(*params))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_elu_mlp(rng, eps):
-    store = _store(20)
-    x, y, w1, b1, w2, b2, w0 = _random_params(store, rng, [
-        ("x", (3,)), ("y", (2,)), ("w1", (5, 4)), ("b1", (4,)),
-        ("w2", (4, 3)), ("b2", (3,)), ("w0", (3, 4))])
-    readout = rng.normal(size=(2, 3))
-
-    def f():  # two parts, as the answer head; one part and a softmax
-        return T.add(
-            _readout_from(readout[0], T.elu_mlp([x, y], w1, b1, w2, b2)),
-            _readout_from(readout[1], T.elu_mlp([x], w0, b1, w2, b2, softmax=True)))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_mixed_linear(rng, eps):
-    # the weights are gate columns, as the summary update reads them
-    store = _store(23)
-    raw, x, y, z, w, b = _random_params(store, rng, [
-        ("raw", (5,)), ("x", (3,)), ("y", (3,)), ("z", (2,)), ("w", (5, 4)),
-        ("b", (4,))])
-    readout = rng.normal(size=4)
-
-    def f():
-        gates = T.softmax(raw)
-        out, _ = T.mixed_linear(T.column(gates, 0), x, T.column(gates, 1), y,
-                                z, w, b)
-        return _readout_from(readout, out)
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_memory_write(rng, eps):
-    store = _store(24)
-    m, raw, wh, rh, v = _random_params(store, rng, [
-        ("m", (3, 4)), ("raw", (3,)), ("wh", (3,)), ("rh", (3,)), ("v", (4,))])
-    readout = rng.normal(size=(3, 4))
-
-    def f():
-        write = T.softmax(raw)  # (h_r, h_a, h_none), as the gate network gives
-        out, _ = T.memory_write(m, wh, rh, v, T.column(write, 0),
-                                T.column(write, 1))
-        return _readout_from(readout, out)
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_write_head_shift(rng, eps):
-    store = _store(21)
-    wh, h_a = _random_params(store, rng, [("wh", (4,)), ("h_a", ())])
-    readout = rng.normal(size=4)
-
-    def f():
-        return _readout_from(readout, T.write_head_shift(wh, h_a))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_gate_mlp(rng, eps):
-    store = _store(22)
-    params = _random_params(store, rng, [
-        ("vs", ()), ("rs", ()), ("tau", (4,)),
-        ("w1", (6, 3)), ("b1", (3,)), ("w2", (3, 3)), ("b2", (3,)),
-        ("obj_w", (3, 2)), ("obj_b", (2,)), ("write_w", (3, 3)), ("write_b", (3,)),
-    ])
-    readout = rng.normal(size=5)
-
-    def f():
-        return _readout_from(readout, T.gate_mlp(*params))
-
-    return grad_check(f, store.parameters(), eps=eps)
+def check_op(entry: Op, rng, eps):
+    """Central differences on every leaf operand of one op, at sizes and
+    operands drawn from rng."""
+    operands = entry.draw(rng)
+    with T.no_grad():
+        readout = rng.normal(size=entry.run(operands).shape)
+    leaves = [t for t in operands if isinstance(t, Parameter)]
+    return grad_check(lambda: _readout_from(readout, entry.run(operands)),
+                      leaves, eps=eps)
 
 
 def _check_question_encoder(rng, eps):
@@ -324,7 +327,7 @@ def _check_visual(rng, eps):
 def _check_memory_read(rng, eps):
     store = _store(10)
     mem = MemoryRetrieval(store, d=8)
-    m, = _random_params(store, rng, [("m", (3, 8))])
+    m = Draw(rng)(3, 8)
     c_t = T.Tensor(rng.normal(size=8))
     readout = rng.normal(size=8)
 
@@ -332,7 +335,7 @@ def _check_memory_read(rng, eps):
         mo, rh = mem.retrieve(m, c_t)
         return T.add(_readout_from(readout, mo), T.attention_aggregate(rh))
 
-    return grad_check(f, store.parameters(), eps=eps)
+    return grad_check(f, store.parameters() + [m], eps=eps)
 
 
 def _check_gates(rng, eps):
@@ -349,9 +352,8 @@ def _check_gates(rng, eps):
 
 
 def _check_memory_update(rng, eps):
-    store = _store(12)
-    m, vo, raw = _random_params(
-        store, rng, [("m", (3, 4)), ("vo", (4,)), ("raw", (3,))])
+    draw = Draw(rng)
+    m, vo, raw = draw(3, 4), draw(4), draw(3)
     wh_prev = T.Tensor(np.random.default_rng(1).dirichlet(np.ones(3)))
     rh = T.Tensor(np.random.default_rng(2).dirichlet(np.ones(3)))
     readout = rng.normal(size=(3, 4))
@@ -364,7 +366,7 @@ def _check_memory_update(rng, eps):
         wh_t = write_head_update(wh_prev, gates[1])
         return T.add(_readout_from(readout, m_t), _readout_from(head_readout, wh_t))
 
-    return grad_check(f, store.parameters(), eps=eps)
+    return grad_check(f, [m, vo, raw], eps=eps)
 
 
 def _check_summary(rng, eps):
@@ -437,20 +439,7 @@ def _check_full_episode_batch(rng, eps):
     return grad_check(f, net.store.parameters(), eps=eps)
 
 
-_CHECKS = [
-    ("softmax_cross_entropy", _check_softmax_and_ce),
-    ("dot_attention", _check_dot_attention),
-    ("elu", _check_elu),
-    ("conv2d_same3_elu", _check_conv_elu),
-    ("linear", _check_linear),
-    ("lstm_direction", _check_lstm_direction),
-    ("attention_weights", _check_attention_weights),
-    ("control_query", _check_control_query),
-    ("elu_mlp", _check_elu_mlp),
-    ("mixed_linear", _check_mixed_linear),
-    ("memory_write", _check_memory_write),
-    ("write_head_shift", _check_write_head_shift),
-    ("gate_mlp", _check_gate_mlp),
+_CHECKS = [(name, partial(check_op, entry)) for name, entry in OPS.items()] + [
     ("question_encoder", _check_question_encoder),
     ("frame_encoder", _check_frame_encoder),
     ("controller_step", _check_controller),
@@ -464,6 +453,7 @@ _CHECKS = [
     ("full_episode_2frames", _check_full_episode),
     ("full_episode_batch3", _check_full_episode_batch),
 ]
+
 
 def run_gradient_suite(use_float64: bool = True, log=None) -> list[CheckResult]:
     """Run every check; returns per-check results with mode thresholds."""

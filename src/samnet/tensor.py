@@ -15,8 +15,11 @@ query projection, ``cross_entropy_logits``, ``control_query``,
 ``elu_mlp``, ``mixed_linear``, ``memory_write``, ``write_head_shift``,
 ``gate_mlp``, ``conv2d_same3_elu``). A fused forward evaluates the same
 numpy expressions in the same order as the chain of primitive ops it
-replaces (kept as references in ``tests/test_fused.py``), so forward values
-are bit-identical to that chain. A fused node lists its parents in the
+replaces, so forward values are bit-identical to that chain. Every public
+op here has an entry in the op table ``gradsuite.OPS``, whose tests
+(``tests/test_ops.py``) check it against central differences, a fused op
+against its reference chain (``tests/reference_ops.py``), a batch against
+its episodes, and ``no_grad``. A fused node lists its parents in the
 order in which the sweep met the parents of the chain's nodes, so the
 sweep adds every gradient in the chain's order and the gradients are
 bit-identical too. The ops that read a gate take a ``column`` of
@@ -642,7 +645,9 @@ def _join(values, axis=-1):
         batch = values[ndims.index(rank)].shape[:1]
         values = [v if n == rank else np.broadcast_to(v, batch + v.shape)
                   for v, n in zip(values, ndims)]
-    out = np.concatenate(values, axis=axis)
+    # numpy lays out the join of a width-1 part and a shared one column-major,
+    # and np.matmul rounds such a batch's rows unlike one episode's x @ w
+    out = np.ascontiguousarray(np.concatenate(values, axis=axis))
     bounds = []
     end = 0
     for v in values:

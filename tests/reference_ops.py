@@ -1,14 +1,16 @@
-"""Differentiable primitive ops that the model no longer calls, and the
-former forms of kernels that `samnet.tensor` rewrote.
+"""Differentiable primitive ops that the model no longer calls, the
+reference chains of the op table, and the former forms of kernels that
+`samnet.tensor` rewrote.
 
 `samnet.tensor` keeps only the ops the model uses; the fused ops replaced
 these (`mul`, `weighted_sum` and `memory_blend` were the model's until
-the controller, summary and memory write were fused). The primitive
-reference chains in `test_fused.py` and the op sweep in `test_tensor.py`
-still build graphs from them, so they live here with the forward
-expressions and backward rules the tape library had. The
-kernel forms at the end are the references of `test_tensor.py`'s
-bit-identity tests.
+the controller, summary and memory write were fused), so they live here
+with the forward expressions and backward rules the tape library had.
+`CHAINS` holds, per entry of `samnet.gradsuite.OPS` that is not its own
+primitive, a graph of primitive ops over the entry's operands with the
+same value, for a fused op the graph the model ran before it was fused;
+`test_ops.py` checks each entry against it. The kernel forms at the end
+are the references of `test_tensor.py`'s bit-identity tests.
 """
 
 import numpy as np
@@ -110,6 +112,126 @@ def conv2d_same3(x, w, b):
                 g.reshape(-1, cout).sum(axis=0))
 
     return T.Tensor._from_op(out, (x, w, b), backward)
+
+
+def _linear_chain(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+def lstm_chain(x, wx, wh, b, reverse=False):
+    """The question encoder's former per-token LSTM graph: about twenty
+    tape nodes per token."""
+    hh = wh.shape[0]
+    xproj = T.matmul(x, wx)
+    h = T.zeros(hh)
+    c = T.zeros(hh)
+    length = x.shape[0]
+    states = [None] * length
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    for i in order:
+        z = T.add(T.add(xproj[i], T.matmul(h, wh)), b)
+        i_g = sigmoid(z[0:hh])
+        f_g = sigmoid(z[hh:2 * hh])
+        g = tanh(z[2 * hh:3 * hh])
+        o_g = sigmoid(z[3 * hh:4 * hh])
+        c = T.add(mul(f_g, c), mul(i_g, g))
+        h = mul(o_g, tanh(c))
+        states[i] = h
+    return T.stack(states)
+
+
+def _episode_loss_chain(logits, answers):
+    """Training's former episode loss: per frame a select and a one-frame
+    cross-entropy, then an add chain and a div."""
+    terms = [T.cross_entropy_logits(logits[..., k, :], answers[..., k])
+             for k in range(answers.shape[-1])]
+    total = terms[0]
+    for term in terms[1:]:
+        total = T.add(total, term)
+    return T.div(total, float(len(terms)))
+
+
+def _elu_mlp_chain(parts, w1, b1, w2, b2, softmax=False):
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+    out = T.linear(T.elu(T.linear(x, w1, b1)), w2, b2)
+    return T.softmax(out) if softmax else out
+
+
+def grouped_attention_read_chain(query, groups):
+    """Per length group, `attention_weights` then `matmul` on the group's
+    query rows; `merge_rows` joins the reads. Returns the reads and each
+    group's attention weights."""
+    reads, weights = [], []
+    for rows, words in groups:
+        with T.episode_batch(rows):
+            qa = T.attention_weights(query[rows], words)
+            reads.append(T.matmul(qa, words))
+        weights.append(qa.data)
+    rows = [rows for rows, _ in groups]
+    return T.merge_rows(reads, rows, query.shape[0]), weights
+
+
+def _gate_mlp_chain(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b):
+    x = T.concat([T.reshape(vs, (1,)), T.reshape(rs, (1,)), tau])
+    h = T.elu(_linear_chain(x, w1, b1))
+    h = T.elu(_linear_chain(h, w2, b2))
+    obj = sigmoid(_linear_chain(h, obj_w, obj_b))
+    write = T.softmax(_linear_chain(h, write_w, write_b))
+    return T.concat([T.reshape(g, (1,)) for g in (
+        obj[0], obj[1], write[0], write[1], write[2])])
+
+
+def _memory_blend_chain(m, w, v):
+    """The blend as the model first ran it: an (N, 1) @ (1, d) product."""
+    n = m.shape[0]
+    w_col = T.reshape(w, (n, 1))
+    keep = mul(m, sub(1.0, w_col))
+    return T.add(keep, T.matmul(w_col, T.reshape(v, (1, v.shape[0]))))
+
+
+def _conv_elu_chain(x, *layers):
+    """The frame encoder's former graph: a convolution node, then an ELU
+    node, per layer."""
+    for w, b in layers:
+        x = T.elu(conv2d_same3(x, w, b))
+    return x
+
+
+# A gate is a `select` of the gate network's output, as it was before
+# `mixed_linear` and `memory_write` took a `column`.
+CHAINS = {
+    "cross_entropy_logits": _episode_loss_chain,
+    "column": lambda x, i: T.select(x, (..., i)),
+    "merge_rows": lambda x, y, rows: T.select(
+        T.concat([x, y]), np.argsort(np.concatenate(rows))),
+    "grouped_attention_read": lambda q, x, y, rows: grouped_attention_read_chain(
+        q, list(zip(rows, (x, y))))[0],
+    "linear_rank1": _linear_chain,
+    "linear_rank2": _linear_chain,
+    "lstm_direction_forward": lstm_chain,
+    "lstm_direction_reverse": lambda *operands: lstm_chain(*operands, reverse=True),
+    "attention_weights": lambda q, keys, scale: T.softmax(
+        mul(T.matmul(keys, q), scale)),
+    "attention_weights_projected": lambda q, keys, scale, w, b: T.attention_weights(
+        T.linear(q, w, b), keys, scale),
+    "control_query": lambda q, c_prev, w, b, merge_w, merge_b, u: mul(u, T.linear(
+        T.concat([T.linear(q, w, b), c_prev], axis=-1), merge_w, merge_b)),
+    "elu_mlp_softmax": lambda x, *weights: _elu_mlp_chain([x], *weights,
+                                                         softmax=True),
+    "elu_mlp_two_parts": lambda x, y, *weights: _elu_mlp_chain([x, y], *weights),
+    "mixed_linear": lambda gates, x, y, z, w, b: T.linear(T.concat(
+        [weighted_sum(gates[0], x, gates[1], y), z], axis=-1), w, b),
+    "memory_write": lambda m, wh, rh, v, gates: _memory_blend_chain(
+        m, weighted_sum(gates[2], rh, gates[3], wh), v),
+    # a gather by the rotated index is the former one-step roll op
+    "write_head_shift": lambda wh, h_a: T.add(
+        mul(h_a, T.select(wh, np.roll(np.arange(wh.shape[0]), 1))),
+        mul(sub(1.0, h_a), wh)),
+    "gate_mlp": _gate_mlp_chain,
+    "conv2d_same3_elu_one_layer": lambda x, w, b: _conv_elu_chain(x, (w, b)),
+    "conv2d_same3_elu_two_layers": lambda x, w1, b1, w2, b2: _conv_elu_chain(
+        x, (w1, b1), (w2, b2)),
+}
 
 
 def elu_where(a):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,7 +6,6 @@ from hypothesis import strategies as st
 
 from samnet import tensor as T
 from samnet.cell import (
-    Gates,
     GateNetwork,
     MemoryRetrieval,
     MemoryState,
@@ -21,7 +18,6 @@ from samnet.cell import (
     memory_update,
     write_head_update,
 )
-from samnet.gradcheck import grad_check
 from samnet.params import ParameterStore
 
 
@@ -108,20 +104,6 @@ class TestTemporalClassifier:
             tau = clf.classify(T.Tensor(rng.normal(size=8)))
             assert abs(tau.data.sum() - 1.0) < 1e-6
             assert tau.data.min() >= 0
-
-    def test_grad_check(self):
-        with T.precision("float64"):
-            store = store_with_seed(3)
-            clf = TemporalClassifier(store, d=6)
-            x = T.Tensor(np.random.default_rng(1).normal(size=6))
-            readout = np.random.default_rng(2).normal(size=4)
-
-            def f():
-                return T.matmul(T.Tensor(readout), clf.classify(x))
-
-            err = grad_check(f, store.parameters(), eps=1e-6)
-        assert err < 1e-7
-
 
 class TestVisualRetrieval:
     def test_identical_rows_give_uniform_attention(self):
@@ -219,28 +201,6 @@ class TestGateNetwork:
             total = gates.h_r.item() + gates.h_a.item() + gates.h_none.item()
             assert total == pytest.approx(1.0, abs=1e-6)
             assert gates.h_r.item() + gates.h_a.item() <= 1.0 + 1e-6
-
-    def test_grad_check_hidden_16(self):
-        with T.precision("float64"):
-            store = store_with_seed(12)
-            net = GateNetwork(store, hidden=16)
-            rng = np.random.default_rng(12)
-            vs, rs = T.Tensor(0.3), T.Tensor(0.7)
-            tau = T.Tensor(rand_distribution(rng, 4))
-            readout = rng.normal(size=5)
-
-            def f():
-                g = net.gates(vs, rs, tau)
-                parts = T.stack([
-                    T.reshape(g.g_v, (1,)), T.reshape(g.g_m, (1,)),
-                    T.reshape(g.h_r, (1,)), T.reshape(g.h_a, (1,)),
-                    T.reshape(g.h_none, (1,)),
-                ])
-                return T.matmul(T.Tensor(readout), T.reshape(parts, (5,)))
-
-            err = grad_check(f, store.parameters(), eps=1e-6)
-        assert err < 1e-7
-
 
 class TestMemoryUpdate:
     def test_no_op_when_gates_closed(self):
@@ -403,28 +363,6 @@ class TestCellStep:
             assert state.so.shape == (8,)
             assert mem.m.shape == (3, 8)
             assert mem.wh.shape == (3,)
-
-    def test_grad_check_two_steps(self):
-        with T.precision("float64"):
-            net = toy_net(20)
-            rng = np.random.default_rng(20)
-            tokens = [1, 2, 3, 4]
-            rows = rng.normal(size=(9, 8))
-            readout = rng.normal(size=8)
-
-            def f():
-                enc = net.question_encoder.encode(tokens)
-                state = net.cell.initial_state()
-                mem = MemoryState.initial(3, 8)
-                keys, values = net.cell.visual.project(T.Tensor(rows))
-                for t in (1, 2):
-                    state, mem = net.cell.step(enc.q, enc.cw, keys, values,
-                                               state, mem, t)
-                return T.matmul(T.Tensor(readout), state.so)
-
-            err = grad_check(f, net.store.subset("question.", "cell."), eps=1e-6)
-        assert err < 1e-7
-
 
 class TestEpisodeForward:
     def test_logits_shape(self):

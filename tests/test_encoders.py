@@ -4,8 +4,6 @@ import pytest
 
 from samnet import tensor as T
 from samnet.encoders import FrameEncoder, QuestionEncoder, VocabularyError
-from samnet.gradcheck import grad_check
-from samnet.gradsuite import _readout_from
 from samnet.params import ParameterStore
 
 
@@ -121,21 +119,6 @@ class TestQuestionEncoder:
         with pytest.raises(ValueError):
             QuestionEncoder(store_with_seed(3), vocab_size=4, d=7)
 
-    def test_grad_check(self):
-        with T.precision("float64"):
-            store = store_with_seed(4)
-            enc = QuestionEncoder(store, vocab_size=5, d=8)
-            readout = np.random.default_rng(4).normal(size=(4, 8))
-
-            def f():
-                out = enc.encode([0, 2, 4])
-                return T.add(_readout_from(readout[0], out.q),
-                             _readout_from(readout[1:], out.cw))
-
-            err = grad_check(f, store.parameters(), eps=1e-6)
-        assert err < 1e-7
-
-
 class TestFrameEncoder:
     def test_shape_contract(self):
         enc = FrameEncoder(store_with_seed(5), in_channels=15, d=64)
@@ -171,17 +154,3 @@ class TestFrameEncoder:
         enc = FrameEncoder(store_with_seed(9), in_channels=3, d=8)
         with pytest.raises(T.ShapeError):
             enc.encode(np.zeros((1, 4, 4, 5), dtype=np.float32))
-
-    def test_grad_check(self):
-        with T.precision("float64"):
-            store = store_with_seed(10)
-            enc = FrameEncoder(store, in_channels=2, d=8)
-            rng = np.random.default_rng(10)
-            frame = rng.normal(size=(1, 3, 3, 2))
-            readout = rng.normal(size=(1, 9, 8))
-
-            def f():
-                return _readout_from(readout, enc.encode(frame))
-
-            err = grad_check(f, store.parameters(), eps=1e-6)
-        assert err < 1e-7

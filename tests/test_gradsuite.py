@@ -1,5 +1,6 @@
-"""The float64 gradient suite (`samnet gradcheck --f64`) runs in tier-1;
-the float32 suite is checked for the dtype of its leaves."""
+"""The float64 gradient suite (`samnet gradcheck --f64`) runs in tier-1,
+with a bound 100 times tighter than its threshold; the float32 suite is
+checked for the dtype of its leaves."""
 
 import numpy as np
 
@@ -7,23 +8,29 @@ from samnet import gradsuite
 from samnet.gradsuite import run_gradient_suite
 
 CHECK_NAMES = [
-    "softmax_cross_entropy", "dot_attention", "elu", "conv2d_same3_elu",
-    "linear", "lstm_direction", "attention_weights", "control_query",
-    "elu_mlp", "mixed_linear", "memory_write", "write_head_shift", "gate_mlp",
-    "question_encoder",
-    "frame_encoder", "controller_step", "temporal_classifier",
-    "visual_retrieval", "memory_retrieval", "gate_network", "memory_update",
-    "summary_update", "cell_two_steps", "full_episode_2frames",
-    "full_episode_batch3",
+    "add", "div", "matmul", "elu", "softmax", "cross_entropy_logits",
+    "concat", "stack", "select", "column", "take_rows", "reshape",
+    "merge_rows", "grouped_attention_read", "attention_aggregate",
+    "linear_rank1", "linear_rank2", "lstm_direction_forward",
+    "lstm_direction_reverse", "attention_weights",
+    "attention_weights_projected", "control_query", "elu_mlp_softmax",
+    "elu_mlp_two_parts", "mixed_linear", "memory_write", "write_head_shift",
+    "gate_mlp", "conv2d_same3_elu_one_layer", "conv2d_same3_elu_two_layers",
+    "question_encoder", "frame_encoder", "controller_step",
+    "temporal_classifier", "visual_retrieval", "memory_retrieval",
+    "gate_network", "memory_update", "summary_update", "cell_two_steps",
+    "full_episode_2frames", "full_episode_batch3",
 ]
 
 
 def test_float64_suite_passes_every_check():
     results = run_gradient_suite(use_float64=True)
     assert [r.name for r in results] == CHECK_NAMES
-    failed = [(r.name, r.max_rel_err) for r in results if not r.passed]
-    assert not failed
     assert all(r.threshold == 1e-5 for r in results)
+    # every check, the components' included, stays 100 times inside its
+    # threshold; the largest measured is 8.2e-10
+    high = [(r.name, r.max_rel_err) for r in results if not r.max_rel_err < 1e-7]
+    assert not high
 
 
 def test_float32_suite_checks_float32_leaves(monkeypatch):

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_ops import (elu_slope_where, elu_where, lstm_direction_sliced,
-                           memory_blend_matmul, mul, sigmoid, sub, tanh)
+                           memory_blend_matmul)
 from samnet import tensor as T
 from samnet.gradcheck import grad_check
 from samnet.cell import SAMNet
-from samnet.gradsuite import _readout_from
 from samnet.minicog import generate_corpus
 from samnet.params import ParameterStore
 from samnet import training
@@ -167,93 +166,6 @@ class TestGradCheck:
                 with pytest.raises(ValueError, match="weird") as info:
                     grad_check(f, store.parameters(), eps=1e-5)
         assert isinstance(info.value, T.NonFiniteError)
-
-
-def _rand_params(store, rng, shapes, prefix="p"):
-    out = []
-    for i, shape in enumerate(shapes):
-        t = store.new(f"{prefix}{i}", shape)
-        t.data = rng.standard_normal(shape)
-        out.append(t)
-    return out
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_ops_grad_check_random_shapes(seed):
-    """Every differentiable op passes central differences on small shapes."""
-    rng = np.random.default_rng(seed)
-    with T.precision("float64"):
-        store = make_store(seed)
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 6))
-        v, w = _rand_params(store, rng, [(n,), (n,)], prefix="vec")
-        mat, mat2 = _rand_params(store, rng, [(m, n), (n, m)], prefix="mat")
-        img = store.new("img", (1, 3, 3, 2))
-        img.data = rng.standard_normal((1, 3, 3, 2))
-        kern = store.new("kern", (3, 3, 2, 2))
-        kern.data = rng.standard_normal((3, 3, 2, 2)) * 0.5
-        bias = store.new("bias", (2,))
-        bias.data = rng.standard_normal(2)
-
-        readout = rng.standard_normal(m)
-        hh = int(rng.integers(1, 3))
-        wx, wh, lstm_b = _rand_params(
-            store, rng, [(n, 4 * hh), (hh, 4 * hh), (4 * hh,)], prefix="lstm")
-        (lin_b,) = _rand_params(store, rng, [(m,)], prefix="lin")
-        tau, *gate_params = _rand_params(
-            store, rng, [(4,), (6, 2), (2,), (2, 2), (2,), (2, 2), (2,),
-                         (2, 3), (3,)], prefix="gate")
-        mlp_w1, mlp_b1, mlp_w2, mlp_b2, merge_w = _rand_params(
-            store, rng, [(2 * n, 3), (3,), (3, m), (m,), (m + n, m)], prefix="fused")
-
-        def sumsq(t):
-            return T.attention_aggregate(T.reshape(t, (-1,)))
-
-        def f():
-            a = T.softmax(v)
-            b = T.elu(T.add(v, mul(w, 0.7)))
-            c = sigmoid(sub(v, w))
-            d = tanh(T.div(v, 2.0))
-            e = T.matmul(mat, T.add(a, mul(b, c)))
-            e = T.add(e, T.matmul(T.matmul(d, mat2), np.eye(m)))
-            conv = T.conv2d_same3_elu(img, (kern, bias), (kern, bias))
-            cs = sumsq(conv)
-            agg = T.attention_aggregate(T.softmax(w))
-            cat = T.concat([e, T.stack([v, w])[0][:1]])
-            rolled = T.write_head_shift(T.softmax(v), sigmoid(w[0]))
-            lin = T.linear(v, mat2, lin_b)
-            lin2 = T.linear(mat, mat2, lin_b)
-            states = T.lstm_direction(mat, wx, wh, lstm_b, reverse=seed % 3 == 0)
-            att = T.attention_weights(w, mat, 0.5)
-            ce = T.cross_entropy_logits(lin, seed % m)
-            gates = T.gate_mlp(sigmoid(v[0]), sigmoid(w[0]), T.softmax(tau),
-                               *gate_params)
-            # the gate columns reach their source through the fused ops
-            mix, _ = T.mixed_linear(T.column(gates, 0), e, T.column(gates, 1),
-                                    lin, v, merge_w, lin_b)
-            blend, _ = T.memory_write(mat, att, T.softmax(lin), v,
-                                      T.column(gates, 2), T.column(gates, 3))
-            query = T.control_query(v, w, mat2, lin_b, merge_w, lin_b, lin)
-            mlp = T.elu_mlp([v, w], mlp_w1, mlp_b1, mlp_w2, mlp_b2,
-                            softmax=seed % 2 == 0)
-            att2 = T.attention_weights(v, lin2, 0.5, project=(mat2, lin_b))
-            fused = T.add(
-                T.add(sumsq(lin2), sumsq(states)),
-                T.add(T.add(T.matmul(att, T.Tensor(np.arange(m))), ce),
-                      T.add(T.matmul(T.Tensor(readout), mix),
-                            T.add(sumsq(blend),
-                                  T.matmul(T.Tensor(np.arange(5.0)), gates)))),
-            )
-            fused = T.add(fused, T.add(
-                T.add(T.matmul(T.Tensor(readout), query), sumsq(mlp)),
-                T.matmul(att2, T.Tensor(np.arange(m)))))
-            return T.add(
-                T.add(T.add(T.matmul(T.Tensor(readout), e), cs), fused),
-                T.add(T.add(agg, _readout_from(np.ones(m + 1), cat)), sumsq(rolled)),
-            )
-
-        err = grad_check(f, store.parameters(), eps=1e-6)
-    assert err < 1e-6, f"seed {seed}: max rel err {err}"
 
 
 def test_evaluation_is_deterministic():
@@ -420,48 +332,6 @@ def test_lstm_gates_keep_the_per_slice_sigmoid_bits(dtype):
                     got = T.lstm_direction(x, wx, wh, b, reverse=hh % 2 == 1).data
                 want = lstm_direction_sliced(x, wx, wh, b, reverse=hh % 2 == 1)
             _assert_same_bits(got, want)
-
-
-def _batch_of_two(*shapes):
-    rng = np.random.default_rng(3)
-    return [T.Tensor(rng.normal(size=s)) for s in shapes]
-
-
-# each op's operands for a batch of two episodes
-BATCHED_OPS = {
-    "conv2d_same3_elu": lambda: T.conv2d_same3_elu(
-        *_batch_of_two((2, 1, 3, 3, 2)), _batch_of_two((3, 3, 2, 3), (3,))),
-    "attention_weights": lambda: T.attention_weights(
-        *_batch_of_two((2, 4), (2, 3, 4))),
-    "lstm_direction": lambda: T.lstm_direction(
-        *_batch_of_two((2, 3, 2), (2, 8), (2, 8), (8,))),
-    "gate_mlp": lambda: T.gate_mlp(*_batch_of_two(
-        (2,), (2,), (2, 4), (6, 3), (3,), (3, 3), (3,), (3, 2), (2,),
-        (3, 3), (3,))),
-    "attention_weights_projected": lambda: T.attention_weights(
-        *_batch_of_two((2, 4), (2, 3, 5)), project=_batch_of_two((4, 5), (5,))),
-    "control_query": lambda: T.control_query(*_batch_of_two(
-        (2, 3), (2, 4), (3, 5), (5,), (9, 5), (5,), (5,))),
-    "elu_mlp": lambda: T.elu_mlp(
-        _batch_of_two((2, 3), (2, 2)), *_batch_of_two((5, 4), (4,), (4, 3), (3,))),
-    "mixed_linear": lambda: T.mixed_linear(*_batch_of_two(
-        (2,), (2, 3), (2,), (2, 3), (2, 3), (6, 4), (4,)))[0],
-    "matmul": lambda: T.matmul(*_batch_of_two((2, 3), (2, 3, 4))),
-    "memory_write": lambda: T.memory_write(*_batch_of_two(
-        (2, 4, 3), (2, 4), (2, 4), (2, 3), (2,), (2,)))[0],
-    "write_head_shift": lambda: T.write_head_shift(*_batch_of_two((2, 4), (2,))),
-    "cross_entropy_logits": lambda: T.cross_entropy_logits(
-        *_batch_of_two((2, 3, 5)), np.array([[0, 4, 2], [1, 1, 3]])),
-}
-
-
-@pytest.mark.parametrize("op", sorted(BATCHED_OPS))
-def test_extra_leading_axis_needs_episode_batch(op):
-    # the batch is read from the scope alone, never from operand ranks
-    with pytest.raises(T.ShapeError):
-        BATCHED_OPS[op]()
-    with T.episode_batch():
-        assert BATCHED_OPS[op]().shape[0] == 2
 
 
 # Weight gradients: every use of a weight queues its row blocks (x, g), and

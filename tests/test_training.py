@@ -384,6 +384,14 @@ class TestCheckpointFormat:
                 save_checkpoint(path, arrays, hypers)
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_refuses_a_0d_array(self, tmp_path):
+        # before: its shape was written as 1, so it loaded back as (1,)
+        arrays = {"s": np.array(2.0, np.float32),
+                  "v": np.zeros(3, np.float32)}
+        with pytest.raises(CheckpointError, match="m.ckpt: parameter s is 0-d"):
+            save_checkpoint(tmp_path / "m.ckpt", arrays, {})
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_bit_flips_load_or_raise_typed(self, tmp_path):
         rng = np.random.default_rng(0)
         arrays = {
