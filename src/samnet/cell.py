@@ -13,9 +13,9 @@ per-episode tensor has a leading batch axis (a control state (B, d) rather
 than (d,)); outside it, a component runs one episode. A component that
 differs for a batch asks `T.in_episode_batch()`, never its inputs' shape.
 Parameters, and the learned initial state, are shared by the episodes.
-Questions in a batch may differ in length, so the contextual words come in
-one group per length, and only the controller's attention over them runs
-per group; every other op of the cell sees the whole batch. Each batched
+Questions in a batch may differ in length: their contextual words are
+padded to the longest, and the controller's attention gives a pad weight 0
+(see `encoders.QuestionEncoding`). Each batched
 node keeps the parents, in order, of the node it stands for in one
 episode's graph, so each episode's values and gradients are bit-identical
 to its own pass; see the batch-axis note in `tensor`.
@@ -87,7 +87,8 @@ class Gates:
 @dataclass
 class StepTrace:
     """Attention vectors and gates recorded for inspection. For a batch each
-    keeps the batch axis, but qa is one array per episode: lengths differ."""
+    keeps the batch axis, but qa is one array per episode, trimmed to its
+    question's length."""
 
     qa: np.ndarray | list[np.ndarray]
     tau: np.ndarray
@@ -140,27 +141,20 @@ class QuestionDrivenController:
         self.merge_b = store.new(f"{prefix}.merge.b", (d,), fan_in=0)
         self.attn_u = store.new(f"{prefix}.attn.u", (d,), fan_in=d)
 
-    def step(self, q: Tensor, cw, c_prev: Tensor, t: int):
-        """Control state c_t and the attention qa over the question words.
-
-        Inside `T.episode_batch`, cw is a list of length groups (see
-        `QuestionEncoding`): only the attention and its read run per group,
-        in one `T.grouped_attention_read` node; qa is one array per group.
-        """
+    def step(self, q: Tensor, cw: Tensor, c_prev: Tensor, t: int, lengths=None):
+        """Control state c_t and the attention qa over the question words,
+        a value. Inside `T.episode_batch`, cw is padded to the longest
+        question, and `lengths` are the questions' lengths (see
+        `QuestionEncoding`)."""
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
         w, b = self.q_step[t - 1]
-        # u . (cq * cw_i) == cw_i . (u * cq), so one matvec gives all logits
+        # u . (cq * cw_i) == cw_i . (u * cq), so one product gives all logits
         uq = T.control_query(q, c_prev, w, b, self.merge_w, self.merge_b,
                              self.attn_u)
-        if not T.in_episode_batch():
-            qa = T.attention_weights(uq, cw)
-            _check_distribution(qa.data, "question attention")
-            return T.matmul(qa, cw), qa
-        c_t, qa = T.grouped_attention_read(uq, cw)
-        for qa_g in qa:
-            _check_distribution(qa_g, "question attention")
-        return c_t, qa
+        c_t, qa = T.word_attention(uq, cw, lengths)
+        _check_distribution(qa, "question attention")
+        return c_t, Tensor(qa)
 
 
 class TemporalClassifier:
@@ -291,11 +285,13 @@ class SAMCell:
         """The learned initial vectors, which a batch's episodes share."""
         return CellState(c=self.c0, so=self.so0)
 
-    def step(self, q, cw, keys, values, state: CellState, mem: MemoryState,
+    def step(self, question, keys, values, state: CellState, mem: MemoryState,
              t: int, gate_overrides=None, trace=None):
-        """One reasoning step given precomputed frame key/value projections."""
+        """One reasoning step over a `QuestionEncoding`, given precomputed
+        frame key/value projections."""
         ov = gate_overrides or {}
-        c_t, qa = self.controller.step(q, cw, state.c, t)
+        c_t, qa = self.controller.step(question.q, question.cw, state.c, t,
+                                       question.lengths)
         tau = self.temporal.classify(c_t)
         vo, va = self.visual.retrieve(keys, values, c_t)
         mo, rh = self.memread.retrieve(mem.m, c_t)
@@ -311,12 +307,9 @@ class SAMCell:
         _check_distribution(wh_t.data, "write head")
         so_t, _ = self.summary.update(vo, mo, g_v, g_m, state.so)
         if trace is not None:
-            if T.in_episode_batch():  # qa comes per length group
-                by_row = {r: a for (rows, _), g in zip(cw, qa)
-                          for r, a in zip(rows, g)}
-                qa = [by_row[r] for r in range(len(by_row))]
-            else:
-                qa = qa.data.copy()
+            qa = qa.data.copy()
+            if question.lengths is not None:  # each question's own words
+                qa = [a[:n] for a, n in zip(qa, question.lengths)]
             trace.append(StepTrace(
                 qa=qa, tau=tau.data.copy(), va=va.data.copy(),
                 rh=rh.data.copy(),
@@ -377,7 +370,7 @@ class SAMNet:
             step_trace = [] if trace is not None else None
             for t in range(1, self.config.steps + 1):
                 state, mem = self.cell.step(
-                    enc.q, enc.cw, keys, values, state, mem, t,
+                    enc, keys, values, state, mem, t,
                     gate_overrides=overrides, trace=step_trace,
                 )
             if trace is not None:

@@ -27,13 +27,14 @@ class QuestionEncoding:
     """One question: q (d,) and its contextual words cw (L, d).
 
     Inside `T.episode_batch`, a batch of B questions of any lengths: q
-    (B, d) in batch order, and cw one (rows, words) pair per question
-    length, in order of first appearance, where rows are the batch indices
-    of that length in ascending order and words is (B_g, L, d).
+    (B, d), and cw (B, L, d) padded to the longest question's L words, with
+    `lengths` (B,) the questions' lengths. A pad row of cw is the cw
+    linear's bias; the controller's attention gives it weight 0.
     """
 
-    cw: Tensor | list[tuple[np.ndarray, Tensor]]
+    cw: Tensor
     q: Tensor
+    lengths: np.ndarray | None = None
 
 
 class QuestionEncoder:
@@ -71,43 +72,34 @@ class QuestionEncoder:
             )
         return ids
 
-    def _contextual(self, ids: np.ndarray):
-        """cw and the final states [fwd last, bwd first] of one sequence (L,)
-        or, inside `T.episode_batch`, of an equal-length batch (B, L)."""
-        embeds = T.take_rows(self.embed, ids)
-        fwd = T.lstm_direction(embeds, *self.dir_params["fwd"])
-        bwd = T.lstm_direction(embeds, *self.dir_params["bwd"], reverse=True)
-        cw = T.linear(T.concat([fwd, bwd], axis=-1), self.cw_w, self.cw_b)
-        last = ids.shape[-1] - 1
-        return cw, T.concat([fwd[..., last, :], bwd[..., 0, :]], axis=-1)
-
     def encode(self, token_ids) -> QuestionEncoding:
         """Encode one token sequence (L,) to cw (L, d) and q (d,).
 
         Inside `T.episode_batch`, token_ids is B sequences of any lengths (a
-        list, or a (B, L) array). The LSTM and the cw linear run once per
-        length group as on one equal-length batch, inside
-        `T.episode_batch(rows)`; `T.merge_rows` joins the groups' final
-        states and the q linear runs once on all B. See `QuestionEncoding`
-        for the batch layout.
+        list, or a (B, L) array), padded to the longest: every op runs once
+        on the batch, and each question's values and gradients are those of
+        its own encoding, bit for bit. See `QuestionEncoding` for the
+        batch layout.
         """
-        if not T.in_episode_batch():
-            cw, final = self._contextual(self._checked_ids(token_ids))
-            return QuestionEncoding(cw=cw, q=T.linear(final, self.q_w, self.q_b))
-        seqs = [self._checked_ids(s) for s in token_ids]
-        by_length: dict[int, list[int]] = {}
-        for i, ids in enumerate(seqs):
-            by_length.setdefault(ids.size, []).append(i)
-        groups, finals = [], []
-        for members in by_length.values():
-            rows = np.array(members)
-            with T.episode_batch(rows):
-                cw, final = self._contextual(np.stack([seqs[i] for i in members]))
-            groups.append((rows, cw))
-            finals.append(final)
-        final = finals[0] if len(groups) == 1 else T.merge_rows(
-            finals, [rows for rows, _ in groups], len(seqs))
-        return QuestionEncoding(cw=groups, q=T.linear(final, self.q_w, self.q_b))
+        batched = T.in_episode_batch()
+        seqs = ([self._checked_ids(s) for s in token_ids] if batched
+                else [self._checked_ids(token_ids)])
+        lengths = np.array([ids.size for ids in seqs])
+        padded = np.zeros((len(seqs), lengths.max()), dtype=np.int64)
+        for row, ids in zip(padded, seqs):
+            row[:ids.size] = ids
+        if not batched:
+            padded, lengths = padded[0], None
+        embeds = T.take_rows(self.embed, padded)
+        fwd = T.lstm_direction(embeds, *self.dir_params["fwd"], lengths=lengths)
+        bwd = T.lstm_direction(embeds, *self.dir_params["bwd"], reverse=True,
+                               lengths=lengths)
+        cw = T.linear(T.concat([fwd, bwd], axis=-1), self.cw_w, self.cw_b,
+                      per_row=True)
+        last = (np.arange(len(seqs)), lengths - 1) if batched else -1
+        final = T.concat([fwd[last], bwd[..., 0, :]], axis=-1)
+        return QuestionEncoding(cw=cw, q=T.linear(final, self.q_w, self.q_b),
+                                lengths=lengths)
 
 
 class FrameEncoder:

@@ -88,11 +88,6 @@ class Draw:
         """Integers in [0, high): class indices, token ids, an index."""
         return self.rng.integers(high, size=shape)
 
-    def partition(self, *sizes):
-        """Row sets of a random split of sizes[0] + sizes[1] + ... rows."""
-        perm = self.rng.permutation(sum(sizes))
-        return np.split(perm, np.cumsum(sizes)[:-1])
-
 
 @dataclass(frozen=True)
 class Op:
@@ -103,15 +98,19 @@ class Op:
     *operands)` runs `op` on them and returns its tensor (default
     ``op(*operands)``). Inside `episode_batch` the operands at the indices
     `per_episode` carry a leading batch axis and the others are shared; an
-    op with none has no batch form. `rank_checked`: outside
-    `episode_batch` an extra leading axis raises `ShapeError`. `chainless`:
-    the op is its own primitive, with no reference chain.
+    op with none has no batch form. `ragged`: the indices of the
+    per-episode operands whose first axis is the size `length`, a
+    question's words; a batch pads them to its longest and the call takes
+    their `lengths`. `rank_checked`: outside `episode_batch` an extra
+    leading axis raises `ShapeError`. `chainless`: the op is its own
+    primitive, with no reference chain.
     """
 
     op: Callable
     operands: Callable
     call: Callable | None = None
     per_episode: tuple = ()
+    ragged: tuple = ()
     rank_checked: bool = False
     chainless: bool = False
 
@@ -123,10 +122,12 @@ class Op:
         """One episode's operands, at `sizes` or at sizes drawn from rng."""
         return self.operands(Draw(rng), **(sizes or self.sizes(rng)))
 
-    def run(self, operands):
+    def run(self, operands, lengths=None):
+        """The op's tensor; a ragged batch's call takes `lengths`."""
+        kw = {} if lengths is None else {"lengths": lengths}
         if self.call is None:
-            return self.op(*operands)
-        return self.call(self.op, *operands)
+            return self.op(*operands, **kw)
+        return self.call(self.op, *operands, **kw)
 
 
 def _lstm_operands(draw, length, n, h):
@@ -144,7 +145,8 @@ OPS = {
     "matmul": Op(T.matmul, lambda draw, n, m: [draw(n), draw(n, m)],
                  per_episode=(0, 1), rank_checked=True, chainless=True),
     "elu": Op(T.elu, lambda draw, n, m: [draw(n, m)], chainless=True),
-    "softmax": Op(T.softmax, lambda draw, n: [draw(n)], chainless=True),
+    "softmax": Op(T.softmax, lambda draw, n: [draw(n)], per_episode=(0,),
+                  rank_checked=True, chainless=True),
     "cross_entropy_logits": Op(
         T.cross_entropy_logits,
         lambda draw, k, a: [draw(k, a, scale=4.0), draw.ints(a, k)],
@@ -166,15 +168,6 @@ OPS = {
     "reshape": Op(T.reshape, lambda draw, n, m: [draw(n, m)],
                   lambda op, x: op(x, x.shape[:-2] + (-1,)), per_episode=(0,),
                   chainless=True),
-    "merge_rows": Op(
-        T.merge_rows,
-        lambda draw, a, b, m: [draw(a, m), draw(b, m), draw.partition(a, b)],
-        lambda op, x, y, rows: op([x, y], rows, x.shape[0] + y.shape[0])),
-    "grouped_attention_read": Op(
-        T.grouped_attention_read, lambda draw, a, b, k, length, d: [
-            draw(a + b, d), draw(a, k, d), draw(b, length, d),
-            draw.partition(a, b)],
-        lambda op, q, x, y, rows: op(q, list(zip(rows, (x, y))))[0]),
     "attention_aggregate": Op(T.attention_aggregate, lambda draw, n: [draw(n)],
                               per_episode=(0,), rank_checked=True,
                               chainless=True),
@@ -183,12 +176,22 @@ OPS = {
     "linear_rank2": Op(T.linear, lambda draw, length, n, m: [
         draw(length, n), draw(n, m), draw(m)], per_episode=(0,),
         rank_checked=True),
+    "linear_per_row": Op(
+        T.linear, lambda draw, length, n, m: [
+            draw(length, n), draw(n, m), draw(m)],
+        lambda op, x, w, b: op(x, w, b, per_row=True), per_episode=(0,),
+        rank_checked=True),
     "lstm_direction_forward": Op(T.lstm_direction, _lstm_operands,
-                                 per_episode=(0,), rank_checked=True),
+                                 per_episode=(0,), ragged=(0,),
+                                 rank_checked=True),
     "lstm_direction_reverse": Op(
         T.lstm_direction, _lstm_operands,
-        lambda op, *operands: op(*operands, reverse=True),
-        per_episode=(0,), rank_checked=True),
+        lambda op, *operands, **kw: op(*operands, reverse=True, **kw),
+        per_episode=(0,), ragged=(0,), rank_checked=True),
+    "word_attention": Op(
+        T.word_attention, lambda draw, length, d: [draw(d), draw(length, d)],
+        lambda op, q, words, **kw: op(q, words, **kw)[0],
+        per_episode=(0, 1), ragged=(1,), rank_checked=True),
     "attention_weights": Op(
         T.attention_weights, lambda draw, length, d: [
             draw(d), draw(length, d), 0.5],
@@ -291,8 +294,8 @@ def _check_controller(rng, eps):
     readout = rng.normal(size=8)
 
     def f():
-        c_t, qa = ctrl.step(q, cw, c_prev, 2)
-        return T.add(_readout_from(readout, c_t), T.attention_aggregate(qa))
+        c_t, _ = ctrl.step(q, cw, c_prev, 2)
+        return _readout_from(readout, c_t)
 
     return grad_check(f, store.parameters(), eps=eps)
 
@@ -398,7 +401,7 @@ def _check_cell_step(rng, eps):
         mem = MemoryState.initial(3, 8)
         keys, values = net.cell.visual.project(T.Tensor(rows))
         for t in (1, 2):
-            state, mem = net.cell.step(enc.q, enc.cw, keys, values, state, mem, t)
+            state, mem = net.cell.step(enc, keys, values, state, mem, t)
         return _readout_from(readout, state.so)
 
     return grad_check(f, net.store.subset("question.", "cell."), eps=eps)
@@ -421,7 +424,7 @@ def _check_full_episode(rng, eps):
 
 def _check_full_episode_batch(rng, eps):
     # the batched training tape: 3 episodes on one tape, question lengths
-    # 4, 2 and 4 (two length groups), each episode's loss read out; d=4
+    # 4, 2 and 4 (one padded), each episode's loss read out; d=4
     # keeps the finite differences to about as many forwards as one episode
     cfg = ModelConfig(vocab_size=8, num_answers=5, in_channels=6, d=4,
                       steps=2, mem_slots=3)

@@ -11,15 +11,16 @@ switch to float64 (e.g. for tight gradient checks) with
 Per-node bookkeeping, not arithmetic, dominates at the model's sizes, so
 each layer of the model is one fused op with a hand-written backward
 (``linear``, ``lstm_direction``, ``attention_weights`` with its optional
-query projection, ``cross_entropy_logits``, ``control_query``,
-``elu_mlp``, ``mixed_linear``, ``memory_write``, ``write_head_shift``,
-``gate_mlp``, ``conv2d_same3_elu``). A fused forward evaluates the same
-numpy expressions in the same order as the chain of primitive ops it
-replaces, so forward values are bit-identical to that chain. Every public
-op here has an entry in the op table ``gradsuite.OPS``, whose tests
-(``tests/test_ops.py``) check it against central differences, a fused op
-against its reference chain (``tests/reference_ops.py``), a batch against
-its episodes, and ``no_grad``. A fused node lists its parents in the
+query projection, ``word_attention``, ``cross_entropy_logits``,
+``control_query``, ``elu_mlp``, ``mixed_linear``, ``memory_write``,
+``write_head_shift``, ``gate_mlp``, ``conv2d_same3_elu``). A fused forward
+evaluates the same numpy expressions in the same order as the chain of
+primitive ops it replaces, so forward values are bit-identical to that
+chain. Every public op here has an entry in the op table
+``gradsuite.OPS``, whose tests (``tests/test_ops.py``) check it against
+central differences, a fused op against its reference chain
+(``tests/reference_ops.py``), a batch against its episodes, and
+``no_grad``. A fused node lists its parents in the
 order in which the sweep met the parents of the chain's nodes, so the
 sweep adds every gradient in the chain's order and the gradients are
 bit-identical too. The ops that read a gate take a ``column`` of
@@ -53,11 +54,14 @@ runs through the same numpy kernel: ``np.matmul`` over the leading axis
 with each episode's operand rank kept (``x[..., None, :] @ w`` for a vector
 per episode, never one folded 2-D gemm), reductions over one episode's
 axes, elementwise maths. Each episode's values and gradients are
-therefore bit-identical to an unbatched pass. Nothing is padded: an op's
-batch has one shape, so a batch of questions of several lengths runs the
-ops over its words once per length group (see
-``encoders.QuestionEncoding``), inside ``episode_batch(rows)``, and
-``merge_rows`` joins the groups.
+therefore bit-identical to an unbatched pass. Questions differ in length,
+so a batch pads them to its longest and the ops over words take their
+``lengths`` (``lstm_direction``, ``word_attention``; ``linear`` with
+``per_row``): a pad gets zero weight and zero gradient, and every kernel on
+the word axis has a form whose bits for one question do not depend on the
+pad width (per-row vector-matrix products, left folds over the words, and
+weight products ``X.T @ G`` as gemms, which on this BLAS add zero rows
+without rounding).
 
 Parameters are shared by the episodes of a batch. An op hands a
 parameter's gradient to ``Tensor.backward`` as ``PerEpisode``
@@ -147,10 +151,8 @@ def no_grad():
         _GRAD_ENABLED = old
 
 
-# Inside `episode_batch`: the episodes of the root batch that the leading
-# axis of recorded ops holds (None: all of them, in order).
+# Inside `episode_batch`: operands carry a leading batch axis
 _IN_BATCH = False
-_BATCH_ROWS = None
 
 
 def in_episode_batch() -> bool:
@@ -159,32 +161,26 @@ def in_episode_batch() -> bool:
 
 
 @contextmanager
-def episode_batch(rows=None):
+def episode_batch():
     """Ops run inside on a batch of episodes along their leading axis;
     outside, on one episode.
 
     There, a part of `concat` with one axis fewer than the others is shared
     by every episode, as parameters are (so are `control_query`'s c_prev
-    and `mixed_linear`'s z when they have no batch axis). `rows`
-    names the episodes of the enclosing batch that the ops' batch holds
-    (None: all of them, in order); per-episode parameter gradients are
-    added for those episodes.
+    and `mixed_linear`'s z when they have no batch axis).
     """
-    global _IN_BATCH, _BATCH_ROWS
-    old = _IN_BATCH, _BATCH_ROWS
-    if rows is not None:
-        rows = np.asarray(rows) if _BATCH_ROWS is None else _BATCH_ROWS[rows]
-    _IN_BATCH, _BATCH_ROWS = True, rows
+    global _IN_BATCH
+    old = _IN_BATCH
+    _IN_BATCH = True
     try:
         yield
     finally:
-        _IN_BATCH, _BATCH_ROWS = old
+        _IN_BATCH = old
 
 
 class PerEpisode:
     """A node's gradient for an operand that episodes share, queued for
-    the sweep: each arg has one entry per episode, `rows[i]` the root-batch
-    episode of entry i (None: episode i). Entry i contributes
+    the sweep: each arg has one entry per episode. Entry i contributes
     ``fn(*(a[i] for a in args))`` (``args[0][i]`` when `fn` is None), but a
     weight's uses (`fn` `_transposed_product`, row blocks x (n, d) and g
     (n, h)) join an episode's blocks in sweep order into one ``x.T @ g``.
@@ -192,15 +188,12 @@ class PerEpisode:
     axis here.
     """
 
-    __slots__ = ("fn", "args", "rows", "batched")
+    __slots__ = ("fn", "args", "batched")
 
-    def __init__(self, fn, *args, rows=None, batched=True):
+    def __init__(self, fn, *args, batched=True):
         if not batched:  # one episode outside `episode_batch`
             args = tuple(a[None] for a in args)
-        self.fn, self.args, self.rows, self.batched = fn, args, rows, batched
-
-    def episodes(self) -> np.ndarray:
-        return np.arange(len(self.args[0])) if self.rows is None else self.rows
+        self.fn, self.args, self.batched = fn, args, batched
 
 
 def _outer(x, g):
@@ -209,48 +202,46 @@ def _outer(x, g):
 
 
 def _transposed_product(x, g):
-    """x.T @ g, for one episode or stacked."""
-    return np.matmul(np.swapaxes(x, -1, -2), g)
+    """x.T @ g, for one episode or stacked: a gemm, whose sums over the rows
+    keep their bits when zero rows (a question's pads) are appended. numpy
+    would run a width-1 x or g as a gemv, which does not, so it gets a zero
+    column."""
+    n, h = x.shape[-1], g.shape[-1]
+    x, g = (np.concatenate([a, np.zeros_like(a)], axis=-1) if a.shape[-1] == 1
+            else a for a in (x, g))
+    return np.matmul(np.swapaxes(x, -1, -2), g)[..., :n, :h]
 
 
 # At most this many elements of a weight's products are made and added at once
 _FOLD_ELEMENTS = 32768
 
 
-def _products(uses):
-    """Each episode's x.T @ g, its row blocks joined in sweep order, as
-    (episodes, products) pairs in episode order."""
-    blocks = {}  # episode -> its (x, g) row blocks in sweep order
-    for u in uses:
-        for e, *xg in zip(u.episodes().tolist(), *u.args):
-            blocks.setdefault(e, []).append(xg)
-    return [(np.array([e]), _transposed_product(
-        *(np.concatenate(c, axis=-2)[None] for c in zip(*xg))))
-        for e, xg in sorted(blocks.items())]
+def _joined_rows(uses):
+    """A weight's row blocks x and g, each episode's joined in sweep order."""
+    return (c[0] if len(c) == 1 else np.concatenate(c, axis=-2)
+            for c in zip(*(u.args for u in uses)))
 
 
 def _add_per_episode(leaf, items) -> None:
     """Add a leaf's queued contributions in the order of a loop of
     one-episode backward passes: episode after episode, each episode's in
-    sweep order, but its weight uses last, as one product. When every
-    contribution covers every episode, the adds are one left fold over a
-    leading axis, a weight's products made one block of episodes at a time;
-    otherwise they run one episode at a time."""
+    sweep order, but its weight uses last, as one product. The adds are
+    one left fold over a leading axis, a weight's products made one block
+    of episodes at a time, unless a contribution is a function of its
+    episode's args: then they run one episode at a time."""
     uses = [it for it in items if it.fn is _transposed_product]
     items = [it for it in items if it.fn is not _transposed_product]
-    if items or any(u.rows is not None for u in uses):
-        items += [PerEpisode(None, c, rows=e) for e, c in _products(uses)]
+    if items and uses:
+        items.append(PerEpisode(None, _transposed_product(*_joined_rows(uses))))
         uses = []
-    if any(it.fn is not None or it.rows is not None for it in items):
-        for _, i, j in sorted((e, i, j) for i, it in enumerate(items)
-                              for j, e in enumerate(it.episodes().tolist())):
-            fn, args = items[i].fn, items[i].args
-            part = fn(*(a[j] for a in args)) if fn else args[0][j]
-            leaf.grad = part if leaf.grad is None else leaf.grad + part
+    if any(it.fn is not None for it in items):
+        for j in range(len(items[0].args[0])):
+            for it in items:
+                part = it.fn(*(a[j] for a in it.args)) if it.fn else it.args[0][j]
+                leaf.grad = part if leaf.grad is None else leaf.grad + part
         return
     if uses:  # a weight's products, one np.matmul per block of episodes
-        x, g = (c[0] if len(c) == 1 else np.concatenate(c, axis=-2)
-                for c in zip(*(u.args for u in uses)))
+        x, g = _joined_rows(uses)
         n = max(1, _FOLD_ELEMENTS // (x.shape[-1] * g.shape[-1]))
         blocks = (_transposed_product(x[s:s + n], g[s:s + n])
                   for s in range(0, len(x), n))
@@ -398,15 +389,15 @@ def _recording(parents) -> bool:
 
 
 def _vecmat(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w for one vector x (d,) or a batch of vectors (B, d).
+    """x @ w for one vector x (d,) or for each row of x (..., d).
 
-    A batch keeps one (1, d) row per episode, so every episode runs the
-    same vector-matrix kernel as the unbatched product; w is (d, h) or one
-    (d, h) matrix per episode.
+    Each row is its own (1, d) product, so every row runs the same
+    vector-matrix kernel as the unbatched product, however many rows there
+    are; w is (d, h) or one (d, h) matrix per episode.
     """
     if x.ndim == 1:
         return x @ w
-    return np.matmul(x[:, None, :], w)[:, 0]
+    return np.matmul(x[..., None, :], w)[..., 0, :]
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -499,42 +490,46 @@ def matmul(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), backward)
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x, w, b, per_row=False) -> Tensor:
     """x @ w + b for a rank-1 or rank-2 x, as one tape node.
 
     Inside `episode_batch`, x has a leading episode axis: (B, d) is one
-    vector per episode and (B, L, d) one matrix per episode.
+    vector per episode and (B, L, d) one matrix per episode. With
+    `per_row`, each row of a rank-2 x is its own vector-matrix product,
+    forward and backward, so its bits do not depend on how many rows x
+    has: the questions of a batch, padded to its longest.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
-    batched, rows = _IN_BATCH, _BATCH_ROWS
+    batched = _IN_BATCH
     rank = xd.ndim - batched
     if (rank not in (1, 2) or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]
             or b.data.shape != wd.shape[1:]):
         raise ShapeError(f"linear got x {x.shape}, w {w.shape}, b {b.shape}")
-    out = (_vecmat(xd, wd) if rank == 1 else xd @ wd) + b.data
+    rowwise = rank == 1 or per_row
+    out = (_vecmat(xd, wd) if rowwise else xd @ wd) + b.data
 
     def backward(g):
         gx = gw = gb = None
         if x.requires_grad:
-            gx = _vecmat(g, wd.T) if rank == 1 else g @ wd.T
+            gx = _vecmat(g, wd.T) if rowwise else g @ wd.T
         if w.requires_grad:
             xs, gs = (xd, g) if rank == 2 else (xd[..., None, :], g[..., None, :])
-            gw = PerEpisode(_transposed_product, xs, gs, rows=rows, batched=batched)
+            gw = PerEpisode(_transposed_product, xs, gs, batched=batched)
         if b.requires_grad:
             gb = PerEpisode(None, g if rank == 1 else g.sum(axis=-2),
-                            rows=rows, batched=batched)
+                            batched=batched)
         return gx, gw, gb
 
     return Tensor._from_op(out, (x, w, b), backward)
 
 
-def _row_grads(x, g, rows, batched):
+def _row_grads(x, g, batched):
     """The weight and bias contributions of a linear layer on one row x per
     episode, with output gradient g, as `linear` queues them."""
     return (PerEpisode(_transposed_product, x[..., None, :], g[..., None, :],
-                       rows=rows, batched=batched),
-            PerEpisode(None, g, rows=rows, batched=batched))
+                       batched=batched),
+            PerEpisode(None, g, batched=batched))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -583,11 +578,12 @@ def _softmax_backward(g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def softmax(a) -> Tensor:
-    """Numerically stable softmax of a rank-1 tensor; a rank-2 tensor is a
-    batch of rows."""
+    """Numerically stable softmax of a rank-1 tensor; inside
+    `episode_batch`, of one per episode (B, n)."""
     a = as_tensor(a)
-    if a.ndim not in (1, 2) or a.size < 1:
-        raise ShapeError("softmax expects a non-empty rank-1 tensor or a batch")
+    if a.ndim != 1 + _IN_BATCH or a.size < 1:
+        raise ShapeError(f"softmax expects a non-empty vector per episode, "
+                         f"got {a.shape}")
     out = _softmax(a.data)
     return Tensor._from_op(out, (a,), lambda g: (_softmax_backward(g, out),))
 
@@ -653,10 +649,9 @@ def _join(values, axis=-1):
     for v in values:
         start, end = end, end + v.shape[axis]
         bounds.append((slice(None),) * axis + (slice(start, end),))
-    rows = _BATCH_ROWS
 
     def split(g):
-        return tuple(PerEpisode(None, g[bd], rows=rows) if n < rank else g[bd]
+        return tuple(PerEpisode(None, g[bd]) if n < rank else g[bd]
                      for bd, n in zip(bounds, ndims))
 
     return out, split
@@ -738,27 +733,13 @@ def _to_source(t, g):
     return _scatter(t.source, t.index, g) if isinstance(t, Column) else g
 
 
-def merge_rows(parts, rows, batch: int) -> Tensor:
-    """A (batch, ...) tensor whose rows `rows[i]` are the rows of parts[i]:
-    it joins the length groups of a batch of questions."""
-    parts = [as_tensor(p) for p in parts]
-    out = np.empty((batch,) + parts[0].shape[1:], dtype=parts[0].dtype)
-    for part, r in zip(parts, rows):
-        out[r] = part.data
-
-    def backward(g):
-        return tuple(g[r] for r in rows)
-
-    return Tensor._from_op(out, tuple(parts), backward)
-
-
 def take_rows(a, ids) -> Tensor:
     """Gather rows of a matrix by an integer index array (embedding lookup);
     inside `episode_batch`, ids (B, L) is one sequence per episode."""
     a = as_tensor(a)
     ids = np.asarray(ids, dtype=np.int64)
     out = a.data[ids]
-    batched, rows = _IN_BATCH, _BATCH_ROWS
+    batched = _IN_BATCH
 
     def scatter(ids, g):
         full = np.zeros_like(a.data)
@@ -766,7 +747,7 @@ def take_rows(a, ids) -> Tensor:
         return full
 
     def backward(g):
-        return (PerEpisode(scatter, ids, g, rows=rows, batched=batched),)
+        return (PerEpisode(scatter, ids, g, batched=batched),)
 
     return Tensor._from_op(out, (a,), backward)
 
@@ -832,7 +813,7 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
     """
     x = as_tensor(x)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
-    batched, rows = _IN_BATCH, _BATCH_ROWS
+    batched = _IN_BATCH
     if x.ndim != 4 + batched or not layers:
         raise ShapeError(f"conv2d_same3_elu got x {x.shape} and {len(layers)} layers")
     k, h, wd, c = x.shape[-4:]
@@ -880,7 +861,7 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
         if not batched:
             gx = None if gx is None else gx[0]
             inputs, gas = [a[0] for a in inputs], [a[0] for a in gas]
-        grads, shared = [gx], dict(rows=rows, batched=batched)
+        grads, shared = [gx], dict(batched=batched)
         for xin, ga in zip(inputs, gas):
             grads += [PerEpisode(_conv_weight_grad, xin, ga, **shared),
                       PerEpisode(_conv_bias_grad, ga, **shared)]
@@ -899,7 +880,7 @@ def attention_weights(query, keys, scale=1.0, project=None) -> Tensor:
     Inside `episode_batch`, query is (B, d) and keys (B, L, d).
     """
     query, keys = as_tensor(query), as_tensor(keys)
-    batched, rows = _IN_BATCH, _BATCH_ROWS
+    batched = _IN_BATCH
     proj = () if project is None else tuple(map(as_tensor, project))
     width = proj[0].shape[-1] if proj else query.shape[-1]
     if (query.ndim != 1 + batched or keys.ndim != 2 + batched
@@ -929,47 +910,45 @@ def attention_weights(query, keys, scale=1.0, project=None) -> Tensor:
         if not proj:
             return gq, gk
         return (_vecmat(gq, proj[0].data.T),
-                *_row_grads(query.data, gq, rows, batched), gk)
+                *_row_grads(query.data, gq, batched), gk)
 
     return Tensor._from_op(out, parents, backward)
 
 
-def grouped_attention_read(query, groups):
-    """softmax(words @ query) @ words for each length group of a batch.
-
-    query is (B, d); groups are (rows, words) pairs as in
-    `encoders.QuestionEncoding`, words (B_g, L, d) for the batch rows
-    `rows`. Returns the (B, d) reads as one tape node, and each group's
-    attention weights as plain arrays. The node stands for one
-    `attention_weights` and one `matmul` per group: it evaluates their
-    expressions, and lists each group's words twice among its parents, so
-    that they receive the read's gradient and then the attention's, in the
-    order a one-episode sweep adds them. Their scale is 1, and a product
-    with 1 is exact, so the node leaves it out.
+def word_attention(query, words, lengths=None):
+    """The controller's read of the question words as one tape node: the
+    read qa @ words of the weights qa = softmax(words @ query), and qa's
+    value. query is (d,) and words (L, d); inside `episode_batch`, (B, d)
+    and B questions (B, L, d) padded to L words, of `lengths` (B,) (None:
+    all L). A pad gets weight 0, masked after the finite screen, and
+    gradient 0. The logits are sums of words * query along d, and the
+    softmax normaliser and the read left folds over the words: no
+    question's bits depend on the pad width.
     """
-    query = as_tensor(query)
-    out = np.empty(query.shape, dtype=query.dtype)
-    queries, weights = [], []
-    for rows, words in groups:
-        q = query.data[rows]
-        qa = _softmax(np.matmul(words.data, q[..., None])[..., 0])
-        out[rows] = _vecmat(qa, words.data)
-        queries.append(q)
-        weights.append(qa)
+    query, words = as_tensor(query), as_tensor(words)
+    batched = _IN_BATCH
+    if (query.ndim != 1 + batched or words.ndim != 2 + batched
+            or words.shape[:-2] != query.shape[:-1]
+            or words.shape[-1] != query.shape[-1] or words.shape[-2] < 1
+            or lengths is not None and not batched):
+        raise ShapeError(f"word attention over words {words.shape} with query "
+                         f"{query.shape} and lengths {lengths}")
+    q, w = query.data[..., None, :], words.data
+    logits = (w * q).sum(axis=-1)
+    _screen_finite(logits)
+    if lengths is not None:
+        logits[np.arange(w.shape[-2]) >= np.asarray(lengths)[:, None]] = -np.inf
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    qa = e / np.add.accumulate(e, axis=-1)[..., -1:]
+    out = (qa[..., None] * w).sum(axis=-2)
 
     def backward(g):
-        gq = np.empty_like(query.data)
-        grads = []
-        for (rows, words), q, qa in zip(groups, queries, weights):
-            gr = g[rows]
-            wd = words.data.swapaxes(-1, -2)
-            gl = _softmax_backward(_vecmat(gr, wd), qa)
-            gq[rows] = _matvec(wd, gl)
-            grads += [_outer(qa, gr), _outer(gl, q)]
-        return (gq, *grads)
+        g = g[..., None, :]
+        g_qa = (w * g).sum(axis=-1)
+        gl = (g_qa - np.add.accumulate(g_qa * qa, axis=-1)[..., -1:]) * qa
+        return (gl[..., None] * w).sum(axis=-2), qa[..., None] * g + gl[..., None] * q
 
-    parents = (query,) + tuple(w for _, words in groups for w in (words, words))
-    return Tensor._from_op(out, parents, backward), weights
+    return Tensor._from_op(out, (query, words), backward), qa
 
 
 def attention_aggregate(a) -> Tensor:
@@ -990,7 +969,7 @@ def attention_aggregate(a) -> Tensor:
     return Tensor._from_op(out, (a,), backward)
 
 
-def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
+def lstm_direction(x, wx, wh, b, reverse=False, lengths=None) -> Tensor:
     """One LSTM direction over a sequence, as one tape node.
 
     x: (L, d_in), wx: (d_in, 4h), wh: (h, 4h), b: (4h,), gate blocks in
@@ -998,13 +977,21 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
     `reverse` the run goes from the last position to the first. Returns
     the hidden state at every position, (L, h), in sequence order. The
     backward pass is backpropagation through time over the cached gates.
-    Inside `episode_batch`, equal-length sequences x (B, L, d_in) give
-    (B, L, h).
+    Inside `episode_batch`, x (B, L, d_in) is B sequences padded to L, of
+    `lengths` (B,) (None: all L), giving (B, L, h). A sequence runs over its
+    own positions (a reverse one from its last); its pads read 0, get
+    gradient 0 and hold no cache. Every kernel works a row at a time: a
+    step runs one vector-matrix product per sequence still inside (a
+    prefix, once sorted longest first) with wx and with wh. So one
+    sequence, run as a batch of one, gets the same bits whatever the pad
+    width or the batch around it.
     """
     x, wx, wh, b = (as_tensor(t) for t in (x, wx, wh, b))
-    batched, rows = _IN_BATCH, _BATCH_ROWS
-    if x.ndim != 2 + batched or x.shape[-2] < 1 or wh.ndim != 2:
-        raise ShapeError(f"lstm_direction got x {x.shape}, wh {wh.shape}")
+    batched = _IN_BATCH
+    if (x.ndim != 2 + batched or x.shape[-2] < 1 or wh.ndim != 2
+            or lengths is not None and not batched):
+        raise ShapeError(f"lstm_direction got x {x.shape}, wh {wh.shape}, "
+                         f"lengths {lengths}")
     hh = wh.shape[0]
     if wx.shape != (x.shape[-1], 4 * hh) or wh.shape != (hh, 4 * hh) \
             or b.shape != (4 * hh,):
@@ -1012,57 +999,74 @@ def lstm_direction(x, wx, wh, b, reverse=False) -> Tensor:
             f"lstm_direction got wx {wx.shape}, wh {wh.shape}, b {b.shape} "
             f"for input width {x.shape[-1]}"
         )
-    length = x.shape[-2]
-    xproj = x.data @ wx.data  # a batch runs one (L, d_in) gemm per episode
-    whd, bd = wh.data, b.data
-    order = range(length - 1, -1, -1) if reverse else range(length)
+    xs = x.data if batched else x.data[None]
+    count, width = xs.shape[:2]
+    lens = np.full(count, width) if lengths is None else np.asarray(lengths)
+    if lens.shape != (count,) or lens.min() < 1 or lens.max() > width:
+        raise ShapeError(f"lstm_direction got lengths {lens} for x {x.shape}")
+    # row r of the run is sequence order[r], longest first; step i of it
+    # reads position pos[r, i] (a pad's pos is a pad), and active[i] rows
+    # are inside at step i
+    order = np.array(sorted(range(count), key=lambda r: -lens[r]))
+    lens = lens[order, None]
+    steps = np.arange(width)
+    active = (lens > steps).sum(axis=0)
+    pos = (lens - 1 - steps + width * (steps >= lens) if reverse
+           else np.broadcast_to(steps, (count, width)))
+    at = (order[:, None], pos)
+    wxd, whd, bd = wx.data, wh.data, b.data
     record = _recording((x, wx, wh, b))
     cache = []
-    h = np.zeros(x.shape[:-2] + (hh,), dtype=_DEFAULT_DTYPE)
-    c = np.zeros(x.shape[:-2] + (hh,), dtype=_DEFAULT_DTYPE)
-    states = [None] * length
-    for i in order:
-        z = xproj[..., i, :] + _vecmat(h, whd) + bd
+    out = np.zeros((count, width, hh), dtype=_DEFAULT_DTYPE)
+    h = c = np.zeros((count, hh), dtype=_DEFAULT_DTYPE)
+    for i, k in enumerate(active):
+        z = _vecmat(xs[order[:k], pos[:k, i]], wxd) + _vecmat(h[:k], whd) + bd
         gates = _sigmoid(z)  # the cell block's tanh replaces its sigmoid
-        gates[..., 2 * hh:3 * hh] = np.tanh(z[..., 2 * hh:3 * hh])
-        i_g, f_g, g_g, o_g = (gates[..., k * hh:(k + 1) * hh] for k in range(4))
-        c_new = f_g * c + i_g * g_g
+        gates[:, 2 * hh:3 * hh] = np.tanh(z[:, 2 * hh:3 * hh])
+        i_g, f_g, g_g, o_g = (gates[:, j * hh:(j + 1) * hh] for j in range(4))
+        c_new = f_g * c[:k] + i_g * g_g
         tc = np.tanh(c_new)
         if record:
-            cache.append((gates, c, tc, h))
-        c = c_new
-        h = o_g * tc
-        states[i] = h
-    out = np.stack(states, axis=-2)
-
-    shared = dict(rows=rows, batched=batched)
+            cache.append((gates, c[:k], tc, h[:k]))
+        c, h = c_new, o_g * tc
+        out[order[:k], pos[:k, i]] = h
 
     def backward(g):
-        dz = np.empty_like(xproj)
-        h_prev = np.empty(xproj.shape[:-1] + (hh,), dtype=xproj.dtype)
-        dh_next = np.zeros(xproj.shape[:-2] + (hh,), dtype=xproj.dtype)
-        dc = np.zeros(xproj.shape[:-2] + (hh,), dtype=xproj.dtype)
-        for i, (gates, c_prev, tc, hp) in zip(reversed(order), reversed(cache)):
-            i_g, f_g, g_g, o_g = (gates[..., k * hh:(k + 1) * hh] for k in range(4))
-            dh = g[..., i, :] + dh_next
-            dc = dc + dh * o_g * (1.0 - tc * tc)
-            dz[..., i, 0:hh] = dc * g_g * i_g * (1.0 - i_g)
-            dz[..., i, hh:2 * hh] = dc * c_prev * f_g * (1.0 - f_g)
-            dz[..., i, 2 * hh:3 * hh] = dc * i_g * (1.0 - g_g * g_g)
-            dz[..., i, 3 * hh:] = dh * tc * o_g * (1.0 - o_g)
-            h_prev[..., i, :] = hp
-            dc = dc * f_g
-            dh_next = _vecmat(dz[..., i, :], whd.T)
+        gin = (g if batched else g[None])[at]
+        dz = np.zeros((count, width, 4 * hh), dtype=g.dtype)
+        h_prev = np.zeros((count, width, hh), dtype=g.dtype)
+        gx = np.zeros_like(xs)
+        dh_next = np.zeros((count, hh), dtype=g.dtype)
+        dc = np.zeros_like(dh_next)
+        for i in reversed(range(width)):
+            k = active[i]
+            gates, c_prev, tc, hp = cache[i]
+            i_g, f_g, g_g, o_g = (gates[:, j * hh:(j + 1) * hh] for j in range(4))
+            dh = gin[:k, i] + dh_next[:k]
+            dck = dc[:k] + dh * o_g * (1.0 - tc * tc)
+            dz[:k, i, 0:hh] = dck * g_g * i_g * (1.0 - i_g)
+            dz[:k, i, hh:2 * hh] = dck * c_prev * f_g * (1.0 - f_g)
+            dz[:k, i, 2 * hh:3 * hh] = dck * i_g * (1.0 - g_g * g_g)
+            dz[:k, i, 3 * hh:] = dh * tc * o_g * (1.0 - o_g)
+            h_prev[:k, i] = hp
+            dc[:k] = dck * f_g
+            gx[order[:k], pos[:k, i]] = _vecmat(dz[:k, i], wxd.T)
+            dh_next[:k] = _vecmat(dz[:k, i], whd.T)
+        # each sequence's rows in step order, pads last, in batch order
+        mine = np.zeros_like(order)
+        mine[order] = np.arange(count)
+        mine = mine if batched else 0
         return (
-            dz @ wx.data.T if x.requires_grad else None,
-            PerEpisode(_transposed_product, x.data, dz, **shared)
-            if wx.requires_grad else None,
-            PerEpisode(_transposed_product, h_prev, dz, **shared)
-            if wh.requires_grad else None,
-            PerEpisode(None, dz.sum(axis=-2), **shared) if b.requires_grad else None,
+            (gx if batched else gx[0]) if x.requires_grad else None,
+            PerEpisode(_transposed_product, xs[at][mine], dz[mine],
+                       batched=batched) if wx.requires_grad else None,
+            PerEpisode(_transposed_product, h_prev[mine], dz[mine],
+                       batched=batched) if wh.requires_grad else None,
+            PerEpisode(None, dz.sum(axis=-2)[mine], batched=batched)
+            if b.requires_grad else None,
         )
 
-    return Tensor._from_op(out, (x, wx, wh, b), backward)
+    return Tensor._from_op(out if batched else out[0], (x, wx, wh, b), backward)
 
 
 def _blend(m, w, v):
@@ -1155,7 +1159,7 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
     parents = tuple(as_tensor(t) for t in (
         vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b))
     vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b = parents
-    batched, rows = _IN_BATCH, _BATCH_ROWS
+    batched = _IN_BATCH
     if (vs.ndim != batched or rs.shape != vs.shape or tau.ndim != vs.ndim + 1
             or tau.shape[:-1] != vs.shape
             or w1.shape[0] != 2 + tau.shape[-1] or obj_w.shape[1] != 2
@@ -1182,9 +1186,9 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
         dx = _vecmat(d_a1, w1.data.T)
         return (
             np.asarray(dx[..., 0]), np.asarray(dx[..., 1]), dx[..., 2:],
-            *_row_grads(x, d_a1, rows, batched), *_row_grads(h1, d_a2, rows, batched),
-            *_row_grads(h2, d_obj, rows, batched),
-            *_row_grads(h2, d_write, rows, batched),
+            *_row_grads(x, d_a1, batched), *_row_grads(h1, d_a2, batched),
+            *_row_grads(h2, d_obj, batched),
+            *_row_grads(h2, d_write, batched),
         )
 
     return Tensor._from_op(out, parents, backward)
@@ -1201,7 +1205,7 @@ def control_query(q, c_prev, w, b, merge_w, merge_b, u) -> Tensor:
     """
     parents = tuple(map(as_tensor, (u, q, w, b, c_prev, merge_w, merge_b)))
     u, q, w, b, c_prev, merge_w, merge_b = parents
-    batched, rows = _IN_BATCH, _BATCH_ROWS
+    batched = _IN_BATCH
     d = w.shape[-1]
     if (q.ndim != 1 + batched or w.shape[:1] != q.shape[-1:] or b.shape != (d,)
             or merge_w.shape != (d + c_prev.shape[-1], d)
@@ -1219,9 +1223,9 @@ def control_query(q, c_prev, w, b, merge_w, merge_b, u) -> Tensor:
         g_cq = g * u.data
         g_qt, g_c = split(_vecmat(g_cq, merge_w.data.T))
         return (
-            PerEpisode(None, gu, rows=rows) if batched else gu,
-            _vecmat(g_qt, w.data.T), *_row_grads(q.data, g_qt, rows, batched),
-            g_c, *_row_grads(x, g_cq, rows, batched),
+            PerEpisode(None, gu) if batched else gu,
+            _vecmat(g_qt, w.data.T), *_row_grads(q.data, g_qt, batched),
+            g_c, *_row_grads(x, g_cq, batched),
         )
 
     return Tensor._from_op(out, parents, backward)
@@ -1239,7 +1243,7 @@ def elu_mlp(parts, w1, b1, w2, b2, softmax=False) -> Tensor:
     parents = tuple(map(as_tensor, (*parts, w1, b1, w2, b2)))
     parts = parents[:-4]
     w1, b1, w2, b2 = parents[-4:]
-    batched, rows = _IN_BATCH, _BATCH_ROWS
+    batched = _IN_BATCH
     if len(parts) == 1:
         x, split = parts[0].data, lambda g: (g,)
     else:
@@ -1258,7 +1262,7 @@ def elu_mlp(parts, w1, b1, w2, b2, softmax=False) -> Tensor:
             g = _softmax_backward(g, out)
         d_a1 = _vecmat(g, w2.data.T) * _elu_slope(h)
         return (*split(_vecmat(d_a1, w1.data.T)),
-                *_row_grads(x, d_a1, rows, batched), *_row_grads(h, g, rows, batched))
+                *_row_grads(x, d_a1, batched), *_row_grads(h, g, batched))
 
     return Tensor._from_op(out, parents, backward)
 
@@ -1274,7 +1278,7 @@ def mixed_linear(a, x, b, y, z, w, bias):
     column: the order in which a sweep met the chain's.
     """
     a, x, b, y, z, w, bias = map(as_tensor, (a, x, b, y, z, w, bias))
-    batched, rows = _IN_BATCH, _BATCH_ROWS
+    batched = _IN_BATCH
     if (a.ndim != batched or b.shape != a.shape or x.shape != y.shape
             or x.ndim != 1 + batched or x.shape[:batched] != a.shape
             or w.shape != (x.shape[-1] + z.shape[-1], bias.shape[-1])
@@ -1296,7 +1300,7 @@ def mixed_linear(a, x, b, y, z, w, bias):
             _to_source(b, np.asarray((g_mix * y.data).sum(axis=-1)))
             if b.requires_grad else None,
             g_mix * b.data[..., None] if y.requires_grad else None,
-            g_z, *_row_grads(joined, g, rows, batched),
+            g_z, *_row_grads(joined, g, batched),
         )
 
     return Tensor._from_op(out, parents, backward), mix

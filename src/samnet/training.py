@@ -266,11 +266,12 @@ class EvalResult:
 
 # Episodes per batched evaluation forward. Per episode a batch holds its
 # frame features, rendered frames, one frame's keys and values, its memory
-# and its contextual words: about 0.15 MB at toy-hard with 16 slots.
-# Measured on 256 toy-hard episodes at 16 slots (one thread), peak RSS was
-# 39.7 MB at a cap of 1 and 43.9 MB at 32, so about 0.13 MB per episode. The
-# frame CNN runs one episode at a time, so its im2col buffers and its first
-# layer's output do not grow.
+# and its contextual words, padded to the batch's longest question: about
+# 0.15 MB at toy-hard with 16 slots. Measured on 256 toy-hard episodes at 16
+# slots (one thread), peak RSS was 41.2 MB at a cap of 1 and 43.7 MB at 32,
+# so about 0.08 MB per episode (43.5 MB at 32 before the questions were
+# padded). The frame CNN runs one episode at a time, so its im2col buffers
+# and its first layer's output do not grow.
 _EVAL_BATCH = 32
 
 
@@ -329,8 +330,8 @@ def _train_chunk(model: SAMNet, episodes) -> list[float]:
 
 def _eval_logits(model: SAMNet, episodes, n_slots, gate_overrides):
     """Per-episode logits (K, num_answers) and losses, forwarded in batches
-    of episodes with equal frame shape; no padding, so each is bit-identical
-    to the episode's own forward and loss."""
+    of episodes with equal frame shape; a batch pads its questions, and each
+    episode is bit-identical to its own forward and loss."""
     groups: dict[tuple, list[int]] = {}
     for i, ep in enumerate(episodes):
         key = (len(ep.scenes), ep.config.height, ep.config.width)
@@ -339,7 +340,7 @@ def _eval_logits(model: SAMNet, episodes, n_slots, gate_overrides):
     losses = [None] * len(episodes)
     with T.no_grad(), T.episode_batch():
         for members in groups.values():
-            # by question length, so that each batch spans few length groups
+            # by question length, so that a batch pads its questions little
             members.sort(key=lambda i: len(episodes[i].token_ids))
             for start in range(0, len(members), _EVAL_BATCH):
                 chunk = members[start:start + _EVAL_BATCH]

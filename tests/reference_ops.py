@@ -44,13 +44,13 @@ def mul(a, b):
     operand with one axis fewer than the other is shared by the episodes."""
     a, b = T.as_tensor(a), T.as_tensor(b)
     out = a.data * b.data
-    in_batch, rows = T.in_episode_batch(), T._BATCH_ROWS
+    in_batch = T.in_episode_batch()
 
     def grad(t, other, g):
         if not t.requires_grad:
             return None
         if in_batch and t.ndim < other.ndim:
-            return T.PerEpisode(None, g * other.data, rows=rows)
+            return T.PerEpisode(None, g * other.data)
         return T._unbroadcast(g * other.data, t.data.shape)
 
     return T.Tensor._from_op(out, (a, b), lambda g: (grad(a, b, g), grad(b, a, g)))
@@ -120,16 +120,15 @@ def _linear_chain(x, w, b):
 
 def lstm_chain(x, wx, wh, b, reverse=False):
     """The question encoder's former per-token LSTM graph: about twenty
-    tape nodes per token."""
+    tape nodes per token, its input product one token at a time."""
     hh = wh.shape[0]
-    xproj = T.matmul(x, wx)
     h = T.zeros(hh)
     c = T.zeros(hh)
     length = x.shape[0]
     states = [None] * length
     order = range(length - 1, -1, -1) if reverse else range(length)
     for i in order:
-        z = T.add(T.add(xproj[i], T.matmul(h, wh)), b)
+        z = T.add(T.add(T.matmul(x[i], wx), T.matmul(h, wh)), b)
         i_g = sigmoid(z[0:hh])
         f_g = sigmoid(z[hh:2 * hh])
         g = tanh(z[2 * hh:3 * hh])
@@ -157,18 +156,28 @@ def _elu_mlp_chain(parts, w1, b1, w2, b2, softmax=False):
     return T.softmax(out) if softmax else out
 
 
-def grouped_attention_read_chain(query, groups):
-    """Per length group, `attention_weights` then `matmul` on the group's
-    query rows; `merge_rows` joins the reads. Returns the reads and each
-    group's attention weights."""
-    reads, weights = [], []
-    for rows, words in groups:
-        with T.episode_batch(rows):
-            qa = T.attention_weights(query[rows], words)
-            reads.append(T.matmul(qa, words))
-        weights.append(qa.data)
-    rows = [rows for rows, _ in groups]
-    return T.merge_rows(reads, rows, query.shape[0]), weights
+def total(a, axis):
+    """The sum of a along `axis`, as numpy sums it: pairwise along the
+    last axis, a left fold along another."""
+    a = T.as_tensor(a)
+    return T.Tensor._from_op(
+        a.data.sum(axis=axis), (a,),
+        lambda g: (np.repeat(np.expand_dims(g, axis), a.shape[axis], axis),))
+
+
+def softmax_folded(a):
+    """Softmax of a vector whose normaliser is a left fold."""
+    a = T.as_tensor(a)
+    e = np.exp(a.data - a.data.max())
+    out = e / np.add.accumulate(e)[-1:]
+    return T.Tensor._from_op(out, (a,), lambda g: (T._softmax_backward(g, out),))
+
+
+def _word_attention_chain(q, words):
+    """The controller's read: logits as row sums of words * q, then the
+    weights' mix of the words."""
+    qa = softmax_folded(total(mul(words, q), -1))
+    return total(mul(T.reshape(qa, (words.shape[0], 1)), words), -2)
 
 
 def _gate_mlp_chain(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b):
@@ -202,14 +211,13 @@ def _conv_elu_chain(x, *layers):
 CHAINS = {
     "cross_entropy_logits": _episode_loss_chain,
     "column": lambda x, i: T.select(x, (..., i)),
-    "merge_rows": lambda x, y, rows: T.select(
-        T.concat([x, y]), np.argsort(np.concatenate(rows))),
-    "grouped_attention_read": lambda q, x, y, rows: grouped_attention_read_chain(
-        q, list(zip(rows, (x, y))))[0],
     "linear_rank1": _linear_chain,
     "linear_rank2": _linear_chain,
+    "linear_per_row": lambda x, w, b: T.stack(
+        [_linear_chain(x[i], w, b) for i in range(x.shape[0])]),
     "lstm_direction_forward": lstm_chain,
     "lstm_direction_reverse": lambda *operands: lstm_chain(*operands, reverse=True),
+    "word_attention": _word_attention_chain,
     "attention_weights": lambda q, keys, scale: T.softmax(
         mul(T.matmul(keys, q), scale)),
     "attention_weights_projected": lambda q, keys, scale, w, b: T.attention_weights(
@@ -251,9 +259,10 @@ def memory_blend_matmul(m, w, v):
 
 
 def lstm_direction_sliced(x, wx, wh, b, reverse=False):
-    """`tensor.lstm_direction`'s value, with one sigmoid call per gate."""
+    """`tensor.lstm_direction`'s value for equal-length sequences, with one
+    sigmoid call per gate."""
     hh = wh.shape[0]
-    xproj = x @ wx
+    xproj = T._vecmat(x, wx)
     h = np.zeros(x.shape[:-2] + (hh,), dtype=x.dtype)
     c = np.zeros_like(h)
     length = x.shape[-2]

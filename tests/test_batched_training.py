@@ -106,12 +106,44 @@ def test_chunks_of_the_rule_size(preset, count):
     assert_same_gradients(model, episodes, sizes)
 
 
-def test_equal_question_lengths_are_one_group():
+def test_equal_question_lengths_need_no_pads():
     model, pool = model_and_episodes("toy-canonical", 40)
     n = len(pool[0].tokens)
     episodes = [ep for ep in pool if len(ep.tokens) == n][:4]
     assert len(episodes) == 4
     assert_same_gradients(model, episodes, [4])
+
+
+def test_one_word_and_longest_questions_each_get_their_own_pass():
+    """One padded batch holds a hand-built one-word question, the longest
+    of 40 generated ones and one between. Each episode's logits, loss and
+    parameter gradients (the batch's loss read out at that episode alone)
+    are those of its own pass, bit for bit."""
+    model, pool = model_and_episodes("toy-canonical", 40)
+    longest = max(pool, key=lambda ep: len(ep.token_ids))
+    middle = next(ep for ep in pool
+                  if 1 < len(ep.token_ids) < len(longest.token_ids))
+    tokens = [longest.token_ids[-1:], longest.token_ids, middle.token_ids]
+    frames = np.stack([ep.frames_symbolic() for ep in (pool[0], longest, middle)])
+    answers = np.array([ep.answer_ids for ep in (pool[0], longest, middle)])
+    for e in range(3):
+        model.store.zero_grad()
+        logits = model.episode_forward(tokens[e], frames[e])
+        loss = T.cross_entropy_logits(logits, answers[e])
+        want = logits.data.copy(), loss.data.copy()
+        loss.backward()
+        want_grads = gradients(model)
+        model.store.zero_grad()
+        with T.episode_batch():
+            logits = model.episode_forward(tokens, frames)
+            loss = T.cross_entropy_logits(logits, answers)
+            got = logits.data[e].copy(), loss.data[e].copy()
+            root = loss[e]
+        root.backward()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), e
+        for name, g in gradients(model).items():
+            assert want_grads[name] is not None, name
+            assert np.array_equal(g, want_grads[name]), (e, name)
 
 
 def test_chunk_loss_is_the_per_episode_loss():

@@ -342,7 +342,7 @@ class TestCellStep:
         for rows in frames:
             keys, values = net.cell.visual.project(T.Tensor(rows))
             new_state, new_mem = net.cell.step(
-                enc.q, enc.cw, keys, values, state, mem, 1, gate_overrides=forced
+                enc, keys, values, state, mem, 1, gate_overrides=forced
             )
             assert np.array_equal(new_mem.m.data, mem.m.data)
             npt.assert_allclose(new_mem.wh.data, mem.wh.data, atol=1e-7)
@@ -358,7 +358,7 @@ class TestCellStep:
         state = net.cell.initial_state()
         mem = MemoryState.initial(3, 8)
         for t in (1, 2):
-            state, mem = net.cell.step(enc.q, enc.cw, keys, values, state, mem, t)
+            state, mem = net.cell.step(enc, keys, values, state, mem, t)
             assert state.c.shape == (8,)
             assert state.so.shape == (8,)
             assert mem.m.shape == (3, 8)
@@ -423,13 +423,13 @@ class TestEpisodeForward:
         net = toy_net(26)
         rng = np.random.default_rng(26)
         frames = (rng.random((2, 2, 3, 3, 4)) < 0.3).astype(np.float32)
-        read = T.grouped_attention_read
+        read = T.word_attention
 
-        def doubled(query, groups):  # each group's weights sum to 2
-            out, weights = read(query, groups)
-            return out, [2 * qa for qa in weights]
+        def doubled(query, words, lengths):  # each question's weights sum to 2
+            out, weights = read(query, words, lengths)
+            return out, 2 * weights
 
-        monkeypatch.setattr(T, "grouped_attention_read", doubled)
+        monkeypatch.setattr(T, "word_attention", doubled)
         with T.episode_batch():
             net.episode_forward([[1, 2], [3]], frames)  # checks off
             monkeypatch.setattr(T, "DEBUG_CHECKS", True)

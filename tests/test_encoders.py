@@ -60,28 +60,27 @@ class TestQuestionEncoder:
                 out = enc.encode(seqs)
             single = [enc.encode(s) for s in seqs]
         assert out.q.shape == (len(seqs), 16)
+        # one padded batch: its longest question's width, the lengths kept
+        assert out.cw.shape == (len(seqs), 7, 16)
+        assert out.lengths.tolist() == [5, 3, 5, 1, 7, 3, 5]
         for i, one in enumerate(single):
+            assert one.lengths is None
             assert np.array_equal(out.q.data[i], one.q.data)
-        # one group per length, in order of first appearance
-        assert [words.shape for _, words in out.cw] == [
-            (3, 5, 16), (2, 3, 16), (1, 1, 16), (1, 7, 16)]
-        covered = []
-        for rows, words in out.cw:
-            assert list(rows) == sorted(rows)
-            for row, w in zip(rows, words.data):
-                assert np.array_equal(w, single[row].cw.data)
-            covered.extend(rows)
-        assert sorted(covered) == list(range(len(seqs)))
+            n = len(seqs[i])
+            assert np.array_equal(out.cw.data[i, :n], one.cw.data)
+            # a pad row is the cw linear's bias
+            assert np.array_equal(out.cw.data[i, n:],
+                                  np.broadcast_to(enc.cw_b.data, (7 - n, 16)))
 
-    def test_equal_length_batch_is_one_group(self):
+    def test_equal_length_array_equals_the_list(self):
         enc = QuestionEncoder(store_with_seed(12), vocab_size=6, d=8)
         ids = np.array([[1, 2, 3], [3, 2, 1]])
         with T.no_grad(), T.episode_batch():
             out = enc.encode(ids)
             expected = enc.encode(ids.tolist())
-        [(rows, words)] = out.cw
-        assert list(rows) == [0, 1] and words.shape == (2, 3, 8)
+        assert out.cw.shape == (2, 3, 8) and out.lengths.tolist() == [3, 3]
         assert np.array_equal(out.q.data, expected.q.data)
+        assert np.array_equal(out.cw.data, expected.cw.data)
 
     def test_ragged_batch_records_and_matches(self):
         store = store_with_seed(13)
@@ -101,9 +100,8 @@ class TestQuestionEncoder:
             out = enc.encode(seqs)  # recorded on one tape
         assert out.q.requires_grad
         assert np.array_equal(out.q.data, np.stack([q for q, _ in single]))
-        for rows, words in out.cw:
-            for row, w in zip(rows, words.data):
-                assert np.array_equal(w, single[row][1])
+        for i, (_, cw) in enumerate(single):
+            assert np.array_equal(out.cw.data[i, :len(seqs[i])], cw)
         with T.episode_batch():  # one loss per question
             T.cross_entropy_logits(out.q, targets).backward()
         for p in store.parameters():

@@ -3,12 +3,11 @@
 The op table's tests (`test_ops.py`) check each op against its reference
 chain; the tests here keep what those cannot hold: the episode loss
 against evaluation's former numpy loss and, bit for bit in float32,
-training's former per-frame chain; the group reads' attention weights
-against the chain's; the row merge against numpy; and the model as it runs
-the fused ops: the question encoder against the per-token chain, and the
-step's fused layers, for one episode and a batch, from the shared learned
-initial state and with forced gates, whose logits and parameter gradients
-equal the former step's bit for bit.
+training's former per-frame chain; the word attention's weights against
+the chain's; and the model as it runs the fused ops: the question encoder
+against the per-token chain, and the step's fused layers, for one episode
+and a batch, from the shared learned initial state and with forced gates,
+whose logits and parameter gradients equal the former step's bit for bit.
 """
 
 from contextlib import nullcontext
@@ -17,8 +16,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from reference_ops import (CHAINS, grouped_attention_read_chain, lstm_chain,
-                           memory_blend, weighted_sum)
+from reference_ops import (CHAINS, lstm_chain, memory_blend, mul,
+                           softmax_folded, total, weighted_sum)
 from samnet import tensor as T
 from samnet.cell import CellState, MemoryState, ModelConfig, SAMNet, _override_gate
 from samnet.encoders import QuestionEncoder
@@ -126,32 +125,12 @@ def test_ragged_batch_loss_equals_both_references(preset):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_grouped_attention_read_weights_equal_the_chain(dtype):
+def test_word_attention_weights_equal_the_chain(dtype):
     with T.precision(dtype):
-        query, x, y, rows = OPS["grouped_attention_read"].draw(
-            np.random.default_rng(13))
-        groups = list(zip(rows, (x, y)))
-        weights = T.grouped_attention_read(query, groups)[1]
-        chain_weights = grouped_attention_read_chain(query, groups)[1]
-    for a, b in zip(weights, chain_weights, strict=True):
-        assert np.array_equal(a, b)
-
-
-def test_merge_rows_equals_row_assignment():
-    rng = np.random.default_rng(14)
-    entry = OPS["merge_rows"]
-    *parts, rows = operands = entry.draw(rng)
-    out = entry.run(operands)
-    want = np.empty_like(out.data)
-    for part, r in zip(parts, rows):
-        want[r] = part.data
-    assert np.array_equal(out.data, want)
-    readout = rng.normal(size=out.shape)
-    _readout_from(readout, out).backward()
-    # _readout_from's gradient is the scaled readout itself
-    g = (readout / np.sqrt(readout.size)).astype(np.float32)
-    for part, r in zip(parts, rows):
-        assert np.array_equal(part.grad, g[r])
+        query, words = OPS["word_attention"].draw(np.random.default_rng(13))
+        weights = T.word_attention(query, words)[1]
+        chain_weights = softmax_folded(total(mul(words, query), -1)).data
+    assert np.array_equal(weights, chain_weights)
 
 
 def test_question_encoder_equals_per_token_chain():
@@ -162,7 +141,7 @@ def test_question_encoder_equals_per_token_chain():
     fwd = lstm_chain(embeds, *enc.dir_params["fwd"])
     bwd = lstm_chain(embeds, *enc.dir_params["bwd"], reverse=True)
     both = T.stack([T.concat([fwd[i], bwd[i]]) for i in range(ids.size)])
-    cw = CHAINS["linear_rank2"](both, enc.cw_w, enc.cw_b)
+    cw = CHAINS["linear_per_row"](both, enc.cw_w, enc.cw_b)
     q = CHAINS["linear_rank1"](T.concat([fwd[ids.size - 1], bwd[0]]), enc.q_w, enc.q_b)
     assert np.array_equal(out.cw.data, cw.data)
     assert np.array_equal(out.q.data, q.data)
@@ -180,17 +159,14 @@ def test_no_grad_forward_equals_recorded_forward():
     assert np.array_equal(recorded, plain)
 
 
-def chain_cell_step(cell, q, cw, keys, values, state, mem, t, overrides):
+def chain_cell_step(cell, question, keys, values, state, mem, t, overrides):
     """`SAMCell.step` as it was before its layers were fused: a gate was a
-    `select` of `gate_mlp`'s output."""
+    `select` of `gate_mlp`'s output. The word attention was one node."""
     ctrl, clf, gate_net = cell.controller, cell.temporal, cell.gate_net
     w, b = ctrl.q_step[t - 1]
-    uq = CHAINS["control_query"](q, state.c, w, b, ctrl.merge_w, ctrl.merge_b,
-                                 ctrl.attn_u)
-    if T.in_episode_batch():
-        c_t, _ = T.grouped_attention_read(uq, cw)
-    else:
-        c_t = T.matmul(T.attention_weights(uq, cw), cw)
+    uq = CHAINS["control_query"](question.q, state.c, w, b, ctrl.merge_w,
+                                 ctrl.merge_b, ctrl.attn_u)
+    c_t, _ = T.word_attention(uq, question.cw, question.lengths)
     tau = CHAINS["elu_mlp_softmax"](c_t, clf.w1, clf.b1, clf.w2, clf.b2)
     scale = 1.0 / np.sqrt(cell.config.d)
     attend = CHAINS["attention_weights_projected"]
@@ -221,7 +197,7 @@ def cell_steps_loss(net, tokens, features, answers, step, head):
     batch = len(tokens) if T.in_episode_batch() else None
     mem = MemoryState.initial(3, cell.config.d, batch)
     for t in range(1, cell.config.steps + 1):
-        state, mem = step(enc.q, enc.cw, keys, values, state, mem, t)
+        state, mem = step(enc, keys, values, state, mem, t)
     logits = head(state.so, enc.q)
     return logits, T.cross_entropy_logits(logits, answers)
 

@@ -37,26 +37,26 @@ RUN_DIGESTS = {
         "metrics.csv":
             "e3640a7881ea2839ec3a0f49a8ae8357bda736c454d4ac81e2d2ea1b0cfab702",
         "final.ckpt":
-            "dc613d680602dc41be7eebe1a3d54bb1c242bfe76531fb881de9f299fc257362",
+            "3ed589fae721ddd6ccbb9de4febaca93741c2fa2e26a0ad86b2b40cda8bdbdd4",
         "best.ckpt":
-            "3cf84447ed74e2455d30dd92bc782b9b28e8095877b1ee60e371a3a291c91fd0",
+            "1259c3da2a1ff55dceeaf8d8b0bf625f538393a95e4e28be9209c276d6be45ef",
     },
     "toy-hard": {
         "metrics.csv":
             "b8f20a9b0396837ace45af949ac92a48f194804b740505a77237059286784f1e",
         "final.ckpt":
-            "15f005ad3708bee1d775747a03aecc7102dc05bf71c198179a0114626e938605",
+            "b49b7b2ea703a6d94fdfbf04ddab68b6bec02391d47c17122d5c178c349377d4",
         "best.ckpt":
-            "8083f67290b2b85ccfb8cfaaf8bf8c8a76c4ea1c2d740af38b80c413667a83f2",
+            "82f4f9c7837ad58cd04a397b9f636329f5fc1f110797df97ae7080a28384d929",
     },
 }
 MEMORYLESS_DIGESTS = {
     "metrics.csv":
         "def5a0cbeba5b85ad0e6a9a3bb492ab9c8aafef4ba17ab085b4be6058a793d0d",
     "final.ckpt":
-        "73e4561697e021d58844d842af9dd29f525492f5fb449f17029c3eb020d6d536",
+        "e25680aa5966f84db37d0b9a206339f12bb4f40c90be4c146e134c9c3f0bb50b",
     "best.ckpt":
-        "ca65f7cba9cf41af5aa34afeb093d59223fd0cb1ab36158e7bc24e2ba52d0840",
+        "1f58e4ed2bee894506f66954942a1e24d8fa57d6b085ec4d199698aa1174ac2e",
 }
 EVAL_DIGESTS = {
     ():

@@ -7,9 +7,11 @@ Each entry is checked at sizes drawn from 1-5:
   rtol 1e-10;
 - for an op with a batch form, a batch of three episodes against three
   one-episode calls: each episode's forward bits and every operand's
-  gradient bits, a shared operand's summed over the calls; outside
-  `episode_batch`, an extra leading axis raises `ShapeError` where the op
-  checks ranks;
+  gradient bits, a shared operand's summed over the calls; a ragged op's
+  episodes have 1 word, the batch's width and a length between, padded
+  with random words that must get zero gradient and leave no trace;
+  outside `episode_batch`, an extra leading axis raises `ShapeError` where
+  the op checks ranks;
 - under `no_grad` it records nothing and gives the recorded forward.
 Adding a public op to `samnet.tensor` without an entry, or an entry without
 a chain or the chainless mark, fails `test_every_public_op_has_an_entry`.
@@ -77,28 +79,49 @@ def test_gradients_match_chain_float64(name, seed):
 def episodes_and_batch(entry, rng, count=3):
     """`count` episodes' operands at one set of sizes, the shared ones the
     first episode's, and the batch's: per-episode operands stacked (a
-    tensor as a fresh leaf), shared ones as they are."""
+    tensor as a fresh leaf), shared ones as they are. A ragged entry's
+    episodes have lengths 1, the width (at least 2) and one between, and
+    the batch pads them with random words; returns those lengths too."""
     sizes = entry.sizes(rng)
-    each = [entry.draw(rng, sizes) for _ in range(count)]
+    lengths = None
+    if entry.ragged:
+        width = sizes["length"] = max(2, sizes["length"])
+        lengths = np.array([1, width, rng.integers(1, width + 1)][:count])
+        each = [entry.draw(rng, dict(sizes, length=n)) for n in lengths]
+    else:
+        each = [entry.draw(rng, sizes) for _ in range(count)]
     batch = []
     for i, first in enumerate(each[0]):
         if i not in entry.per_episode:
             for operands in each[1:]:
                 operands[i] = first
             batch.append(first)
-        elif isinstance(first, T.Tensor):
-            batch.append(T.Tensor(np.stack([e[i].data for e in each]),
-                                  requires_grad=True))
-        else:
-            batch.append(np.stack([e[i] for e in each]))
-    return each, batch
+            continue
+        parts = [np.asarray(e[i].data if isinstance(first, T.Tensor) else e[i])
+                 for e in each]
+        if i in entry.ragged:
+            parts = [np.concatenate([p, rng.normal(
+                size=(sizes["length"] - len(p),) + p.shape[1:])]).astype(p.dtype)
+                for p in parts]
+        stacked = np.stack(parts)
+        batch.append(T.Tensor(stacked, requires_grad=True)
+                     if isinstance(first, T.Tensor) else stacked)
+    return each, batch, lengths
+
+
+def padded(arrays, shape):
+    """The arrays, each zero-padded at the end of every axis to `shape`."""
+    out = np.zeros((len(arrays),) + shape, dtype=arrays[0].dtype)
+    for i, a in enumerate(arrays):
+        out[(i,) + tuple(slice(0, n) for n in a.shape)] = a
+    return out
 
 
 @pytest.mark.parametrize("name", [n for n in BATCHED if OPS[n].rank_checked])
 def test_extra_leading_axis_needs_episode_batch(name):
     # the batch is read from the scope alone, never from operand ranks
     entry = OPS[name]
-    _, batch = episodes_and_batch(entry, np.random.default_rng(0))
+    _, batch, _ = episodes_and_batch(entry, np.random.default_rng(0))
     with pytest.raises(T.ShapeError):
         entry.run(batch)
 
@@ -110,24 +133,26 @@ def test_batch_of_three_equals_each_episode(name, seed, dtype):
     entry = OPS[name]
     with T.precision(dtype):
         rng = np.random.default_rng(seed)
-        each, batch = episodes_and_batch(entry, rng)
+        each, batch, lengths = episodes_and_batch(entry, rng)
         with T.no_grad():
-            readouts = rng.normal(size=(len(each),) + entry.run(each[0]).shape)
+            readouts = [rng.normal(size=entry.run(e).shape) for e in each]
         forwards = []
         for operands, readout in zip(each, readouts):
             one = entry.run(operands)
             forwards.append(one.data)
             _readout_from(readout, one).backward()
         with T.episode_batch():
-            out = entry.run(batch)
-            assert np.array_equal(out.data, np.stack(forwards))
+            out = entry.run(batch, lengths)
+            # each episode's forward, and zeros past a shorter one's words
+            assert np.array_equal(out.data, padded(forwards, out.shape[1:]))
             # one root per episode, each read out as `_readout_from` reads
-            # a one-episode output
-            r = readouts.reshape(len(each), -1) / np.sqrt(readouts[0].size)
-            root = T.matmul(T.Tensor(r), T.reshape(out, (len(each), -1, 1)))[:, 0]
+            # a one-episode output, and pads read out with weight 0
+            r = padded([r / np.sqrt(r.size) for r in readouts], out.shape[1:])
+            root = T.matmul(T.Tensor(r.reshape(len(each), -1)),
+                            T.reshape(out, (len(each), -1, 1)))[:, 0]
     leaves = [i for i, t in enumerate(batch) if isinstance(t, T.Tensor)]
-    want = {i: np.stack([e[i].grad for e in each]) if i in entry.per_episode
-            else batch[i].grad for i in leaves}
+    want = {i: padded([e[i].grad for e in each], batch[i].shape[1:])
+            if i in entry.per_episode else batch[i].grad for i in leaves}
     for i in leaves:
         batch[i].grad = None
     root.backward()

@@ -338,27 +338,20 @@ def test_lstm_gates_keep_the_per_slice_sigmoid_bits(dtype):
 # once the sweep has passed the weight's last user each episode adds one
 # product x.T @ g of its rows joined in sweep order, episode after episode.
 
-def _weight_graph(w, inputs, shared, groups=None):
+def _weight_graph(w, inputs, shared, lengths=None):
     """A loss per episode through four uses of the leaf w (6, 6): rank-1
-    `linear`, rank-2 `linear` (once per length group when `groups` are
-    given) and `gate_mlp`'s w1 and w2. Outside `episode_batch`, one
-    episode: `inputs` are that episode's."""
+    `linear`, whose output reads a question's words through
+    `word_attention`, per-row `linear` over those words (padded to the
+    longest, with their `lengths`, in a ragged batch) and `gate_mlp`'s w1
+    and w2. Outside `episode_batch`, one episode: `inputs` are that
+    episode's."""
     x, words, vs, rs, tau = inputs
     b, gate = shared
-    rank1 = T.attention_aggregate(T.linear(x, w, b))
-    if groups is None:
-        rank2 = T.attention_aggregate(T.reshape(
-            T.linear(words, w, b), words.shape[:-2] + (-1,)))
-    else:
-        parts = []
-        for rows in groups:
-            with T.episode_batch(rows):
-                group = np.stack([words[i] for i in rows])
-                parts.append(T.attention_aggregate(T.reshape(
-                    T.linear(group, w, b), (len(rows), -1))))
-        rank2 = T.merge_rows(parts, groups, len(x))
+    query = T.linear(x, w, b)
+    read, _ = T.word_attention(query, T.linear(words, w, b, per_row=True),
+                               lengths)
     gates = T.gate_mlp(vs, rs, tau, w, gate[0], w, *gate[1:])
-    return T.add(T.add(rank1, rank2), T.attention_aggregate(gates))
+    return T.add(T.attention_aggregate(read), T.attention_aggregate(gates))
 
 
 def _queued_uses(monkeypatch, leaf):
@@ -368,7 +361,7 @@ def _queued_uses(monkeypatch, leaf):
 
     def recording(target, items):
         if target is leaf:
-            folds.append([(it.episodes().tolist(), *it.args) for it in items])
+            folds.append([it.args for it in items])
         real(target, items)
 
     monkeypatch.setattr(T, "_add_per_episode", recording)
@@ -378,21 +371,17 @@ def _queued_uses(monkeypatch, leaf):
 def _episode_rows(fold):
     """Per episode of a fold, in episode order, its rows (x, g) joined in
     sweep order."""
-    blocks = {}
-    for episodes, x, g in fold:
-        for e, xe, ge in zip(episodes, x, g):
-            blocks.setdefault(e, []).append((xe, ge))
-    return [tuple(np.concatenate(c, axis=0) for c in zip(*blocks[e]))
-            for e in sorted(blocks)]
+    return [tuple(np.concatenate(c, axis=0) for c in zip(*blocks))
+            for blocks in zip(*(zip(x, g) for x, g in fold))]
 
 
-WEIGHT_MODES = ("one episode at a time", "batch", "length groups")
+WEIGHT_MODES = ("one episode at a time", "batch", "padded")
 
 
 def _weight_gradient(monkeypatch, mode, dtype, lengths=None, seed=17):
-    """w's gradient over four episodes, whose rank-2 inputs have `lengths`
-    rows (a batch: 3 each, else 3, 2, 3, 2), and the row blocks its folds
-    got."""
+    """w's gradient over four episodes, whose questions have `lengths`
+    words (a batch: 3 each, else 3, 2, 3, 2; padded with random words),
+    and the row blocks its folds got."""
     lengths = lengths or ((3,) * 4 if mode == "batch" else (3, 2, 3, 2))
     rng = np.random.default_rng(seed)
     with T.precision(dtype):
@@ -401,21 +390,16 @@ def _weight_gradient(monkeypatch, mode, dtype, lengths=None, seed=17):
                   [T.Tensor(rng.normal(size=s)) for s in
                    ((6,), (6,), (6, 2), (2,), (6, 3), (3,))])
         x, vs, rs, tau = (rng.normal(size=(4,) + s) for s in ((6,), (), (), (4,)))
-        words = [rng.normal(size=(n, 6)) for n in lengths]
+        words = rng.normal(size=(4, max(lengths), 6))
         folds = _queued_uses(monkeypatch, w)
         if mode == "one episode at a time":
             for e in range(4):
-                _weight_graph(w, (x[e], words[e], vs[e], rs[e], tau[e]),
-                              shared).backward()
+                _weight_graph(w, (x[e], words[e, :lengths[e]], vs[e], rs[e],
+                                  tau[e]), shared).backward()
         else:
-            groups = None
-            if mode == "length groups":
-                groups = [np.flatnonzero(np.array(lengths) == n)
-                          for n in dict.fromkeys(lengths)]
-            else:
-                words = np.stack(words)
             with T.episode_batch():
-                loss = _weight_graph(w, (x, words, vs, rs, tau), shared, groups)
+                loss = _weight_graph(w, (x, words, vs, rs, tau), shared,
+                                     lengths if mode == "padded" else None)
             loss.backward()
     return w.grad, folds
 
@@ -429,7 +413,8 @@ def test_weight_gradient_is_one_product_per_episode(monkeypatch, mode):
         rows = _episode_rows(fold)
         assert len(rows) == (1 if mode == "one episode at a time" else 4)
         for x, g in rows:
-            # 1 + 3 rows of the linear uses, 2 of gate_mlp; 1 fewer if short
+            # 1 + 3 rows of the linear uses, 2 of gate_mlp; 1 fewer if
+            # short, unless padded with a zero-gradient row
             assert len(x) in (6, 5)
             product = np.matmul(x.T, g)
             want = product if want is None else want + product
@@ -447,11 +432,12 @@ def test_weight_gradient_is_the_outer_product_sum_float64(monkeypatch, mode):
     npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_batch_and_groups_add_the_weight_gradient_of_a_loop():
-    """Episode i of a batch sees the values of its own graph, so batch,
-    length groups and one-episode tapes give the same bits."""
-    for modes, lengths in [(("length groups",), (3, 2, 3, 2)),
-                           (("batch", "length groups"), (3, 3, 3, 3))]:
+def test_batch_and_padded_batch_add_the_weight_gradient_of_a_loop():
+    """Episode i of a batch sees the values of its own graph, and its pads
+    add zero rows to its product, so batch, padded batch and one-episode
+    tapes give the same bits."""
+    for modes, lengths in [(("padded",), (3, 2, 3, 2)),
+                           (("batch", "padded"), (3, 3, 3, 3))]:
         with pytest.MonkeyPatch.context() as mp:
             loop, _ = _weight_gradient(mp, "one episode at a time", "float32",
                                        lengths)
@@ -478,6 +464,21 @@ def test_weight_products_fold_a_block_of_episodes_at_a_time(monkeypatch,
     n = fold_elements // 36
     assert blocks == [n] * (4 // n) + [4 % n] * (4 % n > 0)
     assert np.array_equal(got, loop)
+
+
+@pytest.mark.parametrize("width,n,h,length",
+                         [(9, 26, 1, 4), (4, 25, 1, 2), (5, 1, 12, 4), (8, 1, 40, 4)])
+def test_weight_product_keeps_its_bits_when_zero_rows_are_appended(width, n, h,
+                                                                  length):
+    """A question's pads append zero rows to its weight products. numpy
+    would run these width-1 products as a gemv, whose sums such rows
+    change."""
+    rng = np.random.default_rng(width * n * h)
+    x = rng.normal(size=(1, width, n)).astype(np.float32)
+    g = np.zeros((1, width, h), dtype=np.float32)
+    g[:, :length] = rng.normal(size=(1, length, h))
+    assert np.array_equal(T._transposed_product(x, g),
+                          T._transposed_product(x[:, :length], g[:, :length]))
 
 
 def test_computed_weight_is_added_on_the_spot_but_not_shared():
