@@ -28,7 +28,7 @@ print("weights:", np.round(weights.data, 3), "sum:", round(float(weights.data.su
 print("summary shape:", summary.shape)
 
 print("\n=== reverse mode from a scalar root ===")
-# every layer is one fused op: one tape node with a hand-written backward
+# each op is one tape node with a hand-written backward; `linear` is x @ w + b
 store = ParameterStore(np.random.default_rng(1))
 x = store.new("x", (3,))
 x.data = np.array([1.0, -2.0, 0.5], dtype=np.float32)

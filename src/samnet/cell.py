@@ -112,16 +112,48 @@ def memory_update(m_prev: Tensor, wh_prev: Tensor, rh: Tensor, vo: Tensor,
 
     w = h_r * rh + h_a * wh_prev picks the write location softly; every row
     of the result is a convex blend (1 - w_i) * old_row + w_i * vo. A zero w
-    leaves memory untouched. One `T.memory_write` node; w is returned as a
-    value only.
+    leaves memory untouched.
     """
-    m_t, w = T.memory_write(m_prev, wh_prev, rh, vo, h_r, h_a)
-    return m_t, Tensor(w)
+    w = T.weighted_sum(h_r, rh, h_a, wh_prev)
+    return T.memory_blend(m_prev, w, vo), w
 
 
 def write_head_update(wh_prev: Tensor, h_a: Tensor) -> Tensor:
     """Advance the write head by a soft circular right-shift when appending."""
     return T.write_head_shift(wh_prev, h_a)
+
+
+def control_query(q: Tensor, c_prev: Tensor, w: Tensor, b: Tensor,
+                  merge_w: Tensor, merge_b: Tensor, u: Tensor) -> Tensor:
+    """u * cq for cq = linear([linear(q, w, b), c_prev], merge_w, merge_b).
+
+    u . (cq * cw_i) == cw_i . (u * cq), so this one product gives the
+    word-attention logits of every contextual word cw_i.
+    """
+    cq = T.linear(T.concat([T.linear(q, w, b), c_prev], axis=-1),
+                  merge_w, merge_b)
+    return T.mul(u, cq)
+
+
+def elu_mlp(parts, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+            softmax: bool = False) -> Tensor:
+    """linear(elu(linear(x))) of x, the parts joined; softmaxed if asked."""
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+    out = T.linear(T.elu(T.linear(x, w1, b1)), w2, b2)
+    return T.softmax(out) if softmax else out
+
+
+def projected_attention(x: Tensor, keys: Tensor, scale: float, w: Tensor,
+                        b: Tensor) -> Tensor:
+    """Attention weights over the rows of keys for the query linear(x, w, b)."""
+    return T.attention_weights(T.linear(x, w, b), keys, scale)
+
+
+def mixed_linear(a: Tensor, x: Tensor, b: Tensor, y: Tensor, z: Tensor,
+                 w: Tensor, bias: Tensor):
+    """linear([a * x + b * y, z], w, bias), and the mix a * x + b * y."""
+    mix = T.weighted_sum(a, x, b, y)
+    return T.linear(T.concat([mix, z], axis=-1), w, bias), mix
 
 
 class QuestionDrivenController:
@@ -149,9 +181,8 @@ class QuestionDrivenController:
         if not 1 <= t <= self.steps:
             raise ValueError(f"step index {t} outside [1, {self.steps}]")
         w, b = self.q_step[t - 1]
-        # u . (cq * cw_i) == cw_i . (u * cq), so one product gives all logits
-        uq = T.control_query(q, c_prev, w, b, self.merge_w, self.merge_b,
-                             self.attn_u)
+        uq = control_query(q, c_prev, w, b, self.merge_w, self.merge_b,
+                           self.attn_u)
         c_t, qa = T.word_attention(uq, cw, lengths)
         _check_distribution(qa, "question attention")
         return c_t, Tensor(qa)
@@ -167,7 +198,7 @@ class TemporalClassifier:
         self.b2 = store.new(f"{prefix}.b2", (len(TEMPORAL_CLASSES),), fan_in=0)
 
     def classify(self, c_t: Tensor) -> Tensor:
-        tau = T.elu_mlp([c_t], self.w1, self.b1, self.w2, self.b2, softmax=True)
+        tau = elu_mlp([c_t], self.w1, self.b1, self.w2, self.b2, softmax=True)
         _check_distribution(tau.data, "temporal class weights")
         return tau
 
@@ -190,8 +221,8 @@ class VisualRetrieval:
         return keys, values
 
     def retrieve(self, keys: Tensor, values: Tensor, c_t: Tensor):
-        va = T.attention_weights(c_t, keys, 1.0 / math.sqrt(self.d),
-                                 project=(self.query_w, self.query_b))
+        va = projected_attention(c_t, keys, 1.0 / math.sqrt(self.d),
+                                 self.query_w, self.query_b)
         _check_distribution(va.data, "visual attention")
         return T.matmul(va, values), va
 
@@ -205,8 +236,8 @@ class MemoryRetrieval:
         self.query_b = store.new(f"{prefix}.query.b", (d,), fan_in=0)
 
     def retrieve(self, m: Tensor, c_t: Tensor):
-        rh = T.attention_weights(c_t, m, 1.0 / math.sqrt(self.d),
-                                 project=(self.query_w, self.query_b))
+        rh = projected_attention(c_t, m, 1.0 / math.sqrt(self.d),
+                                 self.query_w, self.query_b)
         _check_distribution(rh.data, "read head")
         return T.matmul(rh, m), rh
 
@@ -231,7 +262,7 @@ class GateNetwork:
     def gates(self, vs: Tensor, rs: Tensor, tau: Tensor) -> Gates:
         out = T.gate_mlp(vs, rs, tau, self.w1, self.b1, self.w2, self.b2,
                          self.obj_w, self.obj_b, self.write_w, self.write_b)
-        return Gates(*[T.column(out, i) for i in range(5)])
+        return Gates(*[T.select(out, (..., i)) for i in range(5)])
 
 
 class SummaryUpdate:
@@ -243,9 +274,7 @@ class SummaryUpdate:
 
     def update(self, vo: Tensor, mo: Tensor, g_v: Tensor, g_m: Tensor,
                so_prev: Tensor):
-        """One `T.mixed_linear` node; ro is returned as a value only."""
-        so, ro = T.mixed_linear(g_v, vo, g_m, mo, so_prev, self.w, self.b)
-        return so, Tensor(ro)
+        return mixed_linear(g_v, vo, g_m, mo, so_prev, self.w, self.b)
 
 
 class AnswerHead:
@@ -259,7 +288,7 @@ class AnswerHead:
         self.b2 = store.new(f"{prefix}.b2", (num_answers,), fan_in=0)
 
     def logits(self, so: Tensor, q: Tensor) -> Tensor:
-        return T.elu_mlp([so, q], self.w1, self.b1, self.w2, self.b2)
+        return elu_mlp([so, q], self.w1, self.b1, self.w2, self.b2)
 
 
 def _override_gate(value: Tensor, forced) -> Tensor:

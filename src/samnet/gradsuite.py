@@ -3,7 +3,8 @@ every model component, a whole episode, and a ragged batch of episodes on
 one tape.
 
 `OPS` declares each variant of each public differentiable op of
-`samnet.tensor` once: how to draw its operands over named sizes, which of
+`samnet.tensor` once, and so each chain of them that a reasoning step of
+`samnet.cell` runs: how to draw its operands over named sizes, which of
 them carry the batch axis inside `episode_batch`, and the call. The suite's
 op checks are generated from it, and so are the op tests in
 ``tests/test_ops.py``, with the reference chains of
@@ -38,7 +39,11 @@ from .cell import (
     SummaryUpdate,
     TemporalClassifier,
     VisualRetrieval,
+    control_query,
+    elu_mlp,
     memory_update,
+    mixed_linear,
+    projected_attention,
     write_head_update,
 )
 from .encoders import FrameEncoder, QuestionEncoder
@@ -134,12 +139,15 @@ def _lstm_operands(draw, length, n, h):
     return [draw(length, n), draw(n, 4 * h), draw(h, 4 * h), draw(4 * h)]
 
 
-# Every variant of every public differentiable op of `samnet.tensor`.
-# `mixed_linear` and `memory_write` read their gates as columns of a drawn
-# gate network output (g_v, g_m, h_r, h_a, h_none), as the reasoning step
-# does.
+# Every variant of every public differentiable op of `samnet.tensor`, then
+# the reasoning step's chains of them. `mixed_linear` and `memory_update`
+# read their gates as selections of a drawn gate network output (g_v, g_m,
+# h_r, h_a, h_none), as the step does.
 OPS = {
     "add": Op(T.add, lambda draw, n, m: [draw(n, m), draw(m)], chainless=True),
+    "mul": Op(  # the first operand shared, as the controller's is
+        T.mul, lambda draw, n: [draw(n), draw(n)], per_episode=(1,),
+        chainless=True),
     "div": Op(T.div, lambda draw, n: [draw(n), draw(n, shift=3.0)],
               chainless=True),
     "matmul": Op(T.matmul, lambda draw, n, m: [draw(n), draw(n, m)],
@@ -161,8 +169,6 @@ OPS = {
     "select": Op(T.select, lambda draw, n, m: [draw(n, m), int(draw.ints(n))],
                  lambda op, x, i: op(x, (..., i, slice(None))),
                  per_episode=(0,), chainless=True),
-    "column": Op(T.column, lambda draw, n: [draw(n), int(draw.ints(n))],
-                 per_episode=(0,)),
     "take_rows": Op(T.take_rows, lambda draw, v, n, length: [
         draw(v, n), draw.ints(v, length)], per_episode=(1,), chainless=True),
     "reshape": Op(T.reshape, lambda draw, n, m: [draw(n, m)],
@@ -196,38 +202,12 @@ OPS = {
         T.attention_weights, lambda draw, length, d: [
             draw(d), draw(length, d), 0.5],
         per_episode=(0, 1), rank_checked=True),
-    "attention_weights_projected": Op(
-        T.attention_weights, lambda draw, length, n, d: [
-            draw(n), draw(length, d), 0.7, draw(n, d), draw(d)],
-        lambda op, q, keys, scale, w, b: op(q, keys, scale, project=(w, b)),
-        per_episode=(0, 1), rank_checked=True),
-    "control_query": Op(  # c_prev shared, as the learned initial state is
-        T.control_query, lambda draw, n, c, d: [
-            draw(n), draw(c), draw(n, d), draw(d), draw(d + c, d), draw(d),
-            draw(d)],
-        per_episode=(0,), rank_checked=True),
-    "elu_mlp_softmax": Op(
-        T.elu_mlp, lambda draw, n, h, m: [
-            draw(n), draw(n, h), draw(h), draw(h, m), draw(m)],
-        lambda op, x, *weights: op([x], *weights, softmax=True),
-        per_episode=(0,), rank_checked=True),
-    "elu_mlp_two_parts": Op(
-        T.elu_mlp, lambda draw, n, k, h, m: [
-            draw(n), draw(k), draw(n + k, h), draw(h), draw(h, m), draw(m)],
-        lambda op, x, y, *weights: op([x, y], *weights),
-        per_episode=(0, 1), rank_checked=True),
-    "mixed_linear": Op(
-        T.mixed_linear, lambda draw, n, k, m: [
-            draw(5), draw(n), draw(n), draw(k), draw(n + k, m), draw(m)],
-        lambda op, gates, x, y, z, w, b: op(
-            T.column(gates, 0), x, T.column(gates, 1), y, z, w, b)[0],
-        per_episode=(0, 1, 2, 3), rank_checked=True),
-    "memory_write": Op(
-        T.memory_write, lambda draw, s, d: [
-            draw(s, d), draw(s), draw(s), draw(d), draw(5)],
-        lambda op, m, wh, rh, v, gates: op(
-            m, wh, rh, v, T.column(gates, 2), T.column(gates, 3))[0],
-        per_episode=(0, 1, 2, 3, 4), rank_checked=True),
+    "weighted_sum": Op(
+        T.weighted_sum, lambda draw, n: [draw(), draw(n), draw(), draw(n)],
+        per_episode=(0, 1, 2, 3), rank_checked=True, chainless=True),
+    "memory_blend": Op(
+        T.memory_blend, lambda draw, s, d: [draw(s, d), draw(s), draw(d)],
+        per_episode=(0, 1, 2), rank_checked=True),
     "write_head_shift": Op(T.write_head_shift, lambda draw, s: [draw(s), draw()],
                            per_episode=(0, 1), rank_checked=True),
     "gate_mlp": Op(
@@ -246,6 +226,39 @@ OPS = {
             draw(3, 3, o, p, scale=0.5), draw(p, scale=0.1)],
         lambda op, x, *layers: op(x, layers[:2], layers[2:]), per_episode=(0,),
         rank_checked=True),
+    "attention_weights_projected": Op(
+        projected_attention, lambda draw, length, n, d: [
+            draw(n), draw(length, d), 0.7, draw(n, d), draw(d)],
+        per_episode=(0, 1), rank_checked=True),
+    "control_query": Op(  # c_prev shared, as the learned initial state is
+        control_query, lambda draw, n, c, d: [
+            draw(n), draw(c), draw(n, d), draw(d), draw(d + c, d), draw(d),
+            draw(d)],
+        per_episode=(0,), rank_checked=True),
+    "elu_mlp_softmax": Op(
+        elu_mlp, lambda draw, n, h, m: [
+            draw(n), draw(n, h), draw(h), draw(h, m), draw(m)],
+        lambda op, x, *weights: op([x], *weights, softmax=True),
+        per_episode=(0,), rank_checked=True),
+    "elu_mlp_two_parts": Op(  # rows of parts are rows of the output
+        elu_mlp, lambda draw, n, k, h, m: [
+            draw(n), draw(k), draw(n + k, h), draw(h), draw(h, m), draw(m)],
+        lambda op, x, y, *weights: op([x, y], *weights),
+        per_episode=(0, 1)),
+    "mixed_linear": Op(
+        mixed_linear, lambda draw, n, k, m: [
+            draw(5), draw(n), draw(n), draw(k), draw(n + k, m), draw(m)],
+        lambda op, gates, x, y, z, w, b: op(
+            T.select(gates, (..., 0)), x, T.select(gates, (..., 1)), y, z,
+            w, b)[0],
+        per_episode=(0, 1, 2, 3), rank_checked=True),
+    "memory_write": Op(
+        memory_update, lambda draw, s, d: [
+            draw(s, d), draw(s), draw(s), draw(d), draw(5)],
+        lambda op, m, wh, rh, v, gates: op(
+            m, wh, rh, v, T.select(gates, (..., 2)),
+            T.select(gates, (..., 3)))[0],
+        per_episode=(0, 1, 2, 3, 4), rank_checked=True),
 }
 
 
@@ -364,7 +377,7 @@ def _check_memory_update(rng, eps):
 
     def f():
         write = T.softmax(raw)  # (h_r, h_a, h_none), as the gate network gives
-        gates = T.column(write, 0), T.column(write, 1)
+        gates = write[0], write[1]
         m_t, _ = memory_update(m, wh_prev, rh, vo, *gates)
         wh_t = write_head_update(wh_prev, gates[1])
         return T.add(_readout_from(readout, m_t), _readout_from(head_readout, wh_t))

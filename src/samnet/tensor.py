@@ -8,25 +8,23 @@ operators, only indexing (``select``). Default scalar precision is float32;
 switch to float64 (e.g. for tight gradient checks) with
 ``set_default_dtype`` or the ``precision`` context manager.
 
-Per-node bookkeeping, not arithmetic, dominates at the model's sizes, so
-each layer of the model is one fused op with a hand-written backward
-(``linear``, ``lstm_direction``, ``attention_weights`` with its optional
-query projection, ``word_attention``, ``cross_entropy_logits``,
-``control_query``, ``elu_mlp``, ``mixed_linear``, ``memory_write``,
-``write_head_shift``, ``gate_mlp``, ``conv2d_same3_elu``). A fused forward
+The model's heavy layers are fused ops with a hand-written backward
+(``linear``, ``lstm_direction``, ``word_attention``,
+``cross_entropy_logits``, ``write_head_shift``, ``gate_mlp``,
+``conv2d_same3_elu``); the rest of a reasoning step is chains of
+primitive ops (``mul``, ``elu``, ``softmax``, ``concat``, ``select``,
+``attention_weights``, ``weighted_sum``, ``memory_blend``). A fused forward
 evaluates the same numpy expressions in the same order as the chain of
 primitive ops it replaces, so forward values are bit-identical to that
 chain. Every public op here has an entry in the op table
 ``gradsuite.OPS``, whose tests (``tests/test_ops.py``) check it against
 central differences, a fused op against its reference chain
 (``tests/reference_ops.py``), a batch against its episodes, and
-``no_grad``. A fused node lists its parents in the
-order in which the sweep met the parents of the chain's nodes, so the
-sweep adds every gradient in the chain's order and the gradients are
-bit-identical too. The ops that read a gate take a ``column`` of
-``gate_mlp``'s output in place of a ``select`` node: they list the
-column's source as their parent and hand it the gradient the select would.
-Fused ops keep their backward caches only while a graph is being recorded.
+``no_grad``. A fused node lists its parents in the order in which the
+sweep met the parents of the chain's nodes, so the sweep adds every
+gradient in the chain's order and the gradients are bit-identical too.
+Fused ops keep their backward caches only while a graph is being
+recorded.
 The elementwise kernels (ELU and its slope from the output alone, the
 memory blend's w_i * v, an LSTM step's gates) avoid masked selects,
 (N, 1) @ (1, d) gemms and per-slice calls, and keep the bits of the forms
@@ -165,9 +163,9 @@ def episode_batch():
     """Ops run inside on a batch of episodes along their leading axis;
     outside, on one episode.
 
-    There, a part of `concat` with one axis fewer than the others is shared
-    by every episode, as parameters are (so are `control_query`'s c_prev
-    and `mixed_linear`'s z when they have no batch axis).
+    There, a part of `concat` or an operand of `mul` with one axis fewer
+    than the others is shared by every episode, as parameters are (a
+    learned initial state, the controller's attention vector).
     """
     global _IN_BATCH
     old = _IN_BATCH
@@ -455,6 +453,27 @@ def div(a, b) -> Tensor:
     return Tensor._from_op(out, (a, b), backward)
 
 
+def mul(a, b) -> Tensor:
+    """Elementwise product with broadcasting. Inside `episode_batch` an
+    operand with one axis fewer than the other is one episode's operand,
+    which the episodes share: it must have an episode's shape."""
+    a, b = as_tensor(a), as_tensor(b)
+    batched = _IN_BATCH
+    shared, other = (a, b) if a.ndim < b.ndim else (b, a)
+    if batched and shared.ndim < other.ndim and shared.shape != other.shape[1:]:
+        raise ShapeError(f"mul shares {shared.shape} across episodes of {other.shape}")
+    out = a.data * b.data
+
+    def grad(t, other, g):
+        if not t.requires_grad:
+            return None
+        if batched and t.ndim < other.ndim:
+            return PerEpisode(None, g * other.data)
+        return _unbroadcast(g * other.data, t.data.shape)
+
+    return Tensor._from_op(out, (a, b), lambda g: (grad(a, b, g), grad(b, a, g)))
+
+
 def matmul(a, b) -> Tensor:
     """Matrix/vector product for ranks (2,2), (2,1), (1,2) and (1,1).
 
@@ -626,12 +645,16 @@ def cross_entropy_logits(logits: Tensor, target) -> Tensor:
     return Tensor._from_op(out, (logits,), backward)
 
 
-def _join(values, axis=-1):
-    """The concatenation of arrays along `axis` (negative counts from the
-    last axis), and a function that hands each array its slice of the
-    result's gradient. Inside `episode_batch` an array with one axis fewer
-    than the others is shared by the episodes: it is repeated along the
-    leading batch axis, and its slices are queued per episode."""
+def concat(parts, axis=0) -> Tensor:
+    """Concatenate tensors of equal rank along `axis` (negative counts
+    from the last axis).
+
+    Inside `episode_batch` a part with one axis fewer than the others is
+    shared by the episodes: it is repeated along the leading batch axis,
+    and its slices of the gradient are queued per episode.
+    """
+    parts = tuple(as_tensor(p) for p in parts)
+    values = [p.data for p in parts]
     ndims = [v.ndim for v in values]
     rank = max(ndims)
     if rank == 0 or min(ndims) < rank - _IN_BATCH:
@@ -650,23 +673,11 @@ def _join(values, axis=-1):
         start, end = end, end + v.shape[axis]
         bounds.append((slice(None),) * axis + (slice(start, end),))
 
-    def split(g):
+    def backward(g):
         return tuple(PerEpisode(None, g[bd]) if n < rank else g[bd]
                      for bd, n in zip(bounds, ndims))
 
-    return out, split
-
-
-def concat(parts, axis=0) -> Tensor:
-    """Concatenate tensors of equal rank along `axis` (negative counts
-    from the last axis).
-
-    Inside `episode_batch` a part with one axis fewer than the others is
-    shared by the episodes: it is repeated along the leading batch axis.
-    """
-    parts = tuple(as_tensor(p) for p in parts)
-    out, split = _join([p.data for p in parts], axis)
-    return Tensor._from_op(out, parts, split)
+    return Tensor._from_op(out, parts, backward)
 
 
 def stack(rows, axis=0) -> Tensor:
@@ -691,46 +702,6 @@ def select(a, idx) -> Tensor:
         return (full,)
 
     return Tensor._from_op(np.asarray(out), (a,), backward)
-
-
-class Column(Tensor):
-    """Column `index` of the last axis of `source`; see `column`."""
-
-    __slots__ = ("source", "index")
-
-
-def _scatter(a, index, g):
-    """Gradient g of column `index` of a, as a's gradient: `select`'s."""
-    full = np.zeros(a.data.shape, a.data.dtype)
-    full[..., index] = g
-    return full
-
-
-def column(a, index) -> Column:
-    """Column `index` of a's last axis, as `select` gives it: a gate of
-    `gate_mlp`'s output.
-
-    The fused ops that take a gate (`mixed_linear`, `memory_write`,
-    `write_head_shift`) read a column from its source: they list the source
-    among their parents in the column's place, once per column read, and
-    hand it the gradient that the column's `select` node would. So that
-    node never reaches their tape; any other op reads the column as it.
-    """
-    a = as_tensor(a)
-    out = Column._from_op(a.data[..., index], (a,),
-                          lambda g: (_scatter(a, index, g),))
-    out.source, out.index = a, index
-    return out
-
-
-def _source(t):
-    """The parent a fused op lists for operand t: a column's source."""
-    return t.source if isinstance(t, Column) else t
-
-
-def _to_source(t, g):
-    """Operand t's gradient g as its parent (`_source`) receives it."""
-    return _scatter(t.source, t.index, g) if isinstance(t, Column) else g
 
 
 def take_rows(a, ids) -> Tensor:
@@ -871,48 +842,31 @@ def conv2d_same3_elu(x, *layers) -> Tensor:
     return Tensor._from_op(out if batched else out[0], parents, backward)
 
 
-def attention_weights(query, keys, scale=1.0, project=None) -> Tensor:
+def attention_weights(query, keys, scale=1.0) -> Tensor:
     """softmax(scale * keys @ query) for query (d,) and keys (L, d).
 
-    With `project` = (w, b), the query is ``linear(query, w, b)`` first,
-    in the same node, whose parents are then query, w, b and keys: the
-    order in which a sweep met the linear node's and the attention's.
     Inside `episode_batch`, query is (B, d) and keys (B, L, d).
     """
     query, keys = as_tensor(query), as_tensor(keys)
-    batched = _IN_BATCH
-    proj = () if project is None else tuple(map(as_tensor, project))
-    width = proj[0].shape[-1] if proj else query.shape[-1]
-    if (query.ndim != 1 + batched or keys.ndim != 2 + batched
-            or keys.shape[:-2] != query.shape[:-1] or keys.shape[-1] != width
-            or proj and (proj[0].shape[:1] != query.shape[-1:]
-                         or proj[1].shape != (width,))):
-        raise ShapeError(f"attention over keys {keys.shape} with query "
-                         f"{query.shape} and projection {[p.shape for p in proj]}")
-    qd = query.data
-    if proj:
-        qd = _vecmat(qd, proj[0].data) + proj[1].data
+    if (query.ndim != 1 + _IN_BATCH or keys.ndim != 2 + _IN_BATCH
+            or keys.shape[:-2] != query.shape[:-1]
+            or keys.shape[-1] != query.shape[-1]):
+        raise ShapeError(f"attention over keys {keys.shape} with query {query.shape}")
     if keys.shape[-2] < 1:
         raise ShapeError("attention needs at least one key")
     if scale <= 0:
         raise ValueError("scale must be positive")
     scale = np.asarray(scale, dtype=_DEFAULT_DTYPE)
+    qd = query.data
     out = _softmax(np.matmul(keys.data, qd[..., None])[..., 0] * scale)
-    parents = (query, *proj, keys)
 
     def backward(g):
         gl = _softmax_backward(g, out) * scale
-        gq = gk = None
-        if any(p.requires_grad for p in parents[:-1]):
-            gq = _matvec(keys.data.swapaxes(-1, -2), gl)
-        if keys.requires_grad:
-            gk = _outer(gl, qd)
-        if not proj:
-            return gq, gk
-        return (_vecmat(gq, proj[0].data.T),
-                *_row_grads(query.data, gq, batched), gk)
+        gq = _matvec(keys.data.swapaxes(-1, -2), gl) if query.requires_grad else None
+        gk = _outer(gl, qd) if keys.requires_grad else None
+        return gq, gk
 
-    return Tensor._from_op(out, parents, backward)
+    return Tensor._from_op(out, (query, keys), backward)
 
 
 def word_attention(query, words, lengths=None):
@@ -1069,6 +1023,27 @@ def lstm_direction(x, wx, wh, b, reverse=False, lengths=None) -> Tensor:
     return Tensor._from_op(out if batched else out[0], (x, wx, wh, b), backward)
 
 
+def weighted_sum(a, x, b, y) -> Tensor:
+    """a * x + b * y for scalar weights a and b and vectors x and y; inside
+    `episode_batch`, the weights are (B,) and the vectors (B, d)."""
+    a, x, b, y = map(as_tensor, (a, x, b, y))
+    if (a.ndim != _IN_BATCH or b.shape != a.shape or x.shape != y.shape
+            or x.shape[:-1] != a.shape or x.ndim != 1 + _IN_BATCH):
+        raise ShapeError(f"weighted_sum got weights {a.shape}, {b.shape} and "
+                         f"vectors {x.shape}, {y.shape}")
+    out = a.data[..., None] * x.data + b.data[..., None] * y.data
+
+    def backward(g):
+        return (
+            np.asarray((g * x.data).sum(axis=-1)) if a.requires_grad else None,
+            g * a.data[..., None] if x.requires_grad else None,
+            np.asarray((g * y.data).sum(axis=-1)) if b.requires_grad else None,
+            g * b.data[..., None] if y.requires_grad else None,
+        )
+
+    return Tensor._from_op(out, (a, x, b, y), backward)
+
+
 def _blend(m, w, v):
     """Row i of the result is (1 - w_i) * m_i + w_i * v, for m (N, d)."""
     w_col = w[..., None]  # (N, 1) per episode
@@ -1076,55 +1051,28 @@ def _blend(m, w, v):
     return m * (1.0 - w_col) + (w_col * v[..., None, :] + 0.0)
 
 
-def memory_write(m, wh, rh, v, h_r, h_a):
-    """The gated memory write as one tape node: row i of the result is
-    (1 - w_i) * m_i + w_i * v, with write weights w = h_r * rh + h_a * wh.
-
-    m is (N, d), wh and rh (N,), v (d,), and the gates h_r and h_a are
-    scalars; inside `episode_batch`, one of each per episode. Returns the
-    node and w's value. Its parents are m, h_r, rh, h_a, wh and v, with a
-    gate's source for a gate column (`column`): the order in which a sweep
-    met the weighted sum's and the blend's.
-    """
-    m, wh, rh, v, h_r, h_a = map(as_tensor, (m, wh, rh, v, h_r, h_a))
-    batched = _IN_BATCH
-    lead = m.shape[:-1]
-    if (m.ndim != 2 + batched or v.shape != m.shape[:-2] + m.shape[-1:]
-            or h_r.shape != m.shape[:-2] or h_a.shape != h_r.shape):
-        raise ShapeError(f"memory_write got m {m.shape}, v {v.shape}, gates "
-                         f"{h_r.shape}, {h_a.shape}")
-    if wh.shape != lead or rh.shape != lead:
-        raise ShapeError(f"write vectors must have length {lead[-1]}, got rh "
-                         f"{rh.shape}, wh {wh.shape}")
-    w = h_r.data[..., None] * rh.data + h_a.data[..., None] * wh.data
-    out = _blend(m.data, w, v.data)
-    parents = (m, _source(h_r), rh, _source(h_a), wh, v)
+def memory_blend(m, w, v) -> Tensor:
+    """The memory write's `_blend` as a tape node, for m (N, d), w (N,) and
+    v (d,); inside `episode_batch`, one of each per episode."""
+    m, w, v = as_tensor(m), as_tensor(w), as_tensor(v)
+    if (m.ndim != 2 + _IN_BATCH or w.shape != m.shape[:-1]
+            or v.shape != m.shape[:-2] + m.shape[-1:]):
+        raise ShapeError(f"memory_blend got m {m.shape}, w {w.shape}, v {v.shape}")
 
     def backward(g):
-        gm = g * (1.0 - w[..., None]) if m.requires_grad else None
-        gv = _vecmat(w, g) if v.requires_grad else None
-        if not any(p.requires_grad for p in parents[1:5]):
-            return gm, None, None, None, None, gv
-        gw = _matvec(g, v.data) - (g * m.data).sum(axis=-1)
         return (
-            gm,
-            _to_source(h_r, np.asarray((gw * rh.data).sum(axis=-1)))
-            if h_r.requires_grad else None,
-            gw * h_r.data[..., None] if rh.requires_grad else None,
-            _to_source(h_a, np.asarray((gw * wh.data).sum(axis=-1)))
-            if h_a.requires_grad else None,
-            gw * h_a.data[..., None] if wh.requires_grad else None,
-            gv,
+            g * (1.0 - w.data[..., None]) if m.requires_grad else None,
+            _matvec(g, v.data) - (g * m.data).sum(axis=-1) if w.requires_grad else None,
+            _vecmat(w.data, g) if v.requires_grad else None,
         )
 
-    return Tensor._from_op(out, parents, backward), w
+    return Tensor._from_op(_blend(m.data, w.data, v.data), (m, w, v), backward)
 
 
 def write_head_shift(wh, h_a) -> Tensor:
     """h_a * roll(wh, 1) + (1 - h_a) * wh: a soft circular right-shift.
 
-    Inside `episode_batch`, wh is (B, N) and h_a (B,). h_a may be a gate
-    column (`column`).
+    Inside `episode_batch`, wh is (B, N) and h_a (B,).
     """
     wh, h_a = as_tensor(wh), as_tensor(h_a)
     if wh.ndim != 1 + _IN_BATCH or h_a.shape != wh.shape[:-1]:
@@ -1141,11 +1089,10 @@ def write_head_shift(wh, h_a) -> Tensor:
             moved = g * ha
             gwh = np.concatenate((moved[..., 1:], moved[..., :1]), axis=-1) + g * stay
         if h_a.requires_grad:
-            gh = _to_source(h_a, np.asarray(
-                (g * shifted).sum(axis=-1) - (g * wh.data).sum(axis=-1)))
+            gh = np.asarray((g * shifted).sum(axis=-1) - (g * wh.data).sum(axis=-1))
         return gwh, gh
 
-    return Tensor._from_op(out, (wh, _source(h_a)), backward)
+    return Tensor._from_op(out, (wh, h_a), backward)
 
 
 def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Tensor:
@@ -1192,115 +1139,3 @@ def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Ten
         )
 
     return Tensor._from_op(out, parents, backward)
-
-
-def control_query(q, c_prev, w, b, merge_w, merge_b, u) -> Tensor:
-    """u * linear([linear(q, w, b), c_prev], merge_w, merge_b) as one tape
-    node: the controller's query over the question words.
-
-    q and c_prev are vectors, one per episode inside `episode_batch`, where
-    c_prev may also be one vector that the episodes share (a learned
-    initial state); u is shared. The parents are u, q, w, b, c_prev,
-    merge_w and merge_b: the order in which a sweep met the chain's.
-    """
-    parents = tuple(map(as_tensor, (u, q, w, b, c_prev, merge_w, merge_b)))
-    u, q, w, b, c_prev, merge_w, merge_b = parents
-    batched = _IN_BATCH
-    d = w.shape[-1]
-    if (q.ndim != 1 + batched or w.shape[:1] != q.shape[-1:] or b.shape != (d,)
-            or merge_w.shape != (d + c_prev.shape[-1], d)
-            or merge_b.shape != (d,) or u.shape != (d,)):
-        raise ShapeError(
-            f"control_query got q {q.shape}, c_prev {c_prev.shape}, w {w.shape}, "
-            f"merge_w {merge_w.shape}, u {u.shape}")
-    q_t = _vecmat(q.data, w.data) + b.data
-    x, split = _join([q_t, c_prev.data])
-    cq = _vecmat(x, merge_w.data) + merge_b.data
-    out = u.data * cq
-
-    def backward(g):
-        gu = g * cq
-        g_cq = g * u.data
-        g_qt, g_c = split(_vecmat(g_cq, merge_w.data.T))
-        return (
-            PerEpisode(None, gu) if batched else gu,
-            _vecmat(g_qt, w.data.T), *_row_grads(q.data, g_qt, batched),
-            g_c, *_row_grads(x, g_cq, batched),
-        )
-
-    return Tensor._from_op(out, parents, backward)
-
-
-def elu_mlp(parts, w1, b1, w2, b2, softmax=False) -> Tensor:
-    """linear(elu(linear(x, w1, b1)), w2, b2) as one tape node, softmaxed
-    with `softmax`: the temporal classifier and the answer head.
-
-    x joins the vectors `parts` along their last axis as `concat` does;
-    inside `episode_batch` each part is one vector per episode. The parents
-    are the parts, w1, b1, w2 and b2: the order in which a sweep met the
-    chain's.
-    """
-    parents = tuple(map(as_tensor, (*parts, w1, b1, w2, b2)))
-    parts = parents[:-4]
-    w1, b1, w2, b2 = parents[-4:]
-    batched = _IN_BATCH
-    if len(parts) == 1:
-        x, split = parts[0].data, lambda g: (g,)
-    else:
-        x, split = _join([p.data for p in parts])
-    if (x.ndim != 1 + batched or w1.shape[:1] != x.shape[-1:]
-            or b1.shape != w1.shape[1:] or w2.shape[:1] != b1.shape
-            or b2.shape != w2.shape[1:]):
-        raise ShapeError(f"elu_mlp got x {x.shape}, w1 {w1.shape}, w2 {w2.shape}")
-    h = _elu(_vecmat(x, w1.data) + b1.data)
-    out = _vecmat(h, w2.data) + b2.data
-    if softmax:
-        out = _softmax(out)
-
-    def backward(g):
-        if softmax:
-            g = _softmax_backward(g, out)
-        d_a1 = _vecmat(g, w2.data.T) * _elu_slope(h)
-        return (*split(_vecmat(d_a1, w1.data.T)),
-                *_row_grads(x, d_a1, batched), *_row_grads(h, g, batched))
-
-    return Tensor._from_op(out, parents, backward)
-
-
-def mixed_linear(a, x, b, y, z, w, bias):
-    """linear([a * x + b * y, z], w, bias) as one tape node: the summary
-    update. Returns the node and the mix a * x + b * y.
-
-    a and b are scalars, x, y and z vectors; inside `episode_batch`, one of
-    each per episode, but z may also be one vector that the episodes share
-    (a learned initial state). a and b may be gate columns (`column`). The
-    parents are a, x, b, y, z, w and bias, with a gate's source for a gate
-    column: the order in which a sweep met the chain's.
-    """
-    a, x, b, y, z, w, bias = map(as_tensor, (a, x, b, y, z, w, bias))
-    batched = _IN_BATCH
-    if (a.ndim != batched or b.shape != a.shape or x.shape != y.shape
-            or x.ndim != 1 + batched or x.shape[:batched] != a.shape
-            or w.shape != (x.shape[-1] + z.shape[-1], bias.shape[-1])
-            or bias.ndim != 1):
-        raise ShapeError(
-            f"mixed_linear got weights {a.shape}, {b.shape}, terms {x.shape}, "
-            f"{y.shape}, z {z.shape}, w {w.shape}")
-    mix = a.data[..., None] * x.data + b.data[..., None] * y.data
-    joined, split = _join([mix, z.data])
-    out = _vecmat(joined, w.data) + bias.data
-    parents = (_source(a), x, _source(b), y, z, w, bias)
-
-    def backward(g):
-        g_mix, g_z = split(_vecmat(g, w.data.T))
-        return (
-            _to_source(a, np.asarray((g_mix * x.data).sum(axis=-1)))
-            if a.requires_grad else None,
-            g_mix * a.data[..., None] if x.requires_grad else None,
-            _to_source(b, np.asarray((g_mix * y.data).sum(axis=-1)))
-            if b.requires_grad else None,
-            g_mix * b.data[..., None] if y.requires_grad else None,
-            g_z, *_row_grads(joined, g, batched),
-        )
-
-    return Tensor._from_op(out, parents, backward), mix

@@ -1,16 +1,17 @@
-"""Differentiable primitive ops that the model no longer calls, the
-reference chains of the op table, and the former forms of kernels that
-`samnet.tensor` rewrote.
+"""The op table's reference chains, the primitive ops that only they call,
+and the former forms of kernels that `samnet.tensor` rewrote.
 
-`samnet.tensor` keeps only the ops the model uses; the fused ops replaced
-these (`mul`, `weighted_sum` and `memory_blend` were the model's until
-the controller, summary and memory write were fused), so they live here
-with the forward expressions and backward rules the tape library had.
 `CHAINS` holds, per entry of `samnet.gradsuite.OPS` that is not its own
 primitive, a graph of primitive ops over the entry's operands with the
-same value, for a fused op the graph the model ran before it was fused;
-`test_ops.py` checks each entry against it. The kernel forms at the end
-are the references of `test_tensor.py`'s bit-identity tests.
+same value: for a fused op, the graph the model ran before it was fused;
+for a reasoning step's chain, the same graph with `linear` as `matmul`
+and `add` and `weighted_sum` as products and a sum. `test_ops.py` checks
+each entry against it. The primitives `sub`, `tanh`,
+`sigmoid` and the unfused `conv2d_same3` are no longer the model's, so
+they live here with the forward expressions and backward rules the tape
+library had, and so does `lstm_chain`, the question encoder's former
+per-token graph. The kernel forms at the end are the references of
+`test_tensor.py`'s bit-identity tests.
 """
 
 import numpy as np
@@ -37,59 +38,6 @@ def sigmoid(a):
     a = T.as_tensor(a)
     out = T._sigmoid(a.data)
     return T.Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def mul(a, b):
-    """Elementwise product with broadcasting. Inside `episode_batch` an
-    operand with one axis fewer than the other is shared by the episodes."""
-    a, b = T.as_tensor(a), T.as_tensor(b)
-    out = a.data * b.data
-    in_batch = T.in_episode_batch()
-
-    def grad(t, other, g):
-        if not t.requires_grad:
-            return None
-        if in_batch and t.ndim < other.ndim:
-            return T.PerEpisode(None, g * other.data)
-        return T._unbroadcast(g * other.data, t.data.shape)
-
-    return T.Tensor._from_op(out, (a, b), lambda g: (grad(a, b, g), grad(b, a, g)))
-
-
-def weighted_sum(a, x, b, y):
-    """a * x + b * y for scalar (0-d) weights a and b and vectors x and y;
-    inside `episode_batch`, the weights are (B,) and the vectors (B, d)."""
-    a, x, b, y = (T.as_tensor(t) for t in (a, x, b, y))
-    out = a.data[..., None] * x.data + b.data[..., None] * y.data
-
-    def backward(g):
-        return (
-            np.asarray((g * x.data).sum(axis=-1)) if a.requires_grad else None,
-            g * a.data[..., None] if x.requires_grad else None,
-            np.asarray((g * y.data).sum(axis=-1)) if b.requires_grad else None,
-            g * b.data[..., None] if y.requires_grad else None,
-        )
-
-    return T.Tensor._from_op(out, (a, x, b, y), backward)
-
-
-def memory_blend(m, w, v):
-    """Row i of the result is (1 - w_i) * m_i + w_i * v, for m (N, d); inside
-    `episode_batch`, m is (B, N, d), w (B, N) and v (B, d)."""
-    m, w, v = T.as_tensor(m), T.as_tensor(w), T.as_tensor(v)
-    w_col = w.data[..., None]
-
-    def backward(g):
-        gw = None
-        if w.requires_grad:
-            gw = T._matvec(g, v.data) - (g * m.data).sum(axis=-1)
-        return (
-            g * (1.0 - w_col) if m.requires_grad else None,
-            gw,
-            T._vecmat(w.data, g) if v.requires_grad else None,
-        )
-
-    return T.Tensor._from_op(T._blend(m.data, w.data, v.data), (m, w, v), backward)
 
 
 def conv2d_same3(x, w, b):
@@ -133,8 +81,8 @@ def lstm_chain(x, wx, wh, b, reverse=False):
         f_g = sigmoid(z[hh:2 * hh])
         g = tanh(z[2 * hh:3 * hh])
         o_g = sigmoid(z[3 * hh:4 * hh])
-        c = T.add(mul(f_g, c), mul(i_g, g))
-        h = mul(o_g, tanh(c))
+        c = T.add(T.mul(f_g, c), T.mul(i_g, g))
+        h = T.mul(o_g, tanh(c))
         states[i] = h
     return T.stack(states)
 
@@ -148,12 +96,6 @@ def _episode_loss_chain(logits, answers):
     for term in terms[1:]:
         total = T.add(total, term)
     return T.div(total, float(len(terms)))
-
-
-def _elu_mlp_chain(parts, w1, b1, w2, b2, softmax=False):
-    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-    out = T.linear(T.elu(T.linear(x, w1, b1)), w2, b2)
-    return T.softmax(out) if softmax else out
 
 
 def total(a, axis):
@@ -176,8 +118,8 @@ def softmax_folded(a):
 def _word_attention_chain(q, words):
     """The controller's read: logits as row sums of words * q, then the
     weights' mix of the words."""
-    qa = softmax_folded(total(mul(words, q), -1))
-    return total(mul(T.reshape(qa, (words.shape[0], 1)), words), -2)
+    qa = softmax_folded(total(T.mul(words, q), -1))
+    return total(T.mul(T.reshape(qa, (words.shape[0], 1)), words), -2)
 
 
 def _gate_mlp_chain(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b):
@@ -194,8 +136,18 @@ def _memory_blend_chain(m, w, v):
     """The blend as the model first ran it: an (N, 1) @ (1, d) product."""
     n = m.shape[0]
     w_col = T.reshape(w, (n, 1))
-    keep = mul(m, sub(1.0, w_col))
+    keep = T.mul(m, sub(1.0, w_col))
     return T.add(keep, T.matmul(w_col, T.reshape(v, (1, v.shape[0]))))
+
+
+def _elu_mlp_chain(parts, w1, b1, w2, b2, softmax=False):
+    x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
+    out = _linear_chain(T.elu(_linear_chain(x, w1, b1)), w2, b2)
+    return T.softmax(out) if softmax else out
+
+
+def _weighted_sum_chain(a, x, b, y):
+    return T.add(T.mul(a, x), T.mul(b, y))
 
 
 def _conv_elu_chain(x, *layers):
@@ -206,11 +158,8 @@ def _conv_elu_chain(x, *layers):
     return x
 
 
-# A gate is a `select` of the gate network's output, as it was before
-# `mixed_linear` and `memory_write` took a `column`.
 CHAINS = {
     "cross_entropy_logits": _episode_loss_chain,
-    "column": lambda x, i: T.select(x, (..., i)),
     "linear_rank1": _linear_chain,
     "linear_rank2": _linear_chain,
     "linear_per_row": lambda x, w, b: T.stack(
@@ -219,26 +168,30 @@ CHAINS = {
     "lstm_direction_reverse": lambda *operands: lstm_chain(*operands, reverse=True),
     "word_attention": _word_attention_chain,
     "attention_weights": lambda q, keys, scale: T.softmax(
-        mul(T.matmul(keys, q), scale)),
-    "attention_weights_projected": lambda q, keys, scale, w, b: T.attention_weights(
-        T.linear(q, w, b), keys, scale),
-    "control_query": lambda q, c_prev, w, b, merge_w, merge_b, u: mul(u, T.linear(
-        T.concat([T.linear(q, w, b), c_prev], axis=-1), merge_w, merge_b)),
-    "elu_mlp_softmax": lambda x, *weights: _elu_mlp_chain([x], *weights,
-                                                         softmax=True),
-    "elu_mlp_two_parts": lambda x, y, *weights: _elu_mlp_chain([x, y], *weights),
-    "mixed_linear": lambda gates, x, y, z, w, b: T.linear(T.concat(
-        [weighted_sum(gates[0], x, gates[1], y), z], axis=-1), w, b),
-    "memory_write": lambda m, wh, rh, v, gates: _memory_blend_chain(
-        m, weighted_sum(gates[2], rh, gates[3], wh), v),
+        T.mul(T.matmul(keys, q), scale)),
+    "memory_blend": _memory_blend_chain,
     # a gather by the rotated index is the former one-step roll op
     "write_head_shift": lambda wh, h_a: T.add(
-        mul(h_a, T.select(wh, np.roll(np.arange(wh.shape[0]), 1))),
-        mul(sub(1.0, h_a), wh)),
+        T.mul(h_a, T.select(wh, np.roll(np.arange(wh.shape[0]), 1))),
+        T.mul(sub(1.0, h_a), wh)),
     "gate_mlp": _gate_mlp_chain,
     "conv2d_same3_elu_one_layer": lambda x, w, b: _conv_elu_chain(x, (w, b)),
     "conv2d_same3_elu_two_layers": lambda x, w1, b1, w2, b2: _conv_elu_chain(
         x, (w1, b1), (w2, b2)),
+    # the reasoning step's chains, in the ops they are built of: `linear`
+    # as matmul and add, `weighted_sum` as products and a sum
+    "attention_weights_projected": lambda q, keys, scale, w, b: T.softmax(
+        T.mul(T.matmul(keys, _linear_chain(q, w, b)), scale)),
+    "control_query": lambda q, c_prev, w, b, merge_w, merge_b, u: T.mul(
+        u, _linear_chain(T.concat([_linear_chain(q, w, b), c_prev], axis=-1),
+                         merge_w, merge_b)),
+    "elu_mlp_softmax": lambda x, *weights: _elu_mlp_chain([x], *weights,
+                                                         softmax=True),
+    "elu_mlp_two_parts": lambda x, y, *weights: _elu_mlp_chain([x, y], *weights),
+    "mixed_linear": lambda gates, x, y, z, w, b: _linear_chain(T.concat(
+        [_weighted_sum_chain(gates[0], x, gates[1], y), z], axis=-1), w, b),
+    "memory_write": lambda m, wh, rh, v, gates: _memory_blend_chain(
+        m, _weighted_sum_chain(gates[2], rh, gates[3], wh), v),
 }
 
 

@@ -1,3 +1,5 @@
+from contextlib import nullcontext
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,8 @@ from samnet.cell import (
     memory_update,
     write_head_update,
 )
+from samnet.gradcheck import grad_check
+from samnet.gradsuite import _readout_from
 from samnet.params import ParameterStore
 
 
@@ -504,28 +508,73 @@ class TestEpisodeForward:
         assert store.new("w", (2, 3)) is store["w"]
 
 
-def backward_walk_size(root) -> int:
-    """Nodes that `Tensor.backward` visits from `root` (the same DFS)."""
-    visited = set()
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.extend(p for p in node._parents
-                     if p.requires_grad and id(p) not in visited)
-    return len(visited)
+# gates forced by `gate_overrides`: writes ablated, the frame's object
+# always read, and the three that a model without memory forces
+FORCED_GATES = [{"h_r": 0.0, "h_a": 0.0}, {"g_v": 1.0},
+                {"g_m": 0.0, "h_r": 0.0, "h_a": 0.0}]
 
 
-def test_canonical_episode_tape_stays_fused():
-    # one fused node per layer of a reasoning step keeps a toy-canonical
-    # episode near 300 nodes; unfused primitive chains recorded about 1,450
-    from samnet.minicog import episode_stream
-    from samnet.training import config_from_preset
+def ragged_batch(seed):
+    """A small model and three two-frame episodes of question lengths 4, 2
+    and 4."""
+    cfg = ModelConfig(vocab_size=9, num_answers=5, in_channels=4, d=4,
+                      steps=2, mem_slots=3)
+    rng = np.random.default_rng(seed)
+    frames = (rng.random((3, 2, 3, 3, 4)) < 0.3).astype(T.default_dtype())
+    tokens = [[1, 4, 2, 7], [3, 5], [6, 0, 2, 8]]
+    return SAMNet(cfg, init_seed=seed), tokens, frames, [[0, 3], [2, 2], [4, 1]]
 
-    cfg = config_from_preset("toy-canonical")
-    model = SAMNet(cfg.model_config(), init_seed=0)
-    ep = next(episode_stream(cfg.episode_config(), cfg.task_family_weights(), 0))
-    loss = model.episode_loss(ep.token_ids, ep.frames_symbolic(), ep.answer_ids)
-    assert backward_walk_size(loss) <= 335
+
+@pytest.mark.parametrize("overrides", FORCED_GATES)
+def test_forced_gate_gradients_match_finite_differences(overrides):
+    # float64, each episode's loss of a ragged batch read out; the gates
+    # act inside the cell, so its parameters are the ones checked
+    with T.precision("float64"):
+        net, tokens, frames, answers = ragged_batch(19)
+        readout = np.random.default_rng(20).normal(size=3)
+
+        def f():
+            with T.episode_batch():
+                loss = net.episode_loss(tokens, frames, answers,
+                                        gate_overrides=overrides)
+            return _readout_from(readout, loss)
+
+        assert grad_check(f, net.store.subset("cell."), eps=1e-6) < 1e-7
+
+
+@pytest.mark.parametrize("overrides", FORCED_GATES)
+def test_forced_gate_batch_equals_each_episode(overrides):
+    # float32: the batch's trace, logits and parameter gradients equal a
+    # loop of one-episode passes bit for bit, and the forced gates read
+    # their forced values
+    net, tokens, frames, answers = ragged_batch(21)
+    runs = []
+    for batch in (False, True):
+        net.store.zero_grad()
+        logits, traces = [], []
+        for i in [slice(None)] if batch else range(3):
+            trace = []
+            with T.episode_batch() if batch else nullcontext():
+                out = net.episode_forward(tokens[i], frames[i],
+                                          gate_overrides=overrides, trace=trace)
+                loss = T.cross_entropy_logits(out, np.asarray(answers)[i])
+            logits.append(out.data.copy())
+            traces.append(trace)
+            loss.backward()
+        runs.append((logits, traces, {p.name: p.grad.copy()
+                                      for p in net.store.parameters()}))
+    (each, each_traces, each_grads), ([batch], [trace], grads) = runs
+    for i, (episode_logits, episode_trace) in enumerate(zip(each, each_traces)):
+        assert np.array_equal(batch[i], episode_logits)
+        for frame, episode_frame in zip(trace, episode_trace, strict=True):
+            for step, one in zip(frame, episode_frame, strict=True):
+                for name, value in one.gates.items():
+                    assert np.array_equal(step.gates[name][i], value), name
+                    if name in overrides:
+                        assert value == overrides[name]
+                for name in ("tau", "va", "rh", "w", "wh"):
+                    assert np.array_equal(getattr(step, name)[i],
+                                          getattr(one, name)), name
+    assert grads.keys() == each_grads.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, each_grads[name]), name

@@ -8,14 +8,14 @@ from samnet import gradsuite
 from samnet.gradsuite import run_gradient_suite
 
 CHECK_NAMES = [
-    "add", "div", "matmul", "elu", "softmax", "cross_entropy_logits",
-    "concat", "stack", "select", "column", "take_rows", "reshape",
+    "add", "mul", "div", "matmul", "elu", "softmax", "cross_entropy_logits",
+    "concat", "stack", "select", "take_rows", "reshape",
     "attention_aggregate", "linear_rank1", "linear_rank2", "linear_per_row",
     "lstm_direction_forward", "lstm_direction_reverse", "word_attention",
-    "attention_weights",
-    "attention_weights_projected", "control_query", "elu_mlp_softmax",
-    "elu_mlp_two_parts", "mixed_linear", "memory_write", "write_head_shift",
+    "attention_weights", "weighted_sum", "memory_blend", "write_head_shift",
     "gate_mlp", "conv2d_same3_elu_one_layer", "conv2d_same3_elu_two_layers",
+    "attention_weights_projected", "control_query", "elu_mlp_softmax",
+    "elu_mlp_two_parts", "mixed_linear", "memory_write",
     "question_encoder", "frame_encoder", "controller_step",
     "temporal_classifier", "visual_retrieval", "memory_retrieval",
     "gate_network", "memory_update", "summary_update", "cell_two_steps",

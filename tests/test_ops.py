@@ -1,4 +1,5 @@
-"""The op table's tests: one set per entry of `samnet.gradsuite.OPS`.
+"""The op table's tests: one set per entry of `samnet.gradsuite.OPS`, the
+tape ops and the reasoning step's chains of them.
 
 Each entry is checked at sizes drawn from 1-5:
 - its gradients against central differences in float64, over 20 seeds;
@@ -175,7 +176,10 @@ def test_no_grad_records_nothing_and_keeps_the_forward(name):
 def test_every_public_op_has_an_entry():
     public = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
               if fn.__module__ == T.__name__ and not name.startswith("_")}
-    assert public - NOT_OPS == {entry.op.__name__ for entry in OPS.values()}
+    modules = {entry.op.__module__ for entry in OPS.values()}
+    assert modules == {T.__name__, "samnet.cell"}
+    assert public - NOT_OPS == {entry.op.__name__ for entry in OPS.values()
+                                if entry.op.__module__ == T.__name__}
 
 
 def test_every_entry_has_a_chain_or_is_chainless():

@@ -499,6 +499,16 @@ def test_computed_weight_is_added_on_the_spot_but_not_shared():
             loss.backward()
 
 
+def test_mul_shares_only_an_operand_of_an_episodes_shape():
+    # a shared (3,) operand of (2, 4, 3) episodes would queue (4, 3)
+    # gradients for it; the episodes' own shape shares as the op table checks
+    u = T.Tensor(np.ones(3), requires_grad=True)
+    with T.episode_batch():
+        with pytest.raises(T.ShapeError, match="mul shares"):
+            T.mul(u, np.ones((2, 4, 3)))
+        assert T.mul(np.ones((2, 3)), u).shape == (2, 3)
+
+
 def test_shared_one_element_bias_folds_in_episode_order():
     # np.add.reduce sums a single column pairwise; the fold must not
     rng = np.random.default_rng(29)
