@@ -6,7 +6,8 @@ parameters once per batch. A step forwards and back-propagates its batch
 in chunks of consecutive episodes, each chunk on one tape; a tape budget in
 frame-feature elements (`_TAPE_BUDGET`) sets the chunk size from the
 episodes' frame count, grid and width, so a tape's memory stays about the
-same whatever the episode size. A chunk gives every parameter gradient, bit
+same whatever the episode size: a tape holds up to eight toy-hard episodes
+or 23 toy-canonical ones. A chunk gives every parameter gradient, bit
 for bit, that a loop of one-episode tapes gives (see the batch-axis note in
 `tensor`), so the chunk size changes speed and memory only. Identical
 configs and seeds therefore produce byte-identical checkpoints and metrics
@@ -277,15 +278,19 @@ _EVAL_BATCH = 32
 
 # Frame-feature elements (episodes x frames x grid cells x d) per training
 # tape, which sets how many episodes share a tape. `Tensor.backward` frees
-# each inner value once it is swept, and a tape's peak holds about 0.32 MB
-# per toy-canonical episode (6,400 elements), 0.84 MB per toy-hard one
-# (18,432) and 0.47 MB per six-frame toy-canonical one (9,600), about 0.05 KB
-# per element at all three. This budget gives toy-canonical 16 episodes per
-# tape, toy-hard 5 and six-frame videos 10. On train-canonical (batch 32),
-# two tapes of 16 raised peak RSS by 2.2% over three of 11 without the
-# release (median of 10 runs); one tape of 32 raised it by 12.7% (two runs),
-# against a 10% bound.
-_TAPE_BUDGET = 102_400
+# each inner value once it is swept, and a tape's peak holds about 279 KB
+# per toy-canonical episode (6,400 elements), 733 KB per toy-hard one
+# (18,432) and 419 KB per six-frame toy-canonical one (9,600), about 0.04 KB
+# per element at all three. This budget, eight toy-hard episodes, gives
+# toy-canonical at most 23 episodes per tape, toy-hard 8 and six-frame
+# videos 15; a batch of 32 still trains as two tapes of 16 on toy-canonical,
+# and a batch of 16 as two of 8 on six-frame videos. A toy-hard tape is
+# mostly fixed cost (about 15.7 ms per tape plus 3.2 ms per episode), so on
+# eval-hard-slots16 its batch of 16 trains 1.3x as fast on two tapes of 8 as
+# on four of 4, for +3.3% peak RSS. One tape of 16 toy-hard episodes raised
+# peak RSS by 14%, and one of 32 toy-canonical ones by 12.7%, against a 10%
+# bound.
+_TAPE_BUDGET = 147_456
 
 
 def _train_chunk_size(cfg: TrainConfig) -> int:
@@ -398,6 +403,30 @@ def majority_class_rate(episodes) -> float:
             counts[a] = counts.get(a, 0) + 1
             total += 1
     return max(counts.values()) / total if total else 0.0
+
+
+def blind_prior_rate(fit_episodes, episodes) -> float:
+    """Frame accuracy of the blind prior, a baseline that sees neither
+    question nor frames: the majority answer per (task class, frame index)
+    in `fit_episodes`, scored on `episodes`. A key the fitting episodes
+    never show falls back to their majority answer overall. A tie goes to
+    the answer met first in the fitting episodes."""
+    counts: dict = {}
+    for ep in fit_episodes:
+        for k, a in enumerate(ep.answer_ids):
+            for key in ((ep.program.task_class, k), None):
+                seen = counts.setdefault(key, {})
+                seen[a] = seen.get(a, 0) + 1
+    if not counts:
+        raise ValueError("the blind prior needs at least one fitting frame")
+    # `max` keeps the first of equal counts, in the order answers were met
+    prior = {key: max(seen, key=seen.get) for key, seen in counts.items()}
+    hits = total = 0
+    for ep in episodes:
+        for k, a in enumerate(ep.answer_ids):
+            hits += a == prior.get((ep.program.task_class, k), prior[None])
+            total += 1
+    return hits / total if total else 0.0
 
 
 class MetricsWriter:

@@ -1,16 +1,19 @@
+import itertools
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from samnet import tensor as T
 from samnet.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from samnet.minicog import generate_corpus
+from samnet.minicog import episode_stream, generate_corpus
 from samnet.training import (
     Adam,
     NonFiniteLossError,
     TrainConfig,
+    blind_prior_rate,
     clip_global_norm,
     config_from_kv,
     config_from_preset,
@@ -286,6 +289,36 @@ class TestEvalData:
         episodes = generate_corpus(cfg, {"Exist": 1.0}, 50, seed=2)
         rate = majority_class_rate(episodes)
         assert 0.3 <= rate <= 0.8
+
+    def test_blind_prior_rate_is_the_probe_baseline(self):
+        """The probe's baselines on its 500 validation episodes (ROADMAP):
+        the blind prior, fitted on the first 3,000 training-stream
+        episodes, and the global majority answer. 3 of the 93 fitted keys
+        tie; taking the smallest answer id on a tie would read 0.506."""
+        cfg = config_from_preset("toy-canonical", task_family="all")
+        stream = episode_stream(cfg.episode_config(), cfg.task_family_weights(),
+                                cfg.data_seed)
+        fit = list(itertools.islice(stream, 3000))
+        val = generate_corpus(cfg.episode_config(), cfg.task_family_weights(),
+                              500, seed=cfg.val_seed)
+        assert (cfg.data_seed, cfg.val_seed) == (1, 2)
+        assert blind_prior_rate(fit, val) == 0.504
+        assert majority_class_rate(val) == 0.314
+
+    def test_blind_prior_ties_and_unseen_keys(self):
+        def ep(task_class, answers):
+            return SimpleNamespace(program=SimpleNamespace(task_class=task_class),
+                                   answer_ids=answers)
+
+        # frame 0 of A ties 1 against 0, and 1 was met first; frame 1 of A
+        # is 2. Overall 1 and 2 tie and 1 was met first, so class B and
+        # frame 2 of A fall back to 1.
+        fit = [ep("A", [1, 2]), ep("A", [0, 2]), ep("C", [1])]
+        assert blind_prior_rate(fit, [ep("A", [1, 2])]) == 1.0
+        assert blind_prior_rate(fit, [ep("A", [0, 2])]) == 0.5
+        assert blind_prior_rate(fit, [ep("B", [1, 0]), ep("A", [1, 2, 1])]) == 0.8
+        with pytest.raises(ValueError, match="fitting frame"):
+            blind_prior_rate([], fit)
 
 
 class TestCheckpointFormat:
