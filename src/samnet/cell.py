@@ -135,12 +135,25 @@ def control_query(q: Tensor, c_prev: Tensor, w: Tensor, b: Tensor,
     return T.mul(u, cq)
 
 
-def elu_mlp(parts, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-            softmax: bool = False) -> Tensor:
-    """linear(elu(linear(x))) of x, the parts joined; softmaxed if asked."""
+def elu_mlp(parts, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """linear(elu(linear(x))) of x, the parts joined."""
     x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-    out = T.linear(T.elu(T.linear(x, w1, b1)), w2, b2)
-    return T.softmax(out) if softmax else out
+    return T.linear(T.elu(T.linear(x, w1, b1)), w2, b2)
+
+
+def gate_mlp(vs: Tensor, rs: Tensor, tau: Tensor, w1: Tensor, b1: Tensor,
+             w2: Tensor, b2: Tensor, obj_w: Tensor, obj_b: Tensor,
+             write_w: Tensor, write_b: Tensor) -> Tensor:
+    """The gate network's (g_v, g_m, h_r, h_a, h_none) from vs, rs and tau.
+
+    x = [vs, rs, tau] goes through two ELU layers to the hidden h; g_v and
+    g_m are sigmoids of linear(h, obj_w, obj_b), and (h_r, h_a, h_none) is
+    the softmax of linear(h, write_w, write_b).
+    """
+    h = T.elu(elu_mlp([T.reshape(vs, vs.shape + (1,)),
+                       T.reshape(rs, rs.shape + (1,)), tau], w1, b1, w2, b2))
+    return T.concat([T.sigmoid(T.linear(h, obj_w, obj_b)),
+                     T.softmax(T.linear(h, write_w, write_b))], axis=-1)
 
 
 def projected_attention(x: Tensor, keys: Tensor, scale: float, w: Tensor,
@@ -198,7 +211,7 @@ class TemporalClassifier:
         self.b2 = store.new(f"{prefix}.b2", (len(TEMPORAL_CLASSES),), fan_in=0)
 
     def classify(self, c_t: Tensor) -> Tensor:
-        tau = elu_mlp([c_t], self.w1, self.b1, self.w2, self.b2, softmax=True)
+        tau = T.softmax(elu_mlp([c_t], self.w1, self.b1, self.w2, self.b2))
         _check_distribution(tau.data, "temporal class weights")
         return tau
 
@@ -260,8 +273,8 @@ class GateNetwork:
         self.write_b = store.new(f"{prefix}.write.b", (3,), fan_in=0)
 
     def gates(self, vs: Tensor, rs: Tensor, tau: Tensor) -> Gates:
-        out = T.gate_mlp(vs, rs, tau, self.w1, self.b1, self.w2, self.b2,
-                         self.obj_w, self.obj_b, self.write_w, self.write_b)
+        out = gate_mlp(vs, rs, tau, self.w1, self.b1, self.w2, self.b2,
+                       self.obj_w, self.obj_b, self.write_w, self.write_b)
         return Gates(*[T.select(out, (..., i)) for i in range(5)])
 
 

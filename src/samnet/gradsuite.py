@@ -41,6 +41,7 @@ from .cell import (
     VisualRetrieval,
     control_query,
     elu_mlp,
+    gate_mlp,
     memory_update,
     mixed_linear,
     projected_attention,
@@ -153,6 +154,7 @@ OPS = {
     "matmul": Op(T.matmul, lambda draw, n, m: [draw(n), draw(n, m)],
                  per_episode=(0, 1), rank_checked=True, chainless=True),
     "elu": Op(T.elu, lambda draw, n, m: [draw(n, m)], chainless=True),
+    "sigmoid": Op(T.sigmoid, lambda draw, n, m: [draw(n, m)], chainless=True),
     "softmax": Op(T.softmax, lambda draw, n: [draw(n)], per_episode=(0,),
                   rank_checked=True, chainless=True),
     "cross_entropy_logits": Op(
@@ -210,11 +212,6 @@ OPS = {
         per_episode=(0, 1, 2), rank_checked=True),
     "write_head_shift": Op(T.write_head_shift, lambda draw, s: [draw(s), draw()],
                            per_episode=(0, 1), rank_checked=True),
-    "gate_mlp": Op(
-        T.gate_mlp, lambda draw, t, h, k: [
-            draw(), draw(), draw(t), draw(2 + t, h), draw(h), draw(h, k),
-            draw(k), draw(k, 2), draw(2), draw(k, 3), draw(3)],
-        per_episode=(0, 1, 2), rank_checked=True),
     "conv2d_same3_elu_one_layer": Op(
         T.conv2d_same3_elu, lambda draw, k, h, w, c, o: [
             draw(k, h, w, c), draw(3, 3, c, o, scale=0.5), draw(o, scale=0.1)],
@@ -238,13 +235,18 @@ OPS = {
     "elu_mlp_softmax": Op(
         elu_mlp, lambda draw, n, h, m: [
             draw(n), draw(n, h), draw(h), draw(h, m), draw(m)],
-        lambda op, x, *weights: op([x], *weights, softmax=True),
+        lambda op, x, *weights: T.softmax(op([x], *weights)),
         per_episode=(0,), rank_checked=True),
     "elu_mlp_two_parts": Op(  # rows of parts are rows of the output
         elu_mlp, lambda draw, n, k, h, m: [
             draw(n), draw(k), draw(n + k, h), draw(h), draw(h, m), draw(m)],
         lambda op, x, y, *weights: op([x, y], *weights),
         per_episode=(0, 1)),
+    "gate_mlp": Op(
+        gate_mlp, lambda draw, t, h, k: [
+            draw(), draw(), draw(t), draw(2 + t, h), draw(h), draw(h, k),
+            draw(k), draw(k, 2), draw(2), draw(k, 3), draw(3)],
+        per_episode=(0, 1, 2), rank_checked=True),
     "mixed_linear": Op(
         mixed_linear, lambda draw, n, k, m: [
             draw(5), draw(n), draw(n), draw(k), draw(n + k, m), draw(m)],

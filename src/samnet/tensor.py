@@ -10,9 +10,9 @@ switch to float64 (e.g. for tight gradient checks) with
 
 The model's heavy layers are fused ops with a hand-written backward
 (``linear``, ``lstm_direction``, ``word_attention``,
-``cross_entropy_logits``, ``write_head_shift``, ``gate_mlp``,
-``conv2d_same3_elu``); the rest of a reasoning step is chains of
-primitive ops (``mul``, ``elu``, ``softmax``, ``concat``, ``select``,
+``cross_entropy_logits``, ``write_head_shift``, ``conv2d_same3_elu``);
+the rest of a reasoning step is chains of primitive ops (``mul``,
+``elu``, ``sigmoid``, ``softmax``, ``concat``, ``select``, ``reshape``,
 ``attention_weights``, ``weighted_sum``, ``memory_blend``). A fused forward
 evaluates the same numpy expressions in the same order as the chain of
 primitive ops it replaces, so forward values are bit-identical to that
@@ -543,16 +543,14 @@ def linear(x, w, b, per_row=False) -> Tensor:
     return Tensor._from_op(out, (x, w, b), backward)
 
 
-def _row_grads(x, g, batched):
-    """The weight and bias contributions of a linear layer on one row x per
-    episode, with output gradient g, as `linear` queues them."""
-    return (PerEpisode(_transposed_product, x[..., None, :], g[..., None, :],
-                       batched=batched),
-            PerEpisode(None, g, batched=batched))
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def sigmoid(a) -> Tensor:
+    a = as_tensor(a)
+    out = _sigmoid(a.data)
+    return Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def _elu(a: np.ndarray) -> np.ndarray:
@@ -1093,49 +1091,3 @@ def write_head_shift(wh, h_a) -> Tensor:
         return gwh, gh
 
     return Tensor._from_op(out, (wh, h_a), backward)
-
-
-def gate_mlp(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b) -> Tensor:
-    """The gate network as one tape node; returns (g_v, g_m, h_r, h_a, h_none).
-
-    x = [vs, rs, tau] goes through two ELU layers to the hidden h; g_v and
-    g_m are sigmoids of h @ obj_w + obj_b, and (h_r, h_a, h_none) is the
-    softmax of h @ write_w + write_b. Inside `episode_batch`, vs and rs
-    are (B,) and tau (B, 4), and give (B, 5).
-    """
-    parents = tuple(as_tensor(t) for t in (
-        vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b))
-    vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b = parents
-    batched = _IN_BATCH
-    if (vs.ndim != batched or rs.shape != vs.shape or tau.ndim != vs.ndim + 1
-            or tau.shape[:-1] != vs.shape
-            or w1.shape[0] != 2 + tau.shape[-1] or obj_w.shape[1] != 2
-            or write_w.shape[1] != 3):
-        raise ShapeError(
-            f"gate_mlp got tau {tau.shape}, w1 {w1.shape}, obj_w {obj_w.shape}, "
-            f"write_w {write_w.shape}"
-        )
-    x = np.concatenate([vs.data[..., None], rs.data[..., None], tau.data], axis=-1)
-    h1 = _elu(_vecmat(x, w1.data) + b1.data)
-    h2 = _elu(_vecmat(h1, w2.data) + b2.data)
-    obj = _sigmoid(_vecmat(h2, obj_w.data) + obj_b.data)
-    write = _softmax(_vecmat(h2, write_w.data) + write_b.data)
-    out = np.concatenate([obj, write], axis=-1)
-    if not _recording(parents):
-        return Tensor._from_op(out, (), None)
-
-    def backward(g):
-        d_obj = g[..., 0:2] * obj * (1.0 - obj)
-        d_write = _softmax_backward(g[..., 2:5], write)
-        d_a2 = ((_vecmat(d_obj, obj_w.data.T) + _vecmat(d_write, write_w.data.T))
-                * _elu_slope(h2))
-        d_a1 = _vecmat(d_a2, w2.data.T) * _elu_slope(h1)
-        dx = _vecmat(d_a1, w1.data.T)
-        return (
-            np.asarray(dx[..., 0]), np.asarray(dx[..., 1]), dx[..., 2:],
-            *_row_grads(x, d_a1, batched), *_row_grads(h1, d_a2, batched),
-            *_row_grads(h2, d_obj, batched),
-            *_row_grads(h2, d_write, batched),
-        )
-
-    return Tensor._from_op(out, parents, backward)

@@ -224,10 +224,11 @@ def config_from_preset(name: str, **overrides) -> TrainConfig:
 class Adam:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -6,12 +6,12 @@ primitive, a graph of primitive ops over the entry's operands with the
 same value: for a fused op, the graph the model ran before it was fused;
 for a reasoning step's chain, the same graph with `linear` as `matmul`
 and `add` and `weighted_sum` as products and a sum. `test_ops.py` checks
-each entry against it. The primitives `sub`, `tanh`,
-`sigmoid` and the unfused `conv2d_same3` are no longer the model's, so
-they live here with the forward expressions and backward rules the tape
-library had, and so does `lstm_chain`, the question encoder's former
-per-token graph. The kernel forms at the end are the references of
-`test_tensor.py`'s bit-identity tests.
+each entry against it. The primitives `sub`, `tanh` and the unfused
+`conv2d_same3` are no longer the model's, so they live here with the
+forward expressions and backward rules the tape library had, and so does
+`lstm_chain`, the question encoder's former per-token graph. The kernel
+forms at the end are the references of `test_tensor.py`'s bit-identity
+tests.
 """
 
 import numpy as np
@@ -32,12 +32,6 @@ def tanh(a):
     a = T.as_tensor(a)
     out = np.tanh(a.data)
     return T.Tensor._from_op(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a):
-    a = T.as_tensor(a)
-    out = T._sigmoid(a.data)
-    return T.Tensor._from_op(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def conv2d_same3(x, w, b):
@@ -77,10 +71,10 @@ def lstm_chain(x, wx, wh, b, reverse=False):
     order = range(length - 1, -1, -1) if reverse else range(length)
     for i in order:
         z = T.add(T.add(T.matmul(x[i], wx), T.matmul(h, wh)), b)
-        i_g = sigmoid(z[0:hh])
-        f_g = sigmoid(z[hh:2 * hh])
+        i_g = T.sigmoid(z[0:hh])
+        f_g = T.sigmoid(z[hh:2 * hh])
         g = tanh(z[2 * hh:3 * hh])
-        o_g = sigmoid(z[3 * hh:4 * hh])
+        o_g = T.sigmoid(z[3 * hh:4 * hh])
         c = T.add(T.mul(f_g, c), T.mul(i_g, g))
         h = T.mul(o_g, tanh(c))
         states[i] = h
@@ -123,10 +117,12 @@ def _word_attention_chain(q, words):
 
 
 def _gate_mlp_chain(vs, rs, tau, w1, b1, w2, b2, obj_w, obj_b, write_w, write_b):
+    """The gate network with `linear` as `matmul` and `add`, and each gate
+    its own selection."""
     x = T.concat([T.reshape(vs, (1,)), T.reshape(rs, (1,)), tau])
     h = T.elu(_linear_chain(x, w1, b1))
     h = T.elu(_linear_chain(h, w2, b2))
-    obj = sigmoid(_linear_chain(h, obj_w, obj_b))
+    obj = T.sigmoid(_linear_chain(h, obj_w, obj_b))
     write = T.softmax(_linear_chain(h, write_w, write_b))
     return T.concat([T.reshape(g, (1,)) for g in (
         obj[0], obj[1], write[0], write[1], write[2])])
@@ -140,10 +136,9 @@ def _memory_blend_chain(m, w, v):
     return T.add(keep, T.matmul(w_col, T.reshape(v, (1, v.shape[0]))))
 
 
-def _elu_mlp_chain(parts, w1, b1, w2, b2, softmax=False):
+def _elu_mlp_chain(parts, w1, b1, w2, b2):
     x = parts[0] if len(parts) == 1 else T.concat(parts, axis=-1)
-    out = _linear_chain(T.elu(_linear_chain(x, w1, b1)), w2, b2)
-    return T.softmax(out) if softmax else out
+    return _linear_chain(T.elu(_linear_chain(x, w1, b1)), w2, b2)
 
 
 def _weighted_sum_chain(a, x, b, y):
@@ -174,7 +169,6 @@ CHAINS = {
     "write_head_shift": lambda wh, h_a: T.add(
         T.mul(h_a, T.select(wh, np.roll(np.arange(wh.shape[0]), 1))),
         T.mul(sub(1.0, h_a), wh)),
-    "gate_mlp": _gate_mlp_chain,
     "conv2d_same3_elu_one_layer": lambda x, w, b: _conv_elu_chain(x, (w, b)),
     "conv2d_same3_elu_two_layers": lambda x, w1, b1, w2, b2: _conv_elu_chain(
         x, (w1, b1), (w2, b2)),
@@ -185,9 +179,10 @@ CHAINS = {
     "control_query": lambda q, c_prev, w, b, merge_w, merge_b, u: T.mul(
         u, _linear_chain(T.concat([_linear_chain(q, w, b), c_prev], axis=-1),
                          merge_w, merge_b)),
-    "elu_mlp_softmax": lambda x, *weights: _elu_mlp_chain([x], *weights,
-                                                         softmax=True),
+    "elu_mlp_softmax": lambda x, *weights: T.softmax(_elu_mlp_chain([x],
+                                                                   *weights)),
     "elu_mlp_two_parts": lambda x, y, *weights: _elu_mlp_chain([x, y], *weights),
+    "gate_mlp": _gate_mlp_chain,
     "mixed_linear": lambda gates, x, y, z, w, b: _linear_chain(T.concat(
         [_weighted_sum_chain(gates[0], x, gates[1], y), z], axis=-1), w, b),
     "memory_write": lambda m, wh, rh, v, gates: _memory_blend_chain(

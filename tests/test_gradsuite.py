@@ -1,6 +1,8 @@
 """The float64 gradient suite (`samnet gradcheck --f64`) runs in tier-1,
 with a bound 100 times tighter than its threshold; the float32 suite is
-checked for the dtype of its leaves."""
+checked for the dtype of its leaves; the README quotes the suite's size."""
+
+from pathlib import Path
 
 import numpy as np
 
@@ -8,19 +10,21 @@ from samnet import gradsuite
 from samnet.gradsuite import run_gradient_suite
 
 CHECK_NAMES = [
-    "add", "mul", "div", "matmul", "elu", "softmax", "cross_entropy_logits",
-    "concat", "stack", "select", "take_rows", "reshape",
-    "attention_aggregate", "linear_rank1", "linear_rank2", "linear_per_row",
-    "lstm_direction_forward", "lstm_direction_reverse", "word_attention",
-    "attention_weights", "weighted_sum", "memory_blend", "write_head_shift",
-    "gate_mlp", "conv2d_same3_elu_one_layer", "conv2d_same3_elu_two_layers",
-    "attention_weights_projected", "control_query", "elu_mlp_softmax",
-    "elu_mlp_two_parts", "mixed_linear", "memory_write",
+    "add", "mul", "div", "matmul", "elu", "sigmoid", "softmax",
+    "cross_entropy_logits", "concat", "stack", "select", "take_rows",
+    "reshape", "attention_aggregate", "linear_rank1", "linear_rank2",
+    "linear_per_row", "lstm_direction_forward", "lstm_direction_reverse",
+    "word_attention", "attention_weights", "weighted_sum", "memory_blend",
+    "write_head_shift", "conv2d_same3_elu_one_layer",
+    "conv2d_same3_elu_two_layers", "attention_weights_projected",
+    "control_query", "elu_mlp_softmax", "elu_mlp_two_parts", "gate_mlp",
+    "mixed_linear", "memory_write",
     "question_encoder", "frame_encoder", "controller_step",
     "temporal_classifier", "visual_retrieval", "memory_retrieval",
     "gate_network", "memory_update", "summary_update", "cell_two_steps",
     "full_episode_2frames", "full_episode_batch3",
 ]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_float64_suite_passes_every_check():
@@ -50,3 +54,11 @@ def test_float32_suite_checks_float32_leaves(monkeypatch):
                            if dtype != np.float32)
             for r, check in zip(results, leaves)}
     assert {name: names for name, names in wide.items() if names} == {}
+
+
+def test_readme_quotes_the_number_of_checks():
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    count = len(gradsuite._CHECKS)
+    for phrase in (f"pins its {count} check names",
+                   f"gradient-check suite: {count} checks"):
+        assert phrase in readme, f"README does not say {phrase!r}"

@@ -11,7 +11,7 @@ from reference_ops import (elu_slope_where, elu_where, lstm_direction_sliced,
                            memory_blend_matmul)
 from samnet import tensor as T
 from samnet.gradcheck import grad_check
-from samnet.cell import SAMNet
+from samnet.cell import SAMNet, gate_mlp
 from samnet.minicog import generate_corpus
 from samnet.params import ParameterStore
 from samnet import training
@@ -342,15 +342,15 @@ def _weight_graph(w, inputs, shared, lengths=None):
     """A loss per episode through four uses of the leaf w (6, 6): rank-1
     `linear`, whose output reads a question's words through
     `word_attention`, per-row `linear` over those words (padded to the
-    longest, with their `lengths`, in a ragged batch) and `gate_mlp`'s w1
-    and w2. Outside `episode_batch`, one episode: `inputs` are that
-    episode's."""
+    longest, with their `lengths`, in a ragged batch) and the gate
+    network's w1 and w2 (`cell.gate_mlp`). Outside `episode_batch`, one
+    episode: `inputs` are that episode's."""
     x, words, vs, rs, tau = inputs
     b, gate = shared
     query = T.linear(x, w, b)
     read, _ = T.word_attention(query, T.linear(words, w, b, per_row=True),
                                lengths)
-    gates = T.gate_mlp(vs, rs, tau, w, gate[0], w, *gate[1:])
+    gates = gate_mlp(vs, rs, tau, w, gate[0], w, *gate[1:])
     return T.add(T.attention_aggregate(read), T.attention_aggregate(gates))
 
 
@@ -413,8 +413,8 @@ def test_weight_gradient_is_one_product_per_episode(monkeypatch, mode):
         rows = _episode_rows(fold)
         assert len(rows) == (1 if mode == "one episode at a time" else 4)
         for x, g in rows:
-            # 1 + 3 rows of the linear uses, 2 of gate_mlp; 1 fewer if
-            # short, unless padded with a zero-gradient row
+            # 1 + 3 rows of the linear uses, 2 of the gate network's; 1
+            # fewer if short, unless padded with a zero-gradient row
             assert len(x) in (6, 5)
             product = np.matmul(x.T, g)
             want = product if want is None else want + product
