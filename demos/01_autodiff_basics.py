@@ -54,4 +54,5 @@ with T.precision("float64"):
     err = grad_check(f, store.parameters(), eps=1e-6)
 print(f"cross-entropy max relative error vs finite differences: {err:.2e}")
 
-print("\nThe full per-component suite is `samnet gradcheck [--f64]`.")
+print("\nThe full suite, every op and the whole model, is "
+      "`samnet gradcheck [--f64]`.")

@@ -56,7 +56,10 @@ def _cmd_gen(args) -> int:
     episode_cfg = cfg.episode_config()
     family = cfg.task_family_weights()
     episodes = generate_corpus(episode_cfg, family, args.count, seed=args.seed)
-    write_corpus(args.out, episodes, episode_cfg, family, seed=args.seed)
+    try:
+        write_corpus(args.out, episodes, episode_cfg, family, seed=args.seed)
+    except OSError as exc:
+        args.parser.error(f"{args.out}: {exc}")
     print(f"wrote {len(episodes)} episodes to {args.out}")
     return 0
 
@@ -186,7 +189,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("gen", help="generate an episode corpus")
     p.add_argument("--config", required=True)
     p.add_argument("--count", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=lambda text: _int_at_least(text, 0),
+                   required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen, parser=p)
 

@@ -1,6 +1,6 @@
-"""The full gradient-verification suite: every tape op from one table, then
-every model component, a whole episode, and a ragged batch of episodes on
-one tape.
+"""The full gradient-verification suite: every tape op and reasoning-step
+chain from one table, then a whole episode and a ragged batch of episodes
+on one tape.
 
 `OPS` declares each variant of each public differentiable op of
 `samnet.tensor` once, and so each chain of them that a reasoning step of
@@ -8,8 +8,8 @@ one tape.
 them carry the batch axis inside `episode_batch`, and the call. The suite's
 op checks are generated from it, and so are the op tests in
 ``tests/test_ops.py``, with the reference chains of
-``tests/reference_ops.py``. The component and model checks build modules,
-so each is written out.
+``tests/reference_ops.py``. The two model checks build a `SAMNet` and
+take every one of its parameters as a leaf, so each is written out.
 
 Each check reduces its output to a scalar through one fixed random readout
 ``<out, R>`` (`_readout_from`), and compares tape gradients against central
@@ -30,26 +30,17 @@ import numpy as np
 
 from . import tensor as T
 from .cell import (
-    GateNetwork,
-    MemoryRetrieval,
-    MemoryState,
     ModelConfig,
-    QuestionDrivenController,
     SAMNet,
-    SummaryUpdate,
-    TemporalClassifier,
-    VisualRetrieval,
     control_query,
     elu_mlp,
     gate_mlp,
     memory_update,
     mixed_linear,
     projected_attention,
-    write_head_update,
 )
-from .encoders import FrameEncoder, QuestionEncoder
 from .gradcheck import grad_check
-from .params import Parameter, ParameterStore
+from .params import Parameter
 
 
 @dataclass
@@ -61,10 +52,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.max_rel_err < self.threshold
-
-
-def _store(seed):
-    return ParameterStore(np.random.default_rng(seed))
 
 
 def _readout_from(weights, out):
@@ -275,153 +262,13 @@ def check_op(entry: Op, rng, eps):
                       leaves, eps=eps)
 
 
-def _check_question_encoder(rng, eps):
-    store = _store(5)
-    enc = QuestionEncoder(store, vocab_size=5, d=8)
-    readout = rng.normal(size=(5, 8))
-
-    def f():
-        out = enc.encode([0, 3, 1, 4])
-        return T.add(_readout_from(readout[0], out.q),
-                     _readout_from(readout[1:], out.cw))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_frame_encoder(rng, eps):
-    store = _store(6)
-    enc = FrameEncoder(store, in_channels=3, d=8)
-    frame = rng.normal(size=(2, 3, 3, 3))
-    readout = rng.normal(size=(2, 9, 8))
-
-    def f():
-        return _readout_from(readout, enc.encode(frame))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_controller(rng, eps):
-    store = _store(7)
-    ctrl = QuestionDrivenController(store, d=8, steps=2)
-    q = T.Tensor(rng.normal(size=8))
-    cw = T.Tensor(rng.normal(size=(4, 8)))
-    c_prev = T.Tensor(rng.normal(size=8))
-    readout = rng.normal(size=8)
-
-    def f():
-        c_t, _ = ctrl.step(q, cw, c_prev, 2)
-        return _readout_from(readout, c_t)
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_temporal(rng, eps):
-    store = _store(8)
-    clf = TemporalClassifier(store, d=8)
-    c_t = T.Tensor(rng.normal(size=8))
-    readout = rng.normal(size=4)
-
-    def f():
-        return _readout_from(readout, clf.classify(c_t))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_visual(rng, eps):
-    store = _store(9)
-    vis = VisualRetrieval(store, d=8)
-    rows = T.Tensor(rng.normal(size=(9, 8)))
-    c_t = T.Tensor(rng.normal(size=8))
-    readout = rng.normal(size=8)
-
-    def f():
-        keys, values = vis.project(rows)
-        vo, va = vis.retrieve(keys, values, c_t)
-        return T.add(_readout_from(readout, vo), T.attention_aggregate(va))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_memory_read(rng, eps):
-    store = _store(10)
-    mem = MemoryRetrieval(store, d=8)
-    m = Draw(rng)(3, 8)
-    c_t = T.Tensor(rng.normal(size=8))
-    readout = rng.normal(size=8)
-
-    def f():
-        mo, rh = mem.retrieve(m, c_t)
-        return T.add(_readout_from(readout, mo), T.attention_aggregate(rh))
-
-    return grad_check(f, store.parameters() + [m], eps=eps)
-
-
-def _check_gates(rng, eps):
-    store = _store(11)
-    net = GateNetwork(store, hidden=16)
-    tau = T.Tensor(np.random.default_rng(0).dirichlet(np.ones(4)))
-    readout = rng.normal(size=5)
-
-    def f():
-        g = net.gates(T.Tensor(0.4), T.Tensor(0.6), tau)
-        return _readout_from(readout, T.stack([g.g_v, g.g_m, g.h_r, g.h_a, g.h_none]))
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_memory_update(rng, eps):
-    draw = Draw(rng)
-    m, vo, raw = draw(3, 4), draw(4), draw(3)
-    wh_prev = T.Tensor(np.random.default_rng(1).dirichlet(np.ones(3)))
-    rh = T.Tensor(np.random.default_rng(2).dirichlet(np.ones(3)))
-    readout = rng.normal(size=(3, 4))
-    head_readout = rng.normal(size=3)
-
-    def f():
-        write = T.softmax(raw)  # (h_r, h_a, h_none), as the gate network gives
-        gates = write[0], write[1]
-        m_t, _ = memory_update(m, wh_prev, rh, vo, *gates)
-        wh_t = write_head_update(wh_prev, gates[1])
-        return T.add(_readout_from(readout, m_t), _readout_from(head_readout, wh_t))
-
-    return grad_check(f, [m, vo, raw], eps=eps)
-
-
-def _check_summary(rng, eps):
-    store = _store(13)
-    su = SummaryUpdate(store, d=8)
-    vo = T.Tensor(rng.normal(size=8))
-    mo = T.Tensor(rng.normal(size=8))
-    so_prev = T.Tensor(rng.normal(size=8))
-    readout = rng.normal(size=8)
-
-    def f():
-        so, _ = su.update(vo, mo, T.Tensor(0.7), T.Tensor(0.3), so_prev)
-        return _readout_from(readout, so)
-
-    return grad_check(f, store.parameters(), eps=eps)
-
-
-def _check_cell_step(rng, eps):
-    cfg = ModelConfig(vocab_size=8, num_answers=5, in_channels=6, d=8,
-                      steps=2, mem_slots=3)
-    net = SAMNet(cfg, init_seed=14)
-    rows = rng.normal(size=(9, 8))
-    tokens = [0, 3, 5, 1]
-    readout = rng.normal(size=8)
-
-    def f():
-        enc = net.question_encoder.encode(tokens)
-        state = net.cell.initial_state()
-        mem = MemoryState.initial(3, 8)
-        keys, values = net.cell.visual.project(T.Tensor(rows))
-        for t in (1, 2):
-            state, mem = net.cell.step(enc, keys, values, state, mem, t)
-        return _readout_from(readout, state.so)
-
-    return grad_check(f, net.store.subset("question.", "cell."), eps=eps)
-
-
+# The model checks hold every parameter's gradient to the same relative
+# error, with `grad_check`'s floor of max(1, |analytic|, |numeric|). At init
+# the controller's path is near dead (ROADMAP item 10: its gradients read
+# about 1e-13 against 6 for the answer head), so an error in the word
+# attention's backward or in the attention keys' gradient stays far below
+# that floor and passes both checks. Only the `word_attention`,
+# `attention_weights` and `attention_weights_projected` entries hold them.
 def _check_full_episode(rng, eps):
     # 2 frames, 2 reasoning steps, d=8, N=3, L=4 tokens, 3x3 grid (9 cells)
     cfg = ModelConfig(vocab_size=8, num_answers=5, in_channels=6, d=8,
@@ -458,16 +305,6 @@ def _check_full_episode_batch(rng, eps):
 
 
 _CHECKS = [(name, partial(check_op, entry)) for name, entry in OPS.items()] + [
-    ("question_encoder", _check_question_encoder),
-    ("frame_encoder", _check_frame_encoder),
-    ("controller_step", _check_controller),
-    ("temporal_classifier", _check_temporal),
-    ("visual_retrieval", _check_visual),
-    ("memory_retrieval", _check_memory_read),
-    ("gate_network", _check_gates),
-    ("memory_update", _check_memory_update),
-    ("summary_update", _check_summary),
-    ("cell_two_steps", _check_cell_step),
     ("full_episode_2frames", _check_full_episode),
     ("full_episode_batch3", _check_full_episode_batch),
 ]

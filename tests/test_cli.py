@@ -48,17 +48,28 @@ def test_gen_writes_corpus_and_vocab(tiny_conf, tmp_path, capsys):
     assert not os.path.exists(out + ".vocab")
 
 
-@pytest.mark.parametrize("count", ["0", "-3", "two"])
-def test_gen_count_below_one_is_a_usage_error(tiny_conf, tmp_path, capsys,
-                                              count):
+@pytest.mark.parametrize("flag,value,message", [
+    ("--count", "0", "--count: expected an int >= 1, got '0'"),
+    ("--count", "-3", "--count: expected an int >= 1, got '-3'"),
+    ("--count", "two", "--count: expected an int >= 1, got 'two'"),
+    ("--seed", "-1", "--seed: expected an int >= 0, got '-1'"),
+    ("--seed", "five", "--seed: expected an int >= 0, got 'five'"),
+    ("--out", "{tmp}/missing/corpus.jsonl",
+     "{tmp}/missing/corpus.jsonl: [Errno 2] No such file or directory"),
+], ids=["count-0", "count-minus-3", "count-two", "seed-minus-1", "seed-five",
+        "out-in-missing-directory"])
+def test_gen_bad_argument_is_a_usage_error(tiny_conf, tmp_path, capsys,
+                                           flag, value, message):
     out = tmp_path / "corpus.jsonl"
+    argv = {"--count": "3", "--seed": "5", "--out": str(out)}
+    argv[flag] = value.format(tmp=tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["gen", "--config", str(tiny_conf), "--count", count,
-              "--seed", "5", "--out", str(out)])
+        main(["gen", "--config", str(tiny_conf),
+              *(part for item in argv.items() for part in item)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage: samnet gen" in err
-    assert f"--count: expected an int >= 1, got '{count}'" in err
+    assert message.format(tmp=tmp_path) in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """The float64 gradient suite (`samnet gradcheck --f64`) runs in tier-1,
 with a bound 100 times tighter than its threshold; the float32 suite is
-checked for the dtype of its leaves; the README quotes the suite's size."""
+checked for the dtype of its leaves, and each whole-model check for taking
+every parameter as one; the README quotes the suite's size."""
 
 from pathlib import Path
 
@@ -19,9 +20,6 @@ CHECK_NAMES = [
     "conv2d_same3_elu_two_layers", "attention_weights_projected",
     "control_query", "elu_mlp_softmax", "elu_mlp_two_parts", "gate_mlp",
     "mixed_linear", "memory_write",
-    "question_encoder", "frame_encoder", "controller_step",
-    "temporal_classifier", "visual_retrieval", "memory_retrieval",
-    "gate_network", "memory_update", "summary_update", "cell_two_steps",
     "full_episode_2frames", "full_episode_batch3",
 ]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,8 +29,8 @@ def test_float64_suite_passes_every_check():
     results = run_gradient_suite(use_float64=True)
     assert [r.name for r in results] == CHECK_NAMES
     assert all(r.threshold == 1e-5 for r in results)
-    # every check, the components' included, stays 100 times inside its
-    # threshold; the largest measured is 8.2e-10
+    # every check, the two whole-model ones included, stays 100 times
+    # inside its threshold; the largest measured is 8.2e-10
     high = [(r.name, r.max_rel_err) for r in results if not r.max_rel_err < 1e-7]
     assert not high
 
@@ -41,12 +39,19 @@ def test_float32_suite_checks_float32_leaves(monkeypatch):
     # a float64 draw assigned to a leaf would make `samnet gradcheck` check
     # float64 arithmetic; the spy runs no finite differences
     leaves = []
+    models = []
 
     def spy(f, params, eps):
         leaves.append({p.name: p.data.dtype for p in params})
         return 0.0
 
+    class RecordedSAMNet(gradsuite.SAMNet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
     monkeypatch.setattr(gradsuite, "grad_check", spy)
+    monkeypatch.setattr(gradsuite, "SAMNet", RecordedSAMNet)
     results = run_gradient_suite(use_float64=False)
     assert [r.name for r in results] == CHECK_NAMES
     assert len(leaves) == len(CHECK_NAMES) and all(leaves)
@@ -54,6 +59,11 @@ def test_float32_suite_checks_float32_leaves(monkeypatch):
                            if dtype != np.float32)
             for r, check in zip(results, leaves)}
     assert {name: names for name, names in wide.items() if names} == {}
+    # the op table has no module, so the two whole-model checks are what
+    # hold the modules' wiring: each takes every parameter of its model
+    checks = dict(zip(CHECK_NAMES, leaves))
+    assert [sorted(checks[name]) for name in CHECK_NAMES[-2:]] == [
+        sorted(model.store.names()) for model in models]
 
 
 def test_readme_quotes_the_number_of_checks():
